@@ -12,32 +12,25 @@ import argparse
 import sys
 import threading
 
+from rotated_tcf.cli import DEFAULT_SEED, PROVERS
 from rotated_tcf.network import (connect_prover, open_server_socket,
                                  serve_verifier)
 from rotated_tcf.params import desk_preset
-from rotated_tcf.protocol_q import (BaselineProver, HonestQuantumProver,
-                                    RandomProver, run_single_trial)
+from rotated_tcf.protocol_q import run_single_trial
 from rotated_tcf.sampling import master_stream
 from rotated_tcf.transcripts import transcript_to_json
-
-DEFAULT_SEED = "8b9d5d0a" * 8
-STRATEGIES = {
-    "honest": HonestQuantumProver,
-    "classical-baseline": BaselineProver,
-    "classical-random": RandomProver,
-}
 
 
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--sessions", type=int, default=20)
-    ap.add_argument("--strategy", choices=sorted(STRATEGIES),
+    ap.add_argument("--strategy", choices=sorted(PROVERS),
                     default="honest")
     ap.add_argument("--seed", default=DEFAULT_SEED)
     args = ap.parse_args()
 
     params = desk_preset()
-    strategy = STRATEGIES[args.strategy]()
+    strategy = PROVERS[args.strategy]()
     witness = args.strategy == "honest"
     srv = open_server_socket("127.0.0.1", 0)
     port = srv.getsockname()[1]

@@ -1,88 +1,53 @@
 #!/usr/bin/env python3
-"""Run the full desk-preset experiment battery and write a summary table.
+"""Run the full desk-preset experiment battery through the CLI.
 
 Usage: python scripts/run_desk_experiments.py [--trials N] [--outdir DIR]
 
-Produces stats.csv plus JSON-lines transcripts for the quantumness test,
-and prints one summary line per experiment.  Everything is determined by
-the seed, so reruns reproduce the numbers exactly.
+Each experiment is one `rotated-tcf` command: the quantumness test for
+every prover, blind state preparation, the puzzle repetition and the
+min-entropy reports.  Writes stats.csv plus JSON-lines transcripts for the
+quantumness test into DIR and prints each command's summary.  Everything
+is determined by the seed, so reruns reproduce the numbers exactly.
 """
 import argparse
-import math
 import os
 import sys
 
-from rotated_tcf.params import desk_preset
-from rotated_tcf.protocol_q import (BaselineProver, HonestQuantumProver,
-                                    RandomProver, run_experiment)
-from rotated_tcf.puzzle import repetition_experiment
-from rotated_tcf.randomness import score_entropy_report
-from rotated_tcf.rsp import run_rsp_once, trace_distance
-from rotated_tcf.sampling import master_stream
-from rotated_tcf.transcripts import CSV_HEADER, save_transcripts, stats_csv_row
+from rotated_tcf import cli
 
-DEFAULT_SEED = "8b9d5d0a" * 8
+
+def battery(trials: int, seed: str, outdir: str) -> list[list[str]]:
+    csv = os.path.join(outdir, "stats.csv")
+    runs = [["poq", "--prover", name, "--trials", str(trials), "--out", csv,
+             "--emit-transcripts", os.path.join(outdir, f"poq_{name}.jsonl")]
+            for name in cli.PROVERS]
+    runs.append(["rsp", "--trials", str(max(200, trials // 10))])
+    runs += [["puzzle", "--solver", solver, "--ell", "50", "--alpha", "0.8",
+              "--runs", "200", "--out", csv]
+             for solver in ("honest", "classical-baseline")]
+    runs += [["entropy", "--prover", name, "--trials", str(min(trials, 1000)),
+              "--contexts", "20", "--replays", "50"]
+             for name in ("honest", "classical-baseline")]
+    return [run + ["--seed", seed] for run in runs]
 
 
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--trials", type=int, default=5000)
-    ap.add_argument("--seed", default=DEFAULT_SEED)
+    ap.add_argument("--seed", default=cli.DEFAULT_SEED)
     ap.add_argument("--outdir", default="results")
     args = ap.parse_args()
 
-    params = desk_preset()
-    root = master_stream(args.seed)
     os.makedirs(args.outdir, exist_ok=True)
-    csv_rows = [CSV_HEADER]
-
-    for prover in (HonestQuantumProver(), BaselineProver(), RandomProver()):
-        transcripts = []
-        stats = run_experiment(params, prover, args.trials,
-                               root.derive("poq", prover.name),
-                               transcript_sink=transcripts.append)
-        print(f"poq {prover.name:20s} {stats.summary()}")
-        csv_rows.append(stats_csv_row(params.preset_name, prover.name, stats,
-                                      args.seed))
-        save_transcripts(os.path.join(args.outdir,
-                                      f"poq_{prover.name}.jsonl"), transcripts)
-
-    rsp_stream = root.derive("rsp")
-    tds, aborts = [], 0
-    n_rsp = max(200, args.trials // 10)
-    for i in range(n_rsp):
-        run = rsp_stream.derive("run", i)
-        alpha = int(run.derive("alpha").gen.integers(0, params.q))
-        outcome, beta, _ = run_rsp_once(params, alpha, run)
-        if outcome.aborted:
-            aborts += 1
-        else:
-            tds.append(trace_distance(beta, outcome.target))
-    bound = 4 * math.pi * params.m * params.sigma / params.q
-    print(f"rsp: {len(tds)} runs, {aborts} aborts, "
-          f"mean trace distance {sum(tds) / len(tds):.3e} (bound {bound:.3e})")
-
-    for solver in ("honest", "classical-baseline"):
-        stats = repetition_experiment(params, 50, 0.8, 200,
-                                      root.derive("puzzle", solver),
-                                      solver=solver)
-        print(f"puzzle ell=50 alpha=0.8 {solver:20s} {stats.summary()}")
-        csv_rows.append(stats_csv_row(params.preset_name, f"puzzle-{solver}",
-                                      stats, args.seed))
-
-    for name, prover in (("honest", HonestQuantumProver()),
-                         ("classical-baseline", BaselineProver())):
-        report = score_entropy_report(prover, params, min(args.trials, 1000),
-                                      root.derive("entropy", name),
-                                      contexts=20, replays=50)
-        print(f"entropy {name}:")
-        for line in report.lines():
-            print(f"  {line}")
-
-    path = os.path.join(args.outdir, "stats.csv")
-    with open(path, "w") as fh:
-        fh.write("\n".join(csv_rows) + "\n")
-    print(f"wrote {path}")
+    csv = os.path.join(args.outdir, "stats.csv")
+    if os.path.exists(csv):
+        os.remove(csv)      # --out appends; start the table afresh
+    for argv in battery(args.trials, args.seed, args.outdir):
+        print("$ rotated-tcf " + " ".join(argv), flush=True)
+        rc = cli.main(argv)
+        if rc:
+            return rc
+    print(f"wrote {csv}")
     return 0
 
 

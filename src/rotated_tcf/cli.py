@@ -304,29 +304,41 @@ COMMANDS = {
 }
 
 
+def _apply_config(parser, argv: list) -> list:
+    """Take `--config PATH` out of argv, wherever it stands, and install the
+    file's keys as defaults of the chosen subcommand, so flags given on the
+    command line still win.  Returns the rest of argv."""
+    pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    known, argv = pre.parse_known_args(argv)
+    if known.config is None:
+        return argv
+    try:
+        with open(known.config) as fh:
+            config = json.load(fh)
+    except (OSError, json.JSONDecodeError) as exc:
+        raise SystemExit(_usage_error(f"cannot read config: {exc}"))
+    if not isinstance(config, dict):
+        raise SystemExit(_usage_error("config must be a JSON object"))
+    flags = []
+    for key, value in config.items():
+        if value is True:
+            flags.append(f"--{key}")
+        elif value is not False:
+            flags.extend([f"--{key}", str(value)])
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    sub = subs.choices[parser.parse_args(argv).command]
+    # parsing the keys as flags checks names, types and choices
+    sub.set_defaults(**vars(sub.parse_args(flags)))
+    return argv
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    # --config supplies defaults; explicit flags still win on reparse
-    if "--config" in argv:
-        idx = argv.index("--config")
-        try:
-            with open(argv[idx + 1]) as fh:
-                defaults = json.load(fh)
-        except (IndexError, OSError, json.JSONDecodeError) as exc:
-            return _usage_error(f"cannot read config: {exc}")
-        flat = []
-        for key, value in defaults.items():
-            if isinstance(value, bool):
-                if value:
-                    flat.append(f"--{key}")
-            else:
-                flat.extend([f"--{key}", str(value)])
-        sub = argv[:1] if argv and not argv[0].startswith("-") else []
-        rest = [a for a in argv if a not in (argv[idx], argv[idx + 1])]
-        argv = sub + flat + rest[len(sub):]
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_apply_config(parser, argv))
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
     try:

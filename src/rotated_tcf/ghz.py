@@ -80,17 +80,12 @@ def simulate_ghz_measurement(x_one: np.ndarray, x_zero: np.ndarray,
     """Measure the first nQ qubits of (|[x_one]>|1> + |[x_zero]>|0>)/sqrt(2)
     in the bases given by r_units.  Returns (u, qubit) where u is the
     outcome string and qubit the exact state of the surviving qubit."""
-    q, Q = params.q, params.Q
-    bx = bits_le_vec(np.asarray(x_one, dtype=np.int64), Q)
-    by = bits_le_vec(np.asarray(x_zero, dtype=np.int64), Q)
-    d = bx.shape[0]
+    d = np.size(x_one) * params.Q
     if r_units.shape != (d,):
         raise ValueError("need one angle per measured qubit")
     u = sample_bits(d, stream)
-    diff = by - bx  # entries in {-1, 0, 1}
-    phase = int((diff * (r_units % (2 * q))).sum() % (2 * q))
-    phase = (phase + q * int(((bx ^ by) & u).sum())) % (2 * q)
-    return u, PhaseQubit(q=q, units=phase)
+    units = predicted_phase_units(x_one, x_zero, r_units, u, params)
+    return u, PhaseQubit(q=params.q, units=units)
 
 
 def simulate_basis_measurement(x: np.ndarray, c: int, r_units: np.ndarray,

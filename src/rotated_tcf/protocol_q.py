@@ -24,9 +24,9 @@ from .params import Params
 from .regev import Ciphertext, KeypairJ, PublicKey, encrypt_bit, gen_j
 from .sampling import RngStream, sample_bits, sample_box, sample_uniform
 from .stats import Stats
-from .trapdoor import invert
+from .trapdoor import TrapdoorPair, invert
 from .transcripts import Transcript, make_transcript
-from .zq import bit_dot, bits_le_vec, inf_norm, matvec_mod
+from .zq import bit_dot, bits_le_vec, inf_norm, matmul_mod
 
 
 @dataclass
@@ -66,12 +66,12 @@ def honest_prover_round1(params: Params, pk: PublicKey, ct: Ciphertext,
     simulation is meaningless against a mismatched key."""
     s, e = witness
     q, tau = params.q, params.tau
-    if not np.array_equal((matvec_mod(pk.A, s, q) + e) % q, pk.v):
+    if not np.array_equal((matmul_mod(pk.A, s, q) + e) % q, pk.v):
         raise ValueError("witness inconsistent with public key")
     x = sample_uniform(params.n, q, stream)
     cbit = int(stream.gen.integers(0, 2))
     g = sample_box(params.m, tau, q, stream)
-    y = (matvec_mod(pk.A, x, q) - cbit * pk.v + g) % q
+    y = (matmul_mod(pk.A, x, q) - cbit * pk.v + g) % q
     if cbit == 0:
         two_preimage = _within_tau(inf_norm((g + e) % q, q), tau)
         x0, x1 = x, (x + s) % q
@@ -95,12 +95,13 @@ def honest_prover_round2(state: ProverState, b_prime: int,
     return state.qubit.measure_xy(xi, stream)
 
 
-def decrypted_bit(vstate: VerifierState, y: np.ndarray, u: np.ndarray) -> int:
-    """d = u . ([x0] xor [x1]) with x0, x1 recovered through the trapdoor."""
-    p = vstate.params
-    pair = vstate.keypair.trapdoor
+def decrypted_bit(pair: TrapdoorPair, v: np.ndarray, y: np.ndarray,
+                  u: np.ndarray) -> int:
+    """d = u . ([x0] xor [x1]) with x0 = invert(y) and x1 = invert(y + v),
+    the claw preimages recovered through the trapdoor on both branches."""
+    p = pair.params
     x0 = invert(pair, y)
-    x1 = invert(pair, (y + vstate.keypair.pk.v) % p.q)
+    x1 = invert(pair, (y + v) % p.q)
     z = bits_le_vec(x0, p.Q) ^ bits_le_vec(x1, p.Q)
     return bit_dot(u, z)
 
@@ -108,8 +109,9 @@ def decrypted_bit(vstate: VerifierState, y: np.ndarray, u: np.ndarray) -> int:
 def verifier_score(vstate: VerifierState, y: np.ndarray, u: np.ndarray,
                    d_prime: int, seed_info: str = "",
                    include_pk: bool = False) -> Transcript:
-    d = decrypted_bit(vstate, y, u)
-    return make_transcript(vstate.params, vstate.keypair.pk, vstate.ct,
+    kp = vstate.keypair
+    d = decrypted_bit(kp.trapdoor, kp.pk.v, y, u)
+    return make_transcript(vstate.params, kp.pk, vstate.ct,
                            y, u, vstate.b, vstate.b_prime, d, d_prime,
                            seed_info, include_pk=include_pk)
 
@@ -278,10 +280,7 @@ def rewinding_experiment(variant: str, params: Params, prover,
         y, u, p = prover.first_response(kp.pk, ct, t.derive("prover"))
         d_prime = int(prover.second_response(b_prime, p, t.derive("prover2")))
         if variant == "C":
-            x0 = invert(kp.trapdoor, y)
-            x1 = invert(kp.trapdoor, (y + kp.pk.v) % params.q)
-            z = bits_le_vec(x0, params.Q) ^ bits_le_vec(x1, params.Q)
-            d = bit_dot(u, z)
+            d = decrypted_bit(kp.trapdoor, kp.pk.v, y, u)
         else:
             replay = t.derive("replay")
             votes = []

@@ -13,13 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import Params
-from .protocol_q import (BaselineProver, ProverState, honest_prover_round1,
-                         honest_prover_round2, verifier_round1)
+from .protocol_q import (BaselineProver, ProverState, decrypted_bit,
+                         honest_prover_round1, honest_prover_round2,
+                         verifier_round1)
 from .regev import Ciphertext, PublicKey
 from .sampling import RngStream, sample_bits
 from .stats import Stats
-from .trapdoor import TrapdoorPair, invert
-from .zq import bit_dot, bits_le_vec
+from .trapdoor import TrapdoorPair
+from .trapdoor import invert  # not called: perfbench/layers.py rebinds it
 
 COMPLETENESS_TARGET = 0.8535533905932737  # cos^2(pi/8)
 
@@ -67,10 +68,7 @@ def puzzle_S(p: Puzzle, o: Obligation, b_prime: int, stream: RngStream) -> int:
 
 def puzzle_V(p: Puzzle, k: PuzzleKey, o: Obligation, b_prime: int,
              d_prime: int) -> int:
-    x0 = invert(k.trapdoor, o.y)
-    x1 = invert(k.trapdoor, (o.y + p.pk.v) % p.params.q)
-    z = bits_le_vec(x0, p.params.Q) ^ bits_le_vec(x1, p.params.Q)
-    d = bit_dot(o.u, z)
+    d = decrypted_bit(k.trapdoor, p.pk.v, o.y, o.u)
     return int((d ^ int(d_prime)) == (k.b & int(b_prime)))
 
 

@@ -16,7 +16,7 @@ from .params import Params
 from .sampling import RngStream, sample_bits, sample_noise, sample_uniform
 from .stats import Stats
 from .trapdoor import TrapdoorPair, gen_trap
-from .zq import centered_abs, inner_mod, matvec_mod, vecmat_bits_mod
+from .zq import centered_abs, matmul_mod
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,7 @@ class KeypairJ:
 def _keygen_tail(params: Params, A: np.ndarray, stream: RngStream):
     s = sample_uniform(params.n, params.q, stream.derive("s"))
     e = sample_noise(params, stream.derive("e"))
-    v = (matvec_mod(A, s, params.q) + e) % params.q
+    v = (matmul_mod(A, s, params.q) + e) % params.q
     return PublicKey(params=params, A=A, v=v), s, e
 
 
@@ -77,8 +77,8 @@ def encrypt_zq(pk: PublicKey, value: int, stream: RngStream,
     f = sample_bits(p.m, stream) if force_f is None else np.asarray(force_f, dtype=np.int64)
     if f.shape != (p.m,) or not np.all((f == 0) | (f == 1)):
         raise ValueError("f must be a 0/1 vector of length m")
-    a = vecmat_bits_mod(f, pk.A, p.q)
-    w = (inner_mod(f, pk.v, p.q) + int(value)) % p.q
+    a = matmul_mod(f, pk.A, p.q)
+    w = (int(matmul_mod(f, pk.v, p.q)) + int(value)) % p.q
     return Ciphertext(a=a, w=w), f
 
 
@@ -91,14 +91,9 @@ def encrypt_bit(pk: PublicKey, b: int, stream: RngStream,
 
 
 def decrypt_bit(s: np.ndarray, ct: Ciphertext, q: int) -> int:
-    ell = (inner_mod(ct.a, s, q) - ct.w) % q
+    ell = (int(matmul_mod(ct.a, s, q)) - ct.w) % q
     shifted = (ell + q // 4) % q
     return 1 if int(centered_abs(shifted, q)) <= int(centered_abs(ell, q)) else 0
-
-
-def ciphertext_noise(keypair, f: np.ndarray) -> int:
-    """f^T e for a ciphertext whose randomness f is known (diagnostics)."""
-    return inner_mod(f, keypair.e, keypair.pk.params.q)
 
 
 def distinguishing_game(params: Params, adversary, trials: int,
@@ -130,5 +125,5 @@ def distinguishing_game(params: Params, adversary, trials: int,
 __all__ = [
     "PublicKey", "Ciphertext", "KeypairK", "KeypairJ",
     "gen_k", "gen_j", "encrypt_zq", "encrypt_bit", "decrypt_bit",
-    "distinguishing_game", "ciphertext_noise",
+    "distinguishing_game",
 ]

@@ -21,14 +21,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ghz import PhaseQubit, angle_sequence, simulate_basis_measurement, \
-    simulate_ghz_measurement
+from .ghz import PhaseQubit
+# Not called here: perfbench/layers.py looks these names up on rsp.
+from .ghz import (angle_sequence, simulate_basis_measurement,
+                  simulate_ghz_measurement)
 from .params import Params
-from .regev import encrypt_zq, gen_j
-from .sampling import RngStream, sample_box, sample_uniform, sample_bits
+from .protocol_q import honest_prover_round1
+from .regev import Ciphertext, PublicKey, encrypt_zq, gen_j
+from .sampling import RngStream, sample_bits, sample_noise, sample_uniform
 from .trapdoor import find_preimage, gen_trap, invert
-from .zq import bit_dot, bits_le_vec, inf_norm, matvec_mod, vecmat_bits_mod, \
-    inner_mod
+from .zq import bit_dot, bits_le_vec, matmul_mod
 
 
 @dataclass
@@ -63,7 +65,7 @@ def rsp_client_round1(params: Params, alpha: int, stream: RngStream,
     if force_zero_noise:
         # test hook: replace e with 0 so the prepared state is exact
         e = np.zeros(params.m, dtype=np.int64)
-        v = matvec_mod(kp.pk.A, kp.s, params.q)
+        v = matmul_mod(kp.pk.A, kp.s, params.q)
         kp = type(kp)(pk=type(kp.pk)(params=params, A=kp.pk.A, v=v),
                       s=kp.s, e=e, trapdoor=kp.trapdoor)
     payload = alpha if sign_convention == "additive" else (-alpha) % params.q
@@ -75,30 +77,17 @@ def rsp_client_round1(params: Params, alpha: int, stream: RngStream,
 
 def rsp_server_round(params: Params, msg, witness, stream: RngStream,
                      sign_convention: str = "additive"):
-    """Claw sampling and measurement cascade; returns ((y, u), beta) where
-    beta is the exact state of the qubit the server keeps."""
+    """The quantumness test's claw cascade on the client's message; returns
+    ((y, u), beta) where beta is the exact state of the qubit the server
+    keeps.  The subtractive rotation by -2 pi w / q is the cascade's
+    rotation by 2 pi ((-w) mod q) / q."""
     (A, v), (a, w) = msg
-    s, e = witness
-    q, tau = params.q, params.tau
-    if not np.array_equal((matvec_mod(A, s, q) + e) % q, v):
-        raise ValueError("witness inconsistent with client message")
-    x = sample_uniform(params.n, q, stream)
-    cbit = int(stream.gen.integers(0, 2))
-    g = sample_box(params.m, tau, q, stream)
-    y = (matvec_mod(A, x, q) - cbit * v + g) % q
-    if cbit == 0:
-        two_preimage = inf_norm((g + e) % q, q) * tau.denominator <= tau.numerator
-        x0, x1 = x, (x + s) % q
-    else:
-        two_preimage = inf_norm((g - e) % q, q) * tau.denominator <= tau.numerator
-        x0, x1 = (x - s) % q, x
-    r_units = angle_sequence(a, params)
-    if two_preimage:
-        u, qubit = simulate_ghz_measurement(x1, x0, r_units, params, stream)
-        qubit.rotate_z(w if sign_convention == "additive" else -w)
-    else:
-        u, qubit = simulate_basis_measurement(x, cbit, r_units, params, stream)
-    return (y, u), qubit
+    if sign_convention != "additive":
+        w = (-w) % params.q
+    state, (y, u) = honest_prover_round1(
+        params, PublicKey(params=params, A=A, v=v), Ciphertext(a=a, w=w),
+        witness, stream)
+    return (y, u), state.qubit
 
 
 def rsp_client_finish(state: ClientState, y: np.ndarray,
@@ -164,11 +153,10 @@ def blindness_sampler(which: str, x: int, params: Params, stream: RngStream):
         A = stream.derive("A").gen.integers(0, q, size=(m, n), dtype=np.int64)
     else:
         raise ValueError("which must be D_x, D_x_tilde or D")
-    from .sampling import sample_noise
     s = sample_uniform(n, q, stream.derive("s"))
     e = sample_noise(params, stream.derive("e"))
-    v = (matvec_mod(A, s, q) + e) % q
+    v = (matmul_mod(A, s, q) + e) % q
     f = sample_bits(m, stream.derive("fbits"))
-    a = vecmat_bits_mod(f, A, q)
-    w = (inner_mod(f, v, q) + x) % q
+    a = matmul_mod(f, A, q)
+    w = (int(matmul_mod(f, v, q)) + x) % q
     return A, v, a, w

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -53,18 +52,6 @@ class RngStream:
 
 def master_stream(seed_hex: str) -> RngStream:
     return RngStream(seed_hex)
-
-
-@dataclass(frozen=True)
-class GaussianSpec:
-    sigma: float
-    tau: Fraction | None = None
-
-    def __post_init__(self):
-        if self.sigma < 1:
-            raise ValueError("sigma must be >= 1")
-        if self.tau is not None and self.tau <= 0:
-            raise ValueError("tau must be positive")
 
 
 def sample_uniform(dim: int, q: int, stream: RngStream, size=None) -> np.ndarray:

@@ -13,8 +13,7 @@ import numpy as np
 
 from .params import Params
 from .sampling import RngStream
-from .zq import (bit_matmat_mod, bit_matvec_mod, bits_le, centered_lift,
-                 gadget_matrix, inf_norm, matvec_mod)
+from .zq import bits_le, centered_lift, gadget_matrix, inf_norm, matmul_mod
 
 
 @dataclass(frozen=True)
@@ -36,7 +35,7 @@ def gen_trap(params: Params, stream: RngStream) -> TrapdoorPair:
     M = gen.integers(0, q, size=((Q + 1) * n, n), dtype=np.int64)
     N = gen.integers(0, 2, size=(Q * n, (Q + 1) * n), dtype=np.int64)
     G = gadget_matrix(n, Q, q)
-    top = (G + bit_matmat_mod(N, M, q)) % q
+    top = (G + matmul_mod(N, M, q)) % q
     A = np.vstack([top, M])
     return TrapdoorPair(params=params, A=A, N=N)
 
@@ -69,7 +68,7 @@ def invert(pair: TrapdoorPair, v: np.ndarray) -> np.ndarray:
     if v.shape[0] != p.m:
         raise ValueError("v has wrong length")
     v1, v2 = v[: Q * n], v[Q * n:]
-    vp = (v1 - bit_matvec_mod(pair.N, v2, q)) % q
+    vp = (v1 - matmul_mod(pair.N, v2, q)) % q
     q_bits = bits_le(q, Q)
     q_mask = q_bits == 1
     s = np.zeros(n, dtype=np.int64)
@@ -96,7 +95,7 @@ def find_preimage(pair: TrapdoorPair, y: np.ndarray, shift: np.ndarray | None,
     p = pair.params
     target = y if shift is None else (y + shift) % p.q
     x = invert(pair, target)
-    g = (target - matvec_mod(pair.A, x, p.q)) % p.q
+    g = (target - matmul_mod(pair.A, x, p.q)) % p.q
     tau = Fraction(tau)
     if inf_norm(g, p.q) * tau.denominator <= tau.numerator:
         return x, g

@@ -1,16 +1,16 @@
 """Exact arithmetic and linear algebra over Z_q for an odd prime modulus q.
 
 Vectors and matrices are numpy int64 arrays holding canonical representatives
-in [0, q).  All reductions are exact: products that could overflow 64 bits are
-computed via limb splitting (Horner folding stays within int64) or fall back
-to Python integers.  Supported moduli: odd primes q < 2**61.
+in [0, q).  Every product goes through `matmul_mod`, which stays exact: sums
+that could overflow 64 bits are computed via limb splitting (Horner folding
+stays within int64) or fall back to Python integers.  Supported moduli: odd
+primes q < 2**61.
 """
 from __future__ import annotations
 
 import numpy as np
 
-MAX_MODULUS_BITS = 61
-_ACC_BITS = 62  # int64 headroom used by the widened-word paths
+_INT64_MAX = (1 << 63) - 1
 
 
 def centered_abs(x, q: int):
@@ -47,11 +47,6 @@ def bits_le_vec(x: np.ndarray, Q: int) -> np.ndarray:
     return ((x[:, None] >> shifts) & 1).reshape(-1)
 
 
-def from_bits_le(bits) -> int:
-    bits = np.asarray(bits)
-    return int(sum(int(b) << j for j, b in enumerate(bits)))
-
-
 def gadget_matrix(n: int, Q: int, q: int) -> np.ndarray:
     """Block-diagonal nQ x n matrix; column i carries (1, 2, ..., 2^(Q-1))."""
     if n < 1 or Q < 1:
@@ -63,105 +58,29 @@ def gadget_matrix(n: int, Q: int, q: int) -> np.ndarray:
     return G
 
 
-def mul_mod_schoolbook(a: int, b: int, q: int) -> int:
-    """Reference scalar product mod q via arbitrary-precision integers."""
-    return int(a) * int(b) % q
+def matmul_mod(A, B, q: int):
+    """A @ B mod q, exact for entries in [0, q), with numpy `@` shapes.
 
-
-def _limb_width(q: int, ncols: int) -> int:
-    """Largest limb width c with ncols * q * 2^c < 2^62 and q * 2^c < 2^62."""
-    extra = max(int(ncols - 1).bit_length(), 0)
-    return _ACC_BITS - q.bit_length() - extra
-
-
-def mul_mod_widened(a, b, q: int):
-    """Elementwise a*b mod q on int64 arrays via limb splitting (exact)."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
-    bl = q.bit_length()
-    if 2 * bl < _ACC_BITS:
-        return (a * b) % q
-    c = _limb_width(q, 1)
-    if c < 1:
-        return np.asarray(
-            [int(x) * int(y) % q for x, y in np.broadcast(a, b)], dtype=np.int64
-        ).reshape(np.broadcast(a, b).shape)
-    nlimbs = -(-bl // c)
-    mask = (1 << c) - 1
-    acc = np.zeros(np.broadcast(a, b).shape, dtype=np.int64)
-    for l in range(nlimbs - 1, -1, -1):
-        limb = (b >> (c * l)) & mask
-        acc = ((acc << c) % q + (a * limb) % q) % q
-    return acc
-
-
-def matvec_mod(A: np.ndarray, x: np.ndarray, q: int) -> np.ndarray:
-    """A @ x mod q, exact for any entries in [0, q)."""
+    With k the inner dimension: one int64 product when k * max(A) * (q-1)
+    fits below 2^63 (0/1 matrices and vectors); otherwise B is split into
+    c-bit limbs, each partial product fitting in int64, and folded back by
+    Horner's rule mod q; if no limb width fits, Python integers."""
     A = np.asarray(A, dtype=np.int64)
-    x = np.asarray(x, dtype=np.int64)
-    if A.ndim != 2 or A.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: {A.shape} @ {x.shape}")
-    ncols = A.shape[1]
-    bl = q.bit_length()
-    if 2 * bl + int(ncols - 1).bit_length() < _ACC_BITS:
-        return (A @ x) % q if ncols * (q - 1) ** 2 < 2**62 else ((A * x) % q).sum(axis=1) % q
-    c = _limb_width(q, ncols)
+    B = np.asarray(B, dtype=np.int64)
+    top = A.shape[-1] * int(A.max(initial=0))
+    if top * (q - 1) <= _INT64_MAX:
+        return (A @ B) % q
+    # c-bit limbs: top * (2^c - 1) and (q - 1) * 2^c must both fit
+    c = min((_INT64_MAX // top + 1).bit_length(),
+            (_INT64_MAX // (q - 1)).bit_length()) - 1
     if c < 1:
-        # fall back to exact Python integers
-        Ao = A.astype(object)
-        xo = x.astype(object)
-        return np.array([int(v) % q for v in Ao @ xo], dtype=np.int64)
-    nlimbs = -(-bl // c)
+        return np.asarray((A.astype(object) @ B.astype(object)) % q,
+                          dtype=np.int64)
     mask = (1 << c) - 1
-    acc = np.zeros(A.shape[0], dtype=np.int64)
-    for l in range(nlimbs - 1, -1, -1):
-        limb = (x >> (c * l)) & mask
-        acc = ((acc << c) % q + (A @ limb) % q) % q
+    acc = 0
+    for shift in range(((q - 1).bit_length() - 1) // c * c, -1, -c):
+        acc = ((acc << c) % q + (A @ ((B >> shift) & mask)) % q) % q
     return acc
-
-
-def bit_matvec_mod(B: np.ndarray, x: np.ndarray, q: int) -> np.ndarray:
-    """B @ x mod q where B has 0/1 entries and x entries in [0, q)."""
-    B = np.asarray(B, dtype=np.int64)
-    x = np.asarray(x, dtype=np.int64)
-    if B.shape[1] != x.shape[0]:
-        raise ValueError(f"dimension mismatch: {B.shape} @ {x.shape}")
-    ncols = B.shape[1]
-    chunk = max(1, (1 << _ACC_BITS) // max(q, 2))
-    if ncols <= chunk:
-        return (B @ x) % q
-    acc = np.zeros(B.shape[0], dtype=np.int64)
-    for k in range(0, ncols, chunk):
-        acc = (acc + B[:, k:k + chunk] @ x[k:k + chunk]) % q
-    return acc
-
-
-def bit_matmat_mod(B: np.ndarray, M: np.ndarray, q: int) -> np.ndarray:
-    """B @ M mod q where B has 0/1 entries and M entries in [0, q)."""
-    B = np.asarray(B, dtype=np.int64)
-    M = np.asarray(M, dtype=np.int64)
-    if B.shape[1] != M.shape[0]:
-        raise ValueError(f"dimension mismatch: {B.shape} @ {M.shape}")
-    ncols = B.shape[1]
-    chunk = max(1, (1 << _ACC_BITS) // max(q, 2))
-    if ncols <= chunk:
-        return (B @ M) % q
-    acc = np.zeros((B.shape[0], M.shape[1]), dtype=np.int64)
-    for k in range(0, ncols, chunk):
-        acc = (acc + B[:, k:k + chunk] @ M[k:k + chunk]) % q
-    return acc
-
-
-def vecmat_bits_mod(f: np.ndarray, A: np.ndarray, q: int) -> np.ndarray:
-    """f^T A mod q for a 0/1 vector f (used for ciphertext construction)."""
-    return bit_matvec_mod(np.asarray(A, dtype=np.int64).T, f, q)
-
-
-def inner_mod(u: np.ndarray, v: np.ndarray, q: int) -> int:
-    """Exact dot product mod q (Python integers, never overflows)."""
-    if len(u) != len(v):
-        raise ValueError("dimension mismatch in inner product")
-    return sum(int(a) * int(b) for a, b in zip(u, v)) % q
 
 
 def bit_dot(u: np.ndarray, v: np.ndarray) -> int:

@@ -22,7 +22,7 @@ from rotated_tcf.puzzle import repetition_experiment
 from rotated_tcf.rsp import run_rsp_once, trace_distance
 from rotated_tcf.sampling import master_stream, sample_gaussian, sample_uniform
 from rotated_tcf.trapdoor import gen_trap, invert
-from rotated_tcf.zq import centered_abs, matvec_mod
+from rotated_tcf.zq import centered_abs, matmul_mod
 
 ACCEPT_SEED = "a11ce5ed" * 8
 
@@ -155,13 +155,13 @@ def test_criterion_6_trapdoor_roundtrip(capfd):
         t = stream.derive("case", i)
         s = sample_uniform(params.n, params.q, t)
         e = t.gen.integers(-bound, bound + 1, size=params.m, dtype=np.int64)
-        v = (matvec_mod(pair.A, s, params.q) + e) % params.q
+        v = (matmul_mod(pair.A, s, params.q) + e) % params.q
         good += int(np.array_equal(invert(pair, v), s))
     tiny = tiny_params(1, 23)
     tiny_pair = gen_trap(tiny, stream.derive("tiny"))
     tiny_ok = all(
         np.array_equal(
-            invert(tiny_pair, matvec_mod(tiny_pair.A,
+            invert(tiny_pair, matmul_mod(tiny_pair.A,
                                          np.array([s0], dtype=np.int64), 23)),
             np.array([s0], dtype=np.int64))
         for s0 in range(23))

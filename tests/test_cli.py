@@ -136,6 +136,29 @@ def test_config_explicit_flags_win(tmp_path, capsys):
     assert "9 = " in capsys.readouterr().out
 
 
+def test_config_before_subcommand(tmp_path, capsys):
+    """--config is a top-level flag, so it may precede the subcommand; a key
+    that names no flag of the subcommand is a usage error."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 7, "prover": "classical-baseline",
+                               "seed": SEED}))
+    assert main(["--config", str(cfg), "poq"]) == 0
+    assert "/7 =" in capsys.readouterr().out
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"trials": 7, "ell": 3}))
+    assert main(["--config", str(bad), "poq"]) == USAGE_EXIT
+
+
+def test_config_path_equal_to_a_flag_value(tmp_path, monkeypatch, capsys):
+    """A config path that reads like another flag's value leaves that value
+    in place."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "7").write_text(json.dumps({"prover": "classical-baseline",
+                                            "seed": SEED}))
+    assert main(["poq", "--config", "7", "--trials", "7"]) == 0
+    assert "/7 =" in capsys.readouterr().out
+
+
 def test_serve_and_connect_commands(capsys):
     import socket
     import time

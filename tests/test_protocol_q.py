@@ -13,7 +13,7 @@ from rotated_tcf.protocol_q import (BaselineProver, DeterministicProver,
                                     run_single_trial, verifier_round1,
                                     verifier_score)
 from rotated_tcf.sampling import sample_uniform
-from rotated_tcf.zq import bit_dot, bits_le_vec, matvec_mod
+from rotated_tcf.zq import bit_dot, bits_le_vec, matmul_mod
 
 
 def test_verifier_round1_encrypts_its_bit(stream, desk):
@@ -50,9 +50,9 @@ def test_honest_image_admits_claw(stream, desk):
 
 def test_zero_u_forces_d_zero(stream, desk):
     vstate, (pk, ct) = verifier_round1(desk, stream)
-    y = matvec_mod(pk.A, np.zeros(desk.n, dtype=np.int64), desk.q)
+    y = matmul_mod(pk.A, np.zeros(desk.n, dtype=np.int64), desk.q)
     u = np.zeros(desk.nQ, dtype=np.int64)
-    assert decrypted_bit(vstate, y, u) == 0
+    assert decrypted_bit(vstate.keypair.trapdoor, pk.v, y, u) == 0
 
 
 def test_verifier_score_matches_predicate(stream, desk):
@@ -176,14 +176,14 @@ def test_decrypted_bit_flips_with_single_claw_bit(stream, desk):
     vstate, (pk, ct) = verifier_round1(desk, stream.derive("v"))
     s, e = vstate.keypair.s, vstate.keypair.e
     x0 = sample_uniform(desk.n, desk.q, stream.derive("x"))
-    y = matvec_mod(pk.A, x0, desk.q)
+    y = matmul_mod(pk.A, x0, desk.q)
     x1 = (x0 + s) % desk.q
     z = bits_le_vec(x0, desk.Q) ^ bits_le_vec(x1, desk.Q)
     hot = int(np.flatnonzero(z)[0])
     u = np.zeros(desk.nQ, dtype=np.int64)
     # e is absorbed into the allowed noise: y = A x0 + 0, y + v = A x1 + e
-    d0 = decrypted_bit(vstate, y, u)
+    d0 = decrypted_bit(vstate.keypair.trapdoor, pk.v, y, u)
     u[hot] = 1
-    d1 = decrypted_bit(vstate, y, u)
+    d1 = decrypted_bit(vstate.keypair.trapdoor, pk.v, y, u)
     assert d0 == 0 and d1 == 1
     assert bit_dot(u, z) == 1

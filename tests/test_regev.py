@@ -3,18 +3,17 @@ import itertools
 import numpy as np
 import pytest
 
-from rotated_tcf.regev import (ciphertext_noise, decrypt_bit,
-                               distinguishing_game, encrypt_bit, encrypt_zq,
-                               gen_j, gen_k)
+from rotated_tcf.regev import (decrypt_bit, distinguishing_game, encrypt_bit,
+                               encrypt_zq, gen_j, gen_k)
 from rotated_tcf.sampling import sample_bits
 from rotated_tcf.trapdoor import invert
-from rotated_tcf.zq import centered_lift, inner_mod, matvec_mod
+from rotated_tcf.zq import centered_lift, matmul_mod
 
 
 def test_public_key_relation(stream, desk):
     kp = gen_k(desk, stream)
     assert np.array_equal(kp.pk.v,
-                          (matvec_mod(kp.pk.A, kp.s, desk.q) + kp.e) % desk.q)
+                          (matmul_mod(kp.pk.A, kp.s, desk.q) + kp.e) % desk.q)
 
 
 def test_zero_randomness_hook(stream, desk):
@@ -65,8 +64,8 @@ def test_ciphertext_algebra(stream, desk):
     kp = gen_k(desk, stream.derive("key"))
     for i, payload in enumerate([0, 1, desk.q // 4, desk.q - 1]):
         ct, f = encrypt_zq(kp.pk, payload, stream.derive("ct", i))
-        lhs = (ct.w - inner_mod(ct.a, kp.s, desk.q)) % desk.q
-        assert lhs == (ciphertext_noise(kp, f) + payload) % desk.q
+        lhs = (ct.w - int(matmul_mod(ct.a, kp.s, desk.q))) % desk.q
+        assert lhs == (int(matmul_mod(f, kp.e, desk.q)) + payload) % desk.q
 
 
 def test_decrypt_boundary_noise(desk):
@@ -86,7 +85,7 @@ def test_decrypt_boundary_noise(desk):
 def test_noise_magnitude(stream, desk):
     kp = gen_k(desk, stream.derive("key"))
     ct, f = encrypt_zq(kp.pk, 0, stream.derive("ct"))
-    noise = int(centered_lift(ciphertext_noise(kp, f), desk.q))
+    noise = int(centered_lift(matmul_mod(f, kp.e, desk.q), desk.q))
     assert abs(noise) <= 2 * desk.m * desk.sigma
 
 
@@ -97,7 +96,7 @@ def _subset_sum_tvd(A, v, q):
     counts = {}
     for f in itertools.product((0, 1), repeat=m):
         fv = np.array(f, dtype=np.int64)
-        key = (int(inner_mod(fv, A, q)), int(inner_mod(fv, v, q)))
+        key = (int(matmul_mod(fv, A, q)), int(matmul_mod(fv, v, q)))
         counts[key] = counts.get(key, 0) + 1
     total = 2 ** m
     tvd = sum(abs(c / total - 1 / q ** 2) for c in counts.values()) / 2

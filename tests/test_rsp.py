@@ -9,7 +9,7 @@ from rotated_tcf.rsp import (blindness_sampler, rsp_client_finish,
                              rsp_client_round1, rsp_server_round,
                              run_rsp_once, trace_distance)
 from rotated_tcf.sampling import sample_uniform
-from rotated_tcf.zq import inner_mod
+from rotated_tcf.zq import matmul_mod
 
 
 def test_trace_distance_examples():
@@ -43,8 +43,8 @@ def test_client_round1_validation(stream, desk):
 def test_client_message_is_encryption_of_alpha(stream, desk):
     alpha = 123456789
     state, ((A, v), (a, w)) = rsp_client_round1(desk, alpha, stream)
-    lhs = (w - inner_mod(a, state.keypair.s, desk.q)) % desk.q
-    noise = inner_mod(state.f, state.keypair.e, desk.q)
+    lhs = (w - int(matmul_mod(a, state.keypair.s, desk.q))) % desk.q
+    noise = int(matmul_mod(state.f, state.keypair.e, desk.q))
     assert lhs == (noise + alpha) % desk.q
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rotated_tcf.params import tiny_params
-from rotated_tcf.sampling import (GaussianSpec, RngStream, gaussian_table,
+from rotated_tcf.sampling import (RngStream, gaussian_table,
                                   master_stream, sample_bits, sample_box,
                                   sample_gaussian, sample_noise,
                                   sample_truncated_gaussian, sample_uniform)
@@ -37,14 +37,6 @@ def test_derive_order_independent(stream):
     again = master_stream(stream.seed.hex()).derive("a").gen.integers(
         0, 1 << 30, size=5)
     assert np.array_equal(first, again)
-
-
-def test_gaussian_spec_validation():
-    with pytest.raises(ValueError):
-        GaussianSpec(sigma=0.5)
-    with pytest.raises(ValueError):
-        GaussianSpec(sigma=2.0, tau=Fraction(-1))
-    GaussianSpec(sigma=2.0, tau=Fraction(3))
 
 
 def test_uniform_chi_square(stream):

@@ -4,8 +4,7 @@ import pytest
 from rotated_tcf.params import desk_preset, tiny_params
 from rotated_tcf.sampling import sample_uniform
 from rotated_tcf.trapdoor import find_preimage, gen_trap, invert
-from rotated_tcf.zq import (bit_matmat_mod, centered_abs, gadget_matrix,
-                            inf_norm, matvec_mod)
+from rotated_tcf.zq import centered_abs, gadget_matrix, inf_norm, matmul_mod
 
 
 def test_structure_of_A(stream, desk):
@@ -15,13 +14,13 @@ def test_structure_of_A(stream, desk):
     assert pair.N.shape == (Q * n, (Q + 1) * n)
     M = pair.bottom()
     G = gadget_matrix(n, Q, q)
-    assert np.array_equal(pair.top(), (G + bit_matmat_mod(pair.N, M, q)) % q)
+    assert np.array_equal(pair.top(), (G + matmul_mod(pair.N, M, q)) % q)
 
 
 def _noisy_sample(pair, s, e_bound, stream):
     p = pair.params
     e = stream.gen.integers(-e_bound, e_bound + 1, size=p.m, dtype=np.int64)
-    return (matvec_mod(pair.A, s, p.q) + e) % p.q
+    return (matmul_mod(pair.A, s, p.q) + e) % p.q
 
 
 def test_roundtrip_with_noise(stream, desk):
@@ -38,7 +37,7 @@ def test_roundtrip_noise_free(stream, desk):
     pair = gen_trap(desk, stream.derive("trap"))
     for i in range(50):
         s = sample_uniform(desk.n, desk.q, stream.derive("s", i))
-        assert np.array_equal(invert(pair, matvec_mod(pair.A, s, desk.q)), s)
+        assert np.array_equal(invert(pair, matmul_mod(pair.A, s, desk.q)), s)
 
 
 def test_tiny_instance_all_secrets(stream):
@@ -46,7 +45,7 @@ def test_tiny_instance_all_secrets(stream):
     pair = gen_trap(p, stream)
     for s0 in range(23):
         s = np.array([s0], dtype=np.int64)
-        v = matvec_mod(pair.A, s, 23)
+        v = matmul_mod(pair.A, s, 23)
         assert np.array_equal(invert(pair, v), s)
 
 
@@ -66,7 +65,7 @@ def test_lattice_points_well_separated(stream, desk):
         d = sample_uniform(desk.n, q, stream.derive("d", i))
         if not d.any():
             continue
-        gap = inf_norm(matvec_mod(pair.A, d, q), q)
+        gap = inf_norm(matmul_mod(pair.A, d, q), q)
         assert gap > threshold
 
 
@@ -90,7 +89,7 @@ def test_find_preimage_accepts_honest_claw(stream, desk):
         x = sample_uniform(desk.n, desk.q, t)
         g = t.gen.integers(-tau_floor, tau_floor + 1, size=desk.m,
                            dtype=np.int64)
-        y = (matvec_mod(pair.A, x, desk.q) + g) % desk.q
+        y = (matmul_mod(pair.A, x, desk.q) + g) % desk.q
         got = find_preimage(pair, y, None, desk.tau)
         assert got is not None
         x_hat, g_hat = got
@@ -102,9 +101,9 @@ def test_find_preimage_accepts_honest_claw(stream, desk):
 def test_find_preimage_with_shift(stream, desk):
     pair = gen_trap(desk, stream.derive("trap"))
     s = sample_uniform(desk.n, desk.q, stream.derive("s"))
-    v = matvec_mod(pair.A, s, desk.q)
+    v = matmul_mod(pair.A, s, desk.q)
     x = sample_uniform(desk.n, desk.q, stream.derive("x"))
-    y = (matvec_mod(pair.A, x, desk.q) - v) % desk.q
+    y = (matmul_mod(pair.A, x, desk.q) - v) % desk.q
     got = find_preimage(pair, y, v, desk.tau)
     assert got is not None
     assert np.array_equal(got[0], x)
@@ -121,8 +120,8 @@ def test_invert_rejects_noise_past_guarantee(stream):
         t = stream.derive("case", i)
         s = sample_uniform(p.n, q, t)
         e = t.gen.integers(-q // 4, q // 4 + 1, size=p.m, dtype=np.int64)
-        v = (matvec_mod(pair.A, s, q) + e) % q
+        v = (matmul_mod(pair.A, s, q) + e) % q
         s_hat = invert(pair, v)
         if not np.array_equal(s_hat, s):
-            residual = (v - matvec_mod(pair.A, s_hat, q)) % q
+            residual = (v - matmul_mod(pair.A, s_hat, q)) % q
             assert inf_norm(residual, q) * p.tau.denominator > 2 * p.tau.numerator

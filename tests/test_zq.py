@@ -3,11 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotated_tcf.zq import (bit_dot, bit_matvec_mod, bits_le, bits_le_vec,
-                            centered_abs, centered_lift, from_bits_le,
-                            gadget_matrix, inf_norm, inner_mod, matvec_mod,
-                            mul_mod_schoolbook, mul_mod_widened,
-                            vecmat_bits_mod)
+from rotated_tcf.zq import (bit_dot, bits_le, bits_le_vec, centered_abs,
+                            centered_lift, gadget_matrix, inf_norm,
+                            matmul_mod)
 
 BIG_Q = (1 << 61) - 1  # Mersenne prime, the largest supported modulus
 
@@ -39,7 +37,7 @@ def test_centered_lift_range():
 
 def test_bits_le_example():
     assert bits_le(3, 3).tolist() == [1, 1, 0]
-    assert from_bits_le([1, 1, 0]) == 3
+    assert int(np.array([1, 1, 0]) @ (1 << np.arange(3))) == 3
 
 
 def test_bits_le_overflow_rejected():
@@ -64,45 +62,46 @@ def test_gadget_matrix_reduces_mod_q():
     assert G[3, 0] == 8 % 13
 
 
-def test_inner_mod_exact():
+def test_matmul_mod_inner_exact():
     u = np.array([4, 3], dtype=np.int64)
     v = np.array([2, 1], dtype=np.int64)
-    assert inner_mod(u, v, 5) == (4 * 2 + 3 * 1) % 5
+    assert int(matmul_mod(u, v, 5)) == (4 * 2 + 3 * 1) % 5
 
 
-def test_inner_mod_no_overflow():
+def test_matmul_mod_inner_no_overflow():
     u = np.full(100, BIG_Q - 1, dtype=np.int64)
-    assert inner_mod(u, u, BIG_Q) == 100 * (BIG_Q - 1) ** 2 % BIG_Q
+    assert int(matmul_mod(u, u, BIG_Q)) == 100 * (BIG_Q - 1) ** 2 % BIG_Q
 
 
 def test_mul_mod_implementations_agree():
+    """matmul_mod against a Python-integer reference on every path: one
+    int64 product (0/1 left operand), limbs of B, and Python integers;
+    stacked operands included."""
     gen = np.random.default_rng(7)
-    for q in (5, 3001, (1 << 31) - 1, BIG_Q):
-        n = 1_000_000 if q == BIG_Q else 10_000
-        a = gen.integers(0, q, size=n, dtype=np.int64)
-        b = gen.integers(0, q, size=n, dtype=np.int64)
-        got = mul_mod_widened(a, b, q)
-        # independent big-int reference on a deterministic subsample
-        idx = gen.integers(0, n, size=2000)
-        for i in idx:
-            assert int(got[i]) == mul_mod_schoolbook(int(a[i]), int(b[i]), q)
-        # full agreement via object-dtype arithmetic
-        ref = (a.astype(object) * b.astype(object)) % q
-        assert np.array_equal(got.astype(object), ref)
+    for q in (5, 3001, (1 << 31) - 1, 4398046511119, BIG_Q):
+        for shape_a, shape_b in (((9,), (9,)), ((7, 9), (9,)), ((9,), (9, 4)),
+                                 ((7, 9), (9, 4)), ((3, 7, 9), (3, 9, 4))):
+            for hi in (2, q):
+                A = gen.integers(0, hi, size=shape_a, dtype=np.int64)
+                B = gen.integers(0, q, size=shape_b, dtype=np.int64)
+                ref = (A.astype(object) @ B.astype(object)) % q
+                got = matmul_mod(A, B, q)
+                assert np.shape(got) == np.shape(ref)
+                assert np.array_equal(np.asarray(got).astype(object), ref)
 
 
-def test_matvec_mod_large_modulus_exact():
+def test_matmul_mod_large_modulus_exact():
     gen = np.random.default_rng(11)
     q = BIG_Q
     A = gen.integers(0, q, size=(8, 6), dtype=np.int64)
     x = gen.integers(0, q, size=6, dtype=np.int64)
     ref = (A.astype(object) @ x.astype(object)) % q
-    assert np.array_equal(matvec_mod(A, x, q).astype(object), ref)
+    assert np.array_equal(matmul_mod(A, x, q).astype(object), ref)
 
 
-def test_matvec_mod_shape_check():
+def test_matmul_mod_shape_check():
     with pytest.raises(ValueError):
-        matvec_mod(np.zeros((2, 3), dtype=np.int64),
+        matmul_mod(np.zeros((2, 3), dtype=np.int64),
                    np.zeros(2, dtype=np.int64), 7)
 
 
@@ -112,11 +111,11 @@ def test_bit_matvec_and_vecmat():
     B = gen.integers(0, 2, size=(5, 9), dtype=np.int64)
     x = gen.integers(0, q, size=9, dtype=np.int64)
     ref = (B.astype(object) @ x.astype(object)) % q
-    assert np.array_equal(bit_matvec_mod(B, x, q).astype(object), ref)
+    assert np.array_equal(matmul_mod(B, x, q).astype(object), ref)
     A = gen.integers(0, q, size=(9, 4), dtype=np.int64)
     f = gen.integers(0, 2, size=9, dtype=np.int64)
     ref = (f.astype(object) @ A.astype(object)) % q
-    assert np.array_equal(vecmat_bits_mod(f, A, q).astype(object), ref)
+    assert np.array_equal(matmul_mod(f, A, q).astype(object), ref)
 
 
 def test_bit_dot():
@@ -135,7 +134,7 @@ def test_centered_abs_symmetry(x):
 @given(st.integers(min_value=0, max_value=(1 << 40) - 1),
        st.integers(min_value=40, max_value=50))
 def test_bits_roundtrip(x, Q):
-    assert from_bits_le(bits_le(x, Q)) == x
+    assert sum(int(b) << j for j, b in enumerate(bits_le(x, Q))) == x
 
 
 @settings(max_examples=200, deadline=None)
@@ -146,6 +145,6 @@ def test_matvec_distributes(seed):
     A = gen.integers(0, q, size=(4, 3), dtype=np.int64)
     x = gen.integers(0, q, size=3, dtype=np.int64)
     y = gen.integers(0, q, size=3, dtype=np.int64)
-    lhs = matvec_mod(A, (x + y) % q, q)
-    rhs = (matvec_mod(A, x, q) + matvec_mod(A, y, q)) % q
+    lhs = matmul_mod(A, (x + y) % q, q)
+    rhs = (matmul_mod(A, x, q) + matmul_mod(A, y, q)) % q
     assert np.array_equal(lhs, rhs)
