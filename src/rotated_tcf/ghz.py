@@ -130,7 +130,8 @@ def statevector_oracle(x_one: np.ndarray, x_zero: np.ndarray,
         state = proj / math.sqrt(prob) if prob > 0 else proj
         out[u] = (prob, state)
     total = sum(p for p, _ in out.values())
-    assert abs(total - 1.0) < 1e-9
+    if not abs(total - 1.0) < 1e-9:
+        raise AssertionError(f"oracle probabilities sum to {total}, not 1")
     return out
 
 

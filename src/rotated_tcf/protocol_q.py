@@ -100,8 +100,7 @@ def decrypted_bit(pair: TrapdoorPair, v: np.ndarray, y: np.ndarray,
     """d = u . ([x0] xor [x1]) with x0 = invert(y) and x1 = invert(y + v),
     the claw preimages recovered through the trapdoor on both branches."""
     p = pair.params
-    x0 = invert(pair, y)
-    x1 = invert(pair, (y + v) % p.q)
+    x0, x1 = invert(pair, np.stack([y, (y + v) % p.q]))
     z = bits_le_vec(x0, p.Q) ^ bits_le_vec(x1, p.Q)
     return bit_dot(u, z)
 

@@ -29,7 +29,8 @@ from .params import Params
 from .protocol_q import honest_prover_round1
 from .regev import Ciphertext, PublicKey, encrypt_zq, gen_j
 from .sampling import RngStream, sample_bits, sample_noise, sample_uniform
-from .trapdoor import find_preimage, gen_trap, invert
+from .trapdoor import find_preimage, gen_trap
+from .trapdoor import invert  # not called: perfbench/layers.py rebinds it
 from .zq import bit_dot, bits_le_vec, matmul_mod
 
 
@@ -96,11 +97,12 @@ def rsp_client_finish(state: ClientState, y: np.ndarray,
     the flip bit b = ([x0] xor [x1]) . u and describe the target state."""
     p = state.params
     kp = state.keypair
-    if find_preimage(kp.trapdoor, y, None, p.tau) is None:
+    branch0 = find_preimage(kp.trapdoor, y, None, p.tau)
+    if branch0 is None:
         return RspOutcome(aborted=True)
     if find_preimage(kp.trapdoor, y, kp.pk.v, p.tau) is None:
         return RspOutcome(aborted=True)
-    x0 = invert(kp.trapdoor, y)
+    x0 = branch0[0]
     x1 = (x0 + kp.s) % p.q
     z = bits_le_vec(x0, p.Q) ^ bits_le_vec(x1, p.Q)
     b = bit_dot(u, z)

@@ -106,7 +106,8 @@ def sample_truncated_gaussian(sigma: float, tau, stream: RngStream, size=None):
     support, pmf = support[keep], pmf[keep]
     pmf = pmf / pmf.sum()
     out = _table_draw(support, pmf, stream, size)
-    assert np.all(np.abs(out) * tau.denominator <= tau.numerator)
+    if not np.all(np.abs(out) * tau.denominator <= tau.numerator):
+        raise AssertionError("truncated Gaussian draw exceeds tau")
     return out
 
 
@@ -119,7 +120,8 @@ def sample_box(m: int, tau, q: int, stream: RngStream) -> np.ndarray:
         raise ValueError("box wider than the ring")
     raw = stream.gen.integers(-t, t + 1, size=m, dtype=np.int64)
     out = raw % q
-    assert int(centered_abs(out, q).max(initial=0)) <= t
+    if int(centered_abs(out, q).max(initial=0)) > t:
+        raise AssertionError("box draw exceeds its half-width")
     return out
 
 

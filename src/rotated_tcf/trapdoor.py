@@ -2,7 +2,9 @@
 
 GenTrap builds A = [G + N*M ; M] where M is uniform over Z_q and N is a
 uniform 0/1 matrix (the trapdoor).  Invert recovers s from A*s + e whenever
-||e||_inf <= 2*tau; any failure returns the all-zero sentinel vector.
+||e||_inf <= 2*tau; any failure returns the all-zero sentinel vector.  It
+decodes every gadget block at once, without Python loops, and accepts
+stacked inputs.
 """
 from __future__ import annotations
 
@@ -13,7 +15,8 @@ import numpy as np
 
 from .params import Params
 from .sampling import RngStream
-from .zq import bits_le, centered_lift, gadget_matrix, inf_norm, matmul_mod
+from .zq import (bits_le, centered_abs, centered_lift, gadget_matrix,
+                 inf_norm, matmul_mod)
 
 
 @dataclass(frozen=True)
@@ -40,53 +43,44 @@ def gen_trap(params: Params, stream: RngStream) -> TrapdoorPair:
     return TrapdoorPair(params=params, A=A, N=N)
 
 
-def _solve_block(w: list[int], q: int, Q: int, q_bits: np.ndarray):
-    """Solve S e' = w over the integers for one Q x Q block.
-
-    Rows 1..Q-1 of S are (2, -1) on the diagonal/superdiagonal; row Q holds
-    the little-endian bits of q.  Returns e' or None if the solution is
-    non-integral or out of range (|e'_j| must stay below q/(2Q))."""
-    c = [0] * Q
-    for j in range(1, Q):
-        c[j] = 2 * c[j - 1] + w[j - 1]
-    num = w[Q - 1] + sum(int(q_bits[j]) * c[j] for j in range(Q))
-    if num % q != 0:
-        return None
-    e1 = num // q
-    e = [0] * Q
-    for j in range(Q):
-        e[j] = (e1 << j) - c[j]
-        if 2 * Q * abs(e[j]) >= q:
-            return None
-    return e
-
-
 def invert(pair: TrapdoorPair, v: np.ndarray) -> np.ndarray:
-    """Recover s from v = A s + e with ||e||_inf <= 2 tau; 0^n on failure."""
+    """Recover s from v = A s + e with ||e||_inf <= 2 tau; 0^n on failure.
+
+    v may be stacked, shape (..., m) -> (..., n); a row that fails to
+    decode gets its own 0^n.  Each Q-block of v1 - N v2 is g s_i + e' mod q
+    with g = (1, 2, ..., 2^(Q-1)).  S g = 0 mod q for the gadget basis S
+    (rows (2, -1) on the diagonal, last row the bits of q), so S blk lifted
+    to the centered range is S e' exactly, and e'_0 is row 0 of S^-1 times
+    it; s_i = blk_0 - e'_0."""
     p = pair.params
     n, Q, q = p.n, p.Q, p.q
-    if v.shape[0] != p.m:
+    v = np.asarray(v, dtype=np.int64)
+    if v.shape[-1] != p.m:
         raise ValueError("v has wrong length")
-    v1, v2 = v[: Q * n], v[Q * n:]
-    vp = (v1 - matmul_mod(pair.N, v2, q)) % q
-    q_bits = bits_le(q, Q)
-    q_mask = q_bits == 1
-    s = np.zeros(n, dtype=np.int64)
-    for i in range(n):
-        blk = vp[i * Q:(i + 1) * Q]
-        # w = S . blk mod q, lifted to centered representatives
-        w_head = centered_lift((2 * blk[:-1] - blk[1:]) % q, q)
-        wQ = int(blk[q_mask].astype(object).sum()) % q
-        w = [int(x) for x in w_head] + [int(centered_lift(wQ, q))]
-        e = _solve_block(w, q, Q, q_bits)
-        if e is None:
-            return np.zeros(n, dtype=np.int64)
-        # consistency: blk - e must follow the doubling gadget column mod q
-        t = (blk - np.asarray(e, dtype=np.int64)) % q
-        if not np.array_equal(t[1:], (2 * t[:-1]) % q):
-            return np.zeros(n, dtype=np.int64)
-        s[i] = int(t[0])
-    return s
+    # the 0/1 operand on the left keeps matmul_mod on its one-product paths
+    blk = (v[..., :Q * n] - matmul_mod(pair.N, v[..., Q * n:, None], q)[..., 0]
+           ) % q
+    blk = blk.reshape(v.shape[:-1] + (n, Q))
+    w_last = matmul_mod(bits_le(q, Q), np.swapaxes(blk, -1, -2), q)
+    w = np.concatenate([(2 * blk[..., :-1] - blk[..., 1:]) % q,
+                        w_last[..., None]], axis=-1)
+    # e'_0 = (h . w) / q with h = row 0 of q S^-1, h_k = floor(q / 2^(k+1))
+    # + [k = Q-1].  Computed mod 2^64, where q is invertible: exact whenever
+    # the integer sum is q e'_0 with |e'_0| < 2^63, i.e. whenever a
+    # decoding exists.
+    h = np.uint64(q) >> np.arange(1, Q + 1, dtype=np.uint64)
+    h[-1] += np.uint64(1)
+    hw = (centered_lift(w, q).view(np.uint64) * h).sum(axis=-1,
+                                                        dtype=np.uint64)
+    e0 = (hw * np.uint64(pow(q, -1, 1 << 64))).view(np.int64)
+    s = (blk[..., 0] - e0 % q) % q
+    # Accept only if blk - g s_i is short in every coordinate, 2Q |.| < q
+    # (tested as |.| <= (q-1) // 2Q, which cannot overflow): this also
+    # rejects the meaningless e'_0 of a row with no decoding.
+    g = (np.int64(1) << np.arange(Q, dtype=np.int64)) % q
+    resid = (blk - matmul_mod(s[..., None], g[None, :], q)) % q
+    ok = (centered_abs(resid, q) <= (q - 1) // (2 * Q)).all(axis=(-2, -1))
+    return np.where(ok[..., None], s, 0)
 
 
 def find_preimage(pair: TrapdoorPair, y: np.ndarray, shift: np.ndarray | None,

@@ -2,15 +2,16 @@
 
 Vectors and matrices are numpy int64 arrays holding canonical representatives
 in [0, q).  Every product goes through `matmul_mod`, which stays exact: sums
-that could overflow 64 bits are computed via limb splitting (Horner folding
-stays within int64) or fall back to Python integers.  Supported moduli: odd
-primes q < 2**61.
+below 2**53 run in float64, sums that could overflow 64 bits are computed
+via limb splitting (Horner folding stays within int64) or fall back to
+Python integers.  Supported moduli: odd primes q < 2**61.
 """
 from __future__ import annotations
 
 import numpy as np
 
 _INT64_MAX = (1 << 63) - 1
+_FLOAT64_EXACT = 1 << 53
 
 
 def centered_abs(x, q: int):
@@ -61,13 +62,19 @@ def gadget_matrix(n: int, Q: int, q: int) -> np.ndarray:
 def matmul_mod(A, B, q: int):
     """A @ B mod q, exact for entries in [0, q), with numpy `@` shapes.
 
-    With k the inner dimension: one int64 product when k * max(A) * (q-1)
-    fits below 2^63 (0/1 matrices and vectors); otherwise B is split into
-    c-bit limbs, each partial product fitting in int64, and folded back by
-    Horner's rule mod q; if no limb width fits, Python integers."""
+    With k the inner dimension: one float64 (BLAS) product when
+    k * max(A) * (q-1) < 2^53, exact since every product and partial sum is
+    then an integer below 2^53 whatever the summation order; one int64
+    product when it fits below 2^63 (0/1 matrices and vectors); otherwise B
+    is split into c-bit limbs, each partial product fitting in int64, and
+    folded back by Horner's rule mod q; if no limb width fits, Python
+    integers."""
     A = np.asarray(A, dtype=np.int64)
     B = np.asarray(B, dtype=np.int64)
     top = A.shape[-1] * int(A.max(initial=0))
+    if top * (q - 1) < _FLOAT64_EXACT:
+        return (A.astype(np.float64) @ B.astype(np.float64)
+                ).astype(np.int64) % q
     if top * (q - 1) <= _INT64_MAX:
         return (A @ B) % q
     # c-bit limbs: top * (2^c - 1) and (q - 1) * 2^c must both fit

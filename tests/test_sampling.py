@@ -1,9 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rotated_tcf
 from rotated_tcf.params import tiny_params
 from rotated_tcf.sampling import (RngStream, gaussian_table,
                                   master_stream, sample_bits, sample_box,
@@ -101,6 +106,26 @@ def test_truncated_gaussian_close_to_untruncated(stream):
 def test_truncated_gaussian_tau_validation(stream):
     with pytest.raises(ValueError):
         sample_truncated_gaussian(2.0, Fraction(1, 2), stream)
+
+
+def test_truncation_check_survives_optimize():
+    """The bound check after a truncated draw is an explicit raise, so it
+    still fires under `python -O` (forced here by a table draw that ignores
+    the truncated support)."""
+    code = ("import numpy as np, rotated_tcf.sampling as s\n"
+            "s._table_draw = lambda support, pmf, stream, size: "
+            "np.full(size, 99)\n"
+            "try:\n"
+            "    s.sample_truncated_gaussian(3.0, 5, None, size=4)\n"
+            "except AssertionError:\n"
+            "    print('raised')\n")
+    src = str(Path(rotated_tcf.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "raised", done.stderr
 
 
 def test_box_support(stream):

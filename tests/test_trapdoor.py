@@ -1,10 +1,13 @@
+import itertools
+
 import numpy as np
 import pytest
 
 from rotated_tcf.params import desk_preset, tiny_params
 from rotated_tcf.sampling import sample_uniform
 from rotated_tcf.trapdoor import find_preimage, gen_trap, invert
-from rotated_tcf.zq import centered_abs, gadget_matrix, inf_norm, matmul_mod
+from rotated_tcf.zq import (bits_le, centered_abs, centered_lift, gadget_matrix,
+                            inf_norm, matmul_mod)
 
 
 def test_structure_of_A(stream, desk):
@@ -125,3 +128,109 @@ def test_invert_rejects_noise_past_guarantee(stream):
         if not np.array_equal(s_hat, s):
             residual = (v - matmul_mod(pair.A, s_hat, q)) % q
             assert inf_norm(residual, q) * p.tau.denominator > 2 * p.tau.numerator
+
+
+# The per-block decoder that `invert` replaced, kept as its reference: a
+# Python-integer loop over each Q-block, one vector at a time.
+def _solve_block(w: list[int], q: int, Q: int, q_bits: np.ndarray):
+    c = [0] * Q
+    for j in range(1, Q):
+        c[j] = 2 * c[j - 1] + w[j - 1]
+    num = w[Q - 1] + sum(int(q_bits[j]) * c[j] for j in range(Q))
+    if num % q != 0:
+        return None
+    e1 = num // q
+    e = [0] * Q
+    for j in range(Q):
+        e[j] = (e1 << j) - c[j]
+        if 2 * Q * abs(e[j]) >= q:
+            return None
+    return e
+
+
+def _reference_invert(pair, v):
+    p = pair.params
+    n, Q, q = p.n, p.Q, p.q
+    v1, v2 = v[: Q * n], v[Q * n:]
+    vp = (v1 - matmul_mod(pair.N, v2, q)) % q
+    q_bits = bits_le(q, Q)
+    q_mask = q_bits == 1
+    s = np.zeros(n, dtype=np.int64)
+    for i in range(n):
+        blk = vp[i * Q:(i + 1) * Q]
+        w_head = centered_lift((2 * blk[:-1] - blk[1:]) % q, q)
+        wQ = int(blk[q_mask].astype(object).sum()) % q
+        w = [int(x) for x in w_head] + [int(centered_lift(wQ, q))]
+        e = _solve_block(w, q, Q, q_bits)
+        if e is None:
+            return np.zeros(n, dtype=np.int64)
+        t = (blk - np.asarray(e, dtype=np.int64)) % q
+        if not np.array_equal(t[1:], (2 * t[:-1]) % q):
+            return np.zeros(n, dtype=np.int64)
+        s[i] = int(t[0])
+    return s
+
+
+def _assert_matches_reference(pair, V):
+    got = invert(pair, V)
+    ref = np.array([_reference_invert(pair, v) for v in V])
+    assert np.array_equal(got, ref)
+    return ref
+
+
+@pytest.mark.parametrize("q", [3, 5])
+def test_invert_matches_reference_on_every_input(stream, q):
+    """n = 1: all q^m inputs in one stacked call (243 for q = 3, 78,125
+    for q = 5)."""
+    p = tiny_params(1, q)
+    pair = gen_trap(p, stream)
+    V = np.array(list(itertools.product(range(q), repeat=p.m)),
+                 dtype=np.int64)
+    ref = _assert_matches_reference(pair, V)
+    assert ref.any() and not ref.all()
+
+
+def _samples(pair, gen, k, bound):
+    """k inputs A s + e with |e_i| <= bound, or uniform when bound is None."""
+    p = pair.params
+    if bound is None:
+        return gen.integers(0, p.q, size=(k, p.m), dtype=np.int64)
+    s = gen.integers(0, p.q, size=(k, p.n, 1), dtype=np.int64)
+    e = gen.integers(-bound, bound + 1, size=(k, p.m), dtype=np.int64)
+    return (matmul_mod(pair.A, s, p.q)[..., 0] + e) % p.q
+
+
+@pytest.mark.parametrize("params", [tiny_params(1, 7), desk_preset(),
+                                    tiny_params(2, (1 << 61) - 1)],
+                         ids=["q7", "desk", "q2^61-1"])
+def test_invert_matches_reference_on_samples(stream, params):
+    """In-range noise (up to 2 tau), noise past the guarantee at several
+    scales up to the block decoder's radius q/(2Q), and uniform v."""
+    pair = gen_trap(params, stream.derive("trap"))
+    gen = stream.derive("v").gen
+    q, Q = params.q, params.Q
+    k = 3000 if q == 7 else 200
+    radius = (q - 1) // (2 * Q)
+    decoded = failed = 0
+    for bound in (2 * params.tau_floor, 8 * params.tau_floor + 1,
+                  radius // 64 + 1, radius // 8 + 1, radius, None):
+        ref = _assert_matches_reference(pair, _samples(pair, gen, k, bound))
+        hit = ref.any(axis=-1)
+        decoded += int(hit.sum())
+        failed += int((~hit).sum())
+    assert decoded > 0 and failed > 0
+
+
+def test_invert_stacked_equals_row_by_row(stream, desk):
+    """A (2, 3, m) stack mixing rows that decode with rows that fail gives
+    each row what a call on that row alone gives."""
+    pair = gen_trap(desk, stream.derive("trap"))
+    gen = stream.derive("v").gen
+    rows = np.concatenate([_samples(pair, gen, 3, 2 * desk.tau_floor),
+                           _samples(pair, gen, 3, None)])
+    rows = rows[gen.permutation(6)]
+    got = invert(pair, rows.reshape(2, 3, desk.m))
+    assert got.shape == (2, 3, desk.n)
+    one = np.array([invert(pair, v) for v in rows])
+    assert np.array_equal(got.reshape(6, desk.n), one)
+    assert one.any(axis=-1).sum() == 3

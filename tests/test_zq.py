@@ -73,21 +73,43 @@ def test_matmul_mod_inner_no_overflow():
     assert int(matmul_mod(u, u, BIG_Q)) == 100 * (BIG_Q - 1) ** 2 % BIG_Q
 
 
+def _assert_matmul_mod_exact(A, B, q):
+    ref = (A.astype(object) @ B.astype(object)) % q
+    got = matmul_mod(A, B, q)
+    assert np.shape(got) == np.shape(ref)
+    assert np.array_equal(np.asarray(got).astype(object), ref)
+
+
 def test_mul_mod_implementations_agree():
     """matmul_mod against a Python-integer reference on every path: one
-    int64 product (0/1 left operand), limbs of B, and Python integers;
-    stacked operands included."""
+    float64 product, one int64 product (0/1 left operand), limbs of B, and
+    Python integers; stacked operands included.  The boundary cases put
+    k * max(A) * (q-1) just below and just above 2^53, with sums near that
+    bound, where a float64 product would start to round."""
     gen = np.random.default_rng(7)
+    edge_gen = np.random.default_rng(8)
+    boundary_cases = 0
     for q in (5, 3001, (1 << 31) - 1, 4398046511119, BIG_Q):
         for shape_a, shape_b in (((9,), (9,)), ((7, 9), (9,)), ((9,), (9, 4)),
                                  ((7, 9), (9, 4)), ((3, 7, 9), (3, 9, 4))):
             for hi in (2, q):
                 A = gen.integers(0, hi, size=shape_a, dtype=np.int64)
                 B = gen.integers(0, q, size=shape_b, dtype=np.int64)
-                ref = (A.astype(object) @ B.astype(object)) % q
-                got = matmul_mod(A, B, q)
-                assert np.shape(got) == np.shape(ref)
-                assert np.array_equal(np.asarray(got).astype(object), ref)
+                _assert_matmul_mod_exact(A, B, q)
+            # largest max(A) with k * max(A) * (q-1) below 2^53; one above
+            # it gives sums past 2^53, where odd ones round in float64
+            edge = ((1 << 53) - 1) // (shape_a[-1] * (q - 1))
+            for top in (edge, edge + 1):
+                if 2 <= top < q:
+                    A = np.full(shape_a, top, dtype=np.int64)
+                    A[..., 0] -= 1
+                    B = q - 1 - edge_gen.integers(0, 32, size=shape_b,
+                                                  dtype=np.int64)
+                    _assert_matmul_mod_exact(A, B, q)
+                    sums = A.astype(object) @ B.astype(object)
+                    assert (np.max(sums) > 1 << 53) == (top > edge)
+                    boundary_cases += 1
+    assert boundary_cases == 20
 
 
 def test_matmul_mod_large_modulus_exact():
