@@ -1,0 +1,126 @@
+"""Pinned SHA-256 digests of the protocol drivers at fixed seeds.
+
+`test_digests.py` pins the experiments; this file pins the drivers that
+run a prover's turn: the min-entropy estimate, the puzzle solver and its
+threshold repetition, and one TCP loopback session per prover kind.  The
+hex values were recorded once and must never change.
+"""
+import hashlib
+import json
+import threading
+
+import pytest
+
+from rotated_tcf import network, protocol_q, puzzle, randomness
+from rotated_tcf.params import desk_preset
+from rotated_tcf.sampling import master_stream
+from rotated_tcf.transcripts import transcript_to_json
+
+DIGEST_SEED = "d1e5c0de" * 8
+
+
+def _root(case: str):
+    return master_stream(DIGEST_SEED).derive("driver-digest", case)
+
+
+def _line(obj) -> str:
+    return json.dumps(obj, separators=(",", ":"), sort_keys=True)
+
+
+def _entropy(prover, contexts, replays):
+    def lines(params, stream):
+        out = []
+        for j in range(4):
+            est = randomness.estimate_minentropy(prover, params, contexts,
+                                                 replays,
+                                                 stream.derive("call", j))
+            out.append(_line({
+                "guessing_prob": repr(est.guessing_prob),
+                "worst_context_prob": repr(est.worst_context_prob),
+                "contexts": est.contexts,
+                "samples_per_context": est.samples_per_context,
+                "rewound": est.rewound}))
+        return out
+    return lines
+
+
+def _puzzle_baseline(params, stream):
+    out = []
+    for i in range(8):
+        inst = stream.derive("instance", i)
+        p, k, witness = puzzle.puzzle_G(params, inst.derive("gen"))
+        b_prime = i % 2
+        verdict = puzzle.solve_one(p, k, witness, b_prime,
+                                   inst.derive("solve"),
+                                   solver="classical-baseline")
+        out.append(_line({"w": str(p.ct.w), "b_prime": b_prime,
+                          "verdict": verdict}))
+    for r in range(4):
+        out.append(_line({"run": r, "passed": puzzle.threshold_repetition(
+            params, 6, 0.8, stream.derive("repetition", r),
+            solver="classical-baseline")}))
+    return out
+
+
+def _loopback(prover, witness_channel):
+    def lines(params, stream):
+        srv = network.open_server_socket("127.0.0.1", 0)
+        port = srv.getsockname()[1]
+        box = {}
+
+        def serve():
+            try:
+                box["result"] = network.serve_verifier(
+                    srv, params, stream, 1, witness_channel=witness_channel,
+                    timeout=30)
+            finally:
+                srv.close()
+
+        server = threading.Thread(target=serve)
+        server.start()
+        results = network.connect_prover("127.0.0.1", port, prover, stream,
+                                         1, timeout=30)
+        server.join(timeout=60)
+        assert not server.is_alive()
+        _, transcripts = box["result"]
+        return ([transcript_to_json(t) for t in transcripts]
+                + [_line(r) for r in results])
+    return lines
+
+
+CASES = {
+    "entropy-honest": _entropy(protocol_q.HonestQuantumProver(), 2, 10),
+    "entropy-baseline": _entropy(protocol_q.BaselineProver(), 2, 10),
+    "entropy-random": _entropy(protocol_q.RandomProver(), 2, 12),
+    "puzzle-baseline": _puzzle_baseline,
+    "loopback-honest-witness": _loopback(protocol_q.HonestQuantumProver(),
+                                         True),
+    "loopback-baseline": _loopback(protocol_q.BaselineProver(), False),
+}
+
+DIGESTS = {
+    "entropy-baseline":
+        "d3892d971022cf528723851119e5bbdc66c2ca9ebe2b8f2d9664d507abbc53b7",
+    "entropy-honest":
+        "02f7be1b23d1f9e8cb5945dea2a5803c508b0c55122d85dff72be926eb530680",
+    "entropy-random":
+        "70895ae6c037d027fbaba082539e6aa850bd151263b317be76160b252220b8f3",
+    "loopback-baseline":
+        "71cd4e03ce5d37f4737dfd0e82a27e6e2a3a705a6850080a98dc4ddaa1d41318",
+    "loopback-honest-witness":
+        "8cd943d9e6a2c76f4fcc17b010db17f1577babb46d0c5b6abbe14006c91d88d6",
+    "puzzle-baseline":
+        "3b07a27d5226d6b5af1faa3d5d76f969881d70d1c903b4baeaa63efc83d1c7e2",
+}
+
+
+@pytest.fixture(scope="module")
+def params():
+    return desk_preset()
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_driver_digest(case, params):
+    lines = CASES[case](params, _root(case))
+    data = "".join(line + "\n" for line in lines).encode()
+    assert hashlib.sha256(data).hexdigest() == DIGESTS[case]
