@@ -17,6 +17,7 @@ import numpy as np
 from . import params as params_mod
 from . import protocol_q, puzzle, randomness, rsp
 from .network import open_server_socket, serve_verifier, connect_prover
+from .protocol_q import PROVERS
 from .sampling import RngStream
 from .transcripts import CSV_HEADER, save_transcripts, stats_csv_row
 
@@ -24,12 +25,6 @@ DEFAULT_SEED = "8b9d5d0a" * 8
 
 USAGE_EXIT = 2
 ASSERT_EXIT = 3
-
-PROVERS = {
-    "honest": protocol_q.HonestQuantumProver,
-    "classical-baseline": protocol_q.BaselineProver,
-    "classical-random": protocol_q.RandomProver,
-}
 
 
 def _resolve_seed(arg: str | None) -> str:
@@ -59,7 +54,7 @@ def _resolve_params(args) -> params_mod.Params:
     return params_mod.get_preset(args.preset)
 
 
-def _add_common(sub):
+def _add_params(sub):
     sub.add_argument("--preset", default="desk")
     sub.add_argument("--n", type=int)
     sub.add_argument("--q", type=int)
@@ -67,9 +62,19 @@ def _add_common(sub):
     sub.add_argument("--c", type=float)
     sub.add_argument("--eps", type=float)
     sub.add_argument("--lam", type=int, default=4)
-    sub.add_argument("--seed", help="64 hex chars; env ROTATED_TCF_SEED is the fallback")
-    sub.add_argument("--out", help="append a stats CSV row to this file")
-    sub.add_argument("--emit-transcripts", help="write JSON-lines transcripts here")
+
+
+_IO_FLAGS = {
+    "--seed": "64 hex chars; env ROTATED_TCF_SEED is the fallback",
+    "--out": "append a stats CSV row to this file",
+    "--emit-transcripts": "write JSON-lines transcripts here",
+}
+
+
+def _add_io(sub, *flags):
+    """Add the _IO_FLAGS that a subcommand reads."""
+    for flag in flags:
+        sub.add_argument(flag, help=_IO_FLAGS[flag])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -80,17 +85,19 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("params", help="print the resolved parameter set")
-    _add_common(p)
+    _add_params(p)
 
     p = subs.add_parser("poq", help="run the two-round quantumness test")
-    _add_common(p)
+    _add_params(p)
+    _add_io(p, "--seed", "--out", "--emit-transcripts")
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--prover", choices=sorted(PROVERS), default="honest")
     p.add_argument("--assert-range", metavar="LO,HI",
                    help="exit 3 unless the estimate lands in [LO, HI]")
 
     p = subs.add_parser("rsp", help="blind single-qubit preparation runs")
-    _add_common(p)
+    _add_params(p)
+    _add_io(p, "--seed")
     p.add_argument("--alpha", type=int, default=None,
                    help="fixed phase numerator; default draws fresh per run")
     p.add_argument("--trials", type=int, default=2000)
@@ -100,7 +107,8 @@ def build_parser() -> argparse.ArgumentParser:
                    default="additive")
 
     p = subs.add_parser("puzzle", help="threshold repetition of the 1-of-2 puzzle")
-    _add_common(p)
+    _add_params(p)
+    _add_io(p, "--seed", "--out")
     p.add_argument("--ell", type=int, default=50)
     p.add_argument("--alpha", type=float, default=0.8)
     p.add_argument("--runs", type=int, default=200)
@@ -108,14 +116,16 @@ def build_parser() -> argparse.ArgumentParser:
                    default="honest")
 
     p = subs.add_parser("entropy", help="min-entropy diagnostics for a prover")
-    _add_common(p)
+    _add_params(p)
+    _add_io(p, "--seed")
     p.add_argument("--prover", choices=sorted(PROVERS), default="honest")
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--contexts", type=int, default=50)
     p.add_argument("--replays", type=int, default=100)
 
     p = subs.add_parser("serve", help="run the verifier over TCP")
-    _add_common(p)
+    _add_params(p)
+    _add_io(p, "--seed", "--out", "--emit-transcripts")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7877)
     p.add_argument("--sessions", type=int, default=100)
@@ -123,7 +133,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ship the simulation witness (honest prover only)")
 
     p = subs.add_parser("connect", help="run a prover against a TCP verifier")
-    _add_common(p)
+    _add_io(p, "--seed")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7877)
     p.add_argument("--sessions", type=int, default=100)
@@ -132,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("oracle-check",
                         help="cross-check the measurement simulator against "
                              "a dense statevector on tiny instances")
-    _add_common(p)
+    _add_io(p, "--seed")
     p.add_argument("--triples", type=int, default=50)
     return parser
 
@@ -145,7 +155,7 @@ def _write_outputs(args, params, prover_name, stats, seed, transcripts=None):
                 fh.write(CSV_HEADER + "\n")
             fh.write(stats_csv_row(params.preset_name, prover_name, stats,
                                    seed) + "\n")
-    if getattr(args, "emit_transcripts", None) and transcripts is not None:
+    if transcripts is not None and args.emit_transcripts:
         save_transcripts(args.emit_transcripts, transcripts)
 
 

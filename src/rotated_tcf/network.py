@@ -6,21 +6,22 @@ derive their randomness from per-session streams, so a loopback run with
 the same master seed reproduces the in-process transcripts bit for bit.
 
 The honest quantum prover only exists as a simulation, which needs the
-key-side witness (s, e); when the verifier is started with the witness
-channel enabled it ships that witness in a separate, loudly labeled
-setup-typed frame.  Classical strategies never receive it.
+key-side witness (s, e).  The prover's hello says whether it needs it; a
+verifier started with the witness channel enabled then ships it, loudly
+labeled, inside the setup frame.  Classical strategies never receive it.
 """
 from __future__ import annotations
 
 import socket
 
 from .params import Params, tiny_params
-from .protocol_q import (HonestQuantumProver, honest_prover_round1,
-                         honest_prover_round2, verifier_round1,
-                         verifier_score)
+from .protocol_q import prover_round1, verifier_round1, verifier_score
+# Not called here: perfbench/layers.py looks this name up on network.
+from .protocol_q import honest_prover_round1
+from .regev import Ciphertext, PublicKey
 from .sampling import RngStream, sample_bits
 from .stats import Stats
-from .wire import (PROTOCOL_VERSION, WITNESS_LABEL, WireError, decode_bits,
+from .wire import (PROTOCOL_VERSION, WITNESS_LABEL, decode_bits,
                    decode_matrix, decode_vector, encode_bits, encode_matrix,
                    encode_vector, make_message, recv_message, send_message)
 
@@ -49,13 +50,15 @@ def _expect(sock, expected_type: str) -> dict:
     return msg
 
 
-def _handshake(sock, role: str) -> None:
+def _handshake(sock, role: str, **hello) -> dict:
     send_message(sock, make_message("hello", {"role": role,
-                                              "version": PROTOCOL_VERSION}))
+                                              "version": PROTOCOL_VERSION,
+                                              **hello}))
     msg = _expect(sock, "hello")
     if msg["payload"].get("version") != PROTOCOL_VERSION:
         _send_error(sock, "version-mismatch")
         raise SessionError("protocol version mismatch")
+    return msg["payload"]
 
 
 def open_server_socket(host: str, port: int) -> socket.socket:
@@ -67,9 +70,9 @@ def open_server_socket(host: str, port: int) -> socket.socket:
 
 
 def verifier_session(conn, params: Params, trial_stream: RngStream,
-                     witness_channel: bool = False, include_pk: bool = False):
+                     witness_channel: bool = False):
     """Drive one session on an accepted connection; returns a Transcript."""
-    _handshake(conn, "verifier")
+    hello = _handshake(conn, "verifier")
     vstate, (pk, ct) = verifier_round1(params, trial_stream.derive("verifier"))
     setup = {
         "preset": params.preset_name,
@@ -80,15 +83,12 @@ def verifier_session(conn, params: Params, trial_stream: RngStream,
         "pk": {"A": encode_matrix(pk.A), "v": encode_vector(pk.v)},
         "ct": {"a": encode_vector(ct.a), "w": str(ct.w)},
     }
+    if witness_channel and hello.get("witness") is True:
+        # simulation-only key-side witness for the honest quantum prover
+        # simulator; never part of the protocol
+        setup[WITNESS_LABEL] = {"s": encode_vector(vstate.keypair.s),
+                                "e": encode_vector(vstate.keypair.e)}
     send_message(conn, make_message("setup", setup))
-    if witness_channel:
-        witness = {
-            WITNESS_LABEL: {"s": encode_vector(vstate.keypair.s),
-                            "e": encode_vector(vstate.keypair.e)},
-            "note": ("simulation-only key-side witness for the honest "
-                     "quantum prover simulator; never part of the protocol"),
-        }
-        send_message(conn, make_message("setup", witness))
     msg = _expect(conn, "response1")
     y = decode_vector(msg["payload"]["y"])
     u = decode_bits(msg["payload"]["u"])
@@ -104,8 +104,7 @@ def verifier_session(conn, params: Params, trial_stream: RngStream,
         _send_error(conn, "bad-bit")
         raise SessionError("d_prime is not a bit")
     transcript = verifier_score(vstate, y, u, d_prime,
-                                seed_info=trial_stream.seed.hex(),
-                                include_pk=include_pk)
+                                seed_info=trial_stream.seed.hex())
     send_message(conn, make_message("result",
                                     {"success": bool(transcript.success),
                                      "d": transcript.d}))
@@ -114,7 +113,6 @@ def verifier_session(conn, params: Params, trial_stream: RngStream,
 
 def serve_verifier(server_sock, params: Params, stream: RngStream,
                    sessions: int, witness_channel: bool = False,
-                   include_pk: bool = False,
                    timeout: float = DEFAULT_TIMEOUT):
     """Accept `sessions` connections in order; session i uses the stream
     derive('trial', i).  Returns (Stats, transcripts)."""
@@ -125,8 +123,7 @@ def serve_verifier(server_sock, params: Params, stream: RngStream,
         conn.settimeout(timeout)
         try:
             t = verifier_session(conn, params, stream.derive("trial", i),
-                                 witness_channel=witness_channel,
-                                 include_pk=include_pk)
+                                 witness_channel=witness_channel)
         except socket.timeout:
             _send_error(conn, "timeout")
             raise SessionError("session timed out") from None
@@ -146,37 +143,28 @@ def _params_from_setup(payload: dict) -> Params:
 def prover_session(host: str, port: int, strategy, trial_stream: RngStream,
                    timeout: float = DEFAULT_TIMEOUT) -> dict:
     """Run one session as the prover; returns the result payload."""
-    quantum = getattr(strategy, "quantum", False)
     with socket.create_connection((host, port), timeout=timeout) as sock:
-        _handshake(sock, "prover")
+        _handshake(sock, "prover", witness=strategy.quantum)
         setup = _expect(sock, "setup")["payload"]
         params = _params_from_setup(setup)
-        pk_A = decode_matrix(setup["pk"]["A"])
-        pk_v = decode_vector(setup["pk"]["v"])
-        from .regev import Ciphertext, PublicKey
-        pk = PublicKey(params=params, A=pk_A, v=pk_v)
+        pk = PublicKey(params=params, A=decode_matrix(setup["pk"]["A"]),
+                       v=decode_vector(setup["pk"]["v"]))
         ct = Ciphertext(a=decode_vector(setup["ct"]["a"]),
                         w=int(setup["ct"]["w"]))
-        pstream = trial_stream.derive("prover")
-        if quantum:
-            wframe = _expect(sock, "setup")["payload"]
-            if WITNESS_LABEL not in wframe:
+        witness = None
+        if strategy.quantum:
+            if WITNESS_LABEL not in setup:
                 raise SessionError("verifier did not open the witness channel")
-            witness = (decode_vector(wframe[WITNESS_LABEL]["s"]),
-                       decode_vector(wframe[WITNESS_LABEL]["e"]))
-            pstate, (y, u) = honest_prover_round1(params, pk, ct, witness,
-                                                  pstream)
-        else:
-            y, u, mem = strategy.first_response(pk, ct, pstream)
+            witness = (decode_vector(setup[WITNESS_LABEL]["s"]),
+                       decode_vector(setup[WITNESS_LABEL]["e"]))
+        pstream = trial_stream.derive("prover")
+        y, u, memory = prover_round1(strategy, pk, ct, witness, pstream)
         send_message(sock, make_message("response1",
                                         {"y": encode_vector(y),
                                          "u": encode_bits(u)}))
         challenge = _expect(sock, "challenge")["payload"]
         b_prime = int(challenge["b_prime"])
-        if quantum:
-            d_prime = honest_prover_round2(pstate, b_prime, pstream)
-        else:
-            d_prime = int(strategy.second_response(b_prime, mem, pstream))
+        d_prime = int(strategy.second_response(b_prime, memory, pstream))
         send_message(sock, make_message("response2", {"d_prime": d_prime}))
         return _expect(sock, "result")["payload"]
 

@@ -95,14 +95,17 @@ def honest_prover_round2(state: ProverState, b_prime: int,
     return state.qubit.measure_xy(xi, stream)
 
 
+def claw_bit(x: np.ndarray, u: np.ndarray, Q: int) -> int:
+    """d = u . ([x0] xor [x1]) for the stacked claw preimages x = (x0, x1)."""
+    return bit_dot(u, bits_le_vec(x[0], Q) ^ bits_le_vec(x[1], Q))
+
+
 def decrypted_bit(pair: TrapdoorPair, v: np.ndarray, y: np.ndarray,
                   u: np.ndarray) -> int:
-    """d = u . ([x0] xor [x1]) with x0 = invert(y) and x1 = invert(y + v),
-    the claw preimages recovered through the trapdoor on both branches."""
+    """The claw bit with x0 = invert(y) and x1 = invert(y + v), the claw
+    preimages recovered through the trapdoor on both branches."""
     p = pair.params
-    x0, x1 = invert(pair, np.stack([y, (y + v) % p.q]))
-    z = bits_le_vec(x0, p.Q) ^ bits_le_vec(x1, p.Q)
-    return bit_dot(u, z)
+    return claw_bit(invert(pair, np.stack([y, (y + v) % p.q])), u, p.Q)
 
 
 def verifier_score(vstate: VerifierState, y: np.ndarray, u: np.ndarray,
@@ -198,11 +201,33 @@ def deterministic_family() -> list[DeterministicProver]:
 
 
 class HonestQuantumProver:
-    """Marker for the exactly-simulated quantum device; needs the witness."""
+    """The exactly-simulated quantum device; its memory is the kept qubit,
+    which measuring consumes, so it cannot be replayed."""
 
     name = "honest-quantum"
     quantum = True
     replayable = False
+
+    def second_response(self, b_prime, memory, stream):
+        return honest_prover_round2(memory, b_prime, stream)
+
+
+PROVERS = {
+    "honest": HonestQuantumProver,
+    "classical-baseline": BaselineProver,
+    "classical-random": RandomProver,
+}
+
+
+def prover_round1(prover, pk: PublicKey, ct: Ciphertext, witness,
+                  stream: RngStream):
+    """The prover's first turn, (y, u, memory).  Only the simulated quantum
+    device receives the witness; classical strategies see just (pk, ct)."""
+    if prover.quantum:
+        state, (y, u) = honest_prover_round1(pk.params, pk, ct, witness,
+                                             stream)
+        return y, u, state
+    return prover.first_response(pk, ct, stream)
 
 
 # ---------------------------------------------------------------------------
@@ -215,17 +240,11 @@ def run_single_trial(params: Params, prover, trial_stream: RngStream,
     networked run with the same trial seed reproduces the transcript."""
     vstate, (pk, ct) = verifier_round1(params, trial_stream.derive("verifier"))
     pstream = trial_stream.derive("prover")
-    if getattr(prover, "quantum", False):
-        witness = (vstate.keypair.s, vstate.keypair.e)
-        pstate, (y, u) = honest_prover_round1(params, pk, ct, witness, pstream)
-    else:
-        y, u, p = prover.first_response(pk, ct, pstream)
+    y, u, memory = prover_round1(prover, pk, ct,
+                                 (vstate.keypair.s, vstate.keypair.e), pstream)
     b_prime = int(sample_bits(1, trial_stream.derive("challenge"))[0])
     vstate.b_prime = b_prime
-    if getattr(prover, "quantum", False):
-        d_prime = honest_prover_round2(pstate, b_prime, pstream)
-    else:
-        d_prime = int(prover.second_response(b_prime, p, pstream))
+    d_prime = int(prover.second_response(b_prime, memory, pstream))
     return verifier_score(vstate, y, u, d_prime,
                           seed_info=trial_stream.seed.hex(),
                           include_pk=include_pk)
@@ -266,29 +285,28 @@ def rewinding_experiment(variant: str, params: Params, prover,
     ciphertext encrypts 0 instead of b, removing all information about b."""
     if variant not in ("C", "C'", "C''"):
         raise ValueError("variant must be C, C' or C''")
-    if not getattr(prover, "replayable", False):
+    if not prover.replayable:
         raise TypeError("rewinding requires a replayable classical prover")
     wins = 0
     for i in range(trials):
         t = stream.derive("rewind", variant, i)
-        kp = gen_j(params, t.derive("key"))
-        b = int(sample_bits(1, t.derive("b"))[0])
+        vstate, (pk, ct) = verifier_round1(params, t)
         b_prime = int(sample_bits(1, t.derive("challenge"))[0])
-        plaintext = 0 if variant == "C''" else b
-        ct = encrypt_bit(kp.pk, plaintext, t.derive("f"))
-        y, u, p = prover.first_response(kp.pk, ct, t.derive("prover"))
+        if variant == "C''":
+            ct = encrypt_bit(pk, 0, t, force_f=vstate.f)
+        y, u, p = prover.first_response(pk, ct, t.derive("prover"))
         d_prime = int(prover.second_response(b_prime, p, t.derive("prover2")))
         if variant == "C":
-            d = decrypted_bit(kp.trapdoor, kp.pk.v, y, u)
+            d = decrypted_bit(vstate.keypair.trapdoor, pk.v, y, u)
         else:
             replay = t.derive("replay")
             votes = []
             for k in range(params.lam):
                 bk = int(sample_bits(1, replay.derive("bk", k))[0])
                 dk = int(prover.second_response(bk, p, replay.derive("dk", k)))
-                votes.append(dk ^ (b & bk))
+                votes.append(dk ^ (vstate.b & bk))
             d = _maj(votes)
-        if (d ^ d_prime) == (b & b_prime):
+        if (d ^ d_prime) == (vstate.b & b_prime):
             wins += 1
     return Stats(successes=wins, trials=trials)
 

@@ -13,9 +13,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import Params
-from .protocol_q import (BaselineProver, ProverState, decrypted_bit,
+from .protocol_q import (PROVERS, ProverState, decrypted_bit,
                          honest_prover_round1, honest_prover_round2,
-                         verifier_round1)
+                         prover_round1, verifier_round1)
 from .regev import Ciphertext, PublicKey
 from .sampling import RngStream, sample_bits
 from .stats import Stats
@@ -74,17 +74,14 @@ def puzzle_V(p: Puzzle, k: PuzzleKey, o: Obligation, b_prime: int,
 
 def solve_one(p: Puzzle, k: PuzzleKey, witness, b_prime: int,
               stream: RngStream, solver: str = "honest") -> int:
-    """Play one instance against challenge b_prime; returns the verdict."""
-    if solver == "honest":
-        o = puzzle_O(p, witness, stream)
-        d_prime = puzzle_S(p, o, b_prime, stream)
-        return puzzle_V(p, k, o, b_prime, d_prime)
-    if solver == "classical-baseline":
-        prover = BaselineProver()
-        y, u, mem = prover.first_response(p.pk, p.ct, stream)
-        d_prime = prover.second_response(b_prime, mem, stream)
-        return puzzle_V(p, k, Obligation(y=y, u=u, rho=None), b_prime, d_prime)
-    raise ValueError(f"unknown solver {solver!r}")
+    """Play one instance against challenge b_prime with the prover that
+    PROVERS registers as `solver`; returns the verdict."""
+    if solver not in PROVERS:
+        raise ValueError(f"unknown solver {solver!r}")
+    prover = PROVERS[solver]()
+    y, u, memory = prover_round1(prover, p.pk, p.ct, witness, stream)
+    d_prime = int(prover.second_response(b_prime, memory, stream))
+    return puzzle_V(p, k, Obligation(y=y, u=u, rho=memory), b_prime, d_prime)
 
 
 def threshold_repetition(params: Params, ell: int, alpha_threshold: float,

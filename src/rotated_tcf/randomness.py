@@ -13,8 +13,7 @@ import math
 from dataclasses import dataclass
 
 from .params import Params
-from .protocol_q import (honest_prover_round1, honest_prover_round2,
-                         run_experiment, verifier_round1)
+from .protocol_q import prover_round1, run_experiment, verifier_round1
 from .sampling import RngStream
 from .stats import Stats
 
@@ -38,7 +37,7 @@ class EntropyEstimate:
 
 def estimate_minentropy(prover, params: Params, contexts: int, replays: int,
                         stream: RngStream) -> EntropyEstimate:
-    """Classical provers are rewound: one first response per context, then
+    """A replayable prover is rewound: one first response per context, then
     `replays` fresh second responses at b' = 0.  The quantum simulator
     cannot be rewound (measuring consumes the qubit), so it is re-run from
     scratch per replay and the estimate is flagged accordingly."""
@@ -46,30 +45,30 @@ def estimate_minentropy(prover, params: Params, contexts: int, replays: int,
         raise ValueError(f"need at least {MIN_REPLAYS} replays per context")
     if contexts < 1:
         raise ValueError("contexts must be >= 1")
-    quantum = getattr(prover, "quantum", False)
     probs = []
     for c in range(contexts):
         ctx = stream.derive("entropy-context", c)
         vstate, (pk, ct) = verifier_round1(params, ctx.derive("verifier"))
         witness = (vstate.keypair.s, vstate.keypair.e)
         ones = 0
-        if quantum:
-            for r in range(replays):
-                ps = ctx.derive("full-run", r)
-                pstate, _ = honest_prover_round1(params, pk, ct, witness, ps)
-                ones += honest_prover_round2(pstate, 0, ps)
-        else:
-            y, u, mem = prover.first_response(pk, ct, ctx.derive("prover"))
+        if prover.replayable:
+            _, _, mem = prover_round1(prover, pk, ct, witness,
+                                      ctx.derive("prover"))
             for r in range(replays):
                 ones += int(prover.second_response(0, mem,
                                                    ctx.derive("replay", r)))
+        else:
+            for r in range(replays):
+                ps = ctx.derive("full-run", r)
+                _, _, mem = prover_round1(prover, pk, ct, witness, ps)
+                ones += int(prover.second_response(0, mem, ps))
         probs.append(max(ones, replays - ones) / replays)
     return EntropyEstimate(
         guessing_prob=sum(probs) / len(probs),
         worst_context_prob=min(probs),
         contexts=contexts,
         samples_per_context=replays,
-        rewound=not quantum,
+        rewound=prover.replayable,
     )
 
 

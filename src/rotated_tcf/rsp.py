@@ -26,12 +26,12 @@ from .ghz import PhaseQubit
 from .ghz import (angle_sequence, simulate_basis_measurement,
                   simulate_ghz_measurement)
 from .params import Params
-from .protocol_q import honest_prover_round1
-from .regev import Ciphertext, PublicKey, encrypt_zq, gen_j
-from .sampling import RngStream, sample_bits, sample_noise, sample_uniform
-from .trapdoor import find_preimage, gen_trap
+from .protocol_q import claw_bit, honest_prover_round1
+from .regev import Ciphertext, PublicKey, encrypt_zq, gen_j, gen_k
+from .sampling import RngStream, sample_uniform
+from .trapdoor import find_preimage
 from .trapdoor import invert  # not called: perfbench/layers.py rebinds it
-from .zq import bit_dot, bits_le_vec, matmul_mod
+from .zq import matmul_mod
 
 
 @dataclass
@@ -97,15 +97,11 @@ def rsp_client_finish(state: ClientState, y: np.ndarray,
     the flip bit b = ([x0] xor [x1]) . u and describe the target state."""
     p = state.params
     kp = state.keypair
-    branch0 = find_preimage(kp.trapdoor, y, None, p.tau)
-    if branch0 is None:
+    found = find_preimage(kp.trapdoor, np.stack([y, (y + kp.pk.v) % p.q]),
+                          p.tau)
+    if found is None:
         return RspOutcome(aborted=True)
-    if find_preimage(kp.trapdoor, y, kp.pk.v, p.tau) is None:
-        return RspOutcome(aborted=True)
-    x0 = branch0[0]
-    x1 = (x0 + kp.s) % p.q
-    z = bits_le_vec(x0, p.Q) ^ bits_le_vec(x1, p.Q)
-    b = bit_dot(u, z)
+    b = claw_bit(found[0], u, p.Q)
     target = PhaseQubit(q=p.q, units=(2 * state.alpha + p.q * b) % (2 * p.q))
     return RspOutcome(aborted=False, b=b, target=target)
 
@@ -149,16 +145,8 @@ def blindness_sampler(which: str, x: int, params: Params, stream: RngStream):
         a = sample_uniform(n, q, stream.derive("a"))
         w = int(sample_uniform(1, q, stream.derive("w"))[0])
         return A, v, a, w
-    if which == "D_x":
-        A = gen_trap(params, stream.derive("trap")).A
-    elif which == "D_x_tilde":
-        A = stream.derive("A").gen.integers(0, q, size=(m, n), dtype=np.int64)
-    else:
+    if which not in ("D_x", "D_x_tilde"):
         raise ValueError("which must be D_x, D_x_tilde or D")
-    s = sample_uniform(n, q, stream.derive("s"))
-    e = sample_noise(params, stream.derive("e"))
-    v = (matmul_mod(A, s, q) + e) % q
-    f = sample_bits(m, stream.derive("fbits"))
-    a = matmul_mod(f, A, q)
-    w = (int(matmul_mod(f, v, q)) + x) % q
-    return A, v, a, w
+    pk = (gen_j if which == "D_x" else gen_k)(params, stream).pk
+    ct, _ = encrypt_zq(pk, x, stream.derive("fbits"))
+    return pk.A, pk.v, ct.a, ct.w

@@ -54,25 +54,23 @@ def master_stream(seed_hex: str) -> RngStream:
     return RngStream(seed_hex)
 
 
-def sample_uniform(dim: int, q: int, stream: RngStream, size=None) -> np.ndarray:
+def sample_uniform(dim: int, q: int, stream: RngStream) -> np.ndarray:
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    shape = dim if size is None else (size, dim)
-    return stream.gen.integers(0, q, size=shape, dtype=np.int64)
+    return stream.gen.integers(0, q, size=dim, dtype=np.int64)
 
 
-def sample_bits(m: int, stream: RngStream, size=None) -> np.ndarray:
+def sample_bits(m: int, stream: RngStream) -> np.ndarray:
     if m < 1:
         raise ValueError("m must be >= 1")
-    shape = m if size is None else (size, m)
-    return stream.gen.integers(0, 2, size=shape, dtype=np.int64)
+    return stream.gen.integers(0, 2, size=m, dtype=np.int64)
 
 
 @lru_cache(maxsize=64)
-def gaussian_table(sigma: float, bound: int | None = None):
+def gaussian_table(sigma: float):
     """Support and pmf of the discrete Gaussian exp(-x^2/(2 sigma^2)),
     tabulated over [-B, B] with B = ceil(10 sigma) (dropped tail < e^-50)."""
-    B = bound if bound is not None else math.ceil(10 * sigma)
+    B = math.ceil(10 * sigma)
     support = np.arange(-B, B + 1)
     logw = -(support.astype(float) ** 2) / (2 * sigma * sigma)
     w = np.exp(logw)
@@ -125,12 +123,12 @@ def sample_box(m: int, tau, q: int, stream: RngStream) -> np.ndarray:
     return out
 
 
-def sample_noise(params, stream: RngStream, size=None):
+def sample_noise(params, stream: RngStream):
     """Error vector e <- G(sigma, tau)^m as used by key generation."""
-    m = params.m if size is None else size
     if params.tau >= 1:
-        e = sample_truncated_gaussian(params.sigma, params.tau, stream, size=m)
+        e = sample_truncated_gaussian(params.sigma, params.tau, stream,
+                                      size=params.m)
     else:
         # tau < 1 forces e = 0 (tiny test instances only)
-        e = np.zeros(m, dtype=np.int64)
+        e = np.zeros(params.m, dtype=np.int64)
     return np.asarray(e, dtype=np.int64) % params.q

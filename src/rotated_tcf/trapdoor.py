@@ -83,13 +83,12 @@ def invert(pair: TrapdoorPair, v: np.ndarray) -> np.ndarray:
     return np.where(ok[..., None], s, 0)
 
 
-def find_preimage(pair: TrapdoorPair, y: np.ndarray, shift: np.ndarray | None,
-                  tau: Fraction):
-    """Return (x, g) with y + shift = A x + g and ||g||_inf <= tau, else None."""
+def find_preimage(pair: TrapdoorPair, y: np.ndarray, tau: Fraction):
+    """Return (x, g) with y = A x + g and ||g||_inf <= tau, else None.
+    y may be stacked, shape (..., m); then every row must be within tau."""
     p = pair.params
-    target = y if shift is None else (y + shift) % p.q
-    x = invert(pair, target)
-    g = (target - matmul_mod(pair.A, x, p.q)) % p.q
+    x = invert(pair, y)
+    g = (y - matmul_mod(pair.A, x[..., None], p.q)[..., 0]) % p.q
     tau = Fraction(tau)
     if inf_norm(g, p.q) * tau.denominator <= tau.numerator:
         return x, g

@@ -12,7 +12,7 @@ import struct
 
 import numpy as np
 
-PROTOCOL_VERSION = 1
+PROTOCOL_VERSION = 2
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 MESSAGE_TYPES = {

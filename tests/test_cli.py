@@ -119,6 +119,14 @@ def test_oracle_check_command(capsys):
     assert "oracle check passed" in capsys.readouterr().out
 
 
+def test_subcommands_refuse_flags_they_ignore(tmp_path):
+    """Each subcommand accepts only the flags it reads."""
+    assert main(["oracle-check", "--preset", "desk"]) == USAGE_EXIT
+    out = tmp_path / "rsp.csv"
+    assert main(["rsp", "--trials", "1", "--out", str(out)]) == USAGE_EXIT
+    assert not out.exists()
+
+
 def test_config_file_supplies_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"trials": 7, "prover": "classical-baseline",

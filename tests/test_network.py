@@ -63,6 +63,25 @@ def test_baseline_over_network(stream, desk):
     assert sum(1 for r in results if r["success"]) == stats.successes
 
 
+def test_classical_prover_against_witness_channel(stream, desk):
+    """A verifier with the witness channel open serves classical provers
+    too: they do not ask for the witness, and the sessions match the
+    in-process runs."""
+    sessions = 3
+    port, t, box = _serve_in_thread(desk, stream.derive("net"), sessions,
+                                    witness_channel=True)
+    connect_prover("127.0.0.1", port, BaselineProver(),
+                   stream.derive("net"), sessions, timeout=10)
+    t.join()
+    assert "error" not in box
+    _, transcripts = box["result"]
+    local = [run_single_trial(desk, BaselineProver(),
+                              stream.derive("net").derive("trial", i))
+             for i in range(sessions)]
+    assert [transcript_to_json(t) for t in transcripts] == \
+           [transcript_to_json(t) for t in local]
+
+
 def test_quantum_prover_requires_witness_channel(stream, desk):
     port, t, box = _serve_in_thread(desk, stream.derive("net"), 1,
                                     witness_channel=False)

@@ -79,7 +79,7 @@ def test_uniform_image_inverts_to_sentinel_or_far(stream, desk):
     misses = 0
     for i in range(50):
         y = sample_uniform(desk.m, desk.q, stream.derive("y", i))
-        if find_preimage(pair, y, None, desk.tau) is None:
+        if find_preimage(pair, y, desk.tau) is None:
             misses += 1
     assert misses == 50
 
@@ -93,7 +93,7 @@ def test_find_preimage_accepts_honest_claw(stream, desk):
         g = t.gen.integers(-tau_floor, tau_floor + 1, size=desk.m,
                            dtype=np.int64)
         y = (matmul_mod(pair.A, x, desk.q) + g) % desk.q
-        got = find_preimage(pair, y, None, desk.tau)
+        got = find_preimage(pair, y, desk.tau)
         assert got is not None
         x_hat, g_hat = got
         assert np.array_equal(x_hat, x)
@@ -107,9 +107,21 @@ def test_find_preimage_with_shift(stream, desk):
     v = matmul_mod(pair.A, s, desk.q)
     x = sample_uniform(desk.n, desk.q, stream.derive("x"))
     y = (matmul_mod(pair.A, x, desk.q) - v) % desk.q
-    got = find_preimage(pair, y, v, desk.tau)
+    got = find_preimage(pair, np.stack([y, (y + v) % desk.q]), desk.tau)
     assert got is not None
-    assert np.array_equal(got[0], x)
+    assert np.array_equal(got[0], [(x - s) % desk.q, x])
+    assert not got[1].any()
+
+
+def test_find_preimage_stacked_needs_every_row(stream, desk):
+    """A stack succeeds only when every row has a preimage within tau."""
+    pair = gen_trap(desk, stream.derive("trap"))
+    x = sample_uniform(desk.n, desk.q, stream.derive("x"))
+    near = matmul_mod(pair.A, x, desk.q)
+    far = sample_uniform(desk.m, desk.q, stream.derive("far"))
+    assert find_preimage(pair, np.stack([near, near]), desk.tau) is not None
+    assert find_preimage(pair, np.stack([near, far]), desk.tau) is None
+    assert find_preimage(pair, np.stack([far, near]), desk.tau) is None
 
 
 def test_invert_rejects_noise_past_guarantee(stream):
