@@ -64,17 +64,9 @@ def _add_params(sub):
     sub.add_argument("--lam", type=int, default=4)
 
 
-_IO_FLAGS = {
-    "--seed": "64 hex chars; env ROTATED_TCF_SEED is the fallback",
-    "--out": "append a stats CSV row to this file",
-    "--emit-transcripts": "write JSON-lines transcripts here",
-}
-
-
-def _add_io(sub, *flags):
-    """Add the _IO_FLAGS that a subcommand reads."""
-    for flag in flags:
-        sub.add_argument(flag, help=_IO_FLAGS[flag])
+def _add_seed(sub):
+    sub.add_argument("--seed",
+                     help="64 hex chars; env ROTATED_TCF_SEED is the fallback")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,7 +81,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("poq", help="run the two-round quantumness test")
     _add_params(p)
-    _add_io(p, "--seed", "--out", "--emit-transcripts")
+    _add_seed(p)
+    p.add_argument("--out", help="append a stats CSV row to this file")
+    p.add_argument("--emit-transcripts",
+                   help="write JSON-lines transcripts here")
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--prover", choices=sorted(PROVERS), default="honest")
     p.add_argument("--assert-range", metavar="LO,HI",
@@ -97,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("rsp", help="blind single-qubit preparation runs")
     _add_params(p)
-    _add_io(p, "--seed")
+    _add_seed(p)
     p.add_argument("--alpha", type=int, default=None,
                    help="fixed phase numerator; default draws fresh per run")
     p.add_argument("--trials", type=int, default=2000)
@@ -108,16 +103,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("puzzle", help="threshold repetition of the 1-of-2 puzzle")
     _add_params(p)
-    _add_io(p, "--seed", "--out")
+    _add_seed(p)
+    p.add_argument("--out", help="append a stats CSV row to this file")
     p.add_argument("--ell", type=int, default=50)
     p.add_argument("--alpha", type=float, default=0.8)
     p.add_argument("--runs", type=int, default=200)
-    p.add_argument("--solver", choices=["honest", "classical-baseline"],
-                   default="honest")
+    p.add_argument("--solver", choices=sorted(PROVERS), default="honest")
 
     p = subs.add_parser("entropy", help="min-entropy diagnostics for a prover")
     _add_params(p)
-    _add_io(p, "--seed")
+    _add_seed(p)
     p.add_argument("--prover", choices=sorted(PROVERS), default="honest")
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--contexts", type=int, default=50)
@@ -125,7 +120,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = subs.add_parser("serve", help="run the verifier over TCP")
     _add_params(p)
-    _add_io(p, "--seed", "--out", "--emit-transcripts")
+    _add_seed(p)
+    p.add_argument("--out", help="append a stats CSV row to this file")
+    p.add_argument("--emit-transcripts",
+                   help="write JSON-lines transcripts here")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7877)
     p.add_argument("--sessions", type=int, default=100)
@@ -133,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="ship the simulation witness (honest prover only)")
 
     p = subs.add_parser("connect", help="run a prover against a TCP verifier")
-    _add_io(p, "--seed")
+    _add_seed(p)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7877)
     p.add_argument("--sessions", type=int, default=100)
@@ -142,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("oracle-check",
                         help="cross-check the measurement simulator against "
                              "a dense statevector on tiny instances")
-    _add_io(p, "--seed")
+    _add_seed(p)
     p.add_argument("--triples", type=int, default=50)
     return parser
 

@@ -154,6 +154,7 @@ def prover_session(host: str, port: int, strategy, trial_stream: RngStream,
         witness = None
         if strategy.quantum:
             if WITNESS_LABEL not in setup:
+                _send_error(sock, "no-witness")
                 raise SessionError("verifier did not open the witness channel")
             witness = (decode_vector(setup[WITNESS_LABEL]["s"]),
                        decode_vector(setup[WITNESS_LABEL]["e"]))

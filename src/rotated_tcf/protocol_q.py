@@ -293,7 +293,9 @@ def rewinding_experiment(variant: str, params: Params, prover,
         vstate, (pk, ct) = verifier_round1(params, t)
         b_prime = int(sample_bits(1, t.derive("challenge"))[0])
         if variant == "C''":
-            ct = encrypt_bit(pk, 0, t, force_f=vstate.f)
+            # the same f encrypting 0: strip b * floor(q/4) from w
+            ct = Ciphertext(a=ct.a, w=(ct.w - vstate.b * (params.q // 4))
+                            % params.q)
         y, u, p = prover.first_response(pk, ct, t.derive("prover"))
         d_prime = int(prover.second_response(b_prime, p, t.derive("prover2")))
         if variant == "C":

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import Params
-from .protocol_q import (PROVERS, ProverState, decrypted_bit,
-                         honest_prover_round1, honest_prover_round2,
-                         prover_round1, verifier_round1)
+from .protocol_q import (PROVERS, HonestQuantumProver, ProverState,
+                         decrypted_bit, prover_round1, verifier_round1)
+# Not called here: perfbench/layers.py looks this name up on puzzle.
+from .protocol_q import honest_prover_round1
 from .regev import Ciphertext, PublicKey
 from .sampling import RngStream, sample_bits
 from .stats import Stats
@@ -43,7 +44,8 @@ class PuzzleKey:
 class Obligation:
     y: np.ndarray
     u: np.ndarray
-    rho: ProverState    # the single retained qubit (plus branch bookkeeping)
+    rho: ProverState | None  # the honest solver's single retained qubit
+                             # (plus branch bookkeeping); None if classical
 
 
 def puzzle_G(params: Params, stream: RngStream):
@@ -58,12 +60,8 @@ def puzzle_G(params: Params, stream: RngStream):
 
 
 def puzzle_O(p: Puzzle, witness, stream: RngStream) -> Obligation:
-    state, (y, u) = honest_prover_round1(p.params, p.pk, p.ct, witness, stream)
-    return Obligation(y=y, u=u, rho=state)
-
-
-def puzzle_S(p: Puzzle, o: Obligation, b_prime: int, stream: RngStream) -> int:
-    return honest_prover_round2(o.rho, b_prime, stream)
+    return Obligation(*prover_round1(HonestQuantumProver(), p.pk, p.ct,
+                                     witness, stream))
 
 
 def puzzle_V(p: Puzzle, k: PuzzleKey, o: Obligation, b_prime: int,
@@ -79,9 +77,9 @@ def solve_one(p: Puzzle, k: PuzzleKey, witness, b_prime: int,
     if solver not in PROVERS:
         raise ValueError(f"unknown solver {solver!r}")
     prover = PROVERS[solver]()
-    y, u, memory = prover_round1(prover, p.pk, p.ct, witness, stream)
-    d_prime = int(prover.second_response(b_prime, memory, stream))
-    return puzzle_V(p, k, Obligation(y=y, u=u, rho=memory), b_prime, d_prime)
+    o = Obligation(*prover_round1(prover, p.pk, p.ct, witness, stream))
+    d_prime = int(prover.second_response(b_prime, o.rho, stream))
+    return puzzle_V(p, k, o, b_prime, d_prime)
 
 
 def threshold_repetition(params: Params, ell: int, alpha_threshold: float,

@@ -106,6 +106,16 @@ def test_puzzle_command(capsys):
                  "--alpha", "0.95"]) == USAGE_EXIT
 
 
+def test_puzzle_offers_every_registered_solver(capsys):
+    from rotated_tcf.cli import PROVERS
+    for solver in PROVERS:
+        assert build_parser().parse_args(
+            ["puzzle", "--solver", solver]).solver == solver
+    assert main(["puzzle", "--solver", "classical-random", "--ell", "3",
+                 "--runs", "2", "--seed", SEED]) == 0
+    assert "solver=classical-random" in capsys.readouterr().out
+
+
 def test_entropy_command(capsys):
     assert main(["entropy", "--prover", "classical-baseline", "--trials", "50",
                  "--contexts", "3", "--replays", "10", "--seed", SEED]) == 0

@@ -15,6 +15,7 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "rotated_tcf"
 # where they are until the benchmark stops looking them up.
 PERFBENCH_REBINDS = {
     ("network", "honest_prover_round1"),
+    ("puzzle", "honest_prover_round1"),
     ("puzzle", "invert"),
     ("rsp", "invert"),
     ("rsp", "angle_sequence"),

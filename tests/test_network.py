@@ -93,6 +93,21 @@ def test_quantum_prover_requires_witness_channel(stream, desk):
     t.join()
 
 
+def test_quantum_prover_reports_missing_witness(stream, desk):
+    """A quantum prover facing a closed witness channel tells the verifier
+    why it hangs up, so the serving loop stops on that code rather than on
+    a torn frame, before it waits for a second session."""
+    port, t, box = _serve_in_thread(desk, stream.derive("net"), 2,
+                                    witness_channel=False)
+    with pytest.raises(SessionError, match="witness"):
+        connect_prover("127.0.0.1", port, HonestQuantumProver(),
+                       stream.derive("net"), 2, timeout=10)
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert isinstance(box["error"], SessionError)
+    assert "no-witness" in str(box["error"])
+
+
 def test_out_of_order_message_gets_error_frame(stream, desk):
     port, t, box = _serve_in_thread(desk, stream.derive("net"), 1,
                                     witness_channel=False)

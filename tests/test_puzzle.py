@@ -1,8 +1,8 @@
 import pytest
 
 from rotated_tcf.puzzle import (COMPLETENESS_TARGET, puzzle_G, puzzle_O,
-                                puzzle_S, puzzle_V, repetition_experiment,
-                                solve_one, threshold_repetition)
+                                puzzle_V, repetition_experiment, solve_one,
+                                threshold_repetition)
 
 
 def test_completeness_target_value():
