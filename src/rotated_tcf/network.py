@@ -21,9 +21,10 @@ from .protocol_q import honest_prover_round1
 from .regev import Ciphertext, PublicKey
 from .sampling import RngStream, sample_bits
 from .stats import Stats
-from .wire import (PROTOCOL_VERSION, WITNESS_LABEL, decode_bits,
-                   decode_matrix, decode_vector, encode_bits, encode_matrix,
-                   encode_vector, make_message, recv_message, send_message)
+from .wire import (PROTOCOL_VERSION, WITNESS_LABEL, DimensionError,
+                   WireError, decode_bits, decode_matrix, decode_vector,
+                   encode_bits, encode_matrix, encode_vector, make_message,
+                   recv_message, send_message)
 
 DEFAULT_TIMEOUT = 30.0
 
@@ -48,6 +49,19 @@ def _expect(sock, expected_type: str) -> dict:
         raise SessionError(
             f"expected {expected_type}, got {msg['type']} (protocol-order)")
     return msg
+
+
+def _decode(sock, decode):
+    """Run `decode` on a received payload.  A missing key, a wrong type or
+    a bad array sends a `bad-encoding` error frame, a wrong shape a
+    `bad-dimensions` one; either way the session ends with SessionError."""
+    try:
+        return decode()
+    except (WireError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        code = ("bad-dimensions" if isinstance(exc, DimensionError)
+                else "bad-encoding")
+        _send_error(sock, code)
+        raise SessionError(f"undecodable payload ({code}): {exc}") from None
 
 
 def _handshake(sock, role: str, **hello) -> dict:
@@ -89,12 +103,10 @@ def verifier_session(conn, params: Params, trial_stream: RngStream,
         setup[WITNESS_LABEL] = {"s": encode_vector(vstate.keypair.s),
                                 "e": encode_vector(vstate.keypair.e)}
     send_message(conn, make_message("setup", setup))
-    msg = _expect(conn, "response1")
-    y = decode_vector(msg["payload"]["y"])
-    u = decode_bits(msg["payload"]["u"])
-    if y.shape != (params.m,) or u.shape != (params.nQ,):
-        _send_error(conn, "bad-dimensions")
-        raise SessionError("response1 has wrong dimensions")
+    response1 = _expect(conn, "response1")["payload"]
+    y, u = _decode(conn, lambda: (
+        decode_vector(response1["y"], params.q, (params.m,)),
+        decode_bits(response1["u"], (params.nQ,))))
     b_prime = int(sample_bits(1, trial_stream.derive("challenge"))[0])
     vstate.b_prime = b_prime
     send_message(conn, make_message("challenge", {"b_prime": b_prime}))
@@ -134,10 +146,20 @@ def serve_verifier(server_sock, params: Params, stream: RngStream,
     return Stats(successes=wins, trials=sessions), transcripts
 
 
-def _params_from_setup(payload: dict) -> Params:
-    return tiny_params(n=int(payload["n"]), q=int(payload["q"]),
-                       sigma=float(payload["sigma"]),
-                       lam=int(payload["lambda"]))
+def _keys_from_setup(payload: dict):
+    """(params, public key, ciphertext) from a setup payload."""
+    params = tiny_params(n=int(payload["n"]), q=int(payload["q"]),
+                         sigma=float(payload["sigma"]),
+                         lam=int(payload["lambda"]))
+    q, n, m = params.q, params.n, params.m
+    pk = PublicKey(params=params,
+                   A=decode_matrix(payload["pk"]["A"], q, (m, n)),
+                   v=decode_vector(payload["pk"]["v"], q, (m,)))
+    w = int(payload["ct"]["w"])
+    if not 0 <= w < q:
+        raise WireError(f"ciphertext w outside [0, {q})")
+    ct = Ciphertext(a=decode_vector(payload["ct"]["a"], q, (n,)), w=w)
+    return params, pk, ct
 
 
 def prover_session(host: str, port: int, strategy, trial_stream: RngStream,
@@ -146,18 +168,17 @@ def prover_session(host: str, port: int, strategy, trial_stream: RngStream,
     with socket.create_connection((host, port), timeout=timeout) as sock:
         _handshake(sock, "prover", witness=strategy.quantum)
         setup = _expect(sock, "setup")["payload"]
-        params = _params_from_setup(setup)
-        pk = PublicKey(params=params, A=decode_matrix(setup["pk"]["A"]),
-                       v=decode_vector(setup["pk"]["v"]))
-        ct = Ciphertext(a=decode_vector(setup["ct"]["a"]),
-                        w=int(setup["ct"]["w"]))
+        params, pk, ct = _decode(sock, lambda: _keys_from_setup(setup))
         witness = None
         if strategy.quantum:
             if WITNESS_LABEL not in setup:
                 _send_error(sock, "no-witness")
                 raise SessionError("verifier did not open the witness channel")
-            witness = (decode_vector(setup[WITNESS_LABEL]["s"]),
-                       decode_vector(setup[WITNESS_LABEL]["e"]))
+            witness = _decode(sock, lambda: (
+                decode_vector(setup[WITNESS_LABEL]["s"], params.q,
+                              (params.n,)),
+                decode_vector(setup[WITNESS_LABEL]["e"], params.q,
+                              (params.m,))))
         pstream = trial_stream.derive("prover")
         y, u, memory = prover_round1(strategy, pk, ct, witness, pstream)
         send_message(sock, make_message("response1",

@@ -58,10 +58,12 @@ class Params:
     tau: Fraction = field(init=False)
 
     def __post_init__(self):
-        if self.q < 3 or self.q % 2 == 0 or not is_prime(self.q):
-            raise ValueError(f"q={self.q} must be an odd prime")
+        # Size first: Miller-Rabin on a q of thousands of digits, say one
+        # a hostile setup frame carries, takes seconds.
         if self.q.bit_length() > 61:
             raise ValueError("moduli >= 2**61 are not supported")
+        if self.q < 3 or self.q % 2 == 0 or not is_prime(self.q):
+            raise ValueError(f"q={self.q} must be an odd prime")
         if self.sigma < 1:
             raise ValueError("sigma must be >= 1")
         if self.n < 1:
@@ -125,7 +127,12 @@ def desk_preset() -> Params:
     return Params(lam=4, n=4, q=q, sigma=3.0, preset_name="desk")
 
 
-@lru_cache(maxsize=None)
+# Bounded: the networked prover builds its Params from values the verifier
+# picked, so a hostile verifier must not be able to grow this cache.
+TINY_PARAMS_CACHE = 32
+
+
+@lru_cache(maxsize=TINY_PARAMS_CACHE)
 def tiny_params(n: int, q: int, sigma: float = 1.0, lam: int = 4) -> Params:
     """Deliberately tiny instances for exhaustive / oracle tests."""
     return Params(lam=lam, n=n, q=q, sigma=sigma, preset_name=f"tiny-n{n}-q{q}")

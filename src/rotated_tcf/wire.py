@@ -2,17 +2,23 @@
 
 Frames are a 4-byte big-endian length prefix followed by a UTF-8 JSON body.
 Z_q scalars travel as decimal strings (JSON numbers are unreliable past
-2^53), vectors as arrays of decimal strings, bit strings as 0/1 arrays.
+2^53).  A Z_q vector or matrix travels as one string: the base64 of its
+entries as little-endian int64, row-major.  A bit string travels as one
+string of "0" and "1" characters.  The decoders accept only canonical
+base64, whole int64 entries in [0, q) and the expected shape, and raise
+WireError for anything else.
 """
 from __future__ import annotations
 
+import base64
 import json
+import math
 import socket
 import struct
 
 import numpy as np
 
-PROTOCOL_VERSION = 2
+PROTOCOL_VERSION = 3
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 
 MESSAGE_TYPES = {
@@ -30,31 +36,62 @@ class WireError(Exception):
     pass
 
 
-def encode_vector(v) -> list:
-    return [str(int(x)) for x in np.asarray(v).tolist()]
+class DimensionError(WireError):
+    """A well-formed array whose shape is not the one the protocol fixes."""
 
 
-def decode_vector(v) -> np.ndarray:
-    return np.array([int(x) for x in v], dtype=np.int64)
+_INT64 = np.dtype("<i8")
 
 
-def encode_matrix(M) -> list:
-    return [encode_vector(row) for row in np.asarray(M)]
+def encode_vector(v) -> str:
+    return base64.b64encode(
+        np.ascontiguousarray(v, dtype=_INT64).tobytes()).decode("ascii")
 
 
-def decode_matrix(M) -> np.ndarray:
-    return np.array([[int(x) for x in row] for row in M], dtype=np.int64)
-
-
-def encode_bits(v) -> list:
-    return [int(x) for x in np.asarray(v).tolist()]
-
-
-def decode_bits(v) -> np.ndarray:
-    out = np.array([int(x) for x in v], dtype=np.int64)
-    if out.size and not np.all((out == 0) | (out == 1)):
-        raise WireError("bit string contains non-bits")
+def decode_vector(text, q: int, shape: tuple | None = None) -> np.ndarray:
+    """The int64 array in `text`, reshaped to `shape` when one is given."""
+    if not isinstance(text, str):
+        raise WireError(f"array must be a string, got {type(text).__name__}")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:      # binascii.Error, or a non-ASCII character
+        raise WireError("array is not valid base64") from None
+    if base64.b64encode(raw).decode("ascii") != text:
+        raise WireError("array base64 is not canonical")
+    if len(raw) % _INT64.itemsize:
+        raise WireError(f"array of {len(raw)} bytes is not int64-aligned")
+    out = np.frombuffer(raw, dtype=_INT64).astype(np.int64)
+    if shape is not None:
+        if out.size != math.prod(shape):
+            raise DimensionError(
+                f"array of {out.size} entries does not fit shape {shape}")
+        out = out.reshape(shape)
+    if out.size and (int(out.min()) < 0 or int(out.max()) >= q):
+        raise WireError(f"array entry outside [0, {q})")
     return out
+
+
+def encode_matrix(M) -> str:
+    return encode_vector(M)
+
+
+def decode_matrix(text, q: int, shape: tuple) -> np.ndarray:
+    return decode_vector(text, q, shape)
+
+
+def encode_bits(v) -> str:
+    return (np.asarray(v, dtype=np.uint8) + ord("0")).tobytes().decode("ascii")
+
+
+def decode_bits(text, shape: tuple | None = None) -> np.ndarray:
+    # strip leaves a non-empty rest exactly when some character is not 0/1
+    if not isinstance(text, str) or text.strip("01"):
+        raise WireError("bit string must be a string of 0s and 1s")
+    out = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
+    if shape is not None and out.shape != shape:
+        raise DimensionError(
+            f"bit string of length {out.size} does not fit shape {shape}")
+    return out.astype(np.int64)
 
 
 def make_message(msg_type: str, payload: dict) -> dict:

@@ -1,6 +1,10 @@
+import copy
+import functools
 import socket
+import struct
 import threading
 
+import numpy as np
 import pytest
 
 from rotated_tcf.network import (SessionError, connect_prover,
@@ -9,8 +13,10 @@ from rotated_tcf.network import (SessionError, connect_prover,
 from rotated_tcf.protocol_q import (BaselineProver, HonestQuantumProver,
                                     run_single_trial)
 from rotated_tcf.transcripts import transcript_to_json
-from rotated_tcf.wire import (make_message, recv_message, send_message,
-                              PROTOCOL_VERSION)
+from rotated_tcf.wire import (PROTOCOL_VERSION, WITNESS_LABEL, _recv_exact,
+                              encode_bits, encode_matrix, encode_vector,
+                              make_message, parse_frame, recv_message,
+                              send_message)
 
 
 def _serve_in_thread(desk, stream, sessions, witness_channel):
@@ -126,18 +132,21 @@ def test_out_of_order_message_gets_error_frame(stream, desk):
 
 
 def test_version_mismatch_rejected(stream, desk):
-    port, t, box = _serve_in_thread(desk, stream.derive("net"), 1,
-                                    witness_channel=False)
-    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
-        send_message(sock, make_message("hello", {"role": "prover",
-                                                  "version": 999}))
-        reply = recv_message(sock)
-        # server's own hello arrives first, then the error
-        if reply["type"] == "hello":
+    # 2 is the last version that sent one decimal string per Z_q entry
+    for version in (999, 2):
+        port, t, box = _serve_in_thread(desk, stream.derive("net"), 1,
+                                        witness_channel=False)
+        with socket.create_connection(("127.0.0.1", port),
+                                      timeout=10) as sock:
+            send_message(sock, make_message("hello", {"role": "prover",
+                                                      "version": version}))
             reply = recv_message(sock)
-        assert reply["type"] == "error"
-        assert reply["payload"]["code"] == "version-mismatch"
-    t.join()
+            # server's own hello arrives first, then the error
+            if reply["type"] == "hello":
+                reply = recv_message(sock)
+            assert reply["type"] == "error"
+            assert reply["payload"]["code"] == "version-mismatch"
+        t.join()
 
 
 def test_bad_dimensions_rejected(stream, desk):
@@ -148,9 +157,140 @@ def test_bad_dimensions_rejected(stream, desk):
                                                   "version": PROTOCOL_VERSION}))
         assert recv_message(sock)["type"] == "hello"
         assert recv_message(sock)["type"] == "setup"
-        send_message(sock, make_message("response1", {"y": ["1", "2"],
-                                                      "u": [0, 1]}))
+        send_message(sock, make_message(
+            "response1", {"y": encode_vector(np.array([1, 2])),
+                          "u": encode_bits(np.array([0, 1]))}))
         reply = recv_message(sock)
         assert reply["type"] == "error"
         assert reply["payload"]["code"] == "bad-dimensions"
     t.join()
+
+
+def _open_session(port, witness=False):
+    """Play the prover's side by hand up to the setup frame; returns the
+    socket and the raw setup frame body."""
+    sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+    send_message(sock, make_message("hello", {"role": "prover",
+                                              "version": PROTOCOL_VERSION,
+                                              "witness": witness}))
+    assert recv_message(sock)["type"] == "hello"
+    (length,) = struct.unpack(">I", _recv_exact(sock, 4))
+    return sock, _recv_exact(sock, length)
+
+
+def _response1(desk):
+    return {"y": encode_vector(np.zeros(desk.m, dtype=np.int64)),
+            "u": encode_bits(np.zeros(desk.nQ, dtype=np.int64))}
+
+
+def _last_entry_q(desk, length):
+    """An encoded vector whose last entry is q, just outside Z_q."""
+    v = np.zeros(length, dtype=np.int64)
+    v[-1] = desk.q
+    return encode_vector(v)
+
+
+@pytest.mark.parametrize("make_payload, code", [
+    (lambda d: {**_response1(d), "y": _last_entry_q(d, d.m)}, "bad-encoding"),
+    (lambda d: {"y": _response1(d)["y"]}, "bad-encoding"),
+    (lambda d: {**_response1(d), "y": ["0"] * d.m}, "bad-encoding"),
+    (lambda d: {**_response1(d), "y": "not base64!"}, "bad-encoding"),
+    (lambda d: {**_response1(d), "u": "0120"}, "bad-encoding"),
+], ids=["entry-ge-q", "missing-key", "wrong-type", "bad-base64",
+        "non-bit"])
+def test_undecodable_response1_gets_error_frame(stream, desk, make_payload,
+                                                code):
+    port, t, box = _serve_in_thread(desk, stream.derive("net"), 1,
+                                    witness_channel=False)
+    sock, _ = _open_session(port)
+    with sock:
+        send_message(sock, make_message("response1", make_payload(desk)))
+        reply = recv_message(sock)
+    t.join()
+    assert reply["type"] == "error"
+    assert reply["payload"]["code"] == code
+    assert isinstance(box["error"], SessionError)
+    assert code in str(box["error"])
+
+
+def test_setup_frame_size(stream, desk):
+    """The packed arrays keep an honest desk setup frame, witness included,
+    well under the roughly 31.6 KB it took with one decimal string per
+    entry."""
+    port, t, box = _serve_in_thread(desk, stream.derive("net"), 1,
+                                    witness_channel=True)
+    sock, body = _open_session(port, witness=True)
+    with sock:
+        setup = parse_frame(body)["payload"]
+        assert WITNESS_LABEL in setup
+        assert len(body) + 4 <= 24_000
+        send_message(sock, make_message("response1", _response1(desk)))
+        send_message(sock, make_message("response2", {"d_prime": 0}))
+        assert recv_message(sock)["type"] == "challenge"
+        assert recv_message(sock)["type"] == "result"
+    t.join()
+    assert "error" not in box
+
+
+@pytest.fixture
+def honest_setup(stream, desk):
+    """One honest setup payload with the witness, as a verifier sends it."""
+    port, t, _ = _serve_in_thread(desk, stream.derive("setup"), 1,
+                                  witness_channel=True)
+    sock, body = _open_session(port, witness=True)
+    sock.close()
+    t.join()
+    return parse_frame(body)["payload"]
+
+
+DELETE = object()
+
+
+@pytest.mark.parametrize("path, value, code", [
+    (("pk", "v"), DELETE, "bad-encoding"),
+    (("n",), DELETE, "bad-encoding"),
+    (("pk", "A"), [["1"]], "bad-encoding"),
+    (("n",), [4], "bad-encoding"),
+    (("ct", "a"), "@@@@", "bad-encoding"),
+    (("ct", "w"), "-1", "bad-encoding"),
+    (("pk", "v"), lambda d: _last_entry_q(d, d.m), "bad-encoding"),
+    ((WITNESS_LABEL, "e"), lambda d: _last_entry_q(d, d.m), "bad-encoding"),
+    (("pk", "A"), lambda d: encode_matrix(
+        np.zeros((d.m - 1, d.n), dtype=np.int64)), "bad-dimensions"),
+], ids=["missing-v", "missing-n", "wrong-type-A", "wrong-type-n",
+        "bad-base64", "w-out-of-range", "entry-ge-q", "witness-entry-ge-q",
+        "wrong-shape"])
+def test_undecodable_setup_gets_error_frame(stream, desk, honest_setup,
+                                            path, value, code):
+    """A prover that cannot decode the setup frame tells the verifier why
+    and ends the session with SessionError."""
+    setup = copy.deepcopy(honest_setup)
+    *parents, last = path
+    inner = functools.reduce(dict.__getitem__, parents, setup)
+    if value is DELETE:
+        del inner[last]
+    else:
+        inner[last] = value(desk) if callable(value) else value
+    srv = open_server_socket("127.0.0.1", 0)
+    port = srv.getsockname()[1]
+    box = {}
+
+    def fake_verifier():
+        conn, _ = srv.accept()
+        with conn:
+            conn.settimeout(10)
+            recv_message(conn)                                  # hello
+            send_message(conn, make_message(
+                "hello", {"role": "verifier", "version": PROTOCOL_VERSION}))
+            send_message(conn, make_message("setup", setup))
+            box["reply"] = recv_message(conn)
+        srv.close()
+
+    t = threading.Thread(target=fake_verifier)
+    t.start()
+    with pytest.raises(SessionError, match=code):
+        prover_session("127.0.0.1", port, HonestQuantumProver(),
+                       stream.derive("trial", 0), timeout=10)
+    t.join()
+    assert box["reply"]["type"] == "error"
+    assert box["reply"]["payload"]["code"] == code

@@ -3,8 +3,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rotated_tcf.params import (Params, desk_preset, get_preset, is_prime,
-                                next_prime, select_params, tiny_params)
+from rotated_tcf.params import (TINY_PARAMS_CACHE, Params, desk_preset,
+                                get_preset, is_prime, next_prime,
+                                select_params, tiny_params)
 
 
 def test_is_prime_small():
@@ -86,3 +87,19 @@ def test_get_preset():
     assert get_preset("desk") is desk_preset()
     with pytest.raises(ValueError):
         get_preset("nope")
+
+
+def test_tiny_params_cache_is_bounded():
+    """The networked prover builds its Params from the values in the
+    verifier's setup frame; many distinct setups must not grow the cache."""
+    for lam in range(1, 4 * TINY_PARAMS_CACHE):
+        assert tiny_params(1, 23, 1.0, lam).lam == lam
+    info = tiny_params.cache_info()
+    assert info.maxsize == TINY_PARAMS_CACHE
+    assert info.currsize <= TINY_PARAMS_CACHE
+
+
+def test_oversized_modulus_rejected_before_primality_test():
+    # 10**4000 + 1 passes trial division; Miller-Rabin on it takes seconds
+    with pytest.raises(ValueError, match="2\\*\\*61"):
+        tiny_params(4, 10**4000 + 1)

@@ -1,32 +1,162 @@
+import base64
+import math
 import socket
 import struct
 import threading
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from rotated_tcf.wire import (MAX_FRAME_BYTES, PROTOCOL_VERSION,
-                              SECRET_FIELDS, WITNESS_LABEL, WireError,
-                              check_no_secrets, decode_bits, decode_matrix,
-                              decode_vector, dump_frame, encode_bits,
-                              encode_matrix, encode_vector, make_message,
-                              parse_frame, recv_message, send_message)
+                              SECRET_FIELDS, WITNESS_LABEL, DimensionError,
+                              WireError, check_no_secrets, decode_bits,
+                              decode_matrix, decode_vector, dump_frame,
+                              encode_bits, encode_matrix, encode_vector,
+                              make_message, parse_frame, recv_message,
+                              send_message)
+
+
+Q61 = (1 << 61) - 1
 
 
 def test_vector_codec_roundtrip_exact():
     v = np.array([0, 1, 4398046511118, (1 << 60) + 7], dtype=np.int64)
     encoded = encode_vector(v)
-    assert all(isinstance(x, str) for x in encoded)
-    assert np.array_equal(decode_vector(encoded), v)
+    assert isinstance(encoded, str)
+    # one base64 string of little-endian int64 entries
+    assert base64.b64decode(encoded) == v.astype("<i8").tobytes()
+    decoded = decode_vector(encoded, Q61)
+    assert decoded.dtype == np.int64
+    assert np.array_equal(decoded, v)
+    assert np.array_equal(decode_vector(encoded, Q61, (4,)), v)
 
 
 def test_matrix_and_bits_codecs():
-    M = np.array([[1, 2], [3, 4]], dtype=np.int64)
-    assert np.array_equal(decode_matrix(encode_matrix(M)), M)
+    M = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int64)
+    encoded = encode_matrix(M)
+    assert isinstance(encoded, str)
+    assert np.array_equal(decode_matrix(encoded, 7, (2, 3)), M)
+    # row-major: the same bytes as the flattened rows
+    assert encoded == encode_vector(M.reshape(-1))
     bits = np.array([0, 1, 1, 0], dtype=np.int64)
+    assert encode_bits(bits) == "0110"
     assert np.array_equal(decode_bits(encode_bits(bits)), bits)
+    assert decode_bits("").shape == (0,)
     with pytest.raises(WireError):
-        decode_bits([0, 2, 1])
+        decode_bits("0210")
+
+
+@st.composite
+def zq_arrays(draw):
+    q = draw(st.integers(2, Q61))
+    shape = draw(st.sampled_from([(0,), (1,), (7,), (3, 4), (1, 5)]))
+    size = math.prod(shape)
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=size,
+                            max_size=size))
+    return q, np.array(entries, dtype=np.int64).reshape(shape)
+
+
+@given(zq_arrays())
+def test_zq_arrays_roundtrip(case):
+    q, a = case
+    text = encode_matrix(a) if a.ndim == 2 else encode_vector(a)
+    with_shape = decode_vector(text, q, a.shape)
+    assert with_shape.dtype == np.int64
+    assert np.array_equal(with_shape, a)
+    assert np.array_equal(decode_vector(text, q), a.reshape(-1))
+    if a.ndim == 2:
+        assert np.array_equal(decode_matrix(text, q, a.shape), a)
+
+
+def _wire_error_only(decode, *args):
+    with pytest.raises(WireError):
+        decode(*args)
+
+
+@given(st.integers(2, Q61), st.lists(st.integers(0, Q61 - 1), max_size=6),
+       st.integers(-(1 << 63), -1) | st.integers(Q61, (1 << 63) - 1),
+       st.integers(0, 6))
+def test_out_of_range_entries_rejected(q, entries, bad, at):
+    entries = [x % q for x in entries]
+    entries.insert(min(at, len(entries)), bad)      # bad < 0 or bad >= q
+    text = encode_vector(np.array(entries, dtype=np.int64))
+    _wire_error_only(decode_vector, text, q)
+    _wire_error_only(decode_vector, text, q, (len(entries),))
+
+
+@given(st.none() | st.integers() | st.floats() | st.binary()
+       | st.lists(st.text(max_size=3), max_size=3)
+       | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+def test_non_string_rejected(value):
+    _wire_error_only(decode_vector, value, Q61)
+    _wire_error_only(decode_matrix, value, Q61, (1, 1))
+    _wire_error_only(decode_bits, value)
+
+
+@given(st.text(max_size=40))
+def test_arbitrary_text_never_escapes(text):
+    """Any string decodes to an int64 array or raises WireError."""
+    for decode, args in ((decode_vector, (Q61,)),
+                         (decode_vector, (Q61, (2,))),
+                         (decode_matrix, (Q61, (1, 2))),
+                         (decode_bits, ()),
+                         (decode_bits, ((3,),))):
+        try:
+            out = decode(text, *args)
+        except WireError:
+            continue
+        assert out.dtype == np.int64
+
+
+@given(st.lists(st.integers(0, 100), min_size=1, max_size=6),
+       st.sampled_from("!*-_ \n\u00e9\ud800"), st.integers(0, 60))
+def test_non_alphabet_base64_rejected(entries, char, at):
+    text = encode_vector(np.array(entries, dtype=np.int64))
+    at = min(at, len(text))
+    _wire_error_only(decode_vector, text[:at] + char + text[at:], 101)
+
+
+def test_non_canonical_base64_rejected():
+    text = encode_vector(np.array([5], dtype=np.int64))  # "BQAAAAAAAAA="
+    assert np.array_equal(decode_vector(text, 7), [5])
+    # same bytes, but nonzero padding bits in the last character
+    _wire_error_only(decode_vector, text[:-2] + "B=", 7)
+    # missing padding
+    _wire_error_only(decode_vector, text.rstrip("="), 7)
+
+
+@given(st.lists(st.integers(0, 100), min_size=1, max_size=6),
+       st.integers(1, 7))
+def test_truncated_length_rejected(entries, cut):
+    raw = np.array(entries, dtype="<i8").tobytes()[:-cut]
+    _wire_error_only(decode_vector, base64.b64encode(raw).decode(), 101)
+
+
+@given(st.lists(st.integers(0, 100), max_size=6),
+       st.sampled_from([(0,), (1,), (5,), (2, 3), (3, 2), (7,)]))
+def test_wrong_shape_rejected(entries, shape):
+    assume(math.prod(shape) != len(entries))
+    text = encode_vector(np.array(entries, dtype=np.int64))
+    with pytest.raises(DimensionError):
+        decode_vector(text, 101, shape)
+    if len(shape) == 2:
+        with pytest.raises(DimensionError):
+            decode_matrix(text, 101, shape)
+    bits = "01" * len(entries)
+    assume((len(bits),) != shape)
+    with pytest.raises(DimensionError):
+        decode_bits(bits, shape)
+
+
+@given(st.lists(st.sampled_from("01"), max_size=20),
+       st.characters(blacklist_characters="01"), st.integers(0, 20))
+def test_bits_reject_non_bit_characters(bits, char, at):
+    text = "".join(bits)
+    assert np.array_equal(decode_bits(text), [int(c) for c in text])
+    at = min(at, len(text))
+    _wire_error_only(decode_bits, text[:at] + char + text[at:])
 
 
 def test_frame_roundtrip():
