@@ -12,6 +12,7 @@ labeled, inside the setup frame.  Classical strategies never receive it.
 """
 from __future__ import annotations
 
+import math
 import socket
 
 from .params import Params, tiny_params
@@ -146,19 +147,38 @@ def serve_verifier(server_sock, params: Params, stream: RngStream,
     return Stats(successes=wins, trials=sessions), transcripts
 
 
+def _number(value, kinds: tuple):
+    """A JSON number of one of `kinds`; bools and non-finite floats are
+    refused."""
+    if type(value) not in kinds or (type(value) is float
+                                    and not math.isfinite(value)):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise WireError(f"expected a JSON {names}, got {value!r:.40}")
+    return value
+
+
+def _decimal(text, bound: int) -> int:
+    """An integer in [0, bound) sent as a canonical decimal string."""
+    if (not isinstance(text, str) or len(text) > len(str(bound))
+            or not (text.isascii() and text.isdigit())
+            or str(int(text)) != text or int(text) >= bound):
+        raise WireError(f"expected a decimal string in [0, {bound})"
+                        f", got {text!r:.40}")
+    return int(text)
+
+
 def _keys_from_setup(payload: dict):
     """(params, public key, ciphertext) from a setup payload."""
-    params = tiny_params(n=int(payload["n"]), q=int(payload["q"]),
-                         sigma=float(payload["sigma"]),
-                         lam=int(payload["lambda"]))
+    params = tiny_params(n=_number(payload["n"], (int,)),
+                         q=_decimal(payload["q"], 1 << 61),  # Params' limit
+                         sigma=float(_number(payload["sigma"], (int, float))),
+                         lam=_number(payload["lambda"], (int,)))
     q, n, m = params.q, params.n, params.m
     pk = PublicKey(params=params,
                    A=decode_matrix(payload["pk"]["A"], q, (m, n)),
                    v=decode_vector(payload["pk"]["v"], q, (m,)))
-    w = int(payload["ct"]["w"])
-    if not 0 <= w < q:
-        raise WireError(f"ciphertext w outside [0, {q})")
-    ct = Ciphertext(a=decode_vector(payload["ct"]["a"], q, (n,)), w=w)
+    ct = Ciphertext(a=decode_vector(payload["ct"]["a"], q, (n,)),
+                    w=_decimal(payload["ct"]["w"], q))
     return params, pk, ct
 
 

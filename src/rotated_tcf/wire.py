@@ -48,8 +48,8 @@ def encode_vector(v) -> str:
         np.ascontiguousarray(v, dtype=_INT64).tobytes()).decode("ascii")
 
 
-def decode_vector(text, q: int, shape: tuple | None = None) -> np.ndarray:
-    """The int64 array in `text`, reshaped to `shape` when one is given."""
+def decode_vector(text, q: int, shape: tuple) -> np.ndarray:
+    """The int64 array of shape `shape` in `text`."""
     if not isinstance(text, str):
         raise WireError(f"array must be a string, got {type(text).__name__}")
     try:
@@ -61,11 +61,10 @@ def decode_vector(text, q: int, shape: tuple | None = None) -> np.ndarray:
     if len(raw) % _INT64.itemsize:
         raise WireError(f"array of {len(raw)} bytes is not int64-aligned")
     out = np.frombuffer(raw, dtype=_INT64).astype(np.int64)
-    if shape is not None:
-        if out.size != math.prod(shape):
-            raise DimensionError(
-                f"array of {out.size} entries does not fit shape {shape}")
-        out = out.reshape(shape)
+    if out.size != math.prod(shape):
+        raise DimensionError(
+            f"array of {out.size} entries does not fit shape {shape}")
+    out = out.reshape(shape)
     if out.size and (int(out.min()) < 0 or int(out.max()) >= q):
         raise WireError(f"array entry outside [0, {q})")
     return out
@@ -83,12 +82,12 @@ def encode_bits(v) -> str:
     return (np.asarray(v, dtype=np.uint8) + ord("0")).tobytes().decode("ascii")
 
 
-def decode_bits(text, shape: tuple | None = None) -> np.ndarray:
+def decode_bits(text, shape: tuple) -> np.ndarray:
     # strip leaves a non-empty rest exactly when some character is not 0/1
     if not isinstance(text, str) or text.strip("01"):
         raise WireError("bit string must be a string of 0s and 1s")
     out = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
-    if shape is not None and out.shape != shape:
+    if out.shape != shape:
         raise DimensionError(
             f"bit string of length {out.size} does not fit shape {shape}")
     return out.astype(np.int64)
@@ -130,7 +129,7 @@ def dump_frame(msg: dict) -> bytes:
 def parse_frame(body: bytes) -> dict:
     try:
         msg = json.loads(body.decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except ValueError as exc:   # bad JSON or UTF-8, or an over-long integer
         raise WireError(f"malformed frame: {exc}") from None
     if not isinstance(msg, dict) or "type" not in msg or "payload" not in msg:
         raise WireError("frame missing type/payload")

@@ -253,12 +253,18 @@ DELETE = object()
     (("n",), [4], "bad-encoding"),
     (("ct", "a"), "@@@@", "bad-encoding"),
     (("ct", "w"), "-1", "bad-encoding"),
+    (("ct", "w"), 3.5, "bad-encoding"),
+    (("n",), True, "bad-encoding"),
+    (("lambda",), 4.0, "bad-encoding"),
+    (("q",), lambda d: f" {d.q}", "bad-encoding"),
+    (("sigma",), float("nan"), "bad-encoding"),
     (("pk", "v"), lambda d: _last_entry_q(d, d.m), "bad-encoding"),
     ((WITNESS_LABEL, "e"), lambda d: _last_entry_q(d, d.m), "bad-encoding"),
     (("pk", "A"), lambda d: encode_matrix(
         np.zeros((d.m - 1, d.n), dtype=np.int64)), "bad-dimensions"),
 ], ids=["missing-v", "missing-n", "wrong-type-A", "wrong-type-n",
-        "bad-base64", "w-out-of-range", "entry-ge-q", "witness-entry-ge-q",
+        "bad-base64", "w-out-of-range", "w-float", "n-bool", "lambda-float",
+        "q-padded", "sigma-nan", "entry-ge-q", "witness-entry-ge-q",
         "wrong-shape"])
 def test_undecodable_setup_gets_error_frame(stream, desk, honest_setup,
                                             path, value, code):

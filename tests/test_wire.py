@@ -27,10 +27,9 @@ def test_vector_codec_roundtrip_exact():
     assert isinstance(encoded, str)
     # one base64 string of little-endian int64 entries
     assert base64.b64decode(encoded) == v.astype("<i8").tobytes()
-    decoded = decode_vector(encoded, Q61)
+    decoded = decode_vector(encoded, Q61, (4,))
     assert decoded.dtype == np.int64
     assert np.array_equal(decoded, v)
-    assert np.array_equal(decode_vector(encoded, Q61, (4,)), v)
 
 
 def test_matrix_and_bits_codecs():
@@ -42,10 +41,10 @@ def test_matrix_and_bits_codecs():
     assert encoded == encode_vector(M.reshape(-1))
     bits = np.array([0, 1, 1, 0], dtype=np.int64)
     assert encode_bits(bits) == "0110"
-    assert np.array_equal(decode_bits(encode_bits(bits)), bits)
-    assert decode_bits("").shape == (0,)
+    assert np.array_equal(decode_bits(encode_bits(bits), (4,)), bits)
+    assert decode_bits("", (0,)).shape == (0,)
     with pytest.raises(WireError):
-        decode_bits("0210")
+        decode_bits("0210", (4,))
 
 
 @st.composite
@@ -62,10 +61,11 @@ def zq_arrays(draw):
 def test_zq_arrays_roundtrip(case):
     q, a = case
     text = encode_matrix(a) if a.ndim == 2 else encode_vector(a)
-    with_shape = decode_vector(text, q, a.shape)
-    assert with_shape.dtype == np.int64
-    assert np.array_equal(with_shape, a)
-    assert np.array_equal(decode_vector(text, q), a.reshape(-1))
+    decoded = decode_vector(text, q, a.shape)
+    assert decoded.dtype == np.int64
+    assert np.array_equal(decoded, a)
+    # the same bytes read as one row
+    assert np.array_equal(decode_vector(text, q, (a.size,)), a.reshape(-1))
     if a.ndim == 2:
         assert np.array_equal(decode_matrix(text, q, a.shape), a)
 
@@ -82,7 +82,6 @@ def test_out_of_range_entries_rejected(q, entries, bad, at):
     entries = [x % q for x in entries]
     entries.insert(min(at, len(entries)), bad)      # bad < 0 or bad >= q
     text = encode_vector(np.array(entries, dtype=np.int64))
-    _wire_error_only(decode_vector, text, q)
     _wire_error_only(decode_vector, text, q, (len(entries),))
 
 
@@ -90,18 +89,18 @@ def test_out_of_range_entries_rejected(q, entries, bad, at):
        | st.lists(st.text(max_size=3), max_size=3)
        | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
 def test_non_string_rejected(value):
-    _wire_error_only(decode_vector, value, Q61)
+    _wire_error_only(decode_vector, value, Q61, (1,))
     _wire_error_only(decode_matrix, value, Q61, (1, 1))
-    _wire_error_only(decode_bits, value)
+    _wire_error_only(decode_bits, value, (1,))
 
 
 @given(st.text(max_size=40))
 def test_arbitrary_text_never_escapes(text):
     """Any string decodes to an int64 array or raises WireError."""
-    for decode, args in ((decode_vector, (Q61,)),
+    for decode, args in ((decode_vector, (Q61, (1,))),
                          (decode_vector, (Q61, (2,))),
                          (decode_matrix, (Q61, (1, 2))),
-                         (decode_bits, ()),
+                         (decode_bits, ((len(text),),)),
                          (decode_bits, ((3,),))):
         try:
             out = decode(text, *args)
@@ -115,23 +114,25 @@ def test_arbitrary_text_never_escapes(text):
 def test_non_alphabet_base64_rejected(entries, char, at):
     text = encode_vector(np.array(entries, dtype=np.int64))
     at = min(at, len(text))
-    _wire_error_only(decode_vector, text[:at] + char + text[at:], 101)
+    _wire_error_only(decode_vector, text[:at] + char + text[at:], 101,
+                     (len(entries),))
 
 
 def test_non_canonical_base64_rejected():
     text = encode_vector(np.array([5], dtype=np.int64))  # "BQAAAAAAAAA="
-    assert np.array_equal(decode_vector(text, 7), [5])
+    assert np.array_equal(decode_vector(text, 7, (1,)), [5])
     # same bytes, but nonzero padding bits in the last character
-    _wire_error_only(decode_vector, text[:-2] + "B=", 7)
+    _wire_error_only(decode_vector, text[:-2] + "B=", 7, (1,))
     # missing padding
-    _wire_error_only(decode_vector, text.rstrip("="), 7)
+    _wire_error_only(decode_vector, text.rstrip("="), 7, (1,))
 
 
 @given(st.lists(st.integers(0, 100), min_size=1, max_size=6),
        st.integers(1, 7))
 def test_truncated_length_rejected(entries, cut):
     raw = np.array(entries, dtype="<i8").tobytes()[:-cut]
-    _wire_error_only(decode_vector, base64.b64encode(raw).decode(), 101)
+    _wire_error_only(decode_vector, base64.b64encode(raw).decode(), 101,
+                     (len(entries),))
 
 
 @given(st.lists(st.integers(0, 100), max_size=6),
@@ -154,9 +155,11 @@ def test_wrong_shape_rejected(entries, shape):
        st.characters(blacklist_characters="01"), st.integers(0, 20))
 def test_bits_reject_non_bit_characters(bits, char, at):
     text = "".join(bits)
-    assert np.array_equal(decode_bits(text), [int(c) for c in text])
+    assert np.array_equal(decode_bits(text, (len(text),)),
+                          [int(c) for c in text])
     at = min(at, len(text))
-    _wire_error_only(decode_bits, text[:at] + char + text[at:])
+    _wire_error_only(decode_bits, text[:at] + char + text[at:],
+                     (len(text) + 1,))
 
 
 def test_frame_roundtrip():
@@ -166,6 +169,13 @@ def test_frame_roundtrip():
     assert length == len(frame) - 4
     assert parse_frame(frame[4:]) == msg
     assert msg["protocol_version"] == PROTOCOL_VERSION
+
+
+def test_overlong_integer_literal_is_a_wire_error():
+    # json.loads raises a plain ValueError for an int past 4,300 digits
+    with pytest.raises(WireError):
+        parse_frame(b'{"type": "setup", "payload": {"n": ' + b"9" * 5000
+                    + b"}}")
 
 
 def test_unknown_message_type_rejected():
