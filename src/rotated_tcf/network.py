@@ -111,11 +111,8 @@ def verifier_session(conn, params: Params, trial_stream: RngStream,
     b_prime = int(sample_bits(1, trial_stream.derive("challenge"))[0])
     vstate.b_prime = b_prime
     send_message(conn, make_message("challenge", {"b_prime": b_prime}))
-    msg = _expect(conn, "response2")
-    d_prime = int(msg["payload"]["d_prime"])
-    if d_prime not in (0, 1):
-        _send_error(conn, "bad-bit")
-        raise SessionError("d_prime is not a bit")
+    response2 = _expect(conn, "response2")["payload"]
+    d_prime = _bit(conn, response2, "d_prime")
     transcript = verifier_score(vstate, y, u, d_prime,
                                 seed_info=trial_stream.seed.hex())
     send_message(conn, make_message("result",
@@ -167,6 +164,17 @@ def _decimal(text, bound: int) -> int:
     return int(text)
 
 
+def _bit(sock, payload: dict, key: str) -> int:
+    """payload[key] as a JSON integer that is 0 or 1.  A missing key or
+    another type sends `bad-encoding`, another integer `bad-bit`; either
+    way the session ends with SessionError."""
+    value = _decode(sock, lambda: _number(payload[key], (int,)))
+    if value not in (0, 1):
+        _send_error(sock, "bad-bit")
+        raise SessionError(f"{key} is not a bit (bad-bit)")
+    return value
+
+
 def _keys_from_setup(payload: dict):
     """(params, public key, ciphertext) from a setup payload."""
     params = tiny_params(n=_number(payload["n"], (int,)),
@@ -205,7 +213,7 @@ def prover_session(host: str, port: int, strategy, trial_stream: RngStream,
                                         {"y": encode_vector(y),
                                          "u": encode_bits(u)}))
         challenge = _expect(sock, "challenge")["payload"]
-        b_prime = int(challenge["b_prime"])
+        b_prime = _bit(sock, challenge, "b_prime")
         d_prime = int(strategy.second_response(b_prime, memory, pstream))
         send_message(sock, make_message("response2", {"d_prime": d_prime}))
         return _expect(sock, "result")["payload"]

@@ -21,7 +21,8 @@ import numpy as np
 from .ghz import (PhaseQubit, angle_sequence, simulate_basis_measurement,
                   simulate_ghz_measurement)
 from .params import Params
-from .regev import Ciphertext, KeypairJ, PublicKey, encrypt_bit, gen_j
+from .regev import (Ciphertext, KeypairJ, PublicKey, encrypt_bit, gen_j,
+                    gen_j_stacked)
 from .sampling import RngStream, sample_bits, sample_box, sample_uniform
 from .stats import Stats
 from .trapdoor import TrapdoorPair, invert
@@ -33,7 +34,7 @@ from .zq import bit_dot, bits_le_vec, inf_norm, matmul_mod
 class VerifierState:
     params: Params
     keypair: KeypairJ
-    b: int
+    b: int                   # an int64 array for a stack of instances
     ct: Ciphertext
     f: np.ndarray            # encryption randomness, kept for diagnostics
     b_prime: int | None = None
@@ -45,13 +46,30 @@ class ProverState:
     claw_case: str           # "two-preimage" or "single-preimage"
 
 
-def verifier_round1(params: Params, stream: RngStream):
-    kp = gen_j(params, stream.derive("key"))
-    b = int(sample_bits(1, stream.derive("b"))[0])
-    f = sample_bits(params.m, stream.derive("f"))
-    ct = encrypt_bit(kp.pk, b, stream, force_f=f)
+def _bit_draws(params: Params, stream: RngStream):
+    """The encrypted bit b and the encryption randomness f."""
+    return (int(sample_bits(1, stream.derive("b"))[0]),
+            sample_bits(params.m, stream.derive("f")))
+
+
+def _round1(params: Params, kp: KeypairJ, b, f):
+    ct = encrypt_bit(kp.pk, b, None, force_f=f)
     state = VerifierState(params=params, keypair=kp, b=b, ct=ct, f=f)
     return state, (kp.pk, ct)
+
+
+def verifier_round1(params: Params, stream: RngStream):
+    return _round1(params, gen_j(params, stream.derive("key")),
+                   *_bit_draws(params, stream))
+
+
+def verifier_round1_stacked(params: Params, streams):
+    """verifier_round1 for each of `streams`, with every array stacked on a
+    leading axis: each stream draws what verifier_round1 draws from it,
+    then A s, f A and f v run once for the stack."""
+    b, f = zip(*(_bit_draws(params, stream) for stream in streams))
+    kp = gen_j_stacked(params, [stream.derive("key") for stream in streams])
+    return _round1(params, kp, np.array(b), np.stack(f))
 
 
 def _within_tau(value: int, tau: Fraction) -> bool:
@@ -96,16 +114,21 @@ def honest_prover_round2(state: ProverState, b_prime: int,
 
 
 def claw_bit(x: np.ndarray, u: np.ndarray, Q: int) -> int:
-    """d = u . ([x0] xor [x1]) for the stacked claw preimages x = (x0, x1)."""
-    return bit_dot(u, bits_le_vec(x[0], Q) ^ bits_le_vec(x[1], Q))
+    """d = u . ([x0] xor [x1]) for the claw preimages x = (x0, x1) stacked
+    on axis -2; stacks of x and u give one bit per instance."""
+    return bit_dot(u, bits_le_vec(x[..., 0, :], Q)
+                   ^ bits_le_vec(x[..., 1, :], Q))
 
 
 def decrypted_bit(pair: TrapdoorPair, v: np.ndarray, y: np.ndarray,
                   u: np.ndarray) -> int:
     """The claw bit with x0 = invert(y) and x1 = invert(y + v), the claw
-    preimages recovered through the trapdoor on both branches."""
+    preimages recovered through the trapdoor on both branches.  A stack of
+    pairs with stacked v, y and u gives one bit per instance, from one
+    inversion call."""
     p = pair.params
-    return claw_bit(invert(pair, np.stack([y, (y + v) % p.q])), u, p.Q)
+    return claw_bit(invert(pair, np.stack([y, (y + v) % p.q], axis=-2)), u,
+                    p.Q)
 
 
 def verifier_score(vstate: VerifierState, y: np.ndarray, u: np.ndarray,

@@ -15,7 +15,7 @@ import numpy as np
 from .params import Params
 from .sampling import RngStream, sample_bits, sample_noise, sample_uniform
 from .stats import Stats
-from .trapdoor import TrapdoorPair, gen_trap
+from .trapdoor import TrapdoorPair, gen_trap, gen_trap_stacked
 from .zq import centered_abs, matmul_mod
 
 
@@ -29,7 +29,7 @@ class PublicKey:
 @dataclass(frozen=True)
 class Ciphertext:
     a: np.ndarray   # length n
-    w: int
+    w: int          # an int64 array for a stack of ciphertexts
 
 
 @dataclass(frozen=True)
@@ -47,24 +47,44 @@ class KeypairJ:
     trapdoor: TrapdoorPair
 
 
-def _keygen_tail(params: Params, A: np.ndarray, stream: RngStream):
-    s = sample_uniform(params.n, params.q, stream.derive("s"))
-    e = sample_noise(params, stream.derive("e"))
-    v = (matmul_mod(A, s, params.q) + e) % params.q
-    return PublicKey(params=params, A=A, v=v), s, e
+# Keys, ciphertexts and trapdoor pairs also come stacked: every array with
+# the same leading axes, one index per instance.  Draws are made per
+# instance from its own streams; the arithmetic below takes either form.
+
+
+def _secrets(params: Params, stream: RngStream):
+    return (sample_uniform(params.n, params.q, stream.derive("s")),
+            sample_noise(params, stream.derive("e")))
+
+
+def _public_key(params: Params, A, s, e) -> PublicKey:
+    v = (matmul_mod(A, s[..., None], params.q)[..., 0] + e) % params.q
+    return PublicKey(params=params, A=A, v=v)
 
 
 def gen_k(params: Params, stream: RngStream) -> KeypairK:
     A = stream.derive("A").gen.integers(0, params.q, size=(params.m, params.n),
                                         dtype=np.int64)
-    pk, s, e = _keygen_tail(params, A, stream)
-    return KeypairK(pk=pk, s=s, e=e)
+    s, e = _secrets(params, stream)
+    return KeypairK(pk=_public_key(params, A, s, e), s=s, e=e)
 
 
 def gen_j(params: Params, stream: RngStream) -> KeypairJ:
     pair = gen_trap(params, stream.derive("trap"))
-    pk, s, e = _keygen_tail(params, pair.A, stream)
-    return KeypairJ(pk=pk, s=s, e=e, trapdoor=pair)
+    s, e = _secrets(params, stream)
+    return KeypairJ(pk=_public_key(params, pair.A, s, e), s=s, e=e,
+                    trapdoor=pair)
+
+
+def gen_j_stacked(params: Params, streams) -> KeypairJ:
+    """gen_j for each of `streams`, stacked: the same draws from each
+    stream, then v = A s + e as one product."""
+    pair = gen_trap_stacked(params, [stream.derive("trap")
+                                     for stream in streams])
+    s, e = map(np.stack, zip(*(_secrets(params, stream)
+                               for stream in streams)))
+    return KeypairJ(pk=_public_key(params, pair.A, s, e), s=s, e=e,
+                    trapdoor=pair)
 
 
 def encrypt_zq(pk: PublicKey, value: int, stream: RngStream,
@@ -72,19 +92,21 @@ def encrypt_zq(pk: PublicKey, value: int, stream: RngStream,
     """ct = (f^T A, f^T v + value) for a fresh subset vector f.
 
     Returns (ct, f); callers that need the randomness (blind state
-    preparation, tests) keep f, everyone else discards it."""
+    preparation, tests) keep f, everyone else discards it.  With a stacked
+    key, force_f and value stack the same way."""
     p = pk.params
     f = sample_bits(p.m, stream) if force_f is None else np.asarray(force_f, dtype=np.int64)
-    if f.shape != (p.m,) or not np.all((f == 0) | (f == 1)):
+    if f.shape[-1] != p.m or not np.all((f == 0) | (f == 1)):
         raise ValueError("f must be a 0/1 vector of length m")
-    a = matmul_mod(f, pk.A, p.q)
-    w = (int(matmul_mod(f, pk.v, p.q)) + int(value)) % p.q
-    return Ciphertext(a=a, w=w), f
+    row = f[..., None, :]
+    a = matmul_mod(row, pk.A, p.q)[..., 0, :]
+    w = (matmul_mod(row, pk.v[..., None], p.q)[..., 0, 0] + value) % p.q
+    return Ciphertext(a=a, w=w if w.ndim else int(w)), f
 
 
-def encrypt_bit(pk: PublicKey, b: int, stream: RngStream,
+def encrypt_bit(pk: PublicKey, b, stream: RngStream,
                 force_f: np.ndarray | None = None) -> Ciphertext:
-    if b not in (0, 1):
+    if not {*np.ravel(b).tolist()} <= {0, 1}:
         raise ValueError("message must be a bit")
     ct, _ = encrypt_zq(pk, b * (pk.params.q // 4), stream, force_f=force_f)
     return ct

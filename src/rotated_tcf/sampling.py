@@ -78,9 +78,13 @@ def gaussian_table(sigma: float):
     return support, pmf
 
 
-def _table_draw(support, pmf, stream: RngStream, size):
+def _cdf(pmf):
     cdf = np.cumsum(pmf)
     cdf[-1] = 1.0
+    return cdf
+
+
+def _table_draw(support, cdf, stream: RngStream, size):
     u = stream.gen.random(size if size is not None else 1)
     idx = np.searchsorted(cdf, u, side="right")
     out = support[idx]
@@ -90,7 +94,21 @@ def _table_draw(support, pmf, stream: RngStream, size):
 def sample_gaussian(sigma: float, stream: RngStream, size=None):
     """Draw from G(sigma) via inverse-CDF on the exact pmf table."""
     support, pmf = gaussian_table(sigma)
-    return _table_draw(support, pmf, stream, size)
+    return _table_draw(support, _cdf(pmf), stream, size)
+
+
+@lru_cache(maxsize=64)
+def _truncated_table(sigma: float, tau: Fraction):
+    """Support and CDF of G(sigma) conditioned on |x| <= tau, built once
+    per (sigma, tau); read-only, since every caller shares them."""
+    support, pmf = gaussian_table(sigma)
+    # |x| <= tau via integer cross-multiplication
+    keep = np.abs(support) * tau.denominator <= tau.numerator
+    support, pmf = support[keep], pmf[keep]
+    cdf = _cdf(pmf / pmf.sum())
+    support.setflags(write=False)
+    cdf.setflags(write=False)
+    return support, cdf
 
 
 def sample_truncated_gaussian(sigma: float, tau, stream: RngStream, size=None):
@@ -98,12 +116,7 @@ def sample_truncated_gaussian(sigma: float, tau, stream: RngStream, size=None):
     tau = Fraction(tau)
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    support, pmf = gaussian_table(sigma)
-    # |x| <= tau via integer cross-multiplication
-    keep = np.abs(support) * tau.denominator <= tau.numerator
-    support, pmf = support[keep], pmf[keep]
-    pmf = pmf / pmf.sum()
-    out = _table_draw(support, pmf, stream, size)
+    out = _table_draw(*_truncated_table(sigma, tau), stream, size)
     if not np.all(np.abs(out) * tau.denominator <= tau.numerator):
         raise AssertionError("truncated Gaussian draw exceeds tau")
     return out

@@ -4,7 +4,7 @@ GenTrap builds A = [G + N*M ; M] where M is uniform over Z_q and N is a
 uniform 0/1 matrix (the trapdoor).  Invert recovers s from A*s + e whenever
 ||e||_inf <= 2*tau; any failure returns the all-zero sentinel vector.  It
 decodes every gadget block at once, without Python loops, and accepts
-stacked inputs.
+stacked inputs and a stack of pairs.
 """
 from __future__ import annotations
 
@@ -16,30 +16,44 @@ import numpy as np
 from .params import Params
 from .sampling import RngStream
 from .zq import (bits_le, centered_abs, centered_lift, gadget_matrix,
-                 inf_norm, matmul_mod)
+                 inf_norm, matmul_mod, product_dtype)
 
 
 @dataclass(frozen=True)
 class TrapdoorPair:
+    """One pair, or a stack of pairs with the same leading axes on A and N."""
     params: Params
-    A: np.ndarray   # m x n over Z_q
-    N: np.ndarray   # Qn x (Q+1)n with 0/1 entries
+    A: np.ndarray   # (..., m, n) over Z_q
+    N: np.ndarray   # (..., Qn, (Q+1)n) with 0/1 entries, in its
+                    # zq.product_dtype
 
     def top(self) -> np.ndarray:
-        return self.A[: self.params.nQ]
+        return self.A[..., : self.params.nQ, :]
 
     def bottom(self) -> np.ndarray:
-        return self.A[self.params.nQ:]
+        return self.A[..., self.params.nQ:, :]
 
 
 def gen_trap(params: Params, stream: RngStream) -> TrapdoorPair:
+    pair = gen_trap_stacked(params, [stream])
+    return TrapdoorPair(params=params, A=pair.A[0], N=pair.N[0])
+
+
+def gen_trap_stacked(params: Params, streams) -> TrapdoorPair:
+    """One pair per stream, stacked on a leading axis.  Each stream draws M
+    and then N; N goes straight into its place in the stack, in the dtype
+    its products take, and N M is formed as soon as N is drawn."""
     n, Q, q = params.n, params.Q, params.q
-    gen = stream.gen
-    M = gen.integers(0, q, size=((Q + 1) * n, n), dtype=np.int64)
-    N = gen.integers(0, 2, size=(Q * n, (Q + 1) * n), dtype=np.int64)
+    k = (Q + 1) * n
+    A = np.empty((len(streams), params.m, n), dtype=np.int64)
+    N = np.empty((len(streams), Q * n, k),
+                 dtype=product_dtype((Q * n, k), 1, q))
     G = gadget_matrix(n, Q, q)
-    top = (G + matmul_mod(N, M, q)) % q
-    A = np.vstack([top, M])
+    for i, stream in enumerate(streams):
+        gen = stream.gen
+        A[i, Q * n:] = gen.integers(0, q, size=(k, n), dtype=np.int64)
+        N[i] = gen.integers(0, 2, size=(Q * n, k), dtype=np.int64)
+        A[i, :Q * n] = (G + matmul_mod(N[i], A[i, Q * n:], q)) % q
     return TrapdoorPair(params=params, A=A, N=N)
 
 
@@ -47,8 +61,12 @@ def invert(pair: TrapdoorPair, v: np.ndarray) -> np.ndarray:
     """Recover s from v = A s + e with ||e||_inf <= 2 tau; 0^n on failure.
 
     v may be stacked, shape (..., m) -> (..., n); a row that fails to
-    decode gets its own 0^n.  Each Q-block of v1 - N v2 is g s_i + e' mod q
-    with g = (1, 2, ..., 2^(Q-1)).  S g = 0 mod q for the gadget basis S
+    decode gets its own 0^n.  A stack of pairs, N of shape
+    L + (Qn, (Q+1)n), takes v of shape L + (..., m) and decodes each row
+    with the pair at its index in L.
+
+    Each Q-block of v1 - N v2 is g s_i + e' mod q with
+    g = (1, 2, ..., 2^(Q-1)).  S g = 0 mod q for the gadget basis S
     (rows (2, -1) on the diagonal, last row the bits of q), so S blk lifted
     to the centered range is S e' exactly, and e'_0 is row 0 of S^-1 times
     it; s_i = blk_0 - e'_0."""
@@ -57,9 +75,13 @@ def invert(pair: TrapdoorPair, v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.int64)
     if v.shape[-1] != p.m:
         raise ValueError("v has wrong length")
-    # the 0/1 operand on the left keeps matmul_mod on its one-product paths
-    blk = (v[..., :Q * n] - matmul_mod(pair.N, v[..., Q * n:, None], q)[..., 0]
-           ) % q
+    lead = pair.N.shape[:-2]
+    if v.shape[:len(lead)] != lead:
+        raise ValueError("v does not lead with the pairs' stack axes")
+    # N v2 for every row as one product per pair: N @ (rows of v2)^T
+    v2 = v[..., Q * n:].reshape(lead + (-1, (Q + 1) * n))
+    Nv2 = np.swapaxes(matmul_mod(pair.N, np.swapaxes(v2, -1, -2), q), -1, -2)
+    blk = (v[..., :Q * n] - Nv2.reshape(v.shape[:-1] + (Q * n,))) % q
     blk = blk.reshape(v.shape[:-1] + (n, Q))
     w_last = matmul_mod(bits_le(q, Q), np.swapaxes(blk, -1, -2), q)
     w = np.concatenate([(2 * blk[..., :-1] - blk[..., 1:]) % q,

@@ -133,6 +133,8 @@ def parse_frame(body: bytes) -> dict:
         raise WireError(f"malformed frame: {exc}") from None
     if not isinstance(msg, dict) or "type" not in msg or "payload" not in msg:
         raise WireError("frame missing type/payload")
+    if not isinstance(msg["payload"], dict):
+        raise WireError("frame payload is not a JSON object")
     if msg["type"] not in MESSAGE_TYPES:
         raise WireError(f"unknown message type {msg['type']!r}")
     return msg

@@ -1,10 +1,11 @@
 """Exact arithmetic and linear algebra over Z_q for an odd prime modulus q.
 
 Vectors and matrices are numpy int64 arrays holding canonical representatives
-in [0, q).  Every product goes through `matmul_mod`, which stays exact: sums
-below 2**53 run in float64, sums that could overflow 64 bits are computed
-via limb splitting (Horner folding stays within int64) or fall back to
-Python integers.  Supported moduli: odd primes q < 2**61.
+in [0, q).  Every product goes through `matmul_mod`, which stays exact:
+matrix products with sums below 2**53 run in float64, other sums below 2**63
+in int64, sums that could overflow 64 bits are computed via limb splitting
+(Horner folding stays within int64) or fall back to Python integers.
+Supported moduli: odd primes q < 2**61.
 """
 from __future__ import annotations
 
@@ -42,10 +43,11 @@ def bits_le(x: int, Q: int) -> np.ndarray:
 
 
 def bits_le_vec(x: np.ndarray, Q: int) -> np.ndarray:
-    """Concatenated little-endian bits of each coordinate, length len(x)*Q."""
+    """Concatenated little-endian bits of each coordinate, length len(x)*Q;
+    a stack of vectors, shape (..., k), gives shape (..., k*Q)."""
     x = np.asarray(x, dtype=np.int64)
     shifts = np.arange(Q, dtype=np.int64)
-    return ((x[:, None] >> shifts) & 1).reshape(-1)
+    return ((x[..., None] >> shifts) & 1).reshape(x.shape[:-1] + (-1,))
 
 
 def gadget_matrix(n: int, Q: int, q: int) -> np.ndarray:
@@ -59,22 +61,39 @@ def gadget_matrix(n: int, Q: int, q: int) -> np.ndarray:
     return G
 
 
+def product_dtype(shape, bound: int, q: int):
+    """The dtype matmul_mod multiplies a left operand of this shape with
+    entries in [0, bound] in: float64 when k * bound * (q-1) < 2^53, with k
+    the inner dimension, and the operand has more than one row; else int64.
+    A single-row (vector) product runs faster in int64 than after casting
+    both operands for BLAS.  A fixed matrix stored as float64 this way is
+    multiplied with no cast or scan."""
+    one_row = len(shape) == 1 or shape[-2] == 1
+    if not one_row and shape[-1] * bound * (q - 1) < _FLOAT64_EXACT:
+        return np.float64
+    return np.int64
+
+
 def matmul_mod(A, B, q: int):
     """A @ B mod q, exact for entries in [0, q), with numpy `@` shapes.
 
     With k the inner dimension: one float64 (BLAS) product when
-    k * max(A) * (q-1) < 2^53, exact since every product and partial sum is
-    then an integer below 2^53 whatever the summation order; one int64
-    product when it fits below 2^63 (0/1 matrices and vectors); otherwise B
-    is split into c-bit limbs, each partial product fitting in int64, and
-    folded back by Horner's rule mod q; if no limb width fits, Python
-    integers."""
-    A = np.asarray(A, dtype=np.int64)
+    k * max(A) * (q-1) < 2^53 and A has more than one row, exact since every
+    product and partial sum is then an integer below 2^53 whatever the
+    summation order; one int64 product when it fits below 2^63 (0/1
+    matrices and vectors); otherwise B is split into c-bit limbs, each
+    partial product fitting in int64, and folded back by Horner's rule mod
+    q; if no limb width fits, Python integers.  A float64 A is taken to be
+    stored in its `product_dtype`, so it is multiplied as it is."""
     B = np.asarray(B, dtype=np.int64)
-    top = A.shape[-1] * int(A.max(initial=0))
-    if top * (q - 1) < _FLOAT64_EXACT:
+    if isinstance(A, np.ndarray) and A.dtype == np.float64:
+        return (A @ B.astype(np.float64)).astype(np.int64) % q
+    A = np.asarray(A, dtype=np.int64)
+    top = int(A.max(initial=0))
+    if product_dtype(A.shape, top, q) is np.float64:
         return (A.astype(np.float64) @ B.astype(np.float64)
                 ).astype(np.int64) % q
+    top *= A.shape[-1]
     if top * (q - 1) <= _INT64_MAX:
         return (A @ B) % q
     # c-bit limbs: top * (2^c - 1) and (q - 1) * 2^c must both fit
@@ -90,10 +109,12 @@ def matmul_mod(A, B, q: int):
     return acc
 
 
-def bit_dot(u: np.ndarray, v: np.ndarray) -> int:
-    """GF(2) dot product of two 0/1 vectors."""
+def bit_dot(u: np.ndarray, v: np.ndarray):
+    """GF(2) dot product of two 0/1 vectors, an int; for two stacks of
+    vectors of equal shape, the array of the row-wise products."""
     u = np.asarray(u, dtype=np.int64)
     v = np.asarray(v, dtype=np.int64)
     if u.shape != v.shape:
         raise ValueError("dimension mismatch in bit_dot")
-    return int((u & v).sum() & 1)
+    d = (u & v).sum(axis=-1) & 1
+    return d if d.ndim else int(d)

@@ -9,14 +9,14 @@ import pytest
 
 from rotated_tcf.network import (SessionError, connect_prover,
                                  open_server_socket, prover_session,
-                                 serve_verifier)
+                                 serve_verifier, verifier_session)
 from rotated_tcf.protocol_q import (BaselineProver, HonestQuantumProver,
                                     run_single_trial)
 from rotated_tcf.transcripts import transcript_to_json
-from rotated_tcf.wire import (PROTOCOL_VERSION, WITNESS_LABEL, _recv_exact,
-                              encode_bits, encode_matrix, encode_vector,
-                              make_message, parse_frame, recv_message,
-                              send_message)
+from rotated_tcf.wire import (PROTOCOL_VERSION, WITNESS_LABEL, WireError,
+                              _recv_exact, encode_bits, encode_matrix,
+                              encode_vector, make_message, parse_frame,
+                              recv_message, send_message)
 
 
 def _serve_in_thread(desk, stream, sessions, witness_channel):
@@ -298,5 +298,95 @@ def test_undecodable_setup_gets_error_frame(stream, desk, honest_setup,
         prover_session("127.0.0.1", port, HonestQuantumProver(),
                        stream.derive("trial", 0), timeout=10)
     t.join()
+    assert box["reply"]["type"] == "error"
+    assert box["reply"]["payload"]["code"] == code
+
+
+def test_hello_with_list_payload_is_a_wire_error(stream, desk):
+    """A hello whose payload is not an object ends the verifier's session
+    with WireError, not an AttributeError from reading it."""
+    port, t, box = _serve_in_thread(desk, stream.derive("net"), 1,
+                                    witness_channel=False)
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        send_message(sock, {"type": "hello",
+                            "protocol_version": PROTOCOL_VERSION,
+                            "payload": ["prover", PROTOCOL_VERSION]})
+        assert recv_message(sock)["type"] == "hello"
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert isinstance(box["error"], WireError)
+
+
+BAD_BITS = pytest.mark.parametrize("value, code", [
+    ("x", "bad-encoding"), (1.7, "bad-encoding"), (True, "bad-encoding"),
+    (None, "bad-encoding"), (2, "bad-bit"), (-1, "bad-bit"),
+], ids=["str", "float", "bool", "null", "two", "minus-one"])
+
+
+@BAD_BITS
+def test_response2_bit_is_read_strictly(stream, desk, value, code):
+    """The verifier, driven by hand over a socketpair, answers a d' that is
+    not the JSON integer 0 or 1 with an error frame and SessionError."""
+    conn, peer = socket.socketpair()
+    conn.settimeout(10)
+    peer.settimeout(10)
+    box = {}
+
+    def verifier():
+        try:
+            box["result"] = verifier_session(conn, desk, stream)
+        except Exception as exc:  # surfaced via box
+            box["error"] = exc
+        finally:
+            conn.close()
+
+    t = threading.Thread(target=verifier)
+    t.start()
+    with peer:
+        send_message(peer, make_message("hello", {"role": "prover",
+                                                  "version": PROTOCOL_VERSION}))
+        assert recv_message(peer)["type"] == "hello"
+        assert recv_message(peer)["type"] == "setup"
+        send_message(peer, make_message("response1", _response1(desk)))
+        assert recv_message(peer)["type"] == "challenge"
+        send_message(peer, make_message("response2", {"d_prime": value}))
+        reply = recv_message(peer)
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert reply["type"] == "error"
+    assert reply["payload"]["code"] == code
+    assert isinstance(box["error"], SessionError)
+    assert code in str(box["error"])
+
+
+@BAD_BITS
+def test_challenge_bit_is_read_strictly(stream, desk, honest_setup, value,
+                                        code):
+    """The prover, facing a verifier played by hand, answers a b' that is
+    not the JSON integer 0 or 1 with an error frame and SessionError."""
+    srv = open_server_socket("127.0.0.1", 0)
+    port = srv.getsockname()[1]
+    box = {}
+
+    def fake_verifier():
+        conn, _ = srv.accept()
+        with conn:
+            conn.settimeout(10)
+            recv_message(conn)                                  # hello
+            send_message(conn, make_message(
+                "hello", {"role": "verifier", "version": PROTOCOL_VERSION}))
+            send_message(conn, make_message("setup", honest_setup))
+            recv_message(conn)                                  # response1
+            send_message(conn, make_message("challenge", {"b_prime": value}))
+            box["reply"] = recv_message(conn)
+        srv.close()
+
+    t = threading.Thread(target=fake_verifier)
+    t.start()
+    with pytest.raises(SessionError, match=code):
+        prover_session("127.0.0.1", port, BaselineProver(),
+                       stream.derive("trial", 0), timeout=10)
+    t.join(timeout=10)
+    assert not t.is_alive()
     assert box["reply"]["type"] == "error"
     assert box["reply"]["payload"]["code"] == code

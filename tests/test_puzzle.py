@@ -1,8 +1,12 @@
 import pytest
 
-from rotated_tcf.puzzle import (COMPLETENESS_TARGET, puzzle_G, puzzle_O,
-                                puzzle_V, repetition_experiment, solve_one,
-                                threshold_repetition)
+from rotated_tcf.params import tiny_params
+from rotated_tcf.protocol_q import PROVERS
+from rotated_tcf.puzzle import (CHUNK, COMPLETENESS_TARGET, puzzle_G,
+                                puzzle_O, puzzle_V, repetition_experiment,
+                                solve_one, threshold_repetition,
+                                verified_count)
+from rotated_tcf.sampling import sample_bits
 
 
 def test_completeness_target_value():
@@ -111,3 +115,32 @@ def test_repetition_deterministic(stream, desk):
     a = repetition_experiment(desk, 5, 0.8, 5, stream.derive("x"))
     b = repetition_experiment(desk, 5, 0.8, 5, stream.derive("x"))
     assert a == b
+
+
+def _verified_one_by_one(params, ell, stream, solver):
+    """The per-instance loop the chunked driver replaced, kept as its
+    reference: puzzle_G and solve_one on each instance's streams."""
+    b_prime = int(sample_bits(1, stream.derive("challenge"))[0])
+    count = 0
+    for i in range(ell):
+        inst = stream.derive("instance", i)
+        p, k, witness = puzzle_G(params, inst.derive("gen"))
+        count += solve_one(p, k, witness, b_prime, inst.derive("solve"),
+                           solver=solver)
+    return count
+
+
+@pytest.mark.parametrize("solver", sorted(PROVERS))
+def test_chunked_count_equals_per_instance_loop(stream, desk, solver):
+    """Chunks of CHUNK instances, a partial last chunk, and a run of one
+    verify exactly the instances the one-by-one loop verifies."""
+    for ell in (1, CHUNK - 1, CHUNK, CHUNK + 1, 50):
+        for seed in range(3 if ell < 50 else 1):
+            t = stream.derive(ell, seed)
+            assert (verified_count(desk, ell, t, solver)
+                    == _verified_one_by_one(desk, ell, t, solver))
+    # n = 1 with the largest modulus, where N is multiplied in int64
+    big = tiny_params(1, (1 << 61) - 1)
+    t = stream.derive("q2^61-1")
+    assert (verified_count(big, CHUNK + 1, t, solver)
+            == _verified_one_by_one(big, CHUNK + 1, t, solver))

@@ -5,7 +5,8 @@ import pytest
 
 from rotated_tcf.params import desk_preset, tiny_params
 from rotated_tcf.sampling import sample_uniform
-from rotated_tcf.trapdoor import find_preimage, gen_trap, invert
+from rotated_tcf.trapdoor import (find_preimage, gen_trap, gen_trap_stacked,
+                                  invert)
 from rotated_tcf.zq import (bits_le, centered_abs, centered_lift, gadget_matrix,
                             inf_norm, matmul_mod)
 
@@ -246,3 +247,25 @@ def test_invert_stacked_equals_row_by_row(stream, desk):
     one = np.array([invert(pair, v) for v in rows])
     assert np.array_equal(got.reshape(6, desk.n), one)
     assert one.any(axis=-1).sum() == 3
+    # A stack of distinct pairs, each with its own (4, m) rows: each row
+    # decodes as it does with its own pair alone, where the float product
+    # applies (desk) and where it does not (q = 2^61 - 1).
+    for params in (desk, tiny_params(2, (1 << 61) - 1)):
+        stacked = gen_trap_stacked(params, [stream.derive("pairs", params.q, i)
+                                            for i in range(3)])
+        pairs = [gen_trap(params, stream.derive("pairs", params.q, i))
+                 for i in range(3)]
+        assert all(np.array_equal(stacked.A[i], pr.A)
+                   and np.array_equal(stacked.N[i], pr.N)
+                   for i, pr in enumerate(pairs))
+        gen = stream.derive("rows", params.q).gen
+        V = np.stack([np.concatenate([
+            _samples(pr, gen, 2, 2 * params.tau_floor),
+            _samples(pr, gen, 2, None)]) for pr in pairs])
+        got = invert(stacked, V)
+        assert got.shape == (3, 4, params.n)
+        for pr, rows_i, got_i in zip(pairs, V, got):
+            assert np.array_equal(got_i, [invert(pr, v) for v in rows_i])
+            assert got_i[:2].all() and not got_i[2:].any()
+        with pytest.raises(ValueError):
+            invert(stacked, V[:2])

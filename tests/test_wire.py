@@ -194,6 +194,13 @@ def test_malformed_frames_rejected():
         parse_frame(b'{"payload": {}}')
 
 
+@pytest.mark.parametrize("payload", [b"[1, 2]", b'"x"', b"null", b"3",
+                                     b"true"])
+def test_non_object_payload_rejected(payload):
+    with pytest.raises(WireError, match="payload"):
+        parse_frame(b'{"type": "hello", "payload": ' + payload + b"}")
+
+
 def test_secret_fields_never_travel():
     for name in sorted(SECRET_FIELDS):
         msg = make_message("setup", {name: "123"})

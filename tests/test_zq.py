@@ -85,10 +85,11 @@ def test_mul_mod_implementations_agree():
     float64 product, one int64 product (0/1 left operand), limbs of B, and
     Python integers; stacked operands included.  The boundary cases put
     k * max(A) * (q-1) just below and just above 2^53, with sums near that
-    bound, where a float64 product would start to round."""
+    bound, where a float64 product would start to round, and a 1-D left
+    operand, which stays in int64, just below and just above 2^63."""
     gen = np.random.default_rng(7)
     edge_gen = np.random.default_rng(8)
-    boundary_cases = 0
+    boundary_cases = int64_cases = 0
     for q in (5, 3001, (1 << 31) - 1, 4398046511119, BIG_Q):
         for shape_a, shape_b in (((9,), (9,)), ((7, 9), (9,)), ((9,), (9, 4)),
                                  ((7, 9), (9, 4)), ((3, 7, 9), (3, 9, 4))):
@@ -109,7 +110,21 @@ def test_mul_mod_implementations_agree():
                     sums = A.astype(object) @ B.astype(object)
                     assert (np.max(sums) > 1 << 53) == (top > edge)
                     boundary_cases += 1
+            if len(shape_a) > 1:
+                continue
+            # largest max(A) with k * max(A) * (q-1) within int64; one
+            # above it takes the limb path
+            edge = ((1 << 63) - 1) // (shape_a[-1] * (q - 1))
+            for top in (edge, edge + 1):
+                if 2 <= top < q:
+                    A = np.full(shape_a, top, dtype=np.int64)
+                    B = np.full(shape_b, q - 1, dtype=np.int64)
+                    _assert_matmul_mod_exact(A, B, q)
+                    sums = A.astype(object) @ B.astype(object)
+                    assert (np.max(sums) >= 1 << 63) == (top > edge)
+                    int64_cases += 1
     assert boundary_cases == 20
+    assert int64_cases == 8
 
 
 def test_matmul_mod_large_modulus_exact():
