@@ -142,10 +142,3 @@ def distinguishing_game(params: Params, adversary, trials: int,
         if int(adversary(kp.pk, ct)) == b:
             wins += 1
     return Stats(successes=wins, trials=trials)
-
-
-__all__ = [
-    "PublicKey", "Ciphertext", "KeypairK", "KeypairJ",
-    "gen_k", "gen_j", "encrypt_zq", "encrypt_bit", "decrypt_bit",
-    "distinguishing_game",
-]

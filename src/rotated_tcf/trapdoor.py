@@ -27,12 +27,6 @@ class TrapdoorPair:
     N: np.ndarray   # (..., Qn, (Q+1)n) with 0/1 entries, in its
                     # zq.product_dtype
 
-    def top(self) -> np.ndarray:
-        return self.A[..., : self.params.nQ, :]
-
-    def bottom(self) -> np.ndarray:
-        return self.A[..., self.params.nQ:, :]
-
 
 def gen_trap(params: Params, stream: RngStream) -> TrapdoorPair:
     pair = gen_trap_stacked(params, [stream])

@@ -38,6 +38,7 @@ class WireError(Exception):
 
 class DimensionError(WireError):
     """A well-formed array whose shape is not the one the protocol fixes."""
+    code = "bad-dimensions"     # the error code a session answers it with
 
 
 _INT64 = np.dtype("<i8")

@@ -6,17 +6,20 @@ import threading
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from rotated_tcf import network
 from rotated_tcf.network import (SessionError, connect_prover,
                                  open_server_socket, prover_session,
                                  serve_verifier, verifier_session)
 from rotated_tcf.protocol_q import (BaselineProver, HonestQuantumProver,
                                     run_single_trial)
 from rotated_tcf.transcripts import transcript_to_json
-from rotated_tcf.wire import (PROTOCOL_VERSION, WITNESS_LABEL, WireError,
-                              _recv_exact, encode_bits, encode_matrix,
-                              encode_vector, make_message, parse_frame,
-                              recv_message, send_message)
+from rotated_tcf.wire import (MESSAGE_TYPES, PROTOCOL_VERSION, SECRET_FIELDS,
+                              WITNESS_LABEL, WireError, _recv_exact,
+                              encode_bits, encode_matrix, encode_vector,
+                              make_message, parse_frame, recv_message,
+                              send_message)
 
 
 def _serve_in_thread(desk, stream, sessions, witness_channel):
@@ -390,3 +393,179 @@ def test_challenge_bit_is_read_strictly(stream, desk, honest_setup, value,
     assert not t.is_alive()
     assert box["reply"]["type"] == "error"
     assert box["reply"]["payload"]["code"] == code
+
+
+def test_every_message_type_has_a_decoder():
+    """Each frame is read through its type's decoder, so a new message type
+    cannot be received unchecked."""
+    assert network._DECODERS.keys() == MESSAGE_TYPES
+
+
+def _verifier_on_socketpair(desk, stream):
+    """A live verifier_session on one end of a socketpair; returns the other
+    end, the verifier's thread and the box its result or error lands in."""
+    conn, peer = socket.socketpair()
+    conn.settimeout(10)
+    peer.settimeout(10)
+    box = {}
+
+    def verifier():
+        try:
+            box["result"] = verifier_session(conn, desk, stream)
+        except Exception as exc:  # surfaced via box
+            box["error"] = exc
+        finally:
+            conn.close()
+
+    t = threading.Thread(target=verifier)
+    t.start()
+    return peer, t, box
+
+
+@pytest.mark.parametrize("hello", [
+    {"witness": "yes"}, {"witness": 1}, {"role": "verifier"}, {"role": None},
+], ids=["witness-str", "witness-int", "role-verifier", "role-null"])
+def test_verifier_reads_hello_strictly(stream, desk, hello):
+    """A prover's hello whose role is not "prover", or whose witness request
+    is not a JSON bool, gets `bad-encoding` and ends the session."""
+    peer, t, box = _verifier_on_socketpair(desk, stream)
+    with peer:
+        send_message(peer, make_message("hello", {
+            "role": "prover", "version": PROTOCOL_VERSION, **hello}))
+        assert recv_message(peer)["type"] == "hello"
+        reply = recv_message(peer)
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert reply["type"] == "error"
+    assert reply["payload"]["code"] == "bad-encoding"
+    assert isinstance(box["error"], SessionError)
+    assert "bad-encoding" in str(box["error"])
+
+
+def _verifier_by_hand(turns):
+    """A verifier played by hand on a loopback port.  After each frame the
+    prover sends it sends the next turn's (type, payload) frames; then it
+    keeps the prover's next frame in box["reply"]."""
+    srv = open_server_socket("127.0.0.1", 0)
+    box = {}
+
+    def run():
+        conn, _ = srv.accept()
+        with conn:
+            conn.settimeout(10)
+            for frames in turns:
+                recv_message(conn)
+                for msg_type, payload in frames:
+                    send_message(conn, make_message(msg_type, payload))
+            box["reply"] = recv_message(conn)
+        srv.close()
+
+    t = threading.Thread(target=run)
+    t.start()
+    return srv.getsockname()[1], t, box
+
+
+VERIFIER_HELLO = {"role": "verifier", "version": PROTOCOL_VERSION}
+
+
+@pytest.mark.parametrize("msg_type, payload, code", [
+    ("hello", {**VERIFIER_HELLO, "role": "prover"}, "bad-encoding"),
+    ("hello", {**VERIFIER_HELLO, "witness": "yes"}, "bad-encoding"),
+    ("result", {"success": "x", "d": 0}, "bad-encoding"),
+    ("result", {"success": True}, "bad-encoding"),
+    ("result", {"success": True, "d": 2}, "bad-bit"),
+], ids=["hello-role", "hello-witness", "result-success-str",
+        "result-d-missing", "result-d-two"])
+def test_prover_reads_hello_and_result_strictly(stream, desk, honest_setup,
+                                                msg_type, payload, code):
+    """The prover answers a verifier hello with the wrong role or witness
+    field, or a result whose `success` is not a JSON bool or whose `d` is
+    not a bit, with an error frame and SessionError."""
+    turns = [[("hello", payload)]]
+    if msg_type == "result":
+        turns = [[("hello", VERIFIER_HELLO), ("setup", honest_setup)],
+                 [("challenge", {"b_prime": 0})],
+                 [("result", payload)]]
+    port, t, box = _verifier_by_hand(turns)
+    with pytest.raises(SessionError, match=code):
+        prover_session("127.0.0.1", port, BaselineProver(),
+                       stream.derive("trial", 0), timeout=10)
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert box["reply"]["type"] == "error"
+    assert box["reply"]["payload"]["code"] == code
+
+
+_KEYS = st.text(max_size=6).filter(lambda k: k not in SECRET_FIELDS)
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=12)
+    | st.integers(-2**70, 2**70),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(_KEYS, inner, max_size=3)),
+    max_leaves=6)
+
+
+def _values(desk):
+    """Payload values: any JSON, integers past 2^63, and arrays and bit
+    strings of the wrong length."""
+    return (_JSON
+            | st.integers(2**63, 2**80) | st.integers(-2**80, -2**63 - 1)
+            | st.integers(0, 2 * desk.m).map(
+                lambda k: encode_vector(np.ones(k, dtype=np.int64)))
+            | st.integers(0, 2 * desk.nQ).map(lambda k: "1" * k))
+
+
+def _fuzz_verifier(desk, stream):
+    replies = {"setup": "response1", "challenge": "response2"}
+
+    @settings(max_examples=250, deadline=None, database=None)
+    @given(data=st.data())
+    def session(data):
+        frames = {"hello": {"role": "prover", "version": PROTOCOL_VERSION,
+                            "witness": False},
+                  "response1": _response1(desk),
+                  "response2": {"d_prime": 0}}
+        target = data.draw(st.sampled_from(sorted(frames)))
+        payload = frames[target]
+        how = data.draw(st.sampled_from(["drop", "set", "replace"]))
+        if how == "drop":
+            del payload[data.draw(st.sampled_from(sorted(payload)))]
+        elif how == "set":
+            key = data.draw(st.sampled_from(sorted(payload)) | _KEYS)
+            payload[key] = data.draw(_values(desk))
+        else:
+            frames[target] = data.draw(
+                st.dictionaries(_KEYS, _values(desk), max_size=4))
+        peer, t, box = _verifier_on_socketpair(desk, stream)
+        with peer:
+            send_message(peer, make_message("hello", frames["hello"]))
+            while True:     # answer until the verifier hangs up
+                try:
+                    msg_type = recv_message(peer)["type"]
+                except WireError:
+                    break
+                if msg_type in replies:
+                    send_message(peer, make_message(
+                        replies[msg_type], frames[replies[msg_type]]))
+        t.join(timeout=10)
+        assert not t.is_alive()
+        assert "result" in box or isinstance(box["error"],
+                                             (WireError, SessionError))
+
+    session()
+
+
+def test_fuzzed_frames_only_end_the_session(stream, desk):
+    """Mutated hello, response1 and response2 payloads (dropped keys,
+    swapped types, arbitrary text, wrong shapes, integers past 2^63) end
+    a live verifier's session with WireError or SessionError only, and a
+    fresh session afterwards still gives the in-process transcript."""
+    _fuzz_verifier(desk, stream.derive("fuzz"))
+    port, t, box = _serve_in_thread(desk, stream.derive("net"), 1,
+                                    witness_channel=False)
+    connect_prover("127.0.0.1", port, BaselineProver(),
+                   stream.derive("net"), 1, timeout=10)
+    t.join()
+    local = run_single_trial(desk, BaselineProver(),
+                             stream.derive("net").derive("trial", 0))
+    assert transcript_to_json(box["result"][1][0]) == transcript_to_json(local)

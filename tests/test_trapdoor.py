@@ -16,9 +16,9 @@ def test_structure_of_A(stream, desk):
     n, Q, q = desk.n, desk.Q, desk.q
     assert pair.A.shape == (desk.m, n)
     assert pair.N.shape == (Q * n, (Q + 1) * n)
-    M = pair.bottom()
+    top, M = pair.A[:Q * n], pair.A[Q * n:]
     G = gadget_matrix(n, Q, q)
-    assert np.array_equal(pair.top(), (G + matmul_mod(pair.N, M, q)) % q)
+    assert np.array_equal(top, (G + matmul_mod(pair.N, M, q)) % q)
 
 
 def _noisy_sample(pair, s, e_bound, stream):
