@@ -25,6 +25,7 @@ DEFAULT_SEED = "8b9d5d0a" * 8
 
 USAGE_EXIT = 2
 ASSERT_EXIT = 3
+EXPLICIT_LAM = 4  # lambda of explicit parameter sets, as in the desk preset
 
 
 def _resolve_seed(arg: str | None) -> str:
@@ -40,18 +41,17 @@ def _usage_error(msg: str) -> int:
 
 
 def _resolve_params(args) -> params_mod.Params:
-    explicit = args.n is not None
-    if explicit and args.q is not None and args.sigma is not None:
-        return params_mod.Params(lam=args.lam, n=args.n, q=args.q,
+    if args.n is None:
+        return params_mod.get_preset(args.preset)
+    if args.q is not None and args.sigma is not None:
+        return params_mod.Params(lam=EXPLICIT_LAM, n=args.n, q=args.q,
                                  sigma=args.sigma)
-    if explicit and args.c is not None and args.eps is not None:
+    if args.c is not None and args.eps is not None:
         gen = np.random.default_rng(0)
         return params_mod.select_params(args.n, args.c, args.eps, gen,
-                                        lam=args.lam)
-    if explicit:
-        raise SystemExit(_usage_error(
-            "explicit parameters need either (--n --q --sigma) or (--n --c --eps)"))
-    return params_mod.get_preset(args.preset)
+                                        lam=EXPLICIT_LAM)
+    raise SystemExit(_usage_error(
+        "explicit parameters need either (--n --q --sigma) or (--n --c --eps)"))
 
 
 def _add_params(sub):
@@ -61,7 +61,11 @@ def _add_params(sub):
     sub.add_argument("--sigma", type=float)
     sub.add_argument("--c", type=float)
     sub.add_argument("--eps", type=float)
-    sub.add_argument("--lam", type=int, default=4)
+
+
+def float_pair(text: str) -> tuple:
+    lo, hi = map(float, text.split(","))  # a ValueError is a usage error
+    return lo, hi
 
 
 def _add_seed(sub):
@@ -87,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write JSON-lines transcripts here")
     p.add_argument("--trials", type=int, default=2000)
     p.add_argument("--prover", choices=sorted(PROVERS), default="honest")
-    p.add_argument("--assert-range", metavar="LO,HI",
+    p.add_argument("--assert-range", metavar="LO,HI", type=float_pair,
                    help="exit 3 unless the estimate lands in [LO, HI]")
 
     p = subs.add_parser("rsp", help="blind single-qubit preparation runs")
@@ -164,8 +168,6 @@ def cmd_params(args) -> int:
 
 
 def cmd_poq(args) -> int:
-    if args.trials < 1:
-        return _usage_error("--trials must be >= 1")
     params = _resolve_params(args)
     seed = _resolve_seed(args.seed)
     stream = RngStream(seed).derive("poq", args.prover)
@@ -177,10 +179,7 @@ def cmd_poq(args) -> int:
     print(f"{params.preset_name} {args.prover}: {stats.summary()}")
     _write_outputs(args, params, args.prover, stats, seed, transcripts)
     if args.assert_range:
-        try:
-            lo, hi = (float(x) for x in args.assert_range.split(","))
-        except ValueError:
-            return _usage_error("--assert-range wants LO,HI")
+        lo, hi = args.assert_range
         if not lo <= stats.estimate <= hi:
             print(f"ASSERT FAILED: {stats.estimate:.4f} outside [{lo}, {hi}]")
             return ASSERT_EXIT
@@ -188,27 +187,12 @@ def cmd_poq(args) -> int:
 
 
 def cmd_rsp(args) -> int:
-    if args.trials < 1:
-        return _usage_error("--trials must be >= 1")
     params = _resolve_params(args)
     seed = _resolve_seed(args.seed)
-    stream = RngStream(seed).derive("rsp")
-    from .zq import centered_abs
-    aborts = 0
-    distances = []
-    noise_l1 = []
-    for i in range(args.trials):
-        run = stream.derive("run", i)
-        alpha = args.alpha if args.alpha is not None else \
-            int(run.derive("alpha").gen.integers(0, params.q))
-        outcome, beta, state = rsp.run_rsp_once(
-            params, alpha, run, sign_convention=args.sign_convention,
-            force_zero_noise=args.zero_noise)
-        if outcome.aborted:
-            aborts += 1
-            continue
-        distances.append(rsp.trace_distance(outcome.target, beta))
-        noise_l1.append(int(centered_abs(state.keypair.e, params.q).sum()))
+    aborts, distances, noise_l1 = rsp.run_rsp_experiment(
+        params, args.trials, RngStream(seed).derive("rsp"), alpha=args.alpha,
+        sign_convention=args.sign_convention,
+        force_zero_noise=args.zero_noise)
     kept = args.trials - aborts
     mean_td = sum(distances) / kept if kept else float("nan")
     mean_l1 = sum(noise_l1) / kept if kept else float("nan")
@@ -220,8 +204,6 @@ def cmd_rsp(args) -> int:
 
 
 def cmd_puzzle(args) -> int:
-    if args.runs < 1:
-        return _usage_error("--runs must be >= 1")
     params = _resolve_params(args)
     seed = _resolve_seed(args.seed)
     stream = RngStream(seed).derive("puzzle", args.solver)
@@ -251,15 +233,13 @@ def cmd_serve(args) -> int:
     params = _resolve_params(args)
     seed = _resolve_seed(args.seed)
     stream = RngStream(seed).derive("network")
-    srv = open_server_socket(args.host, args.port)
-    host, port = srv.getsockname()
-    print(f"verifier listening on {host}:{port} for {args.sessions} sessions")
-    try:
+    with open_server_socket(args.host, args.port) as srv:
+        host, port = srv.getsockname()
+        print(f"verifier listening on {host}:{port} for {args.sessions} "
+              "sessions")
         stats, transcripts = serve_verifier(
             srv, params, stream, args.sessions,
             witness_channel=args.witness_channel)
-    finally:
-        srv.close()
     print(f"sessions complete: {stats.summary()}")
     _write_outputs(args, params, "network-verifier", stats, seed, transcripts)
     return 0
@@ -312,10 +292,10 @@ COMMANDS = {
 }
 
 
-def _apply_config(parser, argv: list) -> list:
-    """Take `--config PATH` out of argv, wherever it stands, and install the
-    file's keys as defaults of the chosen subcommand, so flags given on the
-    command line still win.  Returns the rest of argv."""
+def _apply_config(argv: list | None) -> list:
+    """Take `--config PATH` out of argv (None: sys.argv[1:]) and splice
+    the file's keys in as flags right after the subcommand, so flags on
+    the command line, parsed later, still win.  Returns the new argv."""
     pre = argparse.ArgumentParser(add_help=False, allow_abbrev=False)
     pre.add_argument("--config")
     known, argv = pre.parse_known_args(argv)
@@ -334,19 +314,13 @@ def _apply_config(parser, argv: list) -> list:
             flags.append(f"--{key}")
         elif value is not False:
             flags.extend([f"--{key}", str(value)])
-    subs = next(a for a in parser._actions
-                if isinstance(a, argparse._SubParsersAction))
-    sub = subs.choices[parser.parse_args(argv).command]
-    # parsing the keys as flags checks names, types and choices
-    sub.set_defaults(**vars(sub.parse_args(flags)))
-    return argv
+    # with --config taken out, the subcommand is argv's first element
+    return argv[:1] + flags + argv[1:]
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        args = parser.parse_args(_apply_config(parser, argv))
+        args = build_parser().parse_args(_apply_config(argv))
     except SystemExit as exc:
         return USAGE_EXIT if exc.code not in (0, None) else 0
     try:

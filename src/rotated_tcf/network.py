@@ -126,9 +126,12 @@ _DECODERS = {
 def _receive(sock, msg_type: str, *context):
     """The decoded payload of the next frame, a `msg_type`.  A payload that
     does not decode gets an error frame with the code its exception carries
-    (`bad-encoding` by default) and raises SessionError."""
-    msg = recv_message(sock)
+    (`bad-encoding` by default) and raises SessionError; a frame that
+    `parse_frame` refuses gets a `bad-encoding` error frame and re-raises
+    its WireError."""
+    msg = None
     try:
+        msg = recv_message(sock)
         if msg["type"] not in (msg_type, "error"):
             raise Refused("protocol-order", f"expected {msg_type}, got "
                           f"{msg['type']} (protocol-order)")
@@ -137,6 +140,8 @@ def _receive(sock, msg_type: str, *context):
             OverflowError) as exc:
         code = getattr(exc, "code", "bad-encoding")
         _send_error(sock, code)
+        if msg is None:
+            raise
         if not isinstance(exc, Refused):
             exc = f"undecodable payload ({code}): {exc}"
         raise SessionError(str(exc)) from None

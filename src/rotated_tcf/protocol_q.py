@@ -36,7 +36,6 @@ class VerifierState:
     keypair: KeypairJ
     b: int                   # an int64 array for a stack of instances
     ct: Ciphertext
-    f: np.ndarray            # encryption randomness, kept for diagnostics
     b_prime: int | None = None
 
 
@@ -54,7 +53,7 @@ def _bit_draws(params: Params, stream: RngStream):
 
 def _round1(params: Params, kp: KeypairJ, b, f):
     ct = encrypt_bit(kp.pk, b, None, force_f=f)
-    state = VerifierState(params=params, keypair=kp, b=b, ct=ct, f=f)
+    state = VerifierState(params=params, keypair=kp, b=b, ct=ct)
     return state, (kp.pk, ct)
 
 

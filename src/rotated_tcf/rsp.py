@@ -31,7 +31,7 @@ from .regev import Ciphertext, PublicKey, encrypt_zq, gen_j, gen_k
 from .sampling import RngStream, sample_uniform
 from .trapdoor import find_preimage
 from .trapdoor import invert  # not called: perfbench/layers.py rebinds it
-from .zq import matmul_mod
+from .zq import centered_abs, matmul_mod
 
 
 @dataclass
@@ -40,9 +40,6 @@ class ClientState:
     keypair: "object"            # KeypairJ: A + trapdoor, s, e
     f: np.ndarray
     alpha: int
-    a: np.ndarray
-    w: int
-    sign_convention: str = "additive"
 
 
 @dataclass(frozen=True)
@@ -71,8 +68,7 @@ def rsp_client_round1(params: Params, alpha: int, stream: RngStream,
                       s=kp.s, e=e, trapdoor=kp.trapdoor)
     payload = alpha if sign_convention == "additive" else (-alpha) % params.q
     ct, f = encrypt_zq(kp.pk, payload, stream.derive("f"))
-    state = ClientState(params=params, keypair=kp, f=f, alpha=alpha,
-                        a=ct.a, w=ct.w, sign_convention=sign_convention)
+    state = ClientState(params=params, keypair=kp, f=f, alpha=alpha)
     return state, ((kp.pk.A, kp.pk.v), (ct.a, ct.w))
 
 
@@ -129,6 +125,30 @@ def run_rsp_once(params: Params, alpha: int, stream: RngStream,
                                     sign_convention=sign_convention)
     outcome = rsp_client_finish(state, y, u)
     return outcome, beta, state
+
+
+def run_rsp_experiment(params: Params, trials: int, stream: RngStream,
+                       alpha: int | None = None,
+                       sign_convention: str = "additive",
+                       force_zero_noise: bool = False):
+    """`trials` runs of `run_rsp_once`, run i on stream.derive('run', i)
+    with the fixed `alpha` or else one drawn from that run's stream.
+    Returns (aborts, trace_distances, noise_l1); the two lists hold each
+    kept run's distance from its target and the l1 norm of its e."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    distances, noise_l1 = [], []
+    for i in range(trials):
+        run = stream.derive("run", i)
+        run_alpha = alpha if alpha is not None else \
+            int(run.derive("alpha").gen.integers(0, params.q))
+        outcome, beta, state = run_rsp_once(
+            params, run_alpha, run, sign_convention=sign_convention,
+            force_zero_noise=force_zero_noise)
+        if not outcome.aborted:
+            distances.append(trace_distance(outcome.target, beta))
+            noise_l1.append(int(centered_abs(state.keypair.e, params.q).sum()))
+    return trials - len(distances), distances, noise_l1
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import json
 import threading
 
@@ -41,6 +42,19 @@ def test_poq_baseline_and_assert_range(capsys):
     assert main(["poq", "--prover", "classical-baseline", "--trials", "200",
                  "--seed", SEED, "--assert-range", "0.95,1.0"]) == ASSERT_EXIT
     assert main(["poq", "--trials", "10", "--assert-range", "banana"]) == USAGE_EXIT
+
+
+def test_assert_range_is_checked_before_the_run(tmp_path, monkeypatch):
+    from rotated_tcf import protocol_q
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(protocol_q, "run_experiment", no_run)
+    out = tmp_path / "f.csv"
+    assert main(["poq", "--assert-range", "banana",
+                 "--out", str(out)]) == USAGE_EXIT
+    assert not out.exists()
 
 
 def test_poq_rejects_zero_trials():
@@ -132,6 +146,8 @@ def test_oracle_check_command(capsys):
 def test_subcommands_refuse_flags_they_ignore(tmp_path):
     """Each subcommand accepts only the flags it reads."""
     assert main(["oracle-check", "--preset", "desk"]) == USAGE_EXIT
+    assert main(["poq", "--lam", "4"]) == USAGE_EXIT
+    assert main(["params", "--lam", "4"]) == USAGE_EXIT
     out = tmp_path / "rsp.csv"
     assert main(["rsp", "--trials", "1", "--out", str(out)]) == USAGE_EXIT
     assert not out.exists()
@@ -215,3 +231,18 @@ def test_parser_subcommands_exist():
     assert args.command == "poq"
     args = parser.parse_args(["connect", "--strategy", "classical-baseline"])
     assert args.command == "connect"
+
+
+def test_flag_count_is_pinned():
+    """Each settable value is one more configuration to test: a new flag
+    updates this count in the same change."""
+    parser = build_parser()
+    top = [a.dest for a in parser._actions
+           if not isinstance(a, (argparse._HelpAction,
+                                 argparse._SubParsersAction))]
+    subs = next(a for a in parser._actions
+                if isinstance(a, argparse._SubParsersAction))
+    flags = [a for sub in subs.choices.values() for a in sub._actions
+             if not isinstance(a, argparse._HelpAction)]
+    assert top == ["config"]
+    assert len(flags) == 72

@@ -442,6 +442,23 @@ def test_verifier_reads_hello_strictly(stream, desk, hello):
     assert "bad-encoding" in str(box["error"])
 
 
+def test_refused_frame_gets_error_frame(stream, desk):
+    """A frame that parse_frame refuses gets a `bad-encoding` error frame
+    before the verifier's WireError ends the session."""
+    peer, t, box = _verifier_on_socketpair(desk, stream)
+    with peer:
+        send_message(peer, {"type": "hello",
+                            "protocol_version": PROTOCOL_VERSION,
+                            "payload": ["prover", PROTOCOL_VERSION]})
+        assert recv_message(peer)["type"] == "hello"
+        reply = recv_message(peer)
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert reply["type"] == "error"
+    assert reply["payload"]["code"] == "bad-encoding"
+    assert isinstance(box["error"], WireError)
+
+
 def _verifier_by_hand(turns):
     """A verifier played by hand on a loopback port.  After each frame the
     prover sends it sends the next turn's (type, payload) frames; then it
