@@ -22,7 +22,7 @@ from .ghz import (PhaseQubit, angle_sequence, simulate_basis_measurement,
                   simulate_ghz_measurement)
 from .params import Params
 from .regev import (Ciphertext, KeypairJ, PublicKey, encrypt_bit, gen_j,
-                    gen_j_stacked)
+                    gen_j_stacked, instance)
 from .sampling import RngStream, sample_bits, sample_box, sample_uniform
 from .stats import Stats
 from .trapdoor import TrapdoorPair, invert
@@ -255,37 +255,69 @@ def prover_round1(prover, pk: PublicKey, ct: Ciphertext, witness,
 # ---------------------------------------------------------------------------
 # Trial runner.
 
+# Trials per stacked call in run_experiment.  Only a chunk's first
+# transcript waits for the chunk's set-up, prover turns and scoring, so at
+# 16 those slow ones stay under a tenth of all transcripts (at 10 they are
+# a tenth, and the 90th-percentile gap between transcripts is a chunk's
+# work); the chunk's trapdoors, Qn x (Q+1)n bytes each (30 KB at desk),
+# stay small.
+CHUNK = 16
+
+
+def _trials(params: Params, prover, trial_streams, include_pk: bool):
+    """Yields the transcripts of the trials on `trial_streams` in order,
+    each made when it is asked for, so one is held at a time.  Each trial
+    draws on its own sub-streams (verifier, prover, challenge) what a lone
+    trial draws; the verifier's key set-up is one stacked call, each
+    trial's prover turns run on their own and in order, and the scoring
+    (the two-branch trapdoor inversion and the claw bits) is one stacked
+    call."""
+    vstate, (pk, ct) = verifier_round1_stacked(
+        params, [t.derive("verifier") for t in trial_streams])
+    kp = vstate.keypair
+    ys, us, plays = [], [], []
+    for i, t in enumerate(trial_streams):
+        pk_i, ct_i = instance(pk, ct, i)
+        pstream = t.derive("prover")
+        y, u, memory = prover_round1(prover, pk_i, ct_i, (kp.s[i], kp.e[i]),
+                                     pstream)
+        b_prime = int(sample_bits(1, t.derive("challenge"))[0])
+        d_prime = int(prover.second_response(b_prime, memory, pstream))
+        ys.append(y)
+        us.append(u)
+        plays.append((pk_i, ct_i, b_prime, d_prime))
+    d = decrypted_bit(kp.trapdoor, kp.pk.v, np.stack(ys), np.stack(us))
+    for i, (pk_i, ct_i, b_prime, d_prime) in enumerate(plays):
+        yield make_transcript(params, pk_i, ct_i, ys[i], us[i], vstate.b[i],
+                              b_prime, d[i], d_prime,
+                              seed_info=trial_streams[i].seed.hex(),
+                              include_pk=include_pk)
+
 
 def run_single_trial(params: Params, prover, trial_stream: RngStream,
                      include_pk: bool = False) -> Transcript:
     """One full protocol execution with sub-streams fixed per role, so a
     networked run with the same trial seed reproduces the transcript."""
-    vstate, (pk, ct) = verifier_round1(params, trial_stream.derive("verifier"))
-    pstream = trial_stream.derive("prover")
-    y, u, memory = prover_round1(prover, pk, ct,
-                                 (vstate.keypair.s, vstate.keypair.e), pstream)
-    b_prime = int(sample_bits(1, trial_stream.derive("challenge"))[0])
-    vstate.b_prime = b_prime
-    d_prime = int(prover.second_response(b_prime, memory, pstream))
-    return verifier_score(vstate, y, u, d_prime,
-                          seed_info=trial_stream.seed.hex(),
-                          include_pk=include_pk)
+    return next(_trials(params, prover, [trial_stream], include_pk))
 
 
 def run_experiment(params: Params, prover, trials: int, stream: RngStream,
                    transcript_sink=None, include_pk: bool = False):
     """Monte Carlo over independent trials; deterministic given the stream
     seed and independent of any execution order since trial i always uses
-    the sub-stream derive('trial', i)."""
+    the sub-stream derive('trial', i).  Trials run CHUNK at a time, and
+    each transcript is what run_single_trial gives on its stream."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     wins = 0
-    for i in range(trials):
-        t = run_single_trial(params, prover, stream.derive("trial", i),
-                             include_pk=include_pk)
-        wins += int(t.success)
-        if transcript_sink is not None:
-            transcript_sink(t)
+    for start in range(0, trials, CHUNK):
+        for t in _trials(params, prover,
+                         [stream.derive("trial", i)
+                          for i in range(start, min(start + CHUNK, trials))],
+                         include_pk):
+            wins += int(t.success)
+            if transcript_sink is not None:
+                transcript_sink(t)
     return Stats(successes=wins, trials=trials)
 
 

@@ -27,7 +27,7 @@ from .protocol_q import (PROVERS, HonestQuantumProver, ProverState,
                          verifier_round1_stacked)
 # Not called here: perfbench/layers.py looks this name up on puzzle.
 from .protocol_q import honest_prover_round1
-from .regev import Ciphertext, PublicKey
+from .regev import Ciphertext, PublicKey, instance
 from .sampling import RngStream, sample_bits
 from .stats import Stats
 from .trapdoor import TrapdoorPair
@@ -37,7 +37,7 @@ COMPLETENESS_TARGET = 0.8535533905932737  # cos^2(pi/8)
 
 # Instances per stacked call in threshold_repetition: enough to spread each
 # call's fixed cost, few enough that the chunk's trapdoors (Qn x (Q+1)n
-# floats each, 242 KB at desk) stay a small share of the process.
+# bytes each, 30 KB at desk) stay a small share of the process.
 CHUNK = 10
 
 
@@ -124,10 +124,8 @@ def _verified(params: Params, insts, b_prime: int, solver: str) -> int:
     make = _solver(solver)
     ys, us, d_primes = [], [], []
     for i, inst in enumerate(insts):
-        o, d_prime = _play(
-            make(), PublicKey(params=params, A=p.pk.A[i], v=p.pk.v[i]),
-            Ciphertext(a=p.ct.a[i], w=int(p.ct.w[i])), (s[i], e[i]),
-            b_prime, inst.derive("solve"))
+        o, d_prime = _play(make(), *instance(p.pk, p.ct, i), (s[i], e[i]),
+                           b_prime, inst.derive("solve"))
         ys.append(o.y)
         us.append(o.u)
         d_primes.append(d_prime)

@@ -52,6 +52,12 @@ class KeypairJ:
 # instance from its own streams; the arithmetic below takes either form.
 
 
+def instance(pk: PublicKey, ct: Ciphertext, i: int):
+    """Instance i of a stacked key and ciphertext, (pk, ct), as views."""
+    return (PublicKey(params=pk.params, A=pk.A[i], v=pk.v[i]),
+            Ciphertext(a=ct.a[i], w=int(ct.w[i])))
+
+
 def _secrets(params: Params, stream: RngStream):
     return (sample_uniform(params.n, params.q, stream.derive("s")),
             sample_noise(params, stream.derive("e")))

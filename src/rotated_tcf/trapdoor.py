@@ -16,7 +16,7 @@ import numpy as np
 from .params import Params
 from .sampling import RngStream
 from .zq import (bits_le, centered_abs, centered_lift, gadget_matrix,
-                 inf_norm, matmul_mod, product_dtype)
+                 gadget_multiples, inf_norm, matmul_mod)
 
 
 @dataclass(frozen=True)
@@ -24,8 +24,8 @@ class TrapdoorPair:
     """One pair, or a stack of pairs with the same leading axes on A and N."""
     params: Params
     A: np.ndarray   # (..., m, n) over Z_q
-    N: np.ndarray   # (..., Qn, (Q+1)n) with 0/1 entries, in its
-                    # zq.product_dtype
+    N: np.ndarray   # (..., Qn, (Q+1)n) with 0/1 entries, uint8: each
+                    # product widens one pair's N at a time
 
 
 def gen_trap(params: Params, stream: RngStream) -> TrapdoorPair:
@@ -35,19 +35,20 @@ def gen_trap(params: Params, stream: RngStream) -> TrapdoorPair:
 
 def gen_trap_stacked(params: Params, streams) -> TrapdoorPair:
     """One pair per stream, stacked on a leading axis.  Each stream draws M
-    and then N; N goes straight into its place in the stack, in the dtype
-    its products take, and N M is formed as soon as N is drawn."""
+    and then N; N goes straight into its place in the stack, one byte per
+    entry, and N M is one matmul_mod call for the stack.  N is drawn as
+    uint32, which gives the values an int64 draw of [0, 2) gives (numpy
+    takes one 32-bit word per entry for both) in half the temporary."""
     n, Q, q = params.n, params.Q, params.q
     k = (Q + 1) * n
     A = np.empty((len(streams), params.m, n), dtype=np.int64)
-    N = np.empty((len(streams), Q * n, k),
-                 dtype=product_dtype((Q * n, k), 1, q))
-    G = gadget_matrix(n, Q, q)
+    N = np.empty((len(streams), Q * n, k), dtype=np.uint8)
     for i, stream in enumerate(streams):
         gen = stream.gen
         A[i, Q * n:] = gen.integers(0, q, size=(k, n), dtype=np.int64)
-        N[i] = gen.integers(0, 2, size=(Q * n, k), dtype=np.int64)
-        A[i, :Q * n] = (G + matmul_mod(N[i], A[i, Q * n:], q)) % q
+        N[i] = gen.integers(0, 2, size=(Q * n, k), dtype=np.uint32)
+    A[:, :Q * n] = (gadget_matrix(n, Q, q)
+                    + matmul_mod(N, A[:, Q * n:], q)) % q
     return TrapdoorPair(params=params, A=A, N=N)
 
 
@@ -93,8 +94,7 @@ def invert(pair: TrapdoorPair, v: np.ndarray) -> np.ndarray:
     # Accept only if blk - g s_i is short in every coordinate, 2Q |.| < q
     # (tested as |.| <= (q-1) // 2Q, which cannot overflow): this also
     # rejects the meaningless e'_0 of a row with no decoding.
-    g = (np.int64(1) << np.arange(Q, dtype=np.int64)) % q
-    resid = (blk - matmul_mod(s[..., None], g[None, :], q)) % q
+    resid = (blk - gadget_multiples(s, Q, q)) % q
     ok = (centered_abs(resid, q) <= (q - 1) // (2 * Q)).all(axis=(-2, -1))
     return np.where(ok[..., None], s, 0)
 

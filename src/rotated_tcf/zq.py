@@ -9,6 +9,8 @@ Supported moduli: odd primes q < 2**61.
 """
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 
 _INT64_MAX = (1 << 63) - 1
@@ -61,13 +63,27 @@ def gadget_matrix(n: int, Q: int, q: int) -> np.ndarray:
     return G
 
 
+def gadget_multiples(s, Q: int, q: int) -> np.ndarray:
+    """s_i g mod q for each entry s_i of s, with g = (1, 2, ..., 2^(Q-1))
+    mod q the gadget row: shape s.shape + (Q,).  Exact for every q < 2^62
+    with no product: an entry below q shifted left by c = 63 - bits(q)
+    bits stays below 2^63, so the powers of two are formed c at a time."""
+    s = np.asarray(s, dtype=np.int64)
+    c = 63 - q.bit_length()
+    block = (s[..., None] << np.arange(min(c, Q), dtype=np.int64)) % q
+    blocks = [block]
+    for _ in range(c, Q, c):
+        block = (block << c) % q
+        blocks.append(block)
+    return np.concatenate(blocks, axis=-1)[..., :Q]
+
+
 def product_dtype(shape, bound: int, q: int):
     """The dtype matmul_mod multiplies a left operand of this shape with
     entries in [0, bound] in: float64 when k * bound * (q-1) < 2^53, with k
     the inner dimension, and the operand has more than one row; else int64.
     A single-row (vector) product runs faster in int64 than after casting
-    both operands for BLAS.  A fixed matrix stored as float64 this way is
-    multiplied with no cast or scan."""
+    both operands for BLAS."""
     one_row = len(shape) == 1 or shape[-2] == 1
     if not one_row and shape[-1] * bound * (q - 1) < _FLOAT64_EXACT:
         return np.float64
@@ -84,10 +100,15 @@ def matmul_mod(A, B, q: int):
     matrices and vectors); otherwise B is split into c-bit limbs, each
     partial product fitting in int64, and folded back by Horner's rule mod
     q; if no limb width fits, Python integers.  A float64 A is taken to be
-    stored in its `product_dtype`, so it is multiplied as it is."""
+    in its `product_dtype`, so it is multiplied as it is.  A uint8 A (a
+    0/1 matrix stored one byte per entry) is widened one matrix at a time,
+    see _matmul_mod_bytes."""
     B = np.asarray(B, dtype=np.int64)
-    if isinstance(A, np.ndarray) and A.dtype == np.float64:
-        return (A @ B.astype(np.float64)).astype(np.int64) % q
+    if isinstance(A, np.ndarray):
+        if A.dtype == np.uint8:
+            return _matmul_mod_bytes(A, B, q)
+        if A.dtype == np.float64:
+            return (A @ B.astype(np.float64)).astype(np.int64) % q
     A = np.asarray(A, dtype=np.int64)
     top = int(A.max(initial=0))
     if product_dtype(A.shape, top, q) is np.float64:
@@ -107,6 +128,39 @@ def matmul_mod(A, B, q: int):
     for shift in range(((q - 1).bit_length() - 1) // c * c, -1, -c):
         acc = ((acc << c) % q + (A @ ((B >> shift) & mask)) % q) % q
     return acc
+
+
+# Each thread's work buffer for _matmul_mod_bytes, kept from call to call
+# until a product of another shape or dtype replaces it.  A fresh buffer per
+# call (242 KB for a desk trapdoor) is one more block that glibc may hand
+# back to the system between calls and then fault in again.
+_WORK = threading.local()
+
+
+def _work_buffer(shape, dtype) -> np.ndarray:
+    work = getattr(_WORK, "buffer", None)
+    if work is None or work.shape != shape or work.dtype != dtype:
+        work = _WORK.buffer = np.empty(shape, dtype=dtype)
+    return work
+
+
+def _matmul_mod_bytes(A: np.ndarray, B: np.ndarray, q: int):
+    """matmul_mod for a uint8 A: one matrix, or a stack L + (r, k) with B
+    of shape L + (k, c).  Each matrix of A is copied in turn into the
+    thread's work buffer, in its product_dtype, and multiplied from there:
+    numpy's `@` on a narrow operand would widen the whole stack at once."""
+    work = _work_buffer(A.shape[-2:], product_dtype(
+        A.shape, int(A.max(initial=0)), q))
+    if A.ndim == 2:
+        np.copyto(work, A)
+        return matmul_mod(work, B, q)
+    if B.shape[:-2] != A.shape[:-2]:
+        raise ValueError("B does not lead with A's stack axes")
+    out = np.empty(A.shape[:-1] + B.shape[-1:], dtype=np.int64)
+    for i in np.ndindex(A.shape[:-2]):
+        np.copyto(work, A[i])
+        out[i] = matmul_mod(work, B[i], q)
+    return out
 
 
 def bit_dot(u: np.ndarray, v: np.ndarray):

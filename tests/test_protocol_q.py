@@ -3,7 +3,8 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rotated_tcf.protocol_q import (BaselineProver, DeterministicProver,
+from rotated_tcf.protocol_q import (CHUNK, PROVERS, BaselineProver,
+                                    ClassicalProver, DeterministicProver,
                                     HonestQuantumProver, RandomProver,
                                     SECOND_RESPONSE_RULES, decrypted_bit,
                                     deterministic_family,
@@ -106,6 +107,72 @@ def test_transcript_sink_receives_every_trial(stream, desk):
                            transcript_sink=seen.append)
     assert len(seen) == 25
     assert sum(t.success for t in seen) == stats.successes
+
+
+CHUNK_EDGES = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
+
+
+def _single_trials(params, prover, stream, trials, include_pk):
+    return [run_single_trial(params, prover, stream.derive("trial", i),
+                             include_pk=include_pk) for i in range(trials)]
+
+
+@pytest.mark.parametrize("preset", ["desk", "tiny23", "tiny3001"])
+@pytest.mark.parametrize("name", sorted(PROVERS))
+def test_run_experiment_equals_single_trial_loop(stream, request, preset,
+                                                 name):
+    """The chunked run_experiment hands its sink, in trial order, exactly
+    the transcripts a loop of run_single_trial gives, on either side of
+    each chunk boundary and with or without the public key."""
+    params = request.getfixturevalue(preset)
+    for trials in CHUNK_EDGES:
+        for include_pk in (False, True):
+            s = stream.derive(trials, include_pk)
+            seen = []
+            stats = run_experiment(params, PROVERS[name](), trials, s,
+                                   transcript_sink=seen.append,
+                                   include_pk=include_pk)
+            loop = _single_trials(params, PROVERS[name](), s, trials,
+                                  include_pk)
+            assert seen == loop
+            assert (seen[0].pk is not None) == include_pk
+            assert stats.successes == sum(t.success for t in loop)
+            assert stats.trials == trials
+
+
+class _RecordingProver(ClassicalProver):
+    """RandomProver's moves, with every call it receives written down."""
+
+    name = "recording"
+
+    def __init__(self):
+        self.calls = []
+        self.moves = RandomProver()
+
+    def first_response(self, pk, ct, stream):
+        y, u, p = self.moves.first_response(pk, ct, stream)
+        self.calls.append(("first", pk.A.tobytes(), pk.v.tobytes(),
+                           ct.a.tobytes(), ct.w, stream.seed, y.tobytes(),
+                           u.tobytes()))
+        return y, u, p
+
+    def second_response(self, b_prime, p, stream):
+        d_prime = self.moves.second_response(b_prime, p, stream)
+        self.calls.append(("second", b_prime, stream.seed, d_prime))
+        return d_prime
+
+
+def test_chunked_prover_sees_the_calls_of_the_loop(stream, desk):
+    """Each trial's prover turns run on their own and in trial order: the
+    prover is called with the same keys, ciphertexts, challenges and
+    streams, in the same order, as by a loop of run_single_trial."""
+    trials = 2 * CHUNK + 1
+    chunked, looped = _RecordingProver(), _RecordingProver()
+    run_experiment(desk, chunked, trials, stream)
+    _single_trials(desk, looped, stream, trials, False)
+    assert len(chunked.calls) == 2 * trials
+    assert [c[0] for c in chunked.calls] == ["first", "second"] * trials
+    assert chunked.calls == looped.calls
 
 
 def test_deterministic_family_is_exhaustive():

@@ -21,6 +21,27 @@ def test_structure_of_A(stream, desk):
     assert np.array_equal(top, (G + matmul_mod(pair.N, M, q)) % q)
 
 
+@pytest.mark.parametrize("params", [tiny_params(1, 23), desk_preset(),
+                                    tiny_params(2, (1 << 61) - 1)],
+                         ids=["q23", "desk", "q2^61-1"])
+def test_N_is_stored_one_byte_per_entry(stream, params):
+    """N holds one byte per entry, one pair or a stack, and is the 0/1
+    int64 draw that follows M on the pair's stream."""
+    n, Q = params.n, params.Q
+    pair = gen_trap(params, stream.derive("trap"))
+    assert pair.N.itemsize == 1
+    gen = stream.derive("trap").gen
+    gen.integers(0, params.q, size=((Q + 1) * n, n), dtype=np.int64)
+    drawn = gen.integers(0, 2, size=(Q * n, (Q + 1) * n), dtype=np.int64)
+    assert np.array_equal(pair.N, drawn)
+    stacked = gen_trap_stacked(params, [stream.derive("pairs", i)
+                                        for i in range(3)])
+    assert stacked.N.itemsize == 1
+    for i in range(3):
+        one = gen_trap(params, stream.derive("pairs", i))
+        assert np.array_equal(stacked.N[i], one.N)
+
+
 def _noisy_sample(pair, s, e_bound, stream):
     p = pair.params
     e = stream.gen.integers(-e_bound, e_bound + 1, size=p.m, dtype=np.int64)

@@ -6,7 +6,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rotated_tcf.wire import (MAX_FRAME_BYTES, PROTOCOL_VERSION,
@@ -75,6 +75,7 @@ def _wire_error_only(decode, *args):
         decode(*args)
 
 
+@settings(deadline=None)
 @given(st.integers(2, Q61), st.lists(st.integers(0, Q61 - 1), max_size=6),
        st.integers(-(1 << 63), -1) | st.integers(Q61, (1 << 63) - 1),
        st.integers(0, 6))

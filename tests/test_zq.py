@@ -3,9 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sys
+import threading
+
+from rotated_tcf.params import desk_preset
 from rotated_tcf.zq import (bit_dot, bits_le, bits_le_vec, centered_abs,
-                            centered_lift, gadget_matrix, inf_norm,
-                            matmul_mod)
+                            centered_lift, gadget_matrix, gadget_multiples,
+                            inf_norm, matmul_mod)
 
 BIG_Q = (1 << 61) - 1  # Mersenne prime, the largest supported modulus
 
@@ -125,6 +129,72 @@ def test_mul_mod_implementations_agree():
                     int64_cases += 1
     assert boundary_cases == 20
     assert int64_cases == 8
+
+
+def test_matmul_mod_byte_matrices_exact():
+    """A uint8 left operand, one matrix or a stack, is widened one matrix
+    at a time: exact where the widened product is float64 (desk q) and
+    where it takes int64 limbs (q = 2^61 - 1), with 0/1 entries and up to
+    255."""
+    gen = np.random.default_rng(12)
+    for q in (desk_preset().q, BIG_Q):
+        for hi in (2, 256):
+            A = gen.integers(0, hi, size=(3, 7, 9)).astype(np.uint8)
+            B = gen.integers(0, q, size=(3, 9, 4), dtype=np.int64)
+            _assert_matmul_mod_exact(A, B, q)
+            _assert_matmul_mod_exact(A[0], B[0], q)
+            _assert_matmul_mod_exact(A[0], B[0, :, 0], q)
+        with pytest.raises(ValueError):
+            matmul_mod(A, B[:2], q)
+
+
+def test_byte_products_in_threads_stay_exact():
+    """Each thread widens into a work buffer of its own: stacked uint8
+    products running at once, in more threads than cores and with a short
+    switch interval, all equal their Python-integer references."""
+    q = desk_preset().q
+    gen = np.random.default_rng(13)
+    cases = []
+    for _ in range(8):
+        A = gen.integers(0, 2, size=(4, 30, 40)).astype(np.uint8)
+        B = gen.integers(0, q, size=(4, 40, 3), dtype=np.int64)
+        cases.append((A, B, (A.astype(object) @ B.astype(object)) % q))
+    wrong = []
+
+    def work(offset):
+        for r in range(40):
+            A, B, ref = cases[(offset + r) % len(cases)]
+            if not np.array_equal(matmul_mod(A, B, q).astype(object), ref):
+                wrong.append(offset)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,))
+                   for i in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+@pytest.mark.parametrize("q", [3, 23, desk_preset().q, BIG_Q],
+                         ids=["q3", "q23", "desk", "q2^61-1"])
+def test_gadget_multiples_match_python_integers(q):
+    """s_i 2^j mod q for every j < Q, against Python integers, with the
+    extremes 0, 1 and q - 1 among the entries."""
+    Q = (q - 1).bit_length()
+    gen = np.random.default_rng(q % 1009)
+    s = np.concatenate([[0, 1, q - 1], gen.integers(0, q, size=21)])
+    s = s.reshape(2, 3, 4)
+    got = gadget_multiples(s, Q, q)
+    assert got.shape == (2, 3, 4, Q)
+    ref = [[[[x * pow(2, j, q) % q for j in range(Q)] for x in row]
+            for row in block] for block in s.tolist()]
+    assert got.tolist() == ref
 
 
 def test_matmul_mod_large_modulus_exact():
