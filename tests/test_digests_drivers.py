@@ -2,8 +2,9 @@
 
 `test_digests.py` pins the experiments; this file pins the drivers that
 run a prover's turn: the min-entropy estimate, the puzzle solver and its
-threshold repetition, and one TCP loopback session per prover kind.  The
-hex values were recorded once and must never change.
+threshold repetition, one TCP loopback session per prover kind, and runs
+long enough to cross chunk boundaries (33 honest trials, 23 puzzle
+instances).  The hex values were recorded once and must never change.
 """
 import hashlib
 import json
@@ -62,6 +63,24 @@ def _puzzle_baseline(params, stream):
     return out
 
 
+def _chunked_trials(params, stream):
+    """33 honest trials: two full chunks of 16 and a chunk of one."""
+    out = []
+    stats = protocol_q.run_experiment(
+        params, protocol_q.HonestQuantumProver(), 33, stream,
+        transcript_sink=lambda t: out.append(transcript_to_json(t)))
+    return out + [_line({"successes": stats.successes,
+                         "trials": stats.trials})]
+
+
+def _chunked_puzzle(params, stream):
+    """ell = 23: two full puzzle chunks of 10 and a chunk of 3."""
+    return [_line({"solver": solver, "run": r,
+                   "verified": puzzle.verified_count(
+                       params, 23, stream.derive(solver, r), solver=solver)})
+            for solver in ("honest", "classical-baseline") for r in range(4)]
+
+
 def _loopback(prover, witness_channel):
     def lines(params, stream):
         srv = network.open_server_socket("127.0.0.1", 0)
@@ -96,6 +115,8 @@ CASES = {
     "loopback-honest-witness": _loopback(protocol_q.HonestQuantumProver(),
                                          True),
     "loopback-baseline": _loopback(protocol_q.BaselineProver(), False),
+    "poq-honest-chunked": _chunked_trials,
+    "puzzle-chunked": _chunked_puzzle,
 }
 
 DIGESTS = {
@@ -109,8 +130,12 @@ DIGESTS = {
         "71cd4e03ce5d37f4737dfd0e82a27e6e2a3a705a6850080a98dc4ddaa1d41318",
     "loopback-honest-witness":
         "8cd943d9e6a2c76f4fcc17b010db17f1577babb46d0c5b6abbe14006c91d88d6",
+    "poq-honest-chunked":
+        "e834b17e5a9ee9c990dc81c7783946f2c414928ad325855c8c3a355fb2b792fd",
     "puzzle-baseline":
         "3b07a27d5226d6b5af1faa3d5d76f969881d70d1c903b4baeaa63efc83d1c7e2",
+    "puzzle-chunked":
+        "c640c8ce82bd13a79973715a5c3ea1f2e77a545a4f9e2d3c90a89a52d99f6bfc",
 }
 
 
