@@ -29,6 +29,13 @@ from .wire import (PROTOCOL_VERSION, WITNESS_LABEL, WireError, decode_bits,
 
 DEFAULT_TIMEOUT = 30.0
 
+# The largest setup scalars a prover accepts, so that a hostile verifier
+# cannot size its work at will: far above the desk preset (n = 4,
+# sigma = 3, lambda = 4) and every test preset.
+MAX_N = 64
+MAX_SIGMA = 2.0 ** 20
+MAX_LAMBDA = 1024
+
 
 class SessionError(Exception):
     pass
@@ -83,12 +90,22 @@ def _hello(payload: dict, peer_role: str) -> bool:
     return _number(payload.get("witness", False), (bool,))
 
 
+def _bounded(payload: dict, key: str, kinds: tuple, bound):
+    """payload[key] as a number of one of `kinds`, at most `bound`."""
+    value = _number(payload[key], kinds)
+    if value > bound:
+        raise Refused("bad-encoding",
+                      f"{key} is over the bound {bound} (bad-encoding)")
+    return value
+
+
 def _setup(payload: dict, wants_witness: bool):
     """(public key, ciphertext, witness or None)."""
-    params = tiny_params(n=_number(payload["n"], (int,)),
+    params = tiny_params(n=_bounded(payload, "n", (int,), MAX_N),
                          q=_decimal(payload["q"], 1 << 61),  # Params' limit
-                         sigma=float(_number(payload["sigma"], (int, float))),
-                         lam=_number(payload["lambda"], (int,)))
+                         sigma=float(_bounded(payload, "sigma", (int, float),
+                                              MAX_SIGMA)),
+                         lam=_bounded(payload, "lambda", (int,), MAX_LAMBDA))
     q, n, m = params.q, params.n, params.m
     pk = PublicKey(params=params,
                    A=decode_matrix(payload["pk"]["A"], q, (m, n)),

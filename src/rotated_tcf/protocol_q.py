@@ -23,7 +23,8 @@ from .ghz import (PhaseQubit, angle_sequence, simulate_basis_measurement,
 from .params import Params
 from .regev import (Ciphertext, KeypairJ, PublicKey, encrypt_bit, gen_j,
                     gen_j_stacked, instance)
-from .sampling import RngStream, sample_bits, sample_box, sample_uniform
+from .sampling import (RngStream, sample_bits, sample_box, sample_uniform,
+                       seed_streams)
 from .stats import Stats
 from .trapdoor import TrapdoorPair, invert
 from .transcripts import Transcript, make_transcript
@@ -45,10 +46,9 @@ class ProverState:
     claw_case: str           # "two-preimage" or "single-preimage"
 
 
-def _bit_draws(params: Params, stream: RngStream):
+def _bit_draws(params: Params, b_stream: RngStream, f_stream: RngStream):
     """The encrypted bit b and the encryption randomness f."""
-    return (int(sample_bits(1, stream.derive("b"))[0]),
-            sample_bits(params.m, stream.derive("f")))
+    return int(sample_bits(1, b_stream)[0]), sample_bits(params.m, f_stream)
 
 
 def _round1(params: Params, kp: KeypairJ, b, f):
@@ -59,14 +59,19 @@ def _round1(params: Params, kp: KeypairJ, b, f):
 
 def verifier_round1(params: Params, stream: RngStream):
     return _round1(params, gen_j(params, stream.derive("key")),
-                   *_bit_draws(params, stream))
+                   *_bit_draws(params, stream.derive("b"), stream.derive("f")))
 
 
 def verifier_round1_stacked(params: Params, streams):
     """verifier_round1 for each of `streams`, with every array stacked on a
     leading axis: each stream draws what verifier_round1 draws from it,
-    then A s, f A and f v run once for the stack."""
-    b, f = zip(*(_bit_draws(params, stream) for stream in streams))
+    from generators seeded in one call, then A s, f A and f v run once for
+    the stack."""
+    b_streams, f_streams = ([stream.derive(label) for stream in streams]
+                            for label in ("b", "f"))
+    seed_streams(b_streams + f_streams)
+    b, f = zip(*(_bit_draws(params, *both)
+                 for both in zip(b_streams, f_streams)))
     kp = gen_j_stacked(params, [stream.derive("key") for stream in streams])
     return _round1(params, kp, np.array(b), np.stack(f))
 
@@ -268,20 +273,22 @@ def _trials(params: Params, prover, trial_streams, include_pk: bool):
     """Yields the transcripts of the trials on `trial_streams` in order,
     each made when it is asked for, so one is held at a time.  Each trial
     draws on its own sub-streams (verifier, prover, challenge) what a lone
-    trial draws; the verifier's key set-up is one stacked call, each
-    trial's prover turns run on their own and in order, and the scoring
-    (the two-branch trapdoor inversion and the claw bits) is one stacked
-    call."""
+    trial draws; the verifier's key set-up is one stacked call, the prover
+    and challenge generators are seeded in one call, each trial's prover
+    turns run on their own and in order, and the scoring (the two-branch
+    trapdoor inversion and the claw bits) is one stacked call."""
     vstate, (pk, ct) = verifier_round1_stacked(
         params, [t.derive("verifier") for t in trial_streams])
     kp = vstate.keypair
+    pstreams, cstreams = ([t.derive(label) for t in trial_streams]
+                          for label in ("prover", "challenge"))
+    seed_streams(pstreams + cstreams)
     ys, us, plays = [], [], []
-    for i, t in enumerate(trial_streams):
+    for i, (pstream, cstream) in enumerate(zip(pstreams, cstreams)):
         pk_i, ct_i = instance(pk, ct, i)
-        pstream = t.derive("prover")
         y, u, memory = prover_round1(prover, pk_i, ct_i, (kp.s[i], kp.e[i]),
                                      pstream)
-        b_prime = int(sample_bits(1, t.derive("challenge"))[0])
+        b_prime = int(sample_bits(1, cstream)[0])
         d_prime = int(prover.second_response(b_prime, memory, pstream))
         ys.append(y)
         us.append(u)

@@ -22,13 +22,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import Params
-from .protocol_q import (PROVERS, HonestQuantumProver, ProverState,
-                         decrypted_bit, prover_round1, verifier_round1,
-                         verifier_round1_stacked)
+from .protocol_q import (PROVERS, ProverState, decrypted_bit, prover_round1,
+                         verifier_round1, verifier_round1_stacked)
 # Not called here: perfbench/layers.py looks this name up on puzzle.
 from .protocol_q import honest_prover_round1
 from .regev import Ciphertext, PublicKey, instance
-from .sampling import RngStream, sample_bits
+from .sampling import RngStream, sample_bits, seed_streams
 from .stats import Stats
 from .trapdoor import TrapdoorPair
 from .trapdoor import invert  # not called: perfbench/layers.py rebinds it
@@ -78,11 +77,6 @@ def puzzle_G(params: Params, stream: RngStream):
     return _puzzle(params, verifier_round1(params, stream))
 
 
-def puzzle_O(p: Puzzle, witness, stream: RngStream) -> Obligation:
-    return Obligation(*prover_round1(HonestQuantumProver(), p.pk, p.ct,
-                                     witness, stream))
-
-
 def puzzle_V(p: Puzzle, k: PuzzleKey, o: Obligation, b_prime: int,
              d_prime):
     """The verdict, a bool; with p, k, o and d_prime stacked, an array of
@@ -116,16 +110,20 @@ def solve_one(p: Puzzle, k: PuzzleKey, witness, b_prime: int,
 def _verified(params: Params, insts, b_prime: int, solver: str) -> int:
     """How many of the instances on streams `insts` verify: puzzle_G and
     solve_one for each, with the arithmetic stacked.  The prover turns run
-    per instance; the scoring is one puzzle_V call.  A call of its own, so
-    that one chunk's trapdoors are freed before the next chunk's are
-    drawn."""
+    per instance, on solve streams seeded in one call for the quantum
+    prover (the baseline never draws from them); the scoring is one
+    puzzle_V call.  A call of its own, so that one chunk's trapdoors are
+    freed before the next chunk's are drawn."""
     p, k, (s, e) = _puzzle(params, verifier_round1_stacked(
         params, [inst.derive("gen") for inst in insts]))
     make = _solver(solver)
+    solve = [inst.derive("solve") for inst in insts]
+    if make.quantum:
+        seed_streams(solve)
     ys, us, d_primes = [], [], []
-    for i, inst in enumerate(insts):
+    for i, stream in enumerate(solve):
         o, d_prime = _play(make(), *instance(p.pk, p.ct, i), (s[i], e[i]),
-                           b_prime, inst.derive("solve"))
+                           b_prime, stream)
         ys.append(o.y)
         us.append(o.u)
         d_primes.append(d_prime)

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import Params
-from .sampling import RngStream, sample_bits, sample_noise, sample_uniform
+from .sampling import (RngStream, sample_bits, sample_noise, sample_uniform,
+                       seed_streams)
 from .stats import Stats
 from .trapdoor import TrapdoorPair, gen_trap, gen_trap_stacked
 from .zq import centered_abs, matmul_mod
@@ -58,9 +59,9 @@ def instance(pk: PublicKey, ct: Ciphertext, i: int):
             Ciphertext(a=ct.a[i], w=int(ct.w[i])))
 
 
-def _secrets(params: Params, stream: RngStream):
-    return (sample_uniform(params.n, params.q, stream.derive("s")),
-            sample_noise(params, stream.derive("e")))
+def _secrets(params: Params, s_stream: RngStream, e_stream: RngStream):
+    return (sample_uniform(params.n, params.q, s_stream),
+            sample_noise(params, e_stream))
 
 
 def _public_key(params: Params, A, s, e) -> PublicKey:
@@ -71,24 +72,27 @@ def _public_key(params: Params, A, s, e) -> PublicKey:
 def gen_k(params: Params, stream: RngStream) -> KeypairK:
     A = stream.derive("A").gen.integers(0, params.q, size=(params.m, params.n),
                                         dtype=np.int64)
-    s, e = _secrets(params, stream)
+    s, e = _secrets(params, stream.derive("s"), stream.derive("e"))
     return KeypairK(pk=_public_key(params, A, s, e), s=s, e=e)
 
 
 def gen_j(params: Params, stream: RngStream) -> KeypairJ:
     pair = gen_trap(params, stream.derive("trap"))
-    s, e = _secrets(params, stream)
+    s, e = _secrets(params, stream.derive("s"), stream.derive("e"))
     return KeypairJ(pk=_public_key(params, pair.A, s, e), s=s, e=e,
                     trapdoor=pair)
 
 
 def gen_j_stacked(params: Params, streams) -> KeypairJ:
     """gen_j for each of `streams`, stacked: the same draws from each
-    stream, then v = A s + e as one product."""
-    pair = gen_trap_stacked(params, [stream.derive("trap")
-                                     for stream in streams])
-    s, e = map(np.stack, zip(*(_secrets(params, stream)
-                               for stream in streams)))
+    stream, with every generator seeded in one call, then v = A s + e as
+    one product."""
+    trap, s_streams, e_streams = ([stream.derive(label) for stream in streams]
+                                  for label in ("trap", "s", "e"))
+    seed_streams(trap + s_streams + e_streams)
+    pair = gen_trap_stacked(params, trap)
+    s, e = map(np.stack, zip(*(_secrets(params, *both)
+                               for both in zip(s_streams, e_streams))))
     return KeypairJ(pk=_public_key(params, pair.A, s, e), s=s, e=e,
                     trapdoor=pair)
 

@@ -37,7 +37,7 @@ class Transcript:
 
 
 def _zq_list(v) -> list:
-    return [str(int(x)) for x in np.asarray(v).tolist()]
+    return list(map(str, np.asarray(v).tolist()))
 
 
 def _bit_list(v) -> list:

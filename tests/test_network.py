@@ -395,6 +395,28 @@ def test_challenge_bit_is_read_strictly(stream, desk, honest_setup, value,
     assert box["reply"]["payload"]["code"] == code
 
 
+@pytest.mark.parametrize("key, bound", [
+    ("n", network.MAX_N), ("sigma", network.MAX_SIGMA),
+    ("lambda", network.MAX_LAMBDA),
+])
+def test_setup_scalar_over_its_bound_is_refused(desk, honest_setup, key,
+                                                bound):
+    """A prover refuses `bad-encoding` to a setup whose n, sigma or lambda
+    is over its fixed bound, before it reads the key; the desk preset sits
+    far inside every bound."""
+    assert {"n": desk.n, "sigma": desk.sigma, "lambda": desk.lam}[key] \
+        * 8 <= bound
+    with pytest.raises(network.Refused, match="over the bound") as refused:
+        network._DECODERS["setup"](dict(honest_setup, **{key: bound + 1}),
+                                   True)
+    assert refused.value.code == "bad-encoding"
+    if key != "n":  # n sizes the key, so only these decode at the bound
+        pk, _, _ = network._DECODERS["setup"](
+            dict(honest_setup, **{key: bound}), True)
+        assert {"sigma": pk.params.sigma, "lambda": pk.params.lam}[key] \
+            == bound
+
+
 def test_every_message_type_has_a_decoder():
     """Each frame is read through its type's decoder, so a new message type
     cannot be received unchecked."""

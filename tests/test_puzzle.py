@@ -1,9 +1,9 @@
 import pytest
 
 from rotated_tcf.params import tiny_params
-from rotated_tcf.protocol_q import PROVERS
-from rotated_tcf.puzzle import (CHUNK, COMPLETENESS_TARGET, puzzle_G,
-                                puzzle_O, puzzle_V, repetition_experiment,
+from rotated_tcf.protocol_q import PROVERS, HonestQuantumProver, prover_round1
+from rotated_tcf.puzzle import (CHUNK, COMPLETENESS_TARGET, Obligation,
+                                puzzle_G, puzzle_V, repetition_experiment,
                                 solve_one, threshold_repetition,
                                 verified_count)
 from rotated_tcf.sampling import sample_bits
@@ -19,7 +19,8 @@ def test_pipeline_scores_like_protocol(stream, desk):
     from rotated_tcf.trapdoor import invert
     from rotated_tcf.zq import bit_dot, bits_le_vec
     p, k, witness = puzzle_G(desk, stream.derive("g"))
-    o = puzzle_O(p, witness, stream.derive("o"))
+    o = Obligation(*prover_round1(HonestQuantumProver(), p.pk, p.ct, witness,
+                                  stream.derive("o")))
     for b_prime in (0, 1):
         for d_prime in (0, 1):
             x0 = invert(k.trapdoor, o.y)
@@ -106,7 +107,8 @@ def test_pass_rate_non_increasing_in_alpha(stream, desk):
 def test_obligation_is_single_qubit(stream, desk):
     from rotated_tcf.ghz import PhaseQubit
     p, k, witness = puzzle_G(desk, stream.derive("g"))
-    o = puzzle_O(p, witness, stream.derive("o"))
+    o = Obligation(*prover_round1(HonestQuantumProver(), p.pk, p.ct, witness,
+                                  stream.derive("o")))
     assert isinstance(o.rho.qubit, PhaseQubit)
     assert o.u.shape == (desk.nQ,)
 

@@ -7,13 +7,15 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rotated_tcf
 from rotated_tcf.params import tiny_params
-from rotated_tcf.sampling import (RngStream, gaussian_table,
-                                  master_stream, sample_bits, sample_box,
-                                  sample_gaussian, sample_noise,
-                                  sample_truncated_gaussian, sample_uniform)
+from rotated_tcf.sampling import (SEED_BATCH_MIN, RngStream, _seed_words,
+                                  gaussian_table, master_stream, sample_bits,
+                                  sample_box, sample_gaussian, sample_noise,
+                                  sample_truncated_gaussian, sample_uniform,
+                                  seed_streams)
 
 
 def test_stream_seed_validation():
@@ -159,3 +161,71 @@ def test_same_seed_same_draws():
     a = master_stream("11" * 32).derive("t")
     b = master_stream("11" * 32).derive("t")
     assert np.array_equal(sample_uniform(100, 97, a), sample_uniform(100, 97, b))
+
+
+EIGHT_WORD_SEEDS = st.binary(min_size=32, max_size=32).filter(
+    lambda seed: seed[:4] != bytes(4))
+
+
+def _numpy_words(seed: bytes) -> np.ndarray:
+    return np.random.SeedSequence(int.from_bytes(seed, "big")).generate_state(
+        4, np.uint64)
+
+
+@settings(deadline=None)
+@given(st.lists(EIGHT_WORD_SEEDS, min_size=1, max_size=24))
+def test_seed_words_equal_numpys(seeds):
+    words = _seed_words(seeds)
+    assert words.dtype == np.uint64 and words.shape == (len(seeds), 4)
+    for seed, row in zip(seeds, words):
+        assert np.array_equal(row, _numpy_words(seed))
+
+
+def _draws(stream: RngStream) -> list:
+    gen = stream.gen
+    return [gen.integers(0, (1 << 42) + 15, size=9, dtype=np.int64),
+            gen.integers(0, 23, size=7, dtype=np.uint32),
+            gen.random(5),
+            gen.integers(0, 2, size=3, dtype=np.uint32)]
+
+
+def _assert_same_draws(stream: RngStream) -> None:
+    """`stream` draws what a fresh twin on its seed, seeded by numpy, draws."""
+    for got, want in zip(_draws(stream), _draws(RngStream(stream.seed))):
+        assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("count", [SEED_BATCH_MIN - 1, SEED_BATCH_MIN, 48])
+def test_seeded_streams_draw_what_unseeded_twins_draw(stream, count):
+    streams = [stream.derive("batch", i) for i in range(count)]
+    seed_streams(streams)
+    vectorised = count >= SEED_BATCH_MIN
+    assert all((s._gen is not None) == vectorised for s in streams)
+    for s in streams:
+        _assert_same_draws(s)
+
+
+@pytest.mark.parametrize("seed", [bytes(32), bytes(4) + bytes(range(1, 29))],
+                         ids=["zero", "four-zero-bytes"])
+def test_short_entropy_seeds_take_numpys_path(stream, seed):
+    """numpy drops a seed's leading zero words, so a seed that starts with
+    four zero bytes seeds itself, even inside a batch."""
+    short = RngStream(seed)
+    streams = [stream.derive("batch", i) for i in range(SEED_BATCH_MIN)]
+    seed_streams([short] + streams)
+    assert short._gen is None
+    assert all(s._gen is not None for s in streams)
+    _assert_same_draws(short)
+
+
+def test_a_drawn_stream_is_not_reseeded(stream):
+    drawn = stream.derive("drawn")
+    first = drawn.gen.integers(0, 1 << 30, size=4)
+    gen = drawn._gen
+    seed_streams([drawn] + [stream.derive("batch", i)
+                            for i in range(SEED_BATCH_MIN)])
+    assert drawn._gen is gen
+    twin = RngStream(drawn.seed).gen
+    assert np.array_equal(twin.integers(0, 1 << 30, size=4), first)
+    assert np.array_equal(drawn.gen.integers(0, 1 << 30, size=6),
+                          twin.integers(0, 1 << 30, size=6))
