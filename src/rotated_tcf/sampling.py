@@ -126,8 +126,6 @@ def _seed_words(seeds) -> np.ndarray:
 class _SeedWords(np.random.bit_generator.ISeedSequence):
     """Hands PCG64 the words that `_seed_words` computed for its seed."""
 
-    __slots__ = ("words",)
-
     def __init__(self, words):
         self.words = words
 
