@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import RngStream, sample_bits
-from .zq import bits_le_vec
+from .zq import bits_le_vec, gadget_multiples
 
 
 @dataclass
@@ -61,17 +61,11 @@ def angle_sequence(a: np.ndarray, params) -> np.ndarray:
 
     Qubit (i-1)Q + j is rotated by 2^j * pi * a_i / q, which is 2^j * a_i
     units; equivalently 2^(j-1) copies of theta_i = 2 pi a_i / q."""
-    q, Q = params.q, params.Q
     a = np.asarray(a, dtype=np.int64)
     if a.shape != (params.n,):
         raise ValueError("angle seed must have length n")
-    out = np.empty(params.n * Q, dtype=np.int64)
-    for i in range(params.n):
-        r = (2 * int(a[i])) % (2 * q)
-        for j in range(Q):
-            out[i * Q + j] = r
-            r = (2 * r) % (2 * q)
-    return out
+    # 2^(j+1) a mod 2q = 2 (2^j a mod q)
+    return 2 * gadget_multiples(a % params.q, params.Q, params.q).reshape(-1)
 
 
 def simulate_ghz_measurement(x_one: np.ndarray, x_zero: np.ndarray,

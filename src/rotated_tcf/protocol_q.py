@@ -269,62 +269,82 @@ def prover_round1(prover, pk: PublicKey, ct: Ciphertext, witness,
 CHUNK = 16
 
 
-def _trials(params: Params, prover, trial_streams, include_pk: bool):
-    """Yields the transcripts of the trials on `trial_streams` in order,
-    each made when it is asked for, so one is held at a time.  Each trial
-    draws on its own sub-streams (verifier, prover, challenge) what a lone
-    trial draws; the verifier's key set-up is one stacked call, the prover
-    and challenge generators are seeded in one call, each trial's prover
-    turns run on their own and in order, and the scoring (the two-branch
-    trapdoor inversion and the claw bits) is one stacked call."""
-    vstate, (pk, ct) = verifier_round1_stacked(
-        params, [t.derive("verifier") for t in trial_streams])
+def _play_chunk(params: Params, prover, setup_streams, prover_streams,
+                b_primes):
+    """The instances on `setup_streams` played as one chunk, the step that
+    run_experiment and the puzzle repetition share.  The verifier's key
+    set-up is one stacked call; each instance's prover turns run on their
+    own, in order, on its stream of `prover_streams` against its challenge
+    in `b_primes`; the scoring (the two-branch trapdoor inversion and the
+    claw bits) is one stacked call.  Each instance draws what a lone
+    instance draws on the same streams.  Returns the stacked verifier
+    state, each instance's (pk, ct) views, and y, u, d', d and the win
+    mask (d ^ d') == (b & b') stacked."""
+    vstate, (pk, ct) = verifier_round1_stacked(params, setup_streams)
     kp = vstate.keypair
-    pstreams, cstreams = ([t.derive(label) for t in trial_streams]
-                          for label in ("prover", "challenge"))
-    seed_streams(pstreams + cstreams)
-    ys, us, plays = [], [], []
-    for i, (pstream, cstream) in enumerate(zip(pstreams, cstreams)):
+    views, ys, us, d_primes = [], [], [], []
+    for i, (stream, b_prime) in enumerate(zip(prover_streams, b_primes)):
         pk_i, ct_i = instance(pk, ct, i)
         y, u, memory = prover_round1(prover, pk_i, ct_i, (kp.s[i], kp.e[i]),
-                                     pstream)
-        b_prime = int(sample_bits(1, cstream)[0])
-        d_prime = int(prover.second_response(b_prime, memory, pstream))
+                                     stream)
+        d_primes.append(int(prover.second_response(b_prime, memory, stream)))
+        views.append((pk_i, ct_i))
         ys.append(y)
         us.append(u)
-        plays.append((pk_i, ct_i, b_prime, d_prime))
-    d = decrypted_bit(kp.trapdoor, kp.pk.v, np.stack(ys), np.stack(us))
-    for i, (pk_i, ct_i, b_prime, d_prime) in enumerate(plays):
-        yield make_transcript(params, pk_i, ct_i, ys[i], us[i], vstate.b[i],
-                              b_prime, d[i], d_prime,
-                              seed_info=trial_streams[i].seed.hex(),
-                              include_pk=include_pk)
+    y, u, d_prime = np.stack(ys), np.stack(us), np.array(d_primes)
+    d = decrypted_bit(kp.trapdoor, kp.pk.v, y, u)
+    return (vstate, views, y, u, d_prime, d,
+            (d ^ d_prime) == (vstate.b & np.asarray(b_primes)))
+
+
+def _trials(params: Params, prover, trial_streams, include_pk: bool,
+            transcript_sink) -> int:
+    """How many of the trials on `trial_streams`, played as one chunk, the
+    prover wins; each trial draws on its own sub-streams (verifier,
+    prover, challenge) what a lone trial draws.  The challenge generators
+    are seeded in one call, with the prover's for the quantum prover (the
+    baseline never draws from them).  With a sink, each trial's transcript
+    is made and handed to it in trial order.  A call of its own, so that
+    one chunk's trapdoors are freed before the next chunk's are drawn."""
+    pstreams, cstreams = ([t.derive(label) for t in trial_streams]
+                          for label in ("prover", "challenge"))
+    seed_streams(cstreams + pstreams if prover.quantum else cstreams)
+    b_primes = [int(sample_bits(1, c)[0]) for c in cstreams]
+    vstate, views, y, u, d_prime, d, wins = _play_chunk(
+        params, prover, [t.derive("verifier") for t in trial_streams],
+        pstreams, b_primes)
+    if transcript_sink is not None:
+        for i, (pk_i, ct_i) in enumerate(views):
+            transcript_sink(make_transcript(
+                params, pk_i, ct_i, y[i], u[i], vstate.b[i], b_primes[i],
+                d[i], d_prime[i], seed_info=trial_streams[i].seed.hex(),
+                include_pk=include_pk))
+    return int(wins.sum())
 
 
 def run_single_trial(params: Params, prover, trial_stream: RngStream,
                      include_pk: bool = False) -> Transcript:
     """One full protocol execution with sub-streams fixed per role, so a
     networked run with the same trial seed reproduces the transcript."""
-    return next(_trials(params, prover, [trial_stream], include_pk))
+    out = []
+    _trials(params, prover, [trial_stream], include_pk, out.append)
+    return out[0]
 
 
 def run_experiment(params: Params, prover, trials: int, stream: RngStream,
                    transcript_sink=None, include_pk: bool = False):
     """Monte Carlo over independent trials; deterministic given the stream
     seed and independent of any execution order since trial i always uses
-    the sub-stream derive('trial', i).  Trials run CHUNK at a time, and
-    each transcript is what run_single_trial gives on its stream."""
+    the sub-stream derive('trial', i).  Trials run CHUNK at a time, each
+    transcript is what run_single_trial gives on its stream, and
+    transcripts are made only for a sink."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    wins = 0
-    for start in range(0, trials, CHUNK):
-        for t in _trials(params, prover,
-                         [stream.derive("trial", i)
-                          for i in range(start, min(start + CHUNK, trials))],
-                         include_pk):
-            wins += int(t.success)
-            if transcript_sink is not None:
-                transcript_sink(t)
+    wins = sum(_trials(params, prover,
+                       [stream.derive("trial", i)
+                        for i in range(start, min(start + CHUNK, trials))],
+                       include_pk, transcript_sink)
+               for start in range(0, trials, CHUNK))
     return Stats(successes=wins, trials=trials)
 
 

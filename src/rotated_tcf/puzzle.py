@@ -6,14 +6,12 @@ measuring that qubit, and the verifier scores d xor d' == b and b'.  The
 repetition runner plays ell independent instances against a single shared
 challenge bit and passes when at least alpha * ell of them verify.
 
-verified_count plays the instances in chunks of CHUNK.  Each instance
-draws from its own streams exactly what puzzle_G and solve_one draw on
-them, straight into arrays stacked on a leading axis, and its prover turns
-run on their own; the rest of the key set-up (A s, f A, f v) and the
-scoring (the two-branch trapdoor inversion and the claw bits) run as
-stacked calls, one per chunk.  puzzle_G, puzzle_V and solve_one are the
-one-instance case of the same code, and the count equals what a loop of
-them gives.
+verified_count plays the instances in chunks of CHUNK on the quantumness
+test's chunk engine (protocol_q._play_chunk), the one that run_experiment
+plays its trials on: the key set-up and the scoring are one stacked call
+per chunk, and each instance's prover turns run on their own, in order.
+Each instance draws on its own streams exactly what puzzle_G and
+solve_one draw on them, so the count equals what a loop of them gives.
 """
 from __future__ import annotations
 
@@ -22,11 +20,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import Params
-from .protocol_q import (PROVERS, ProverState, decrypted_bit, prover_round1,
-                         verifier_round1, verifier_round1_stacked)
+from .protocol_q import (PROVERS, ProverState, _play_chunk, decrypted_bit,
+                         prover_round1, verifier_round1)
 # Not called here: perfbench/layers.py looks this name up on puzzle.
 from .protocol_q import honest_prover_round1
-from .regev import Ciphertext, PublicKey, instance
+from .regev import Ciphertext, PublicKey
 from .sampling import RngStream, sample_bits, seed_streams
 from .stats import Stats
 from .trapdoor import TrapdoorPair
@@ -62,25 +60,20 @@ class Obligation:
                              # (plus branch bookkeeping); None if classical
 
 
-def _puzzle(params: Params, round1):
-    vstate, (pk, ct) = round1
-    puzzle = Puzzle(params=params, pk=pk, ct=ct)
-    key = PuzzleKey(s=vstate.keypair.s, trapdoor=vstate.keypair.trapdoor,
-                    b=vstate.b)
-    witness = (vstate.keypair.s, vstate.keypair.e)
-    return puzzle, key, witness
-
-
 def puzzle_G(params: Params, stream: RngStream):
     """Returns (puzzle, key, witness); the witness (s, e) exists only so the
     harness can simulate the honest quantum solver."""
-    return _puzzle(params, verifier_round1(params, stream))
+    vstate, (pk, ct) = verifier_round1(params, stream)
+    kp = vstate.keypair
+    return (Puzzle(params=params, pk=pk, ct=ct),
+            PuzzleKey(s=kp.s, trapdoor=kp.trapdoor, b=vstate.b),
+            (kp.s, kp.e))
 
 
 def puzzle_V(p: Puzzle, k: PuzzleKey, o: Obligation, b_prime: int,
              d_prime):
-    """The verdict, a bool; with p, k, o and d_prime stacked, an array of
-    one verdict per instance from one trapdoor inversion."""
+    """The verdict, a bool: d xor d' == b and b', with d decrypted through
+    the trapdoor."""
     d = decrypted_bit(k.trapdoor, p.pk.v, o.y, o.u)
     return (d ^ d_prime) == (k.b & b_prime)
 
@@ -91,44 +84,30 @@ def _solver(solver: str):
     return PROVERS[solver]
 
 
-def _play(prover, pk: PublicKey, ct: Ciphertext, witness, b_prime: int,
-          stream: RngStream):
-    """One instance's prover turns: (obligation, d')."""
-    o = Obligation(*prover_round1(prover, pk, ct, witness, stream))
-    return o, int(prover.second_response(b_prime, o.rho, stream))
-
-
 def solve_one(p: Puzzle, k: PuzzleKey, witness, b_prime: int,
               stream: RngStream, solver: str = "honest") -> int:
     """Play one instance against challenge b_prime with the prover that
     PROVERS registers as `solver`; returns the verdict."""
-    o, d_prime = _play(_solver(solver)(), p.pk, p.ct, witness, b_prime,
-                       stream)
+    prover = _solver(solver)()
+    o = Obligation(*prover_round1(prover, p.pk, p.ct, witness, stream))
+    d_prime = int(prover.second_response(b_prime, o.rho, stream))
     return int(puzzle_V(p, k, o, b_prime, d_prime))
 
 
 def _verified(params: Params, insts, b_prime: int, solver: str) -> int:
-    """How many of the instances on streams `insts` verify: puzzle_G and
-    solve_one for each, with the arithmetic stacked.  The prover turns run
-    per instance, on solve streams seeded in one call for the quantum
-    prover (the baseline never draws from them); the scoring is one
-    puzzle_V call.  A call of its own, so that one chunk's trapdoors are
-    freed before the next chunk's are drawn."""
-    p, k, (s, e) = _puzzle(params, verifier_round1_stacked(
-        params, [inst.derive("gen") for inst in insts]))
-    make = _solver(solver)
+    """How many of the instances on streams `insts` verify, played as one
+    chunk: each draws what puzzle_G and solve_one draw on its streams, and
+    the solve generators are seeded in one call for the quantum prover
+    (the baseline never draws from them).  A call of its own, so that one
+    chunk's trapdoors are freed before the next chunk's are drawn."""
+    prover = _solver(solver)()
     solve = [inst.derive("solve") for inst in insts]
-    if make.quantum:
+    if prover.quantum:
         seed_streams(solve)
-    ys, us, d_primes = [], [], []
-    for i, stream in enumerate(solve):
-        o, d_prime = _play(make(), *instance(p.pk, p.ct, i), (s[i], e[i]),
-                           b_prime, stream)
-        ys.append(o.y)
-        us.append(o.u)
-        d_primes.append(d_prime)
-    o = Obligation(y=np.stack(ys), u=np.stack(us), rho=None)
-    return int(puzzle_V(p, k, o, b_prime, np.array(d_primes)).sum())
+    *_, wins = _play_chunk(params, prover,
+                           [inst.derive("gen") for inst in insts], solve,
+                           [b_prime] * len(insts))
+    return int(wins.sum())
 
 
 def verified_count(params: Params, ell: int, stream: RngStream,

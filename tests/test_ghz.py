@@ -55,6 +55,19 @@ def test_angle_sequence_doubles_within_block():
         angle_sequence(np.array([1], dtype=np.int64), p)
 
 
+@pytest.mark.parametrize("q", [3, 5, 23, 3001, "desk", (1 << 61) - 1])
+def test_angle_sequence_equals_python_int_doubling(stream, desk, q):
+    """Entry (i, j) is 2^(j+1) a_i mod 2q, exactly as Python ints give it,
+    at the edges a = 0 and a = q - 1 and on random seeds."""
+    p = desk if q == "desk" else tiny_params(3, q)
+    a = stream.gen.integers(0, p.q, size=(20, p.n), dtype=np.int64)
+    a[0], a[1] = 0, p.q - 1
+    for row in a:
+        expect = [(2 * int(a_i) << j) % (2 * p.q)
+                  for a_i in row for j in range(p.Q)]
+        assert angle_sequence(row, p).tolist() == expect
+
+
 def test_measure_xy_on_matching_angle(stream):
     # measuring an equator state exactly along its own angle gives 0
     qb = PhaseQubit(q=7, units=6)

@@ -1,9 +1,12 @@
-"""Every name a module imports is used by that module.
+"""Every name a module imports is used by that module, and every private
+top-level name is used somewhere in the package.
 
-The check parses each `rotated_tcf` module with `ast`, collects the names
-its imports bind and fails on any that the module never looks up.
+The checks parse each `rotated_tcf` module with `ast`, collect the names
+its imports bind, or its top-level `_name` definitions, and fail on any
+that is never looked up.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -43,3 +46,42 @@ def test_no_unused_imports(module):
     assert unused - exempt == set()
     # an exemption that the module now uses, or no longer imports, goes
     assert exempt <= unused
+
+
+def _lookups(tree) -> Counter:
+    """How often each name is read: as a variable or as an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if (isinstance(node, ast.Name)
+                       and isinstance(node.ctx, ast.Load))
+                   or isinstance(node, ast.Attribute))
+
+
+def _private_definitions(tree):
+    """(name, defining node) for each top-level `_name` the module binds."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target])
+            names = [n.id for t in targets for n in ast.walk(t)
+                     if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def test_no_dead_private_helpers():
+    """A private top-level name that nothing in the package reads, except
+    its own definition, is dead code left behind."""
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
+             for p in SRC.glob("*.py")}
+    reads = sum((_lookups(tree) for tree in trees.values()), Counter())
+    dead = {f"{module}.{name}"
+            for module, tree in trees.items()
+            for name, node in _private_definitions(tree)
+            if reads[name] == _lookups(node)[name]}
+    assert dead == set()

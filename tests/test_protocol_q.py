@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rotated_tcf import protocol_q
 from rotated_tcf.protocol_q import (CHUNK, PROVERS, BaselineProver,
                                     ClassicalProver, DeterministicProver,
                                     HonestQuantumProver, RandomProver,
@@ -13,7 +14,7 @@ from rotated_tcf.protocol_q import (CHUNK, PROVERS, BaselineProver,
                                     rewinding_experiment, run_experiment,
                                     run_single_trial, verifier_round1,
                                     verifier_score)
-from rotated_tcf.sampling import sample_uniform
+from rotated_tcf.sampling import sample_uniform, seed_streams
 from rotated_tcf.zq import bit_dot, bits_le_vec, matmul_mod
 
 
@@ -173,6 +174,25 @@ def test_chunked_prover_sees_the_calls_of_the_loop(stream, desk):
     assert len(chunked.calls) == 2 * trials
     assert [c[0] for c in chunked.calls] == ["first", "second"] * trials
     assert chunked.calls == looped.calls
+
+
+@pytest.mark.parametrize("prover", [BaselineProver, HonestQuantumProver])
+def test_prover_streams_are_batch_seeded_only_for_the_quantum_prover(
+        stream, desk, monkeypatch, prover):
+    """The classical baseline never draws from its prover streams, so no
+    chunk seeds them; the quantum prover draws from every one of them, so
+    each chunk seeds them all in its one call."""
+    seen = []
+
+    def spy(streams):
+        seen.extend(s.seed for s in streams)
+        return seed_streams(streams)
+    monkeypatch.setattr(protocol_q, "seed_streams", spy)
+    trials = 2 * CHUNK + 1
+    run_experiment(desk, prover(), trials, stream)
+    wanted = {stream.derive("trial", i).derive("prover").seed
+              for i in range(trials)}
+    assert (wanted & set(seen)) == (wanted if prover.quantum else set())
 
 
 def test_deterministic_family_is_exhaustive():

@@ -1,7 +1,8 @@
 import pytest
 
 from rotated_tcf.params import tiny_params
-from rotated_tcf.protocol_q import PROVERS, HonestQuantumProver, prover_round1
+from rotated_tcf.protocol_q import (PROVERS, HonestQuantumProver,
+                                    RandomProver, prover_round1)
 from rotated_tcf.puzzle import (CHUNK, COMPLETENESS_TARGET, Obligation,
                                 puzzle_G, puzzle_V, repetition_experiment,
                                 solve_one, threshold_repetition,
@@ -146,3 +147,34 @@ def test_chunked_count_equals_per_instance_loop(stream, desk, solver):
     t = stream.derive("q2^61-1")
     assert (verified_count(big, CHUNK + 1, t, solver)
             == _verified_one_by_one(big, CHUNK + 1, t, solver))
+
+
+def test_chunked_solver_sees_the_calls_of_the_loop(stream, desk,
+                                                   monkeypatch):
+    """Each instance's prover turns run on their own and in instance order:
+    the solver is called with the same keys, ciphertexts, challenge and
+    streams, in the same order, as by the one-by-one loop."""
+    calls = []
+
+    class Recording(RandomProver):
+        def first_response(self, pk, ct, stream):
+            y, u, p = super().first_response(pk, ct, stream)
+            calls.append(("first", pk.A.tobytes(), pk.v.tobytes(),
+                          ct.a.tobytes(), ct.w, stream.seed, y.tobytes(),
+                          u.tobytes()))
+            return y, u, p
+
+        def second_response(self, b_prime, p, stream):
+            d_prime = super().second_response(b_prime, p, stream)
+            calls.append(("second", b_prime, stream.seed, d_prime))
+            return d_prime
+
+    monkeypatch.setitem(PROVERS, "recording", Recording)
+    ell = CHUNK + 1
+    verified_count(desk, ell, stream, "recording")
+    chunked = calls[:]
+    calls.clear()
+    _verified_one_by_one(desk, ell, stream, "recording")
+    assert len(chunked) == 2 * ell
+    assert [c[0] for c in chunked] == ["first", "second"] * ell
+    assert chunked == calls
