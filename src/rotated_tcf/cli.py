@@ -312,7 +312,7 @@ def _apply_config(argv: list | None) -> list:
     for key, value in config.items():
         if value is True:
             flags.append(f"--{key}")
-        elif value is not False:
+        elif value is not False and value is not None:
             flags.extend([f"--{key}", str(value)])
     # with --config taken out, the subcommand is argv's first element
     return argv[:1] + flags + argv[1:]

@@ -195,10 +195,9 @@ def verifier_session(conn, params: Params, trial_stream: RngStream,
     send_message(conn, make_message("setup", setup))
     y, u = _receive(conn, "response1", params)
     b_prime = int(sample_bits(1, trial_stream.derive("challenge"))[0])
-    vstate.b_prime = b_prime
     send_message(conn, make_message("challenge", {"b_prime": b_prime}))
     d_prime = _receive(conn, "response2")
-    transcript = verifier_score(vstate, y, u, d_prime,
+    transcript = verifier_score(vstate, y, u, b_prime, d_prime,
                                 seed_info=trial_stream.seed.hex())
     send_message(conn, make_message("result",
                                     {"success": bool(transcript.success),

@@ -68,6 +68,8 @@ class Params:
             raise ValueError("sigma must be >= 1")
         if self.n < 1:
             raise ValueError("n must be >= 1")
+        if self.lam < 1:
+            raise ValueError("lam must be >= 1")
         Q = (self.q - 1).bit_length()  # ceil(log2 q) for q >= 3, q not a power of 2
         m = self.n * (2 * Q + 1)
         object.__setattr__(self, "Q", Q)

@@ -37,7 +37,6 @@ class VerifierState:
     keypair: KeypairJ
     b: int                   # an int64 array for a stack of instances
     ct: Ciphertext
-    b_prime: int | None = None
 
 
 @dataclass
@@ -52,7 +51,7 @@ def _bit_draws(params: Params, b_stream: RngStream, f_stream: RngStream):
 
 
 def _round1(params: Params, kp: KeypairJ, b, f):
-    ct = encrypt_bit(kp.pk, b, None, force_f=f)
+    ct = encrypt_bit(kp.pk, b, f)
     state = VerifierState(params=params, keypair=kp, b=b, ct=ct)
     return state, (kp.pk, ct)
 
@@ -111,12 +110,6 @@ def honest_prover_round1(params: Params, pk: PublicKey, ct: Ciphertext,
     return state, (y, u)
 
 
-def honest_prover_round2(state: ProverState, b_prime: int,
-                         stream: RngStream) -> int:
-    xi = (math.pi / 4) * (-1 if b_prime else 1)
-    return state.qubit.measure_xy(xi, stream)
-
-
 def claw_bit(x: np.ndarray, u: np.ndarray, Q: int) -> int:
     """d = u . ([x0] xor [x1]) for the claw preimages x = (x0, x1) stacked
     on axis -2; stacks of x and u give one bit per instance."""
@@ -136,49 +129,33 @@ def decrypted_bit(pair: TrapdoorPair, v: np.ndarray, y: np.ndarray,
 
 
 def verifier_score(vstate: VerifierState, y: np.ndarray, u: np.ndarray,
-                   d_prime: int, seed_info: str = "",
-                   include_pk: bool = False) -> Transcript:
+                   b_prime: int, d_prime: int,
+                   seed_info: str = "") -> Transcript:
     kp = vstate.keypair
     d = decrypted_bit(kp.trapdoor, kp.pk.v, y, u)
     return make_transcript(vstate.params, kp.pk, vstate.ct,
-                           y, u, vstate.b, vstate.b_prime, d, d_prime,
-                           seed_info, include_pk=include_pk)
+                           y, u, vstate.b, b_prime, d, d_prime, seed_info)
 
 
 # ---------------------------------------------------------------------------
-# Classical prover strategies (two replayable response functions plus an
-# explicit memory register p).
+# Classical prover strategies (two response functions plus an explicit
+# memory register p).
 
 
 class ClassicalProver:
     """Interface: first_response(pk, ct, stream) -> (y, u, p) and
-    second_response(b_prime, p, stream) -> bit.  Both must be replayable
-    with fresh randomness, which is what the rewinding experiments exploit."""
+    second_response(b_prime, p, stream) -> bit.  Both can be called again
+    on the same p with fresh randomness, which is what the rewinding
+    experiments exploit."""
 
     name = "classical"
     quantum = False
-    replayable = True
 
     def first_response(self, pk: PublicKey, ct: Ciphertext, stream: RngStream):
         raise NotImplementedError
 
     def second_response(self, b_prime: int, p, stream: RngStream) -> int:
         raise NotImplementedError
-
-
-class BaselineProver(ClassicalProver):
-    """y = 0 makes the claw (0, s), u = 0 forces d = 0, and d' = 0 wins
-    exactly when b and b' = 0, which happens with probability 3/4."""
-
-    name = "classical-baseline"
-
-    def first_response(self, pk, ct, stream):
-        params = pk.params
-        return (np.zeros(params.m, dtype=np.int64),
-                np.zeros(params.nQ, dtype=np.int64), None)
-
-    def second_response(self, b_prime, p, stream):
-        return 0
 
 
 class RandomProver(ClassicalProver):
@@ -227,16 +204,25 @@ def deterministic_family() -> list[DeterministicProver]:
             for u_fill in (0, 1) for rule in SECOND_RESPONSE_RULES]
 
 
+class BaselineProver(DeterministicProver):
+    """y = 0 makes the claw (0, s), u = 0 forces d = 0, and d' = 0 wins
+    exactly when b and b' = 0, which happens with probability 3/4."""
+
+    def __init__(self):
+        super().__init__(0, "zero")
+        self.name = "classical-baseline"
+
+
 class HonestQuantumProver:
     """The exactly-simulated quantum device; its memory is the kept qubit,
     which measuring consumes, so it cannot be replayed."""
 
     name = "honest-quantum"
     quantum = True
-    replayable = False
 
     def second_response(self, b_prime, memory, stream):
-        return honest_prover_round2(memory, b_prime, stream)
+        xi = (math.pi / 4) * (-1 if b_prime else 1)
+        return memory.qubit.measure_xy(xi, stream)
 
 
 PROVERS = {
@@ -366,8 +352,10 @@ def rewinding_experiment(variant: str, params: Params, prover,
     ciphertext encrypts 0 instead of b, removing all information about b."""
     if variant not in ("C", "C'", "C''"):
         raise ValueError("variant must be C, C' or C''")
-    if not prover.replayable:
-        raise TypeError("rewinding requires a replayable classical prover")
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
+    if prover.quantum:
+        raise TypeError("rewinding requires a classical prover")
     wins = 0
     for i in range(trials):
         t = stream.derive("rewind", variant, i)

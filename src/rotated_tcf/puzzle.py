@@ -1,6 +1,6 @@
 """1-of-2 puzzle built from the quantumness test, plus threshold repetition.
 
-G hands out (puzzle, key) = ((pk, ct), (s, t, b)); the solver commits to an
+G hands out (puzzle, key) = ((pk, ct), (t, b)); the solver commits to an
 obligation (y, u) while keeping one qubit, answers a challenge bit b' by
 measuring that qubit, and the verifier scores d xor d' == b and b'.  The
 repetition runner plays ell independent instances against a single shared
@@ -40,14 +40,12 @@ CHUNK = 10
 
 @dataclass(frozen=True)
 class Puzzle:
-    params: Params
     pk: PublicKey
     ct: Ciphertext
 
 
 @dataclass(frozen=True)
 class PuzzleKey:
-    s: np.ndarray
     trapdoor: TrapdoorPair
     b: int
 
@@ -65,8 +63,8 @@ def puzzle_G(params: Params, stream: RngStream):
     harness can simulate the honest quantum solver."""
     vstate, (pk, ct) = verifier_round1(params, stream)
     kp = vstate.keypair
-    return (Puzzle(params=params, pk=pk, ct=ct),
-            PuzzleKey(s=kp.s, trapdoor=kp.trapdoor, b=vstate.b),
+    return (Puzzle(pk=pk, ct=ct),
+            PuzzleKey(trapdoor=kp.trapdoor, b=vstate.b),
             (kp.s, kp.e))
 
 

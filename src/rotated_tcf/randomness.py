@@ -37,7 +37,7 @@ class EntropyEstimate:
 
 def estimate_minentropy(prover, params: Params, contexts: int, replays: int,
                         stream: RngStream) -> EntropyEstimate:
-    """A replayable prover is rewound: one first response per context, then
+    """A classical prover is rewound: one first response per context, then
     `replays` fresh second responses at b' = 0.  The quantum simulator
     cannot be rewound (measuring consumes the qubit), so it is re-run from
     scratch per replay and the estimate is flagged accordingly."""
@@ -51,7 +51,7 @@ def estimate_minentropy(prover, params: Params, contexts: int, replays: int,
         vstate, (pk, ct) = verifier_round1(params, ctx.derive("verifier"))
         witness = (vstate.keypair.s, vstate.keypair.e)
         ones = 0
-        if prover.replayable:
+        if not prover.quantum:
             _, _, mem = prover_round1(prover, pk, ct, witness,
                                       ctx.derive("prover"))
             for r in range(replays):
@@ -68,7 +68,7 @@ def estimate_minentropy(prover, params: Params, contexts: int, replays: int,
         worst_context_prob=min(probs),
         contexts=contexts,
         samples_per_context=replays,
-        rewound=prover.replayable,
+        rewound=not prover.quantum,
     )
 
 

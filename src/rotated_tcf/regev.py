@@ -97,29 +97,25 @@ def gen_j_stacked(params: Params, streams) -> KeypairJ:
                     trapdoor=pair)
 
 
-def encrypt_zq(pk: PublicKey, value: int, stream: RngStream,
-               force_f: np.ndarray | None = None):
-    """ct = (f^T A, f^T v + value) for a fresh subset vector f.
-
-    Returns (ct, f); callers that need the randomness (blind state
-    preparation, tests) keep f, everyone else discards it.  With a stacked
-    key, force_f and value stack the same way."""
+def encrypt_zq(pk: PublicKey, value: int, f: np.ndarray) -> Ciphertext:
+    """ct = (f^T A, f^T v + value) for the subset vector f, a 0/1 vector of
+    length m; callers draw it as sample_bits(m, stream), and those that
+    need the randomness (blind state preparation, tests) keep it.  With a
+    stacked key, f and value stack the same way."""
     p = pk.params
-    f = sample_bits(p.m, stream) if force_f is None else np.asarray(force_f, dtype=np.int64)
+    f = np.asarray(f, dtype=np.int64)
     if f.shape[-1] != p.m or not np.all((f == 0) | (f == 1)):
         raise ValueError("f must be a 0/1 vector of length m")
     row = f[..., None, :]
     a = matmul_mod(row, pk.A, p.q)[..., 0, :]
     w = (matmul_mod(row, pk.v[..., None], p.q)[..., 0, 0] + value) % p.q
-    return Ciphertext(a=a, w=w if w.ndim else int(w)), f
+    return Ciphertext(a=a, w=w if w.ndim else int(w))
 
 
-def encrypt_bit(pk: PublicKey, b, stream: RngStream,
-                force_f: np.ndarray | None = None) -> Ciphertext:
+def encrypt_bit(pk: PublicKey, b, f: np.ndarray) -> Ciphertext:
     if not {*np.ravel(b).tolist()} <= {0, 1}:
         raise ValueError("message must be a bit")
-    ct, _ = encrypt_zq(pk, b * (pk.params.q // 4), stream, force_f=force_f)
-    return ct
+    return encrypt_zq(pk, b * (pk.params.q // 4), f)
 
 
 def decrypt_bit(s: np.ndarray, ct: Ciphertext, q: int) -> int:
@@ -148,7 +144,8 @@ def distinguishing_game(params: Params, adversary, trials: int,
         kp = gen(params, trial.derive("key"))
         b = int(sample_bits(1, trial.derive("b"))[0])
         plaintext = b if mode == "real-b" else 0
-        ct = encrypt_bit(kp.pk, plaintext, trial.derive("f"))
+        ct = encrypt_bit(kp.pk, plaintext,
+                         sample_bits(params.m, trial.derive("f")))
         if int(adversary(kp.pk, ct)) == b:
             wins += 1
     return Stats(successes=wins, trials=trials)

@@ -28,7 +28,7 @@ from .ghz import (angle_sequence, simulate_basis_measurement,
 from .params import Params
 from .protocol_q import claw_bit, honest_prover_round1
 from .regev import Ciphertext, PublicKey, encrypt_zq, gen_j, gen_k
-from .sampling import RngStream, sample_uniform
+from .sampling import RngStream, sample_bits, sample_uniform
 from .trapdoor import find_preimage
 from .trapdoor import invert  # not called: perfbench/layers.py rebinds it
 from .zq import centered_abs, matmul_mod
@@ -67,7 +67,8 @@ def rsp_client_round1(params: Params, alpha: int, stream: RngStream,
         kp = type(kp)(pk=type(kp.pk)(params=params, A=kp.pk.A, v=v),
                       s=kp.s, e=e, trapdoor=kp.trapdoor)
     payload = alpha if sign_convention == "additive" else (-alpha) % params.q
-    ct, f = encrypt_zq(kp.pk, payload, stream.derive("f"))
+    f = sample_bits(params.m, stream.derive("f"))
+    ct = encrypt_zq(kp.pk, payload, f)
     state = ClientState(params=params, keypair=kp, f=f, alpha=alpha)
     return state, ((kp.pk.A, kp.pk.v), (ct.a, ct.w))
 
@@ -168,5 +169,5 @@ def blindness_sampler(which: str, x: int, params: Params, stream: RngStream):
     if which not in ("D_x", "D_x_tilde"):
         raise ValueError("which must be D_x, D_x_tilde or D")
     pk = (gen_j if which == "D_x" else gen_k)(params, stream).pk
-    ct, _ = encrypt_zq(pk, x, stream.derive("fbits"))
+    ct = encrypt_zq(pk, x, sample_bits(m, stream.derive("fbits")))
     return pk.A, pk.v, ct.a, ct.w

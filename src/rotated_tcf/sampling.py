@@ -24,7 +24,7 @@ class RngStream:
     def __init__(self, seed):
         if isinstance(seed, str):
             seed = bytes.fromhex(seed)
-        elif isinstance(seed, int):
+        elif isinstance(seed, int) and 0 <= seed < 1 << 256:
             seed = seed.to_bytes(32, "big")
         if not isinstance(seed, bytes) or len(seed) != 32:
             raise ValueError("seed must be 32 bytes / 64 hex chars")
@@ -189,13 +189,10 @@ def _cdf(pmf):
 
 
 def _table_draw(support, cdf, stream: RngStream, size):
-    u = stream.gen.random(size if size is not None else 1)
-    idx = np.searchsorted(cdf, u, side="right")
-    out = support[idx]
-    return out if size is not None else int(out[0])
+    return support[np.searchsorted(cdf, stream.gen.random(size), side="right")]
 
 
-def sample_gaussian(sigma: float, stream: RngStream, size=None):
+def sample_gaussian(sigma: float, stream: RngStream, size):
     """Draw from G(sigma) via inverse-CDF on the exact pmf table."""
     support, pmf = gaussian_table(sigma)
     return _table_draw(support, _cdf(pmf), stream, size)
@@ -215,7 +212,7 @@ def _truncated_table(sigma: float, tau: Fraction):
     return support, cdf
 
 
-def sample_truncated_gaussian(sigma: float, tau, stream: RngStream, size=None):
+def sample_truncated_gaussian(sigma: float, tau, stream: RngStream, size):
     """Draw from G(sigma) conditioned on |x| <= tau (exact truncated table)."""
     tau = Fraction(tau)
     if tau < 1:

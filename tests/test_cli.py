@@ -193,6 +193,17 @@ def test_config_path_equal_to_a_flag_value(tmp_path, monkeypatch, capsys):
     assert "/7 =" in capsys.readouterr().out
 
 
+def test_config_null_leaves_the_flag_out(tmp_path, monkeypatch, capsys):
+    """A JSON null reads like false: the flag is left out, not given the
+    value "None"."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "cfg.json").write_text(json.dumps({"trials": 3, "out": None}))
+    assert main(["poq", "--config", "cfg.json", "--prover",
+                 "classical-baseline", "--seed", SEED]) == 0
+    assert "/3 =" in capsys.readouterr().out
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
 def test_serve_and_connect_commands(capsys):
     import socket
     import time

@@ -1,17 +1,23 @@
-"""Every name a module imports is used by that module, and every private
-top-level name is used somewhere in the package.
+"""Every name a module imports is used by that module, every private
+top-level name is used somewhere in the package, and every name the
+benchmark rebinds is where it looks for it.
 
-The checks parse each `rotated_tcf` module with `ast`, collect the names
-its imports bind, or its top-level `_name` definitions, and fail on any
-that is never looked up.
+The first checks parse each `rotated_tcf` module with `ast`, collect the
+names its imports bind, or its top-level `_name` definitions, and fail on
+any that is never looked up.  The last runs perfbench's `instrument` and
+its `restore`.
 """
 import ast
+import importlib
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "rotated_tcf"
+from rotated_tcf.sampling import RngStream
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "rotated_tcf"
 
 # Imported but not called: perfbench/layers.py times a layer by rebinding
 # the name in every module that imports it, so these must stay importable
@@ -85,3 +91,34 @@ def test_no_dead_private_helpers():
             for name, node in _private_definitions(tree)
             if reads[name] == _lookups(node)[name]}
     assert dead == set()
+
+
+def _names(owners) -> list:
+    return [dict(vars(owner)) for owner in owners]
+
+
+def test_benchmark_rebinds_and_restores_every_name(monkeypatch):
+    """perfbench/layers.py times the layers by rebinding program names to
+    wrappers: each name it looks up must be where it looks, and restoring
+    must put back the very objects it found.  A refactor that moves one
+    breaks `perfbench/run.py --trace 1`, so it fails here first."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    layers, spans = map(importlib.import_module, ("layers", "spans"))
+    owners = [importlib.import_module(
+        "rotated_tcf" if p.stem == "__init__" else f"rotated_tcf.{p.stem}")
+        for p in sorted(SRC.glob("*.py"))] + [RngStream]
+    before = _names(owners)
+    try:
+        layers.instrument(spans.Tracer())()
+    finally:
+        after = _names(owners)
+        # undo whatever an instrument() that failed half-way left rebound
+        for owner, names in zip(owners, before):
+            for name, value in names.items():
+                if vars(owner).get(name) is not value:
+                    setattr(owner, name, value)
+    moved = {f"{owner.__name__}.{name}"
+             for owner, old, new in zip(owners, before, after)
+             for name in old.keys() | new.keys()
+             if old.get(name) is not new.get(name)}
+    assert moved == set()

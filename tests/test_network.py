@@ -417,6 +417,23 @@ def test_setup_scalar_over_its_bound_is_refused(desk, honest_setup, key,
             == bound
 
 
+@pytest.mark.parametrize("lam", [0, -5])
+def test_setup_lambda_below_one_is_refused(honest_setup, lam):
+    """A setup whose lambda is not positive gets a `bad-encoding` error
+    frame, and the prover's read ends with SessionError."""
+    conn, peer = socket.socketpair()
+    with conn, peer:
+        conn.settimeout(10)
+        peer.settimeout(10)
+        send_message(peer, make_message("setup",
+                                        dict(honest_setup, **{"lambda": lam})))
+        with pytest.raises(SessionError, match="bad-encoding"):
+            network._receive(conn, "setup", True)
+        reply = recv_message(peer)
+    assert reply["type"] == "error"
+    assert reply["payload"]["code"] == "bad-encoding"
+
+
 def test_every_message_type_has_a_decoder():
     """Each frame is read through its type's decoder, so a new message type
     cannot be received unchecked."""

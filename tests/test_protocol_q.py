@@ -10,7 +10,7 @@ from rotated_tcf.protocol_q import (CHUNK, PROVERS, BaselineProver,
                                     SECOND_RESPONSE_RULES, decrypted_bit,
                                     deterministic_family,
                                     exact_ct_independent_win_prob,
-                                    honest_prover_round1, honest_prover_round2,
+                                    honest_prover_round1,
                                     rewinding_experiment, run_experiment,
                                     run_single_trial, verifier_round1,
                                     verifier_score)
@@ -59,10 +59,9 @@ def test_zero_u_forces_d_zero(stream, desk):
 
 def test_verifier_score_matches_predicate(stream, desk):
     vstate, (pk, ct) = verifier_round1(desk, stream)
-    vstate.b_prime = 1
     y = np.zeros(desk.m, dtype=np.int64)
     u = np.zeros(desk.nQ, dtype=np.int64)
-    t = verifier_score(vstate, y, u, d_prime=0)
+    t = verifier_score(vstate, y, u, b_prime=1, d_prime=0)
     assert t.success == ((t.d ^ 0) == (vstate.b & 1))
     assert t.b == vstate.b and t.b_prime == 1
 
@@ -212,6 +211,12 @@ def test_rewinding_requires_replayable(stream, desk):
         rewinding_experiment("D", desk, BaselineProver(), 5, stream)
 
 
+@pytest.mark.parametrize("trials", [0, -3])
+def test_rewinding_refuses_fewer_than_one_trial(stream, desk, trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        rewinding_experiment("C", desk, BaselineProver(), trials, stream)
+
+
 def test_rewinding_baseline_consistent_across_variants(stream, desk):
     for variant in ("C", "C'", "C''"):
         stats = rewinding_experiment(variant, desk, BaselineProver(), 400,
@@ -255,7 +260,8 @@ def test_honest_round2_is_a_bit(stream, desk):
     vstate, (pk, ct) = verifier_round1(desk, stream.derive("v"))
     witness = (vstate.keypair.s, vstate.keypair.e)
     pstate, _ = honest_prover_round1(desk, pk, ct, witness, stream.derive("p"))
-    assert honest_prover_round2(pstate, 1, stream.derive("c")) in (0, 1)
+    assert HonestQuantumProver().second_response(
+        1, pstate, stream.derive("c")) in (0, 1)
 
 
 def test_decrypted_bit_flips_with_single_claw_bit(stream, desk):

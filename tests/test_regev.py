@@ -19,7 +19,7 @@ def test_public_key_relation(stream, desk):
 def test_zero_randomness_hook(stream, desk):
     kp = gen_k(desk, stream)
     f = np.zeros(desk.m, dtype=np.int64)
-    ct = encrypt_bit(kp.pk, 1, stream, force_f=f)
+    ct = encrypt_bit(kp.pk, 1, f)
     assert np.all(ct.a == 0)
     assert ct.w == desk.q // 4
 
@@ -27,12 +27,11 @@ def test_zero_randomness_hook(stream, desk):
 def test_encrypt_bit_validation(stream, desk):
     kp = gen_k(desk, stream)
     with pytest.raises(ValueError):
-        encrypt_bit(kp.pk, 2, stream)
+        encrypt_bit(kp.pk, 2, sample_bits(desk.m, stream))
     with pytest.raises(ValueError):
-        encrypt_zq(kp.pk, 0, stream, force_f=np.ones(3, dtype=np.int64))
+        encrypt_zq(kp.pk, 0, np.ones(3, dtype=np.int64))
     with pytest.raises(ValueError):
-        encrypt_zq(kp.pk, 0, stream,
-                   force_f=np.full(desk.m, 2, dtype=np.int64))
+        encrypt_zq(kp.pk, 0, np.full(desk.m, 2, dtype=np.int64))
 
 
 def test_decrypt_roundtrip(stream, desk):
@@ -40,7 +39,7 @@ def test_decrypt_roundtrip(stream, desk):
     for i in range(2000):
         t = stream.derive("ct", i)
         b = int(sample_bits(1, t)[0])
-        ct = encrypt_bit(kp.pk, b, t)
+        ct = encrypt_bit(kp.pk, b, sample_bits(desk.m, t))
         assert decrypt_bit(kp.s, ct, desk.q) == b
 
 
@@ -49,7 +48,7 @@ def test_decrypt_roundtrip_fresh_keys(stream, desk):
         t = stream.derive("trial", i)
         kp = gen_k(desk, t.derive("key"))
         b = i % 2
-        ct = encrypt_bit(kp.pk, b, t.derive("ct"))
+        ct = encrypt_bit(kp.pk, b, sample_bits(desk.m, t.derive("ct")))
         assert decrypt_bit(kp.s, ct, desk.q) == b
 
 
@@ -63,7 +62,8 @@ def test_ciphertext_algebra(stream, desk):
     """w - <a, s> = f^T e + payload mod q for any Z_q payload."""
     kp = gen_k(desk, stream.derive("key"))
     for i, payload in enumerate([0, 1, desk.q // 4, desk.q - 1]):
-        ct, f = encrypt_zq(kp.pk, payload, stream.derive("ct", i))
+        f = sample_bits(desk.m, stream.derive("ct", i))
+        ct = encrypt_zq(kp.pk, payload, f)
         lhs = (ct.w - int(matmul_mod(ct.a, kp.s, desk.q))) % desk.q
         assert lhs == (int(matmul_mod(f, kp.e, desk.q)) + payload) % desk.q
 
@@ -84,7 +84,8 @@ def test_decrypt_boundary_noise(desk):
 
 def test_noise_magnitude(stream, desk):
     kp = gen_k(desk, stream.derive("key"))
-    ct, f = encrypt_zq(kp.pk, 0, stream.derive("ct"))
+    f = sample_bits(desk.m, stream.derive("ct"))
+    ct = encrypt_zq(kp.pk, 0, f)
     noise = int(centered_lift(matmul_mod(f, kp.e, desk.q), desk.q))
     assert abs(noise) <= 2 * desk.m * desk.sigma
 

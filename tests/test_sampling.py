@@ -27,6 +27,20 @@ def test_stream_seed_validation():
     assert s.seed == b"\x00" * 32
 
 
+@pytest.mark.parametrize("seed, ok", [(-1, False), (1 << 256, False),
+                                      (0, True), ((1 << 256) - 1, True)],
+                         ids=["minus-one", "two-to-256", "zero",
+                              "two-to-256-minus-one"])
+def test_int_seed_must_fit_32_bytes(seed, ok):
+    """An int seed outside [0, 2^256) is refused like every other bad seed,
+    with the constructor's ValueError."""
+    if ok:
+        assert RngStream(seed).seed == seed.to_bytes(32, "big")
+    else:
+        with pytest.raises(ValueError, match="seed must be 32 bytes"):
+            RngStream(seed)
+
+
 def test_derive_is_deterministic_and_labelled(stream):
     a = stream.derive("x", 1)
     b = stream.derive("x", 1)
@@ -107,7 +121,7 @@ def test_truncated_gaussian_close_to_untruncated(stream):
 
 def test_truncated_gaussian_tau_validation(stream):
     with pytest.raises(ValueError):
-        sample_truncated_gaussian(2.0, Fraction(1, 2), stream)
+        sample_truncated_gaussian(2.0, Fraction(1, 2), stream, size=1)
 
 
 def test_truncation_check_survives_optimize():
