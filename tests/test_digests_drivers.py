@@ -4,7 +4,10 @@
 run a prover's turn: the min-entropy estimate, the puzzle solver and its
 threshold repetition, one TCP loopback session per prover kind, and runs
 long enough to cross chunk boundaries (33 honest trials, 23 puzzle
-instances).  The hex values were recorded once and must never change.
+instances).  The `mixed-*` cases run at MIXED, where about 40 % of honest
+claws are single-preimage, so both claw cases of the honest prover's
+turn are pinned (at desk, a single-preimage claw has probability about
+7e-6).  The hex values were recorded once and must never change.
 """
 import hashlib
 import json
@@ -13,11 +16,15 @@ import threading
 import pytest
 
 from rotated_tcf import network, protocol_q, puzzle, randomness
-from rotated_tcf.params import desk_preset
+from rotated_tcf.params import desk_preset, tiny_params
 from rotated_tcf.sampling import master_stream
 from rotated_tcf.transcripts import transcript_to_json
 
 DIGEST_SEED = "d1e5c0de" * 8
+
+# tiny_params arguments at which about 40 % of honest claws are
+# single-preimage
+MIXED = (2, 1048583, 2.0)
 
 
 def _root(case: str):
@@ -81,6 +88,37 @@ def _chunked_puzzle(params, stream):
             for solver in ("honest", "classical-baseline") for r in range(4)]
 
 
+def _mixed(lines):
+    """`lines` at the MIXED parameters instead of the fixture's."""
+    return lambda params, stream: lines(tiny_params(*MIXED), stream)
+
+
+def _prover_turns(params, stream):
+    """8 one-instance honest prover turns: the claw case, the kept qubit's
+    phase or basis, y and u."""
+    out = []
+    for i in range(8):
+        inst = stream.derive("instance", i)
+        vstate, (pk, ct) = protocol_q.verifier_round1(
+            params, inst.derive("verifier"))
+        kp = vstate.keypair
+        state, (y, u) = protocol_q.honest_prover_round1(
+            params, pk, ct, (kp.s, kp.e), inst.derive("prover"))
+        qubit = state.qubit
+        out.append(_line({"claw_case": state.claw_case,
+                          "units": qubit.units, "basis": qubit.basis,
+                          "y": [str(int(v)) for v in y.tolist()],
+                          "u": u.tolist()}))
+    return out
+
+
+def _honest_puzzle(params, stream):
+    """4 honest verified_count runs at ell = 23."""
+    return [_line({"run": r, "verified": puzzle.verified_count(
+                params, 23, stream.derive("honest", r))})
+            for r in range(4)]
+
+
 def _loopback(prover, witness_channel):
     def lines(params, stream):
         srv = network.open_server_socket("127.0.0.1", 0)
@@ -117,6 +155,9 @@ CASES = {
     "loopback-baseline": _loopback(protocol_q.BaselineProver(), False),
     "poq-honest-chunked": _chunked_trials,
     "puzzle-chunked": _chunked_puzzle,
+    "mixed-poq-honest": _mixed(_chunked_trials),
+    "mixed-puzzle-honest": _mixed(_honest_puzzle),
+    "mixed-prover-turns": _mixed(_prover_turns),
 }
 
 DIGESTS = {
@@ -130,6 +171,12 @@ DIGESTS = {
         "71cd4e03ce5d37f4737dfd0e82a27e6e2a3a705a6850080a98dc4ddaa1d41318",
     "loopback-honest-witness":
         "8cd943d9e6a2c76f4fcc17b010db17f1577babb46d0c5b6abbe14006c91d88d6",
+    "mixed-poq-honest":
+        "b6e4fd01e6f00be32b5420b6c05470663538e001518a77a3df2417851593bec2",
+    "mixed-prover-turns":
+        "5bb90c7a59f9e3e7e0b6e725d1bffe0fe43bee84aeca69e118fb738f6f652d89",
+    "mixed-puzzle-honest":
+        "939e07f6c9a92eb2bc2c499524c07ba7e78a2ee7268387795dda93f39298ea76",
     "poq-honest-chunked":
         "e834b17e5a9ee9c990dc81c7783946f2c414928ad325855c8c3a355fb2b792fd",
     "puzzle-baseline":
