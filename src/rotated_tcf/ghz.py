@@ -20,6 +20,8 @@ import numpy as np
 from .sampling import RngStream, sample_bits
 from .zq import bits_le_vec, gadget_multiples
 
+_INT64_MAX = (1 << 63) - 1
+
 
 @dataclass
 class PhaseQubit:
@@ -57,38 +59,59 @@ class PhaseQubit:
 
 
 def angle_sequence(a: np.ndarray, params) -> np.ndarray:
-    """Per-qubit rotation angles, in units of pi/q modulo 2q.
+    """Per-qubit rotation angles, in units of pi/q modulo 2q; a stack of
+    seeds, shape (..., n), gives one row of nQ angles per seed.
 
     Qubit (i-1)Q + j is rotated by 2^j * pi * a_i / q, which is 2^j * a_i
     units; equivalently 2^(j-1) copies of theta_i = 2 pi a_i / q."""
     a = np.asarray(a, dtype=np.int64)
-    if a.shape != (params.n,):
+    if a.shape[-1:] != (params.n,):
         raise ValueError("angle seed must have length n")
     # 2^(j+1) a mod 2q = 2 (2^j a mod q)
-    return 2 * gadget_multiples(a % params.q, params.Q, params.q).reshape(-1)
+    return 2 * gadget_multiples(a % params.q, params.Q, params.q).reshape(
+        a.shape[:-1] + (-1,))
+
+
+def _outcomes(shape, stream) -> np.ndarray:
+    """Uniform outcome bits of `shape`: one row from `stream`, or each row
+    of a stack from its own stream in the list `stream`."""
+    if len(shape) == 1:
+        return sample_bits(shape[0], stream)
+    if len(stream) != shape[0]:
+        raise ValueError("need one stream per row")
+    return np.array([sample_bits(shape[1], s) for s in stream],
+                    dtype=np.int64).reshape(shape)
 
 
 def simulate_ghz_measurement(x_one: np.ndarray, x_zero: np.ndarray,
-                             r_units: np.ndarray, params,
-                             stream: RngStream):
+                             r_units: np.ndarray, params, stream):
     """Measure the first nQ qubits of (|[x_one]>|1> + |[x_zero]>|0>)/sqrt(2)
     in the bases given by r_units.  Returns (u, qubit) where u is the
-    outcome string and qubit the exact state of the surviving qubit."""
-    d = np.size(x_one) * params.Q
-    if r_units.shape != (d,):
+    outcome string and qubit the exact state of the surviving qubit.  Rows
+    of x_one, x_zero and r_units, with a list of one stream per row, give
+    the stacked u and a list of qubits."""
+    shape = np.shape(x_one)
+    if r_units.shape != shape[:-1] + (shape[-1] * params.Q,):
         raise ValueError("need one angle per measured qubit")
-    u = sample_bits(d, stream)
+    u = _outcomes(r_units.shape, stream)
     units = predicted_phase_units(x_one, x_zero, r_units, u, params)
-    return u, PhaseQubit(q=params.q, units=units)
+    if u.ndim == 1:
+        return u, PhaseQubit(q=params.q, units=units)
+    return u, [PhaseQubit(q=params.q, units=k) for k in units.tolist()]
 
 
-def simulate_basis_measurement(x: np.ndarray, c: int, r_units: np.ndarray,
-                               params, stream: RngStream):
+def simulate_basis_measurement(x: np.ndarray, c, r_units: np.ndarray,
+                               params, stream):
     """Measuring the basis state |[x]>|c> in XY-plane bases: outcomes are
-    uniform and carry no information, the last qubit stays |c>."""
+    uniform and carry no information, the last qubit stays |c>.  Rows of
+    x, c and r_units, with a list of one stream per row, give the stacked
+    u and a list of qubits."""
     del x  # the outcome distribution does not depend on the basis string
-    u = sample_bits(len(r_units), stream)
-    return u, PhaseQubit(q=params.q, basis=int(c))
+    u = _outcomes(np.shape(r_units), stream)
+    if u.ndim == 1:
+        return u, PhaseQubit(q=params.q, basis=int(c))
+    return u, [PhaseQubit(q=params.q, basis=b)
+               for b in np.asarray(c).tolist()]
 
 
 def _eigvec(r: float, u: int) -> np.ndarray:
@@ -134,13 +157,26 @@ def equator_state(units: int, q: int) -> np.ndarray:
     return np.array([1.0, np.exp(1j * math.pi * units / q)]) / math.sqrt(2)
 
 
-def predicted_phase_units(x_one, x_zero, r_units, u, params) -> int:
-    """The analytic simulator's phase for a fixed outcome string u."""
-    q = params.q
-    bx = bits_le_vec(np.asarray(x_one, dtype=np.int64), params.Q)
-    by = bits_le_vec(np.asarray(x_zero, dtype=np.int64), params.Q)
-    phase = int(((by - bx) * (np.asarray(r_units) % (2 * q))).sum() % (2 * q))
-    return (phase + q * int(((bx ^ by) & np.asarray(u)).sum())) % (2 * q)
+def predicted_phase_units(x_one, x_zero, r_units, u, params):
+    """The analytic simulator's phase for a fixed outcome string u, an int:
+    sum_k (y_k - x_k) (r_k + q u_k) mod 2q over the bits x of x_one and y
+    of x_zero.  Stacks of x_one, x_zero, r_units and u give one phase per
+    row.  Exact for every q < 2^61, where a term r_k + q u_k takes up to
+    63 bits: when a row's sum could pass 2^63, the low and high 32-bit
+    halves of the terms are summed apart, each sum within int64, and
+    joined modulo 2q."""
+    q2 = 2 * params.q
+    step = bits_le_vec(x_zero, params.Q) - bits_le_vec(x_one, params.Q)
+    terms = (np.asarray(r_units, dtype=np.int64) % q2
+             + params.q * np.asarray(u, dtype=np.int64))
+    if terms.shape[-1] * 3 * params.q <= _INT64_MAX:
+        phase = (step * terms).sum(axis=-1) % q2
+    else:
+        low = (step * (terms & 0xFFFFFFFF)).sum(axis=-1) % q2
+        high = (step * (terms >> 32)).sum(axis=-1) % q2
+        # high 2^32 mod 2q, entry 32 of the gadget row
+        phase = (gadget_multiples(high, 33, q2)[..., 32] + low) % q2
+    return phase if phase.ndim else int(phase)
 
 
 def oracle_equivalence_check(x_one, x_zero, a, params,

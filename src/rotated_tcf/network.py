@@ -233,7 +233,12 @@ def prover_session(host: str, port: int, strategy, trial_stream: RngStream,
         _handshake(sock, "prover", "verifier", witness=strategy.quantum)
         pk, ct, witness = _receive(sock, "setup", strategy.quantum)
         pstream = trial_stream.derive("prover")
-        y, u, memory = prover_round1(strategy, pk, ct, witness, pstream)
+        try:
+            y, u, memory = prover_round1(strategy, pk, ct, witness, pstream)
+        except ValueError as exc:   # a witness that does not open the key
+            _send_error(sock, "bad-encoding")
+            raise SessionError(f"unusable setup (bad-encoding): {exc}") \
+                from None
         send_message(sock, make_message("response1", {
             "y": encode_vector(y), "u": encode_bits(u)}))
         b_prime = _receive(sock, "challenge")

@@ -28,7 +28,7 @@ from .sampling import (RngStream, sample_bits, sample_box, sample_uniform,
 from .stats import Stats
 from .trapdoor import TrapdoorPair, invert
 from .transcripts import Transcript, make_transcript
-from .zq import bit_dot, bits_le_vec, inf_norm, matmul_mod
+from .zq import bit_dot, bits_le_vec, matmul_mod
 
 
 @dataclass
@@ -43,6 +43,10 @@ class VerifierState:
 class ProverState:
     qubit: PhaseQubit
     claw_case: str           # "two-preimage" or "single-preimage"
+
+
+# ProverState.claw_case by whether the claw has two preimages
+_CLAW_CASES = {True: "two-preimage", False: "single-preimage"}
 
 
 def _bit_draws(params: Params, b_stream: RngStream, f_stream: RngStream):
@@ -75,39 +79,68 @@ def verifier_round1_stacked(params: Params, streams):
     return _round1(params, kp, np.array(b), np.stack(f))
 
 
-def _within_tau(value: int, tau: Fraction) -> bool:
-    return value * tau.denominator <= tau.numerator
+def honest_prover_round1_stacked(params: Params, pk: PublicKey,
+                                 ct: Ciphertext, witness, streams):
+    """Exact simulation of the quantum prover's first round on a stack of
+    instances, one stream each; returns each instance's ProverState and
+    the stacked (y, u).
+
+    witness = (s, e) with v = As + e, stacked like the key; consistency is
+    checked because the simulation is meaningless against a mismatched
+    key.  Each stream draws x, c and g, then u in the measurement, as a
+    lone instance's does; the arithmetic runs once for the stack."""
+    s, e = witness
+    q, tau = params.q, params.tau_floor
+    x, c, g = (np.array(draws) for draws in zip(*(
+        (sample_uniform(params.n, q, t), int(t.gen.integers(0, 2)),
+         sample_box(params.m, tau, q, t)) for t in streams)))
+    # A s for the witness check and A x, as one product
+    Asx = matmul_mod(pk.A, np.concatenate([s[..., None], x[..., None]], -1),
+                     q)
+    if ((Asx[..., 0] + e - pk.v) % q).any():
+        raise ValueError("witness inconsistent with public key")
+    cbit = c[:, None]
+    y = (Asx[..., 1] - cbit * pk.v + g) % q
+    # Two preimages when |g + e| (c = 0) or |g - e| (c = 1) is within
+    # tau: a centered |z| <= tau is (z + tau) mod q <= 2 tau, as tau < q/2.
+    two = (((g + (1 - 2 * cbit) * e + tau) % q).max(axis=-1) <= 2 * tau)
+    x0 = (x - cbit * s) % q
+    x1 = (x0 + s) % q
+    r_units = angle_sequence(ct.a, params)
+    u = np.empty_like(r_units)
+    picks = two.tolist()
+    kept = {}
+    for pick, measure, args in ((True, simulate_ghz_measurement, (x1, x0)),
+                                (False, simulate_basis_measurement, (x, c))):
+        rows = (two == pick).nonzero()[0]
+        if rows.size == len(picks):
+            rows = slice(None)          # the whole stack: no copies
+        elif not rows.size:
+            continue
+        u[rows], qubits = measure(
+            *(arg[rows] for arg in args), r_units[rows], params,
+            [t for t, p in zip(streams, picks) if p is pick])
+        kept[pick] = iter(qubits)
+    states = [ProverState(qubit=next(kept[p]), claw_case=_CLAW_CASES[p])
+              for p in picks]
+    for state, w in zip(states, ct.w.tolist()):
+        state.qubit.rotate_z(w)     # a no-op on single-preimage basis states
+    return states, (y, u)
+
+
+def _stack_of_one(pk: PublicKey, ct: Ciphertext, witness):
+    """One instance's key, ciphertext and witness as stacks of one."""
+    return (PublicKey(params=pk.params, A=pk.A[None], v=pk.v[None]),
+            Ciphertext(a=ct.a[None], w=np.array([ct.w])),
+            None if witness is None else tuple(w[None] for w in witness))
 
 
 def honest_prover_round1(params: Params, pk: PublicKey, ct: Ciphertext,
                          witness, stream: RngStream):
-    """Exact simulation of the quantum prover's first round.
-
-    witness = (s, e) with v = As + e; consistency is checked because the
-    simulation is meaningless against a mismatched key."""
-    s, e = witness
-    q, tau = params.q, params.tau
-    if not np.array_equal((matmul_mod(pk.A, s, q) + e) % q, pk.v):
-        raise ValueError("witness inconsistent with public key")
-    x = sample_uniform(params.n, q, stream)
-    cbit = int(stream.gen.integers(0, 2))
-    g = sample_box(params.m, tau, q, stream)
-    y = (matmul_mod(pk.A, x, q) - cbit * pk.v + g) % q
-    if cbit == 0:
-        two_preimage = _within_tau(inf_norm((g + e) % q, q), tau)
-        x0, x1 = x, (x + s) % q
-    else:
-        two_preimage = _within_tau(inf_norm((g - e) % q, q), tau)
-        x0, x1 = (x - s) % q, x
-    r_units = angle_sequence(ct.a, params)
-    if two_preimage:
-        u, qubit = simulate_ghz_measurement(x1, x0, r_units, params, stream)
-        qubit.rotate_z(ct.w)
-        state = ProverState(qubit=qubit, claw_case="two-preimage")
-    else:
-        u, qubit = simulate_basis_measurement(x, cbit, r_units, params, stream)
-        state = ProverState(qubit=qubit, claw_case="single-preimage")
-    return state, (y, u)
+    """honest_prover_round1_stacked on one instance: (state, (y, u))."""
+    (state,), (y, u) = honest_prover_round1_stacked(
+        params, *_stack_of_one(pk, ct, witness), [stream])
+    return state, (y[0], u[0])
 
 
 def claw_bit(x: np.ndarray, u: np.ndarray, Q: int) -> int:
@@ -232,15 +265,28 @@ PROVERS = {
 }
 
 
+def prover_round1_stacked(prover, pk: PublicKey, ct: Ciphertext, witness,
+                          streams):
+    """The prover's first turn on each instance of a stacked (pk, ct), one
+    stream each, as an iterator of (y, u, memory) in instance order.  Only
+    the simulated quantum device receives the witness, and it plays every
+    turn in one stacked call before this returns; a classical strategy
+    sees just each instance's (pk, ct), and plays its turn only when the
+    iterator reaches it, so its turns stay in order with the caller's."""
+    if prover.quantum:
+        states, (y, u) = honest_prover_round1_stacked(pk.params, pk, ct,
+                                                      witness, streams)
+        return zip(y, u, states)
+    return (prover.first_response(*instance(pk, ct, i), stream)
+            for i, stream in enumerate(streams))
+
+
 def prover_round1(prover, pk: PublicKey, ct: Ciphertext, witness,
                   stream: RngStream):
-    """The prover's first turn, (y, u, memory).  Only the simulated quantum
-    device receives the witness; classical strategies see just (pk, ct)."""
-    if prover.quantum:
-        state, (y, u) = honest_prover_round1(pk.params, pk, ct, witness,
-                                             stream)
-        return y, u, state
-    return prover.first_response(pk, ct, stream)
+    """The prover's first turn on one instance, (y, u, memory)."""
+    (turn,) = prover_round1_stacked(prover, *_stack_of_one(pk, ct, witness),
+                                    [stream])
+    return turn
 
 
 # ---------------------------------------------------------------------------
@@ -259,27 +305,27 @@ def _play_chunk(params: Params, prover, setup_streams, prover_streams,
                 b_primes):
     """The instances on `setup_streams` played as one chunk, the step that
     run_experiment and the puzzle repetition share.  The verifier's key
-    set-up is one stacked call; each instance's prover turns run on their
-    own, in order, on its stream of `prover_streams` against its challenge
-    in `b_primes`; the scoring (the two-branch trapdoor inversion and the
-    claw bits) is one stacked call.  Each instance draws what a lone
-    instance draws on the same streams.  Returns the stacked verifier
-    state, each instance's (pk, ct) views, and y, u, d', d and the win
-    mask (d ^ d') == (b & b') stacked."""
+    set-up is one stacked call; the prover's first turns are one stacked
+    call for the simulated quantum device (prover_round1_stacked), and
+    each instance's second turn runs on its own, in order, on its stream
+    of `prover_streams` against its challenge in `b_primes`; the scoring
+    (the two-branch trapdoor inversion and the claw bits) is one stacked
+    call.  Each instance draws what a lone instance draws on the same
+    streams.  Returns the stacked verifier state and y, u, d', d and the
+    win mask (d ^ d') == (b & b') stacked."""
     vstate, (pk, ct) = verifier_round1_stacked(params, setup_streams)
     kp = vstate.keypair
-    views, ys, us, d_primes = [], [], [], []
-    for i, (stream, b_prime) in enumerate(zip(prover_streams, b_primes)):
-        pk_i, ct_i = instance(pk, ct, i)
-        y, u, memory = prover_round1(prover, pk_i, ct_i, (kp.s[i], kp.e[i]),
-                                     stream)
+    ys, us, d_primes = [], [], []
+    for (y, u, memory), stream, b_prime in zip(
+            prover_round1_stacked(prover, pk, ct, (kp.s, kp.e),
+                                  prover_streams),
+            prover_streams, b_primes):
         d_primes.append(int(prover.second_response(b_prime, memory, stream)))
-        views.append((pk_i, ct_i))
         ys.append(y)
         us.append(u)
     y, u, d_prime = np.stack(ys), np.stack(us), np.array(d_primes)
     d = decrypted_bit(kp.trapdoor, kp.pk.v, y, u)
-    return (vstate, views, y, u, d_prime, d,
+    return (vstate, y, u, d_prime, d,
             (d ^ d_prime) == (vstate.b & np.asarray(b_primes)))
 
 
@@ -296,11 +342,12 @@ def _trials(params: Params, prover, trial_streams, include_pk: bool,
                           for label in ("prover", "challenge"))
     seed_streams(cstreams + pstreams if prover.quantum else cstreams)
     b_primes = [int(sample_bits(1, c)[0]) for c in cstreams]
-    vstate, views, y, u, d_prime, d, wins = _play_chunk(
+    vstate, y, u, d_prime, d, wins = _play_chunk(
         params, prover, [t.derive("verifier") for t in trial_streams],
         pstreams, b_primes)
     if transcript_sink is not None:
-        for i, (pk_i, ct_i) in enumerate(views):
+        for i in range(len(trial_streams)):
+            pk_i, ct_i = instance(vstate.keypair.pk, vstate.ct, i)
             transcript_sink(make_transcript(
                 params, pk_i, ct_i, y[i], u[i], vstate.b[i], b_primes[i],
                 d[i], d_prime[i], seed_info=trial_streams[i].seed.hex(),

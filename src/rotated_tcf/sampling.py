@@ -225,9 +225,7 @@ def sample_truncated_gaussian(sigma: float, tau, stream: RngStream, size):
 
 def sample_box(m: int, tau, q: int, stream: RngStream) -> np.ndarray:
     """Each coordinate uniform on {x in Z_q : |x| <= tau} (centered abs)."""
-    tau = Fraction(tau)
-    t = tau.numerator // tau.denominator
-    t = min(t, (q - 1) // 2)
+    t = min(math.floor(tau), (q - 1) // 2)
     if 2 * t + 1 > q:
         raise ValueError("box wider than the ring")
     raw = stream.gen.integers(-t, t + 1, size=m, dtype=np.int64)

@@ -25,3 +25,10 @@ def tiny23():
 @pytest.fixture(scope="session")
 def tiny3001():
     return tiny_params(2, 3001)
+
+
+@pytest.fixture(scope="session")
+def mixed():
+    """About 40 % of honest claws are single-preimage here (at desk, about
+    7e-6), so both claw cases of the prover's turn run."""
+    return tiny_params(2, 1048583, 2.0)

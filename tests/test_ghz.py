@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from rotated_tcf.ghz import (PhaseQubit, angle_sequence, equator_state,
-                             oracle_equivalence_check,
+                             oracle_equivalence_check, predicted_phase_units,
                              simulate_basis_measurement,
                              simulate_ghz_measurement, statevector_oracle)
-from rotated_tcf.params import tiny_params
+from rotated_tcf.params import next_prime, tiny_params
+from rotated_tcf.protocol_q import HonestQuantumProver, run_experiment
 from rotated_tcf.stats import wilson_ci
 
 
@@ -159,3 +160,73 @@ def test_equator_state_is_normalized():
     v = equator_state(3, 5)
     assert abs(np.vdot(v, v) - 1) < 1e-12
     assert abs(v[1] / v[0] - np.exp(1j * math.pi * 3 / 5)) < 1e-12
+
+
+# Moduli at which a row's phase sum passes 2^63: at 2^61 - 1 the wrap
+# happened to be harmless (2^64 mod 2q = 8), at next_prime(3 << 59) not.
+LARGE_Q = [next_prime(3 << 59), (1 << 61) - 1]
+
+
+def _phase_reference(x_one, x_zero, r_units, u, q, Q):
+    """sum_k (y_k - x_k) (r_k + q u_k) mod 2q in Python integers."""
+    def bits(x):
+        return [(v >> j) & 1 for v in x.tolist() for j in range(Q)]
+    return sum((y - x) * (r + q * b) for x, y, r, b in
+               zip(bits(x_one), bits(x_zero), r_units.tolist(),
+                   u.tolist())) % (2 * q)
+
+
+@pytest.mark.parametrize("q", [23, "desk"] + LARGE_Q)
+def test_phase_equals_python_int_reference(stream, desk, q):
+    """The simulator's phase is exact for every q < 2^61, on 1-D calls and
+    on stacks, at the edge x_one = 0, x_zero = q - 1 too."""
+    p = desk if q == "desk" else tiny_params(3, q)
+    gen = stream.gen
+    x_one, x_zero, a = gen.integers(0, p.q, size=(3, 12, p.n),
+                                    dtype=np.int64)
+    x_one[0], x_zero[0] = 0, p.q - 1
+    r = angle_sequence(a, p)
+    u = gen.integers(0, 2, size=r.shape, dtype=np.int64)
+    want = [_phase_reference(*row, p.q, p.Q)
+            for row in zip(x_one, x_zero, r, u)]
+    assert predicted_phase_units(x_one, x_zero, r, u, p).tolist() == want
+    assert [predicted_phase_units(*row, p) for row in zip(x_one, x_zero, r,
+                                                          u)] == want
+
+
+@pytest.mark.parametrize("q", LARGE_Q)
+def test_honest_win_rate_at_a_large_modulus(stream, q):
+    """An honest run at a 61-bit q wins at about cos^2(pi/8): before the
+    phase was exact there, next_prime(3 << 59) read 0.567."""
+    p = tiny_params(2, q)
+    stats = run_experiment(p, HonestQuantumProver(), 200, stream)
+    lo, hi = wilson_ci(stats.successes, stats.trials, z=5.0)
+    assert lo <= math.cos(math.pi / 8) ** 2 - p.completeness_error() <= hi
+
+
+def test_stacked_calls_equal_one_dimensional_calls(stream, desk):
+    """Each ghz function on a stack of rows, with one stream per row,
+    gives row by row what its 1-D call gives on the same streams."""
+    p = desk
+    x_one, x_zero, a = stream.gen.integers(0, p.q, size=(3, 5, p.n),
+                                           dtype=np.int64)
+    c = np.array([0, 1, 1, 0, 1])
+    r = angle_sequence(a, p)
+    assert r.tolist() == [angle_sequence(row, p).tolist() for row in a]
+    u, kept = simulate_ghz_measurement(
+        x_one, x_zero, r, p, [stream.derive("ghz", i) for i in range(5)])
+    u_b, kept_b = simulate_basis_measurement(
+        x_one, c, r, p, [stream.derive("basis", i) for i in range(5)])
+    for i in range(5):
+        u_i, qubit = simulate_ghz_measurement(x_one[i], x_zero[i], r[i], p,
+                                              stream.derive("ghz", i))
+        assert u[i].tolist() == u_i.tolist() and kept[i] == qubit
+        assert predicted_phase_units(x_one[i], x_zero[i], r[i], u_i, p) \
+            == qubit.units
+        u_i, qubit = simulate_basis_measurement(x_one[i], c[i], r[i], p,
+                                                stream.derive("basis", i))
+        assert u_b[i].tolist() == u_i.tolist() and kept_b[i] == qubit
+    assert predicted_phase_units(x_one, x_zero, r, u, p).tolist() == \
+        [qubit.units for qubit in kept]
+    with pytest.raises(ValueError, match="one stream per row"):
+        simulate_ghz_measurement(x_one, x_zero, r, p, [stream])

@@ -265,10 +265,12 @@ DELETE = object()
     ((WITNESS_LABEL, "e"), lambda d: _last_entry_q(d, d.m), "bad-encoding"),
     (("pk", "A"), lambda d: encode_matrix(
         np.zeros((d.m - 1, d.n), dtype=np.int64)), "bad-dimensions"),
+    ((WITNESS_LABEL, "s"), lambda d: encode_vector(
+        np.zeros(d.n, dtype=np.int64)), "bad-encoding"),
 ], ids=["missing-v", "missing-n", "wrong-type-A", "wrong-type-n",
         "bad-base64", "w-out-of-range", "w-float", "n-bool", "lambda-float",
         "q-padded", "sigma-nan", "entry-ge-q", "witness-entry-ge-q",
-        "wrong-shape"])
+        "wrong-shape", "witness-s-zero"])
 def test_undecodable_setup_gets_error_frame(stream, desk, honest_setup,
                                             path, value, code):
     """A prover that cannot decode the setup frame tells the verifier why

@@ -11,9 +11,11 @@ from rotated_tcf.protocol_q import (CHUNK, PROVERS, BaselineProver,
                                     deterministic_family,
                                     exact_ct_independent_win_prob,
                                     honest_prover_round1,
+                                    honest_prover_round1_stacked,
                                     rewinding_experiment, run_experiment,
                                     run_single_trial, verifier_round1,
                                     verifier_score)
+from rotated_tcf.regev import instance
 from rotated_tcf.sampling import sample_uniform, seed_streams
 from rotated_tcf.zq import bit_dot, bits_le_vec, matmul_mod
 
@@ -30,6 +32,49 @@ def test_honest_prover_rejects_bad_witness(stream, desk):
     bad = (vstate.keypair.s, (vstate.keypair.e + 1) % desk.q)
     with pytest.raises(ValueError):
         honest_prover_round1(desk, pk, ct, bad, stream.derive("p"))
+
+
+def _stacked_instances(params, stream, count):
+    """A stacked verifier set-up of `count` instances, its witness, and one
+    fresh prover stream per instance."""
+    vstate, (pk, ct) = protocol_q.verifier_round1_stacked(
+        params, [stream.derive("v", i) for i in range(count)])
+    witness = (vstate.keypair.s, vstate.keypair.e)
+    return pk, ct, witness, [stream.derive("p", i) for i in range(count)]
+
+
+@pytest.mark.parametrize("preset", ["desk", "mixed"])
+def test_stacked_prover_turn_equals_one_instance_turns(stream, request,
+                                                       preset):
+    """The stacked turn gives each instance the claw case, kept qubit, y
+    and u that a lone turn on the same stream gives, and leaves each
+    stream where the lone turn leaves it."""
+    params = request.getfixturevalue(preset)
+    pk, ct, witness, streams = _stacked_instances(params, stream, CHUNK + 1)
+    states, (y, u) = honest_prover_round1_stacked(params, pk, ct, witness,
+                                                  streams)
+    cases = set()
+    for i, state in enumerate(states):
+        lone = stream.derive("p", i)
+        pk_i, ct_i = instance(pk, ct, i)
+        state_i, (y_i, u_i) = honest_prover_round1(
+            params, pk_i, ct_i, (witness[0][i], witness[1][i]), lone)
+        assert state == state_i
+        assert y[i].tolist() == y_i.tolist() and u[i].tolist() == u_i.tolist()
+        assert streams[i].gen.random() == lone.gen.random()
+        cases.add(state.claw_case)
+    if preset == "mixed":
+        assert cases == {"two-preimage", "single-preimage"}
+
+
+def test_stacked_prover_refuses_one_inconsistent_row(stream, desk):
+    """One instance whose witness does not open its key fails the whole
+    stacked turn with ValueError."""
+    pk, ct, (s, e), streams = _stacked_instances(desk, stream, CHUNK)
+    e = e.copy()
+    e[5, 0] = (e[5, 0] + 1) % desk.q
+    with pytest.raises(ValueError, match="witness inconsistent"):
+        honest_prover_round1_stacked(desk, pk, ct, (s, e), streams)
 
 
 def test_honest_image_admits_claw(stream, desk):
@@ -117,7 +162,7 @@ def _single_trials(params, prover, stream, trials, include_pk):
                              include_pk=include_pk) for i in range(trials)]
 
 
-@pytest.mark.parametrize("preset", ["desk", "tiny23", "tiny3001"])
+@pytest.mark.parametrize("preset", ["desk", "tiny23", "tiny3001", "mixed"])
 @pytest.mark.parametrize("name", sorted(PROVERS))
 def test_run_experiment_equals_single_trial_loop(stream, request, preset,
                                                  name):
