@@ -79,6 +79,28 @@ def verifier_round1_stacked(params: Params, streams):
     return _round1(params, kp, np.array(b), np.stack(f))
 
 
+def _claw_measurements(two, ghz_args, basis_args, r_units, params: Params,
+                       streams):
+    """Each row's (u, kept qubit), each row measured on its stream:
+    simulate_ghz_measurement on (x1, x0) = `ghz_args` where the claw has
+    two preimages (`two`), simulate_basis_measurement on (x, c) =
+    `basis_args` where it has one.  Each case is one call for its rows."""
+    cases = ((two, simulate_ghz_measurement, ghz_args),
+             (~two, simulate_basis_measurement, basis_args))
+    for rows, measure, args in cases:
+        if rows.all():          # one case for the whole stack
+            return measure(*args, r_units, params, streams)
+    u = np.empty_like(r_units)
+    qubits = [None] * len(streams)
+    for rows, measure, args in cases:
+        rows = rows.nonzero()[0]
+        u[rows], kept = measure(*(arg[rows] for arg in args), r_units[rows],
+                                params, [streams[i] for i in rows])
+        for i, qubit in zip(rows.tolist(), kept):
+            qubits[i] = qubit
+    return u, qubits
+
+
 def honest_prover_round1_stacked(params: Params, pk: PublicKey,
                                  ct: Ciphertext, witness, streams):
     """Exact simulation of the quantum prover's first round on a stack of
@@ -106,25 +128,13 @@ def honest_prover_round1_stacked(params: Params, pk: PublicKey,
     two = (((g + (1 - 2 * cbit) * e + tau) % q).max(axis=-1) <= 2 * tau)
     x0 = (x - cbit * s) % q
     x1 = (x0 + s) % q
-    r_units = angle_sequence(ct.a, params)
-    u = np.empty_like(r_units)
-    picks = two.tolist()
-    kept = {}
-    for pick, measure, args in ((True, simulate_ghz_measurement, (x1, x0)),
-                                (False, simulate_basis_measurement, (x, c))):
-        rows = (two == pick).nonzero()[0]
-        if rows.size == len(picks):
-            rows = slice(None)          # the whole stack: no copies
-        elif not rows.size:
-            continue
-        u[rows], qubits = measure(
-            *(arg[rows] for arg in args), r_units[rows], params,
-            [t for t, p in zip(streams, picks) if p is pick])
-        kept[pick] = iter(qubits)
-    states = [ProverState(qubit=next(kept[p]), claw_case=_CLAW_CASES[p])
-              for p in picks]
-    for state, w in zip(states, ct.w.tolist()):
-        state.qubit.rotate_z(w)     # a no-op on single-preimage basis states
+    u, qubits = _claw_measurements(two, (x1, x0), (x, c),
+                                   angle_sequence(ct.a, params), params,
+                                   streams)
+    states = []
+    for qubit, w, is_two in zip(qubits, ct.w.tolist(), two.tolist()):
+        qubit.rotate_z(w)       # a no-op on a single-preimage basis state
+        states.append(ProverState(qubit=qubit, claw_case=_CLAW_CASES[is_two]))
     return states, (y, u)
 
 
@@ -346,8 +356,10 @@ def _trials(params: Params, prover, trial_streams, include_pk: bool,
         params, prover, [t.derive("verifier") for t in trial_streams],
         pstreams, b_primes)
     if transcript_sink is not None:
-        for i in range(len(trial_streams)):
-            pk_i, ct_i = instance(vstate.keypair.pk, vstate.ct, i)
+        # every view first, so that the transcripts go out back to back
+        views = [instance(vstate.keypair.pk, vstate.ct, i)
+                 for i in range(len(trial_streams))]
+        for i, (pk_i, ct_i) in enumerate(views):
             transcript_sink(make_transcript(
                 params, pk_i, ct_i, y[i], u[i], vstate.b[i], b_primes[i],
                 d[i], d_prime[i], seed_info=trial_streams[i].seed.hex(),

@@ -124,8 +124,9 @@ def matmul_mod(A, B, q: int):
         return np.asarray((A.astype(object) @ B.astype(object)) % q,
                           dtype=np.int64)
     mask = (1 << c) - 1
-    acc = 0
-    for shift in range(((q - 1).bit_length() - 1) // c * c, -1, -c):
+    high = ((q - 1).bit_length() - 1) // c * c   # B >> high < 2^c
+    acc = (A @ (B >> high)) % q
+    for shift in range(high - c, -1, -c):
         acc = ((acc << c) % q + (A @ ((B >> shift) & mask)) % q) % q
     return acc
 
