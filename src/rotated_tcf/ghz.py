@@ -20,8 +20,6 @@ import numpy as np
 from .sampling import RngStream, sample_bits
 from .zq import bits_le_vec, gadget_multiples
 
-_INT64_MAX = (1 << 63) - 1
-
 
 @dataclass
 class PhaseQubit:
@@ -169,7 +167,7 @@ def predicted_phase_units(x_one, x_zero, r_units, u, params):
     step = bits_le_vec(x_zero, params.Q) - bits_le_vec(x_one, params.Q)
     terms = (np.asarray(r_units, dtype=np.int64) % q2
              + params.q * np.asarray(u, dtype=np.int64))
-    if terms.shape[-1] * 3 * params.q <= _INT64_MAX:
+    if terms.shape[-1] * 3 * params.q < 1 << 63:
         phase = (step * terms).sum(axis=-1) % q2
     else:
         low = (step * (terms & 0xFFFFFFFF)).sum(axis=-1) % q2

@@ -45,10 +45,6 @@ class ProverState:
     claw_case: str           # "two-preimage" or "single-preimage"
 
 
-# ProverState.claw_case by whether the claw has two preimages
-_CLAW_CASES = {True: "two-preimage", False: "single-preimage"}
-
-
 def _bit_draws(params: Params, b_stream: RngStream, f_stream: RngStream):
     """The encrypted bit b and the encryption randomness f."""
     return int(sample_bits(1, b_stream)[0]), sample_bits(params.m, f_stream)
@@ -77,6 +73,13 @@ def verifier_round1_stacked(params: Params, streams):
                  for both in zip(b_streams, f_streams)))
     kp = gen_j_stacked(params, [stream.derive("key") for stream in streams])
     return _round1(params, kp, np.array(b), np.stack(f))
+
+
+def _prover_draws(params: Params, stream: RngStream):
+    """The prover's x, its branch bit c and its image noise g, in order."""
+    return (sample_uniform(params.n, params.q, stream),
+            int(stream.gen.integers(0, 2)),
+            sample_box(params.m, params.tau_floor, params.q, stream))
 
 
 def _claw_measurements(two, ghz_args, basis_args, r_units, params: Params,
@@ -113,9 +116,8 @@ def honest_prover_round1_stacked(params: Params, pk: PublicKey,
     lone instance's does; the arithmetic runs once for the stack."""
     s, e = witness
     q, tau = params.q, params.tau_floor
-    x, c, g = (np.array(draws) for draws in zip(*(
-        (sample_uniform(params.n, q, t), int(t.gen.integers(0, 2)),
-         sample_box(params.m, tau, q, t)) for t in streams)))
+    x, c, g = map(np.array, zip(*(_prover_draws(params, t)
+                                  for t in streams)))
     # A s for the witness check and A x, as one product
     Asx = matmul_mod(pk.A, np.concatenate([s[..., None], x[..., None]], -1),
                      q)
@@ -134,7 +136,8 @@ def honest_prover_round1_stacked(params: Params, pk: PublicKey,
     states = []
     for qubit, w, is_two in zip(qubits, ct.w.tolist(), two.tolist()):
         qubit.rotate_z(w)       # a no-op on a single-preimage basis state
-        states.append(ProverState(qubit=qubit, claw_case=_CLAW_CASES[is_two]))
+        states.append(ProverState(qubit=qubit, claw_case="two-preimage"
+                                  if is_two else "single-preimage"))
     return states, (y, u)
 
 
