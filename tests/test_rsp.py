@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from rotated_tcf.ghz import PhaseQubit
-from rotated_tcf.params import tiny_params
+from rotated_tcf.params import next_prime, tiny_params
 from rotated_tcf.rsp import (blindness_sampler, rsp_client_finish,
                              rsp_client_round1, rsp_server_round,
-                             run_rsp_once, trace_distance)
+                             run_rsp_experiment, run_rsp_once,
+                             trace_distance)
 from rotated_tcf.sampling import sample_uniform
 from rotated_tcf.zq import matmul_mod
 
@@ -60,6 +61,16 @@ def test_prepared_state_close_to_target(stream, desk):
     assert len(tds) > 40
     assert sum(tds) / len(tds) <= bound
     assert max(tds) <= 2 * math.pi * 2 * desk.m * desk.sigma / desk.q
+
+
+def test_prepared_state_close_to_target_at_a_61_bit_modulus(stream):
+    """At q = next_prime(3 << 59) the server's phase sum passes 2^63; the
+    prepared state still lands within 4 pi m sigma / q of the target
+    (before the phase was exact there, the distance reached 1.73)."""
+    p = tiny_params(2, next_prime(3 << 59))
+    aborts, distances, _ = run_rsp_experiment(p, 20, stream)
+    assert aborts < 20
+    assert max(distances) <= 4 * math.pi * p.m * p.sigma / p.q
 
 
 def test_zero_noise_preparation_is_exact(stream, desk):
