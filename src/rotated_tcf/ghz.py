@@ -159,21 +159,21 @@ def predicted_phase_units(x_one, x_zero, r_units, u, params):
     """The analytic simulator's phase for a fixed outcome string u, an int:
     sum_k (y_k - x_k) (r_k + q u_k) mod 2q over the bits x of x_one and y
     of x_zero.  Stacks of x_one, x_zero, r_units and u give one phase per
-    row.  Exact for every q < 2^61, where a term r_k + q u_k takes up to
-    63 bits: when a row's sum could pass 2^63, the low and high 32-bit
-    halves of the terms are summed apart, each sum within int64, and
-    joined modulo 2q."""
+    row.  Exact for every q < 2^61: a term (y_k - x_k)((r_k + q u_k) mod
+    2q) is below 2q in size, so 2^63 // 2q >= 2 of them sum within int64,
+    and runs of that many are summed modulo 2q until one value is left
+    (one run at desk)."""
     q2 = 2 * params.q
     step = bits_le_vec(x_zero, params.Q) - bits_le_vec(x_one, params.Q)
-    terms = (np.asarray(r_units, dtype=np.int64) % q2
-             + params.q * np.asarray(u, dtype=np.int64))
-    if terms.shape[-1] * 3 * params.q < 1 << 63:
-        phase = (step * terms).sum(axis=-1) % q2
-    else:
-        low = (step * (terms & 0xFFFFFFFF)).sum(axis=-1) % q2
-        high = (step * (terms >> 32)).sum(axis=-1) % q2
-        # high 2^32 mod 2q, entry 32 of the gadget row
-        phase = (gadget_multiples(high, 33, q2)[..., 32] + low) % q2
+    phase = step * ((np.asarray(r_units, dtype=np.int64) % q2
+                     + params.q * np.asarray(u, dtype=np.int64)) % q2)
+    span = (1 << 63) // q2
+    while True:
+        phase = np.add.reduceat(phase, np.arange(0, phase.shape[-1], span),
+                                axis=-1) % q2
+        if phase.shape[-1] == 1:
+            break
+    phase = phase[..., 0]
     return phase if phase.ndim else int(phase)
 
 
