@@ -117,9 +117,9 @@ def matmul_mod(A, B, q: int):
     top *= A.shape[-1]
     if top * (q - 1) <= _INT64_MAX:
         return (A @ B) % q
-    # c-bit limbs: top * (2^c - 1) and (q - 1) * 2^c must both fit
-    c = min((_INT64_MAX // top + 1).bit_length(),
-            (_INT64_MAX // (q - 1)).bit_length()) - 1
+    # c-bit limbs: a Horner step acc * 2^c + A @ limb, with acc < q and
+    # each limb below 2^c, stays below (q - 1 + top) * 2^c, which must fit
+    c = (_INT64_MAX // (top + q - 1)).bit_length() - 1
     if c < 1:
         return np.asarray((A.astype(object) @ B.astype(object)) % q,
                           dtype=np.int64)
@@ -127,7 +127,7 @@ def matmul_mod(A, B, q: int):
     high = ((q - 1).bit_length() - 1) // c * c   # B >> high < 2^c
     acc = (A @ (B >> high)) % q
     for shift in range(high - c, -1, -c):
-        acc = ((acc << c) % q + (A @ ((B >> shift) & mask)) % q) % q
+        acc = ((acc << c) + A @ ((B >> shift) & mask)) % q
     return acc
 
 

@@ -206,6 +206,20 @@ def test_matmul_mod_large_modulus_exact():
     assert np.array_equal(matmul_mod(A, x, q).astype(object), ref)
 
 
+@pytest.mark.parametrize("q", [(1 << 40) - 1, desk_preset().q],
+                         ids=["q2^40-1", "desk"])
+def test_matmul_mod_limb_fold_at_its_bound(q):
+    """Every entry q - 1, on the limb path: each Horner step of the fold
+    then reaches its bound, (q - 1) 2^c plus the largest limb product.
+    With an inner dimension of 1 the two parts are of one size, and just
+    below a power of two, q leaves no slack in the limb width, so a width
+    that fits each part on its own would overflow their sum."""
+    for shape_a, shape_b in (((7, 1), (1, 4)), ((1,), (1, 4)),
+                             ((7, 9), (9, 4)), ((3, 7, 9), (3, 9, 4))):
+        _assert_matmul_mod_exact(np.full(shape_a, q - 1, dtype=np.int64),
+                                 np.full(shape_b, q - 1, dtype=np.int64), q)
+
+
 def test_matmul_mod_shape_check():
     with pytest.raises(ValueError):
         matmul_mod(np.zeros((2, 3), dtype=np.int64),
