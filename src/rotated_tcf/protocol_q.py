@@ -87,11 +87,14 @@ def _claw_measurements(two, ghz_args, basis_args, r_units, params: Params,
     """Each row's (u, kept qubit), each row measured on its stream:
     simulate_ghz_measurement on (x1, x0) = `ghz_args` where the claw has
     two preimages (`two`), simulate_basis_measurement on (x, c) =
-    `basis_args` where it has one.  Each case is one call for its rows."""
+    `basis_args` where it has one.  Each case is one call for its rows.
+    A stack with one case, as every stack of one is and nearly every desk
+    stack, is measured whole, without the row copies and the merge that
+    a mixed stack needs."""
     cases = ((two, simulate_ghz_measurement, ghz_args),
              (~two, simulate_basis_measurement, basis_args))
     for rows, measure, args in cases:
-        if rows.all():          # one case for the whole stack
+        if rows.all():
             return measure(*args, r_units, params, streams)
     u = np.empty_like(r_units)
     qubits = [None] * len(streams)
