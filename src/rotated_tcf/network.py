@@ -4,7 +4,11 @@ One protocol session per TCP connection, driven through the fixed order
 hello -> setup -> response1 -> challenge -> response2 -> result.  Both ends
 derive their randomness from per-session streams, so a loopback run with
 the same master seed reproduces the in-process transcripts bit for bit.
-Each frame is read by `_receive`, through its type's one decoder.
+Each frame is read by `_receive`, through its type's one decoder, and
+refused unread if its header announces more than its type's cap.
+`serve_verifier` sets up the verifier's keys for each chunk of
+`protocol_q.CHUNK` sessions in one stacked call, made once the chunk's
+first connection is accepted; each session plays on its own instance.
 
 The honest quantum prover only exists as a simulation, which needs the
 key-side witness (s, e).  The prover's hello says whether it needs it; a
@@ -17,15 +21,18 @@ import math
 import socket
 
 from .params import Params, tiny_params
-from .protocol_q import prover_round1, verifier_round1, verifier_score
+from .protocol_q import (CHUNK, VerifierState, instance_state, prover_round1,
+                         verifier_round1, verifier_round1_stacked,
+                         verifier_score)
 # Not called here: perfbench/layers.py looks this name up on network.
 from .protocol_q import honest_prover_round1
 from .regev import Ciphertext, PublicKey
 from .sampling import RngStream, sample_bits
 from .stats import Stats
-from .wire import (PROTOCOL_VERSION, WITNESS_LABEL, WireError, decode_bits,
-                   decode_matrix, decode_vector, encode_bits, encode_matrix,
-                   encode_vector, make_message, recv_message, send_message)
+from .wire import (PROTOCOL_VERSION, SMALL_FRAME_BYTES, WITNESS_LABEL,
+                   WireError, decode_bits, decode_matrix, decode_vector,
+                   encode_bits, encode_matrix, encode_vector, frame_cap,
+                   make_message, recv_message, send_message)
 
 DEFAULT_TIMEOUT = 30.0
 
@@ -35,6 +42,13 @@ DEFAULT_TIMEOUT = 30.0
 MAX_N = 64
 MAX_SIGMA = 2.0 ** 20
 MAX_LAMBDA = 1024
+
+# The largest setup a prover reads: the key (A, v), the ciphertext's a and
+# the witness (s, e) at the largest parameters the bounds above admit
+# (2^61 - 1 is the largest prime below Params' bound on q).
+_LARGEST = Params(lam=MAX_LAMBDA, n=MAX_N, q=(1 << 61) - 1, sigma=MAX_SIGMA)
+SETUP_FRAME_BYTES = frame_cap(_LARGEST.m * _LARGEST.n, _LARGEST.m,
+                              _LARGEST.n, _LARGEST.n, _LARGEST.m)
 
 
 class SessionError(Exception):
@@ -140,15 +154,26 @@ _DECODERS = {
 }
 
 
+def _frame_cap(msg_type: str, *context) -> int:
+    """The most bytes a `msg_type` frame may announce: a response1 holds y
+    and u at the verifier's own m and nQ, a setup at most
+    SETUP_FRAME_BYTES, and any other frame, an error frame in place of
+    any type included, fits in SMALL_FRAME_BYTES."""
+    if msg_type == "response1":
+        (params,) = context
+        return frame_cap(params.m, bits=params.nQ)
+    return SETUP_FRAME_BYTES if msg_type == "setup" else SMALL_FRAME_BYTES
+
+
 def _receive(sock, msg_type: str, *context):
     """The decoded payload of the next frame, a `msg_type`.  A payload that
     does not decode gets an error frame with the code its exception carries
-    (`bad-encoding` by default) and raises SessionError; a frame that
-    `parse_frame` refuses gets a `bad-encoding` error frame and re-raises
-    its WireError."""
+    (`bad-encoding` by default) and raises SessionError; a frame over its
+    type's cap, or one that `parse_frame` refuses, gets a `bad-encoding`
+    error frame and re-raises its WireError."""
     msg = None
     try:
-        msg = recv_message(sock)
+        msg = recv_message(sock, _frame_cap(msg_type, *context))
         if msg["type"] not in (msg_type, "error"):
             raise Refused("protocol-order", f"expected {msg_type}, got "
                           f"{msg['type']} (protocol-order)")
@@ -178,11 +203,13 @@ def open_server_socket(host: str, port: int) -> socket.socket:
     return srv
 
 
-def verifier_session(conn, params: Params, trial_stream: RngStream,
-                     witness_channel: bool = False):
-    """Drive one session on an accepted connection; returns a Transcript."""
+def _session(conn, vstate: VerifierState, trial_stream: RngStream,
+             witness_channel: bool):
+    """Drive one session on an accepted connection, with the verifier's
+    set-up `vstate` for the trial on `trial_stream`; returns a
+    Transcript."""
+    params, pk, ct = vstate.params, vstate.keypair.pk, vstate.ct
     wants_witness = _handshake(conn, "verifier", "prover")
-    vstate, (pk, ct) = verifier_round1(params, trial_stream.derive("verifier"))
     setup = {"preset": params.preset_name, "lambda": params.lam,
              "n": params.n, "q": str(params.q), "sigma": params.sigma,
              "pk": {"A": encode_matrix(pk.A), "v": encode_vector(pk.v)},
@@ -205,23 +232,53 @@ def verifier_session(conn, params: Params, trial_stream: RngStream,
     return transcript
 
 
+def verifier_session(conn, params: Params, trial_stream: RngStream,
+                     witness_channel: bool = False):
+    """Drive one session on an accepted connection; returns a Transcript."""
+    vstate, _ = verifier_round1(params, trial_stream.derive("verifier"))
+    return _session(conn, vstate, trial_stream, witness_channel)
+
+
+def _serve_chunk(server_sock, params: Params, trial_streams,
+                 witness_channel: bool, timeout: float) -> list:
+    """The sessions on `trial_streams`, one accepted connection each, in
+    order; returns their transcripts.  The verifier's keys for all of them
+    are one verifier_round1_stacked call, made only once the first
+    connection is accepted: the client shares this process's interpreter
+    lock in a loopback run, and a set-up made before it would hold up the
+    client's read of the previous session's result.  A call of its own, so
+    that one chunk's keys are freed before the next chunk's are drawn."""
+    transcripts = []
+    for i, trial_stream in enumerate(trial_streams):
+        conn, _ = server_sock.accept()
+        with conn:
+            conn.settimeout(timeout)
+            if i == 0:
+                vstate, _ = verifier_round1_stacked(
+                    params, [t.derive("verifier") for t in trial_streams])
+            try:
+                transcripts.append(_session(conn, instance_state(vstate, i),
+                                            trial_stream, witness_channel))
+            except socket.timeout:
+                _send_error(conn, "timeout")
+                raise SessionError("session timed out") from None
+    return transcripts
+
+
 def serve_verifier(server_sock, params: Params, stream: RngStream,
                    sessions: int, witness_channel: bool = False,
                    timeout: float = DEFAULT_TIMEOUT):
     """Accept `sessions` connections in order; session i uses the stream
-    derive('trial', i).  Returns (Stats, transcripts)."""
+    derive('trial', i), and each transcript is what verifier_session gives
+    on that stream.  Sessions are served CHUNK at a time, each chunk's keys
+    set up in one stacked call.  Returns (Stats, transcripts)."""
     transcripts = []
-    for i in range(sessions):
-        conn, _ = server_sock.accept()
-        with conn:
-            conn.settimeout(timeout)
-            try:
-                transcripts.append(verifier_session(
-                    conn, params, stream.derive("trial", i),
-                    witness_channel=witness_channel))
-            except socket.timeout:
-                _send_error(conn, "timeout")
-                raise SessionError("session timed out") from None
+    for start in range(0, sessions, CHUNK):
+        transcripts += _serve_chunk(
+            server_sock, params,
+            [stream.derive("trial", i)
+             for i in range(start, min(start + CHUNK, sessions))],
+            witness_channel, timeout)
     wins = sum(int(t.success) for t in transcripts)
     return Stats(successes=wins, trials=sessions), transcripts
 

@@ -75,6 +75,19 @@ def verifier_round1_stacked(params: Params, streams):
     return _round1(params, kp, np.array(b), np.stack(f))
 
 
+def instance_state(vstate: VerifierState, i: int) -> VerifierState:
+    """Instance i of a stacked VerifierState, its arrays as views: the
+    state verifier_round1 gives on that instance's stream."""
+    kp, pair = vstate.keypair, vstate.keypair.trapdoor
+    pk, ct = instance(kp.pk, vstate.ct, i)
+    return VerifierState(
+        params=vstate.params,
+        keypair=KeypairJ(pk=pk, s=kp.s[i], e=kp.e[i],
+                         trapdoor=TrapdoorPair(params=pair.params,
+                                               A=pair.A[i], N=pair.N[i])),
+        b=int(vstate.b[i]), ct=ct)
+
+
 def _prover_draws(params: Params, stream: RngStream):
     """The prover's x, its branch bit c and its image noise g, in order."""
     return (sample_uniform(params.n, params.q, stream),

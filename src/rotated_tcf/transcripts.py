@@ -41,7 +41,7 @@ def _zq_list(v) -> list:
 
 
 def _bit_list(v) -> list:
-    return [int(x) for x in np.asarray(v).tolist()]
+    return np.asarray(v, dtype=np.int64).tolist()
 
 
 def make_transcript(params, pk, ct, y, u, b, b_prime, d, d_prime, seed_info,

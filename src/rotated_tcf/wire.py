@@ -20,6 +20,10 @@ import numpy as np
 
 PROTOCOL_VERSION = 3
 MAX_FRAME_BYTES = 64 * 1024 * 1024
+# The envelope and scalar fields of any frame fit in this many bytes, and so
+# does every frame without an array: hello, challenge, response2, result and
+# error, which may arrive in place of any other type.
+SMALL_FRAME_BYTES = 1024
 
 MESSAGE_TYPES = {
     "hello", "setup", "response1", "challenge", "response2", "result", "error",
@@ -94,6 +98,15 @@ def decode_bits(text, shape: tuple) -> np.ndarray:
     return out.astype(np.int64)
 
 
+def frame_cap(*array_entries: int, bits: int = 0) -> int:
+    """The most bytes a frame may hold whose Z_q arrays have
+    `array_entries` entries each and whose bit strings have `bits` bits in
+    all: each array's base64, the bits, and SMALL_FRAME_BYTES for the
+    rest."""
+    return (SMALL_FRAME_BYTES + bits
+            + sum(4 * -(-8 * entries // 3) for entries in array_entries))
+
+
 def make_message(msg_type: str, payload: dict) -> dict:
     if msg_type not in MESSAGE_TYPES:
         raise WireError(f"unknown message type {msg_type!r}")
@@ -156,9 +169,12 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
     return b"".join(chunks)
 
 
-def recv_message(sock: socket.socket) -> dict:
+def recv_message(sock: socket.socket, cap: int = MAX_FRAME_BYTES) -> dict:
+    """The next frame, refused before its body is read if its header
+    announces more than `cap` bytes."""
     header = _recv_exact(sock, 4)
     (length,) = struct.unpack(">I", header)
-    if length > MAX_FRAME_BYTES:
-        raise WireError("oversized frame announced")
+    if length > cap:
+        raise WireError(f"frame of {length} bytes announced, over the cap of "
+                        f"{cap}")
     return parse_frame(_recv_exact(sock, length))

@@ -1,25 +1,32 @@
 import copy
 import functools
+import os
 import socket
 import struct
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rotated_tcf
 from rotated_tcf import network
 from rotated_tcf.network import (SessionError, connect_prover,
                                  open_server_socket, prover_session,
                                  serve_verifier, verifier_session)
-from rotated_tcf.protocol_q import (BaselineProver, HonestQuantumProver,
-                                    run_single_trial)
+from rotated_tcf.protocol_q import (CHUNK, BaselineProver,
+                                    HonestQuantumProver, run_single_trial)
 from rotated_tcf.transcripts import transcript_to_json
 from rotated_tcf.wire import (MESSAGE_TYPES, PROTOCOL_VERSION, SECRET_FIELDS,
-                              WITNESS_LABEL, WireError, _recv_exact,
-                              encode_bits, encode_matrix, encode_vector,
-                              make_message, parse_frame, recv_message,
-                              send_message)
+                              SMALL_FRAME_BYTES, WITNESS_LABEL, WireError,
+                              _recv_exact, dump_frame, encode_bits,
+                              encode_matrix, encode_vector, make_message,
+                              parse_frame, recv_message, send_message)
+
+ROOT = Path(rotated_tcf.__file__).resolve().parents[2]
 
 
 def _serve_in_thread(desk, stream, sessions, witness_channel):
@@ -57,6 +64,119 @@ def test_loopback_matches_in_process(stream, desk):
     assert [transcript_to_json(t) for t in transcripts] == \
            [transcript_to_json(t) for t in local]
     assert stats.successes == sum(t.success for t in local)
+
+
+@pytest.mark.parametrize("sessions", [1, 15, 16, 17, 33])
+@pytest.mark.parametrize("prover, witness_channel", [
+    (HonestQuantumProver, True), (BaselineProver, False),
+], ids=["honest", "baseline"])
+def test_chunked_serve_matches_in_process(stream, desk, sessions, prover,
+                                          witness_channel):
+    """Served a chunk of keys at a time, every session, on either side of
+    a chunk boundary, is the in-process trial on its stream, and its
+    client is told that trial's verdict."""
+    net = stream.derive("net")
+    port, t, box = _serve_in_thread(desk, net, sessions, witness_channel)
+    results = connect_prover("127.0.0.1", port, prover(), net, sessions,
+                             timeout=10)
+    t.join(timeout=60)
+    assert not t.is_alive()
+    stats, transcripts = box["result"]
+    local = [run_single_trial(desk, prover(), net.derive("trial", i))
+             for i in range(sessions)]
+    assert [transcript_to_json(t) for t in transcripts] == \
+           [transcript_to_json(t) for t in local]
+    assert results == [{"success": t.success, "d": t.d} for t in local]
+    assert (stats.successes, stats.trials) == \
+           (sum(t.success for t in local), sessions)
+
+
+class _CountingListener:
+    """A listening socket that counts the connections it has accepted."""
+
+    def __init__(self, sock):
+        self.sock = sock
+        self.accepted = 0
+
+    def accept(self):
+        pair = self.sock.accept()
+        self.accepted += 1
+        return pair
+
+
+def test_serve_sets_up_each_chunk_once_after_its_first_accept(
+        stream, desk, monkeypatch):
+    """33 sessions make three stacked key set-ups, over the verifier
+    streams of sessions 0-15, 16-31 and 32, each made once its chunk's
+    first connection is accepted."""
+    assert CHUNK == 16
+    setups = []
+    stacked = network.verifier_round1_stacked
+
+    def spy(params, streams):
+        setups.append((listener.accepted, [s.seed for s in streams]))
+        return stacked(params, streams)
+
+    monkeypatch.setattr(network, "verifier_round1_stacked", spy)
+    srv = open_server_socket("127.0.0.1", 0)
+    listener = _CountingListener(srv)
+    net = stream.derive("net")
+    box = {}
+
+    def serve():
+        try:
+            box["result"] = serve_verifier(listener, desk, net, 33)
+        finally:
+            srv.close()
+
+    t = threading.Thread(target=serve)
+    t.start()
+    connect_prover("127.0.0.1", srv.getsockname()[1], BaselineProver(), net,
+                   33, timeout=10)
+    t.join(timeout=60)
+    assert not t.is_alive()
+    assert len(box["result"][1]) == 33
+
+    def seeds(sessions):
+        return [net.derive("trial", i).derive("verifier").seed
+                for i in sessions]
+    assert setups == [(1, seeds(range(16))), (17, seeds(range(16, 32))),
+                      (33, seeds([32]))]
+
+
+def test_bad_frame_mid_serve_ends_it_with_its_code(stream, desk):
+    """A bad frame in session 17 of 33, the first of the second chunk,
+    gets its error frame and ends the serve with SessionError, as it does
+    in a lone session."""
+    net = stream.derive("net")
+    port, t, box = _serve_in_thread(desk, net, 33, witness_channel=False)
+    connect_prover("127.0.0.1", port, BaselineProver(), net, 16, timeout=10)
+    sock, _ = _open_session(port)
+    with sock:
+        send_message(sock, make_message("response2", {"d_prime": 0}))
+        reply = recv_message(sock)
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert reply["type"] == "error"
+    assert reply["payload"]["code"] == "protocol-order"
+    assert isinstance(box["error"], SessionError)
+    assert "protocol-order" in str(box["error"])
+
+
+@pytest.mark.parametrize("strategy", ["honest", "classical-baseline"])
+def test_network_demo_script(strategy):
+    """scripts/network_demo.py serves 17 sessions, one more than a chunk,
+    and finds every transcript equal to its in-process rerun."""
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [str(ROOT / "src"),
+                             os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "network_demo.py"),
+         "--sessions", "17", "--strategy", strategy],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "in-process rerun: 17/17" in done.stdout
 
 
 def test_baseline_over_network(stream, desk):
@@ -233,6 +353,77 @@ def test_setup_frame_size(stream, desk):
         assert recv_message(sock)["type"] == "result"
     t.join()
     assert "error" not in box
+
+
+def test_response1_over_its_cap_is_refused_unread(stream, desk):
+    """The response1 cap is the verifier's own y and u plus
+    SMALL_FRAME_BYTES; a header announcing one byte more gets a
+    `bad-encoding` error frame without the verifier waiting for a body."""
+    cap = network._frame_cap("response1", desk)
+    honest = len(dump_frame(make_message("response1", _response1(desk))))
+    assert honest <= cap < honest + SMALL_FRAME_BYTES
+    port, t, box = _serve_in_thread(desk, stream.derive("net"), 1,
+                                    witness_channel=False)
+    sock, _ = _open_session(port)
+    with sock:
+        sock.sendall(struct.pack(">I", cap + 1))    # the header alone
+        reply = recv_message(sock)
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert reply["type"] == "error"
+    assert reply["payload"]["code"] == "bad-encoding"
+    assert isinstance(box["error"], WireError)
+
+
+def test_setup_over_its_cap_is_refused_unread(stream):
+    """The setup cap holds the largest key, ciphertext and witness the
+    setup bounds admit; a header announcing one byte more gets a
+    `bad-encoding` error frame without the prover waiting for a body."""
+    largest = network._LARGEST
+    m, n = largest.m, largest.n
+
+    def zeros(*shape):
+        return encode_vector(np.zeros(shape, dtype=np.int64))
+    setup = {"preset": largest.preset_name, "lambda": largest.lam,
+             "n": n, "q": str(largest.q), "sigma": largest.sigma,
+             "pk": {"A": zeros(m, n), "v": zeros(m)},
+             "ct": {"a": zeros(n), "w": str(largest.q - 1)},
+             WITNESS_LABEL: {"s": zeros(n), "e": zeros(m)}}
+    size = len(dump_frame(make_message("setup", setup)))
+    assert size <= network.SETUP_FRAME_BYTES < size + SMALL_FRAME_BYTES
+    srv = open_server_socket("127.0.0.1", 0)
+    box = {}
+
+    def fake_verifier():
+        conn, _ = srv.accept()
+        with conn:
+            conn.settimeout(10)
+            recv_message(conn)                                  # hello
+            send_message(conn, make_message("hello", VERIFIER_HELLO))
+            conn.sendall(struct.pack(">I", network.SETUP_FRAME_BYTES + 1))
+            box["reply"] = recv_message(conn)
+        srv.close()
+
+    t = threading.Thread(target=fake_verifier)
+    t.start()
+    with pytest.raises(WireError, match="over the cap"):
+        prover_session("127.0.0.1", srv.getsockname()[1],
+                       HonestQuantumProver(), stream, timeout=10)
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert box["reply"]["type"] == "error"
+    assert box["reply"]["payload"]["code"] == "bad-encoding"
+
+
+def test_every_cap_admits_an_error_frame(desk):
+    """An error frame may arrive in place of any frame, so the longest one
+    fits under the cap of every type."""
+    codes = ["bad-encoding", "bad-dimensions", "bad-bit", "no-witness",
+             "protocol-order", "version-mismatch", "timeout"]
+    longest = max(len(dump_frame(make_message("error", {"code": code})))
+                  for code in codes)
+    assert longest - 4 <= min(
+        network._frame_cap(msg_type, desk) for msg_type in MESSAGE_TYPES)
 
 
 @pytest.fixture
@@ -600,7 +791,9 @@ def _fuzz_verifier(desk, stream):
             while True:     # answer until the verifier hangs up
                 try:
                     msg_type = recv_message(peer)["type"]
-                except WireError:
+                except (WireError, ConnectionResetError):
+                    # a frame over its cap is refused unread, and closing
+                    # a connection with bytes unread resets it
                     break
                 if msg_type in replies:
                     send_message(peer, make_message(

@@ -10,12 +10,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from rotated_tcf.wire import (MAX_FRAME_BYTES, PROTOCOL_VERSION,
-                              SECRET_FIELDS, WITNESS_LABEL, DimensionError,
-                              WireError, check_no_secrets, decode_bits,
-                              decode_matrix, decode_vector, dump_frame,
-                              encode_bits, encode_matrix, encode_vector,
-                              make_message, parse_frame, recv_message,
-                              send_message)
+                              SECRET_FIELDS, SMALL_FRAME_BYTES, WITNESS_LABEL,
+                              DimensionError, WireError, check_no_secrets,
+                              decode_bits, decode_matrix, decode_vector,
+                              dump_frame, encode_bits, encode_matrix,
+                              encode_vector, frame_cap, make_message,
+                              parse_frame, recv_message, send_message)
 
 
 Q61 = (1 << 61) - 1
@@ -236,6 +236,30 @@ def test_oversized_frame_rejected():
     finally:
         a.close()
         b.close()
+
+
+def test_frame_cap_counts_each_array_and_the_bits():
+    """frame_cap adds each array's encoded length and the bits to
+    SMALL_FRAME_BYTES."""
+    for sizes in [(), (0,), (1,), (2,), (3,), (4, 5), (348, 4, 1392)]:
+        encoded = sum(len(encode_vector(np.zeros(k, dtype=np.int64)))
+                      for k in sizes)
+        assert frame_cap(*sizes, bits=7) == SMALL_FRAME_BYTES + encoded + 7
+
+
+def test_recv_message_refuses_a_frame_over_its_cap():
+    """A header announcing more than the cap is refused before the body
+    is read; a frame of exactly the cap is read."""
+    frame = dump_frame(make_message("result", {"success": True, "d": 0}))
+    cap = len(frame) - 4
+    a, b = socket.socketpair()
+    with a, b:
+        b.settimeout(10)
+        a.sendall(frame)
+        assert recv_message(b, cap)["type"] == "result"
+        a.sendall(struct.pack(">I", cap + 1))   # the header alone
+        with pytest.raises(WireError, match="over the cap"):
+            recv_message(b, cap)
 
 
 def test_send_recv_over_socketpair():
