@@ -26,7 +26,7 @@ from rotated_tcf.wire import (MESSAGE_TYPES, PROTOCOL_VERSION, SECRET_FIELDS,
                               encode_matrix, encode_vector, make_message,
                               parse_frame, recv_message, send_message)
 
-ROOT = Path(rotated_tcf.__file__).resolve().parents[2]
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _serve_in_thread(desk, stream, sessions, witness_channel):
@@ -48,33 +48,16 @@ def _serve_in_thread(desk, stream, sessions, witness_channel):
     return port, t, box
 
 
-def test_loopback_matches_in_process(stream, desk):
-    """Same master seed over TCP and in-process: transcripts are identical
-    byte for byte."""
-    sessions = 6
-    port, t, box = _serve_in_thread(desk, stream.derive("net"), sessions,
-                                    witness_channel=True)
-    connect_prover("127.0.0.1", port, HonestQuantumProver(),
-                   stream.derive("net"), sessions)
-    t.join()
-    stats, transcripts = box["result"]
-    local = [run_single_trial(desk, HonestQuantumProver(),
-                              stream.derive("net").derive("trial", i))
-             for i in range(sessions)]
-    assert [transcript_to_json(t) for t in transcripts] == \
-           [transcript_to_json(t) for t in local]
-    assert stats.successes == sum(t.success for t in local)
-
-
 @pytest.mark.parametrize("sessions", [1, 15, 16, 17, 33])
 @pytest.mark.parametrize("prover, witness_channel", [
     (HonestQuantumProver, True), (BaselineProver, False),
 ], ids=["honest", "baseline"])
-def test_chunked_serve_matches_in_process(stream, desk, sessions, prover,
-                                          witness_channel):
-    """Served a chunk of keys at a time, every session, on either side of
-    a chunk boundary, is the in-process trial on its stream, and its
-    client is told that trial's verdict."""
+def test_loopback_matches_in_process(stream, desk, sessions, prover,
+                                     witness_channel):
+    """Same master seed over TCP and in-process: every session, on either
+    side of a chunk boundary of the server's stacked key set-up, gives the
+    in-process transcript byte for byte, and its client is told that
+    trial's verdict."""
     net = stream.derive("net")
     port, t, box = _serve_in_thread(desk, net, sessions, witness_channel)
     results = connect_prover("127.0.0.1", port, prover(), net, sessions,
@@ -169,7 +152,7 @@ def test_network_demo_script(strategy):
     and finds every transcript equal to its in-process rerun."""
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
-               filter(None, [str(ROOT / "src"),
+               filter(None, [str(Path(rotated_tcf.__file__).parents[1]),
                              os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "network_demo.py"),
