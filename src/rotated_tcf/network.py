@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import socket
+import time
 
 from .params import Params, tiny_params
 from .protocol_q import (CHUNK, VerifierState, instance_state, prover_round1,
@@ -35,6 +36,10 @@ from .wire import (PROTOCOL_VERSION, SMALL_FRAME_BYTES, WITNESS_LABEL,
                    make_message, recv_message, send_message)
 
 DEFAULT_TIMEOUT = 30.0
+# After a frame refused unread, the most bytes, and seconds, spent reading
+# and dropping what the peer still sends before the close.
+DRAIN_BYTES = 1 << 20
+DRAIN_SECONDS = 1.0
 
 # The largest setup scalars a prover accepts, so that a hostile verifier
 # cannot size its work at will: far above the desk preset (n = 4,
@@ -66,6 +71,25 @@ def _send_error(sock, code: str) -> None:
     try:
         send_message(sock, make_message("error", {"code": code}))
     except OSError:
+        pass
+
+
+def _drain(sock) -> None:
+    """Stop sending on `sock`, then read and drop what the peer sends until
+    it hangs up, or for DRAIN_BYTES or DRAIN_SECONDS.  A socket closed with
+    bytes unread resets the connection, and the peer, perhaps still
+    sending the frame it was refused, would not read its error frame."""
+    deadline = time.monotonic() + DRAIN_SECONDS
+    left = DRAIN_BYTES
+    try:
+        sock.shutdown(socket.SHUT_WR)
+        while left > 0:
+            sock.settimeout(max(deadline - time.monotonic(), 1e-3))
+            chunk = sock.recv(min(left, 1 << 16))
+            if not chunk:
+                return
+            left -= len(chunk)
+    except OSError:     # a timeout, or a peer that reset first
         pass
 
 
@@ -170,7 +194,7 @@ def _receive(sock, msg_type: str, *context):
     does not decode gets an error frame with the code its exception carries
     (`bad-encoding` by default) and raises SessionError; a frame over its
     type's cap, or one that `parse_frame` refuses, gets a `bad-encoding`
-    error frame and re-raises its WireError."""
+    error frame, then `_drain`, and re-raises its WireError."""
     msg = None
     try:
         msg = recv_message(sock, _frame_cap(msg_type, *context))
@@ -183,6 +207,7 @@ def _receive(sock, msg_type: str, *context):
         code = getattr(exc, "code", "bad-encoding")
         _send_error(sock, code)
         if msg is None:
+            _drain(sock)
             raise
         if not isinstance(exc, Refused):
             exc = f"undecodable payload ({code}): {exc}"

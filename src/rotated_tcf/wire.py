@@ -169,7 +169,7 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
     return b"".join(chunks)
 
 
-def recv_message(sock: socket.socket, cap: int = MAX_FRAME_BYTES) -> dict:
+def recv_message(sock: socket.socket, cap: int) -> dict:
     """The next frame, refused before its body is read if its header
     announces more than `cap` bytes."""
     header = _recv_exact(sock, 4)

@@ -20,7 +20,8 @@ from rotated_tcf.network import (SessionError, connect_prover,
 from rotated_tcf.protocol_q import (CHUNK, BaselineProver,
                                     HonestQuantumProver, run_single_trial)
 from rotated_tcf.transcripts import transcript_to_json
-from rotated_tcf.wire import (MESSAGE_TYPES, PROTOCOL_VERSION, SECRET_FIELDS,
+from rotated_tcf.wire import (MAX_FRAME_BYTES, MESSAGE_TYPES,
+                              PROTOCOL_VERSION, SECRET_FIELDS,
                               SMALL_FRAME_BYTES, WITNESS_LABEL, WireError,
                               _recv_exact, dump_frame, encode_bits,
                               encode_matrix, encode_vector, make_message,
@@ -137,7 +138,7 @@ def test_bad_frame_mid_serve_ends_it_with_its_code(stream, desk):
     sock, _ = _open_session(port)
     with sock:
         send_message(sock, make_message("response2", {"d_prime": 0}))
-        reply = recv_message(sock)
+        reply = recv_message(sock, MAX_FRAME_BYTES)
     t.join(timeout=10)
     assert not t.is_alive()
     assert reply["type"] == "error"
@@ -226,11 +227,11 @@ def test_out_of_order_message_gets_error_frame(stream, desk):
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
         send_message(sock, make_message("hello", {"role": "prover",
                                                   "version": PROTOCOL_VERSION}))
-        assert recv_message(sock)["type"] == "hello"
-        assert recv_message(sock)["type"] == "setup"
+        assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "hello"
+        assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "setup"
         # jump straight to round 2: the verifier must refuse
         send_message(sock, make_message("response2", {"d_prime": 0}))
-        reply = recv_message(sock)
+        reply = recv_message(sock, MAX_FRAME_BYTES)
         assert reply["type"] == "error"
         assert reply["payload"]["code"] == "protocol-order"
     t.join()
@@ -246,10 +247,10 @@ def test_version_mismatch_rejected(stream, desk):
                                       timeout=10) as sock:
             send_message(sock, make_message("hello", {"role": "prover",
                                                       "version": version}))
-            reply = recv_message(sock)
+            reply = recv_message(sock, MAX_FRAME_BYTES)
             # server's own hello arrives first, then the error
             if reply["type"] == "hello":
-                reply = recv_message(sock)
+                reply = recv_message(sock, MAX_FRAME_BYTES)
             assert reply["type"] == "error"
             assert reply["payload"]["code"] == "version-mismatch"
         t.join()
@@ -261,12 +262,12 @@ def test_bad_dimensions_rejected(stream, desk):
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
         send_message(sock, make_message("hello", {"role": "prover",
                                                   "version": PROTOCOL_VERSION}))
-        assert recv_message(sock)["type"] == "hello"
-        assert recv_message(sock)["type"] == "setup"
+        assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "hello"
+        assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "setup"
         send_message(sock, make_message(
             "response1", {"y": encode_vector(np.array([1, 2])),
                           "u": encode_bits(np.array([0, 1]))}))
-        reply = recv_message(sock)
+        reply = recv_message(sock, MAX_FRAME_BYTES)
         assert reply["type"] == "error"
         assert reply["payload"]["code"] == "bad-dimensions"
     t.join()
@@ -279,7 +280,7 @@ def _open_session(port, witness=False):
     send_message(sock, make_message("hello", {"role": "prover",
                                               "version": PROTOCOL_VERSION,
                                               "witness": witness}))
-    assert recv_message(sock)["type"] == "hello"
+    assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "hello"
     (length,) = struct.unpack(">I", _recv_exact(sock, 4))
     return sock, _recv_exact(sock, length)
 
@@ -311,7 +312,7 @@ def test_undecodable_response1_gets_error_frame(stream, desk, make_payload,
     sock, _ = _open_session(port)
     with sock:
         send_message(sock, make_message("response1", make_payload(desk)))
-        reply = recv_message(sock)
+        reply = recv_message(sock, MAX_FRAME_BYTES)
     t.join()
     assert reply["type"] == "error"
     assert reply["payload"]["code"] == code
@@ -332,29 +333,43 @@ def test_setup_frame_size(stream, desk):
         assert len(body) + 4 <= 24_000
         send_message(sock, make_message("response1", _response1(desk)))
         send_message(sock, make_message("response2", {"d_prime": 0}))
-        assert recv_message(sock)["type"] == "challenge"
-        assert recv_message(sock)["type"] == "result"
+        assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "challenge"
+        assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "result"
     t.join()
     assert "error" not in box
 
 
-def test_response1_over_its_cap_is_refused_unread(stream, desk):
+@pytest.mark.parametrize("body", [None, 1, 256 * 1024],
+                         ids=["header-alone", "1B-over", "256KiB-over"])
+def test_response1_over_its_cap_is_refused_unread(stream, desk, body):
     """The response1 cap is the verifier's own y and u plus
-    SMALL_FRAME_BYTES; a header announcing one byte more gets a
-    `bad-encoding` error frame without the verifier waiting for a body."""
+    SMALL_FRAME_BYTES.  A header announcing one byte more, alone, gets a
+    `bad-encoding` error frame without the verifier waiting for a body; a
+    whole frame `body` bytes past the cap gets it too, and then a clean
+    hang-up rather than a reset, as the verifier drops the unread body
+    before it closes."""
     cap = network._frame_cap("response1", desk)
     honest = len(dump_frame(make_message("response1", _response1(desk))))
     assert honest <= cap < honest + SMALL_FRAME_BYTES
+    frame = struct.pack(">I", cap + 1)
+    if body is not None:
+        padded = {**_response1(desk), "pad": ""}
+        base = len(dump_frame(make_message("response1", padded))) - 4
+        padded["pad"] = "x" * (cap + body - base)
+        frame = dump_frame(make_message("response1", padded))
+        assert len(frame) - 4 == cap + body
     port, t, box = _serve_in_thread(desk, stream.derive("net"), 1,
                                     witness_channel=False)
     sock, _ = _open_session(port)
     with sock:
-        sock.sendall(struct.pack(">I", cap + 1))    # the header alone
-        reply = recv_message(sock)
+        sock.sendall(frame)
+        reply = recv_message(sock, MAX_FRAME_BYTES)
+        hang_up = sock.recv(1)      # a reset raises ConnectionResetError
     t.join(timeout=10)
     assert not t.is_alive()
     assert reply["type"] == "error"
     assert reply["payload"]["code"] == "bad-encoding"
+    assert hang_up == b""
     assert isinstance(box["error"], WireError)
 
 
@@ -381,10 +396,10 @@ def test_setup_over_its_cap_is_refused_unread(stream):
         conn, _ = srv.accept()
         with conn:
             conn.settimeout(10)
-            recv_message(conn)                                  # hello
+            recv_message(conn, MAX_FRAME_BYTES)                                  # hello
             send_message(conn, make_message("hello", VERIFIER_HELLO))
             conn.sendall(struct.pack(">I", network.SETUP_FRAME_BYTES + 1))
-            box["reply"] = recv_message(conn)
+            box["reply"] = recv_message(conn, MAX_FRAME_BYTES)
         srv.close()
 
     t = threading.Thread(target=fake_verifier)
@@ -464,11 +479,11 @@ def test_undecodable_setup_gets_error_frame(stream, desk, honest_setup,
         conn, _ = srv.accept()
         with conn:
             conn.settimeout(10)
-            recv_message(conn)                                  # hello
+            recv_message(conn, MAX_FRAME_BYTES)                                  # hello
             send_message(conn, make_message(
                 "hello", {"role": "verifier", "version": PROTOCOL_VERSION}))
             send_message(conn, make_message("setup", setup))
-            box["reply"] = recv_message(conn)
+            box["reply"] = recv_message(conn, MAX_FRAME_BYTES)
         srv.close()
 
     t = threading.Thread(target=fake_verifier)
@@ -490,7 +505,7 @@ def test_hello_with_list_payload_is_a_wire_error(stream, desk):
         send_message(sock, {"type": "hello",
                             "protocol_version": PROTOCOL_VERSION,
                             "payload": ["prover", PROTOCOL_VERSION]})
-        assert recv_message(sock)["type"] == "hello"
+        assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "hello"
     t.join(timeout=10)
     assert not t.is_alive()
     assert isinstance(box["error"], WireError)
@@ -524,12 +539,12 @@ def test_response2_bit_is_read_strictly(stream, desk, value, code):
     with peer:
         send_message(peer, make_message("hello", {"role": "prover",
                                                   "version": PROTOCOL_VERSION}))
-        assert recv_message(peer)["type"] == "hello"
-        assert recv_message(peer)["type"] == "setup"
+        assert recv_message(peer, MAX_FRAME_BYTES)["type"] == "hello"
+        assert recv_message(peer, MAX_FRAME_BYTES)["type"] == "setup"
         send_message(peer, make_message("response1", _response1(desk)))
-        assert recv_message(peer)["type"] == "challenge"
+        assert recv_message(peer, MAX_FRAME_BYTES)["type"] == "challenge"
         send_message(peer, make_message("response2", {"d_prime": value}))
-        reply = recv_message(peer)
+        reply = recv_message(peer, MAX_FRAME_BYTES)
     t.join(timeout=10)
     assert not t.is_alive()
     assert reply["type"] == "error"
@@ -551,13 +566,13 @@ def test_challenge_bit_is_read_strictly(stream, desk, honest_setup, value,
         conn, _ = srv.accept()
         with conn:
             conn.settimeout(10)
-            recv_message(conn)                                  # hello
+            recv_message(conn, MAX_FRAME_BYTES)                                  # hello
             send_message(conn, make_message(
                 "hello", {"role": "verifier", "version": PROTOCOL_VERSION}))
             send_message(conn, make_message("setup", honest_setup))
-            recv_message(conn)                                  # response1
+            recv_message(conn, MAX_FRAME_BYTES)                                  # response1
             send_message(conn, make_message("challenge", {"b_prime": value}))
-            box["reply"] = recv_message(conn)
+            box["reply"] = recv_message(conn, MAX_FRAME_BYTES)
         srv.close()
 
     t = threading.Thread(target=fake_verifier)
@@ -605,7 +620,7 @@ def test_setup_lambda_below_one_is_refused(honest_setup, lam):
                                         dict(honest_setup, **{"lambda": lam})))
         with pytest.raises(SessionError, match="bad-encoding"):
             network._receive(conn, "setup", True)
-        reply = recv_message(peer)
+        reply = recv_message(peer, MAX_FRAME_BYTES)
     assert reply["type"] == "error"
     assert reply["payload"]["code"] == "bad-encoding"
 
@@ -647,8 +662,8 @@ def test_verifier_reads_hello_strictly(stream, desk, hello):
     with peer:
         send_message(peer, make_message("hello", {
             "role": "prover", "version": PROTOCOL_VERSION, **hello}))
-        assert recv_message(peer)["type"] == "hello"
-        reply = recv_message(peer)
+        assert recv_message(peer, MAX_FRAME_BYTES)["type"] == "hello"
+        reply = recv_message(peer, MAX_FRAME_BYTES)
     t.join(timeout=10)
     assert not t.is_alive()
     assert reply["type"] == "error"
@@ -665,8 +680,8 @@ def test_refused_frame_gets_error_frame(stream, desk):
         send_message(peer, {"type": "hello",
                             "protocol_version": PROTOCOL_VERSION,
                             "payload": ["prover", PROTOCOL_VERSION]})
-        assert recv_message(peer)["type"] == "hello"
-        reply = recv_message(peer)
+        assert recv_message(peer, MAX_FRAME_BYTES)["type"] == "hello"
+        reply = recv_message(peer, MAX_FRAME_BYTES)
     t.join(timeout=10)
     assert not t.is_alive()
     assert reply["type"] == "error"
@@ -686,10 +701,10 @@ def _verifier_by_hand(turns):
         with conn:
             conn.settimeout(10)
             for frames in turns:
-                recv_message(conn)
+                recv_message(conn, MAX_FRAME_BYTES)
                 for msg_type, payload in frames:
                     send_message(conn, make_message(msg_type, payload))
-            box["reply"] = recv_message(conn)
+            box["reply"] = recv_message(conn, MAX_FRAME_BYTES)
         srv.close()
 
     t = threading.Thread(target=run)
@@ -773,10 +788,8 @@ def _fuzz_verifier(desk, stream):
             send_message(peer, make_message("hello", frames["hello"]))
             while True:     # answer until the verifier hangs up
                 try:
-                    msg_type = recv_message(peer)["type"]
-                except (WireError, ConnectionResetError):
-                    # a frame over its cap is refused unread, and closing
-                    # a connection with bytes unread resets it
+                    msg_type = recv_message(peer, MAX_FRAME_BYTES)["type"]
+                except WireError:
                     break
                 if msg_type in replies:
                     send_message(peer, make_message(

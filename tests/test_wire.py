@@ -232,7 +232,7 @@ def test_oversized_frame_rejected():
     try:
         a.sendall(header)
         with pytest.raises(WireError):
-            recv_message(b)
+            recv_message(b, MAX_FRAME_BYTES)
     finally:
         a.close()
         b.close()
@@ -268,7 +268,7 @@ def test_send_recv_over_socketpair():
         msg = make_message("result", {"success": True, "d": 0})
         t = threading.Thread(target=send_message, args=(a, msg))
         t.start()
-        assert recv_message(b) == msg
+        assert recv_message(b, MAX_FRAME_BYTES) == msg
         t.join()
     finally:
         a.close()
@@ -282,6 +282,6 @@ def test_truncated_stream_detected():
         a.sendall(frame[: len(frame) - 3])
         a.close()
         with pytest.raises(WireError):
-            recv_message(b)
+            recv_message(b, MAX_FRAME_BYTES)
     finally:
         b.close()
