@@ -5,7 +5,8 @@ hello -> setup -> response1 -> challenge -> response2 -> result.  Both ends
 derive their randomness from per-session streams, so a loopback run with
 the same master seed reproduces the in-process transcripts bit for bit.
 Each frame is read by `_receive`, through its type's one decoder, and
-refused unread if its header announces more than its type's cap.
+refused unread if its header announces more than its type's cap.  A
+session that fails raises SessionError with its error frame's code.
 `serve_verifier` sets up the verifier's keys for each chunk of
 `protocol_q.CHUNK` sessions in one stacked call, made once the chunk's
 first connection is accepted; each session plays on its own instance.
@@ -17,6 +18,7 @@ labeled, inside the setup frame.  Classical strategies never receive it.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import socket
 import time
@@ -36,6 +38,9 @@ from .wire import (PROTOCOL_VERSION, SMALL_FRAME_BYTES, WITNESS_LABEL,
                    make_message, recv_message, send_message)
 
 DEFAULT_TIMEOUT = 30.0
+# The codes of the error frames this module sends.
+ERROR_CODES = ("bad-encoding", "bad-dimensions", "bad-bit", "no-witness",
+               "protocol-order", "version-mismatch", "timeout")
 # After a frame refused unread, the most bytes, and seconds, spent reading
 # and dropping what the peer still sends before the close.
 DRAIN_BYTES = 1 << 20
@@ -57,31 +62,39 @@ SETUP_FRAME_BYTES = frame_cap(_LARGEST.m * _LARGEST.n, _LARGEST.m,
 
 
 class SessionError(Exception):
-    pass
-
-
-class Refused(Exception):
-    """A payload the protocol refuses; `code` goes in the error frame."""
-    def __init__(self, code: str, message: str):
-        super().__init__(message)
+    """A failed session; `code` is its error frame's code, the one this end
+    sent or the one in the peer's error frame."""
+    def __init__(self, code: str, message: str = ""):
+        super().__init__(f"{code}: {message}" if message else code)
         self.code = code
 
 
-def _send_error(sock, code: str) -> None:
+def _failure(exc: Exception) -> SessionError:
+    """The SessionError that `exc` ends a session with: `timeout` for a
+    timed-out read or send, else `exc`'s own code, or `bad-encoding`."""
+    if isinstance(exc, SessionError):
+        return exc
+    return SessionError("timeout" if isinstance(exc, TimeoutError)
+                        else getattr(exc, "code", "bad-encoding"), str(exc))
+
+
+def _send(sock, msg_type: str, payload: dict) -> None:
+    """Send one frame; a send that fails ends the session (`_failure`)."""
     try:
-        send_message(sock, make_message("error", {"code": code}))
-    except OSError:
-        pass
+        send_message(sock, make_message(msg_type, payload))
+    except OSError as exc:
+        raise _failure(exc) from None
 
 
-def _drain(sock) -> None:
-    """Stop sending on `sock`, then read and drop what the peer sends until
-    it hangs up, or for DRAIN_BYTES or DRAIN_SECONDS.  A socket closed with
-    bytes unread resets the connection, and the peer, perhaps still
-    sending the frame it was refused, would not read its error frame."""
+def _refuse(sock, code: str, unread: bool = False) -> None:
+    """Send an error frame with `code` and stop sending.  After a frame
+    that went `unread`, read and drop what the peer still sends, up to
+    DRAIN_BYTES or DRAIN_SECONDS, so that the close does not reset the
+    connection before the peer has read its error frame."""
     deadline = time.monotonic() + DRAIN_SECONDS
-    left = DRAIN_BYTES
-    try:
+    left = DRAIN_BYTES if unread else 0
+    with contextlib.suppress(OSError):  # a timeout, or a reset
+        send_message(sock, make_message("error", {"code": code}))
         sock.shutdown(socket.SHUT_WR)
         while left > 0:
             sock.settimeout(max(deadline - time.monotonic(), 1e-3))
@@ -89,8 +102,6 @@ def _drain(sock) -> None:
             if not chunk:
                 return
             left -= len(chunk)
-    except OSError:     # a timeout, or a peer that reset first
-        pass
 
 
 def _number(value, kinds: tuple):
@@ -115,14 +126,14 @@ def _decimal(text, bound: int) -> int:
 def _bit(payload: dict, key: str) -> int:
     """payload[key] as a JSON integer that is 0 or 1."""
     if _number(payload[key], (int,)) not in (0, 1):
-        raise Refused("bad-bit", f"{key} is not a bit (bad-bit)")
+        raise SessionError("bad-bit", f"{key} is not a bit")
     return payload[key]
 
 
 def _hello(payload: dict, peer_role: str) -> bool:
     """Whether the peer asks for the witness."""
     if payload.get("version") != PROTOCOL_VERSION:
-        raise Refused("version-mismatch", "protocol version mismatch")
+        raise SessionError("version-mismatch", "protocol version mismatch")
     if payload["role"] != peer_role:
         raise WireError(f"role {payload['role']!r:.40}, not {peer_role}")
     return _number(payload.get("witness", False), (bool,))
@@ -132,8 +143,7 @@ def _bounded(payload: dict, key: str, kinds: tuple, bound):
     """payload[key] as a number of one of `kinds`, at most `bound`."""
     value = _number(payload[key], kinds)
     if value > bound:
-        raise Refused("bad-encoding",
-                      f"{key} is over the bound {bound} (bad-encoding)")
+        raise SessionError("bad-encoding", f"{key} is over the bound {bound}")
     return value
 
 
@@ -153,15 +163,16 @@ def _setup(payload: dict, wants_witness: bool):
     if not wants_witness:
         return pk, ct, None
     if WITNESS_LABEL not in payload:
-        raise Refused("no-witness",
-                      "verifier did not open the witness channel")
+        raise SessionError("no-witness", "the verifier sent no witness")
     witness = payload[WITNESS_LABEL]
     return pk, ct, (decode_vector(witness["s"], q, (n,)),
                     decode_vector(witness["e"], q, (m,)))
 
 
 def _peer_error(payload: dict, *_):
-    raise SessionError(f"peer error: {payload.get('code')}")
+    code = payload.get("code")
+    raise SessionError(code if code in ERROR_CODES else "bad-encoding",
+                       "peer error")
 
 
 _DECODERS = {
@@ -190,33 +201,27 @@ def _frame_cap(msg_type: str, *context) -> int:
 
 
 def _receive(sock, msg_type: str, *context):
-    """The decoded payload of the next frame, a `msg_type`.  A payload that
-    does not decode gets an error frame with the code its exception carries
-    (`bad-encoding` by default) and raises SessionError; a frame over its
-    type's cap, or one that `parse_frame` refuses, gets a `bad-encoding`
-    error frame, then `_drain`, and re-raises its WireError."""
+    """The decoded payload of the next frame, a `msg_type`.  Any failure
+    raises SessionError: a peer's error frame with its code, unanswered,
+    and any other once `_refuse` has sent its code (see `_failure`),
+    draining what the peer sends if no whole frame was read."""
     msg = None
     try:
         msg = recv_message(sock, _frame_cap(msg_type, *context))
         if msg["type"] not in (msg_type, "error"):
-            raise Refused("protocol-order", f"expected {msg_type}, got "
-                          f"{msg['type']} (protocol-order)")
+            raise SessionError("protocol-order",
+                               f"expected {msg_type}, got {msg['type']}")
         return _DECODERS[msg["type"]](msg["payload"], *context)
-    except (Refused, WireError, KeyError, TypeError, ValueError,
-            OverflowError) as exc:
-        code = getattr(exc, "code", "bad-encoding")
-        _send_error(sock, code)
-        if msg is None:
-            _drain(sock)
-            raise
-        if not isinstance(exc, Refused):
-            exc = f"undecodable payload ({code}): {exc}"
-        raise SessionError(str(exc)) from None
+    except (SessionError, WireError, OSError, KeyError, TypeError,
+            ValueError, OverflowError) as exc:
+        failure = _failure(exc)
+        if msg is None or msg["type"] != "error":
+            _refuse(sock, failure.code, unread=msg is None)
+        raise failure from None
 
 
 def _handshake(sock, role: str, peer_role: str, **hello) -> bool:
-    send_message(sock, make_message("hello", dict(
-        hello, role=role, version=PROTOCOL_VERSION)))
+    _send(sock, "hello", dict(hello, role=role, version=PROTOCOL_VERSION))
     return _receive(sock, "hello", peer_role)
 
 
@@ -244,16 +249,15 @@ def _session(conn, vstate: VerifierState, trial_stream: RngStream,
         # simulator; never part of the protocol
         setup[WITNESS_LABEL] = {"s": encode_vector(vstate.keypair.s),
                                 "e": encode_vector(vstate.keypair.e)}
-    send_message(conn, make_message("setup", setup))
+    _send(conn, "setup", setup)
     y, u = _receive(conn, "response1", params)
     b_prime = int(sample_bits(1, trial_stream.derive("challenge"))[0])
-    send_message(conn, make_message("challenge", {"b_prime": b_prime}))
+    _send(conn, "challenge", {"b_prime": b_prime})
     d_prime = _receive(conn, "response2")
     transcript = verifier_score(vstate, y, u, b_prime, d_prime,
                                 seed_info=trial_stream.seed.hex())
-    send_message(conn, make_message("result",
-                                    {"success": bool(transcript.success),
-                                     "d": transcript.d}))
+    _send(conn, "result", {"success": bool(transcript.success),
+                           "d": transcript.d})
     return transcript
 
 
@@ -281,12 +285,8 @@ def _serve_chunk(server_sock, params: Params, trial_streams,
             if i == 0:
                 vstate, _ = verifier_round1_stacked(
                     params, [t.derive("verifier") for t in trial_streams])
-            try:
-                transcripts.append(_session(conn, instance_state(vstate, i),
-                                            trial_stream, witness_channel))
-            except socket.timeout:
-                _send_error(conn, "timeout")
-                raise SessionError("session timed out") from None
+            transcripts.append(_session(conn, instance_state(vstate, i),
+                                        trial_stream, witness_channel))
     return transcripts
 
 
@@ -318,14 +318,13 @@ def prover_session(host: str, port: int, strategy, trial_stream: RngStream,
         try:
             y, u, memory = prover_round1(strategy, pk, ct, witness, pstream)
         except ValueError as exc:   # a witness that does not open the key
-            _send_error(sock, "bad-encoding")
-            raise SessionError(f"unusable setup (bad-encoding): {exc}") \
-                from None
-        send_message(sock, make_message("response1", {
-            "y": encode_vector(y), "u": encode_bits(u)}))
+            _refuse(sock, "bad-encoding")
+            raise _failure(exc) from None
+        _send(sock, "response1", {"y": encode_vector(y),
+                                  "u": encode_bits(u)})
         b_prime = _receive(sock, "challenge")
         d_prime = int(strategy.second_response(b_prime, memory, pstream))
-        send_message(sock, make_message("response2", {"d_prime": d_prime}))
+        _send(sock, "response2", {"d_prime": d_prime})
         return _receive(sock, "result")
 
 

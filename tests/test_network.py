@@ -6,6 +6,7 @@ import struct
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -370,7 +371,7 @@ def test_response1_over_its_cap_is_refused_unread(stream, desk, body):
     assert reply["type"] == "error"
     assert reply["payload"]["code"] == "bad-encoding"
     assert hang_up == b""
-    assert isinstance(box["error"], WireError)
+    assert box["error"].code == "bad-encoding"
 
 
 def test_setup_over_its_cap_is_refused_unread(stream):
@@ -404,11 +405,12 @@ def test_setup_over_its_cap_is_refused_unread(stream):
 
     t = threading.Thread(target=fake_verifier)
     t.start()
-    with pytest.raises(WireError, match="over the cap"):
+    with pytest.raises(SessionError, match="over the cap") as failed:
         prover_session("127.0.0.1", srv.getsockname()[1],
                        HonestQuantumProver(), stream, timeout=10)
     t.join(timeout=10)
     assert not t.is_alive()
+    assert failed.value.code == "bad-encoding"
     assert box["reply"]["type"] == "error"
     assert box["reply"]["payload"]["code"] == "bad-encoding"
 
@@ -416,10 +418,8 @@ def test_setup_over_its_cap_is_refused_unread(stream):
 def test_every_cap_admits_an_error_frame(desk):
     """An error frame may arrive in place of any frame, so the longest one
     fits under the cap of every type."""
-    codes = ["bad-encoding", "bad-dimensions", "bad-bit", "no-witness",
-             "protocol-order", "version-mismatch", "timeout"]
     longest = max(len(dump_frame(make_message("error", {"code": code})))
-                  for code in codes)
+                  for code in network.ERROR_CODES)
     assert longest - 4 <= min(
         network._frame_cap(msg_type, desk) for msg_type in MESSAGE_TYPES)
 
@@ -497,8 +497,9 @@ def test_undecodable_setup_gets_error_frame(stream, desk, honest_setup,
 
 
 def test_hello_with_list_payload_is_a_wire_error(stream, desk):
-    """A hello whose payload is not an object ends the verifier's session
-    with WireError, not an AttributeError from reading it."""
+    """A hello whose payload is not an object, which `parse_frame`
+    refuses, ends the verifier's session with `bad-encoding`, not an
+    AttributeError from reading it."""
     port, t, box = _serve_in_thread(desk, stream.derive("net"), 1,
                                     witness_channel=False)
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
@@ -508,7 +509,7 @@ def test_hello_with_list_payload_is_a_wire_error(stream, desk):
         assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "hello"
     t.join(timeout=10)
     assert not t.is_alive()
-    assert isinstance(box["error"], WireError)
+    assert box["error"].code == "bad-encoding"
 
 
 BAD_BITS = pytest.mark.parametrize("value, code", [
@@ -597,7 +598,7 @@ def test_setup_scalar_over_its_bound_is_refused(desk, honest_setup, key,
     far inside every bound."""
     assert {"n": desk.n, "sigma": desk.sigma, "lambda": desk.lam}[key] \
         * 8 <= bound
-    with pytest.raises(network.Refused, match="over the bound") as refused:
+    with pytest.raises(SessionError, match="over the bound") as refused:
         network._DECODERS["setup"](dict(honest_setup, **{key: bound + 1}),
                                    True)
     assert refused.value.code == "bad-encoding"
@@ -673,8 +674,8 @@ def test_verifier_reads_hello_strictly(stream, desk, hello):
 
 
 def test_refused_frame_gets_error_frame(stream, desk):
-    """A frame that parse_frame refuses gets a `bad-encoding` error frame
-    before the verifier's WireError ends the session."""
+    """A frame that parse_frame refuses gets a `bad-encoding` error frame,
+    and the verifier's session ends with that code."""
     peer, t, box = _verifier_on_socketpair(desk, stream)
     with peer:
         send_message(peer, {"type": "hello",
@@ -686,7 +687,95 @@ def test_refused_frame_gets_error_frame(stream, desk):
     assert not t.is_alive()
     assert reply["type"] == "error"
     assert reply["payload"]["code"] == "bad-encoding"
-    assert isinstance(box["error"], WireError)
+    assert box["error"].code == "bad-encoding"
+
+
+@pytest.mark.parametrize("code, kept", [
+    ("no-witness", "no-witness"), ("timeout", "timeout"),
+    ("made-up", "bad-encoding"), (None, "bad-encoding"),
+    (["bad-bit"], "bad-encoding"),
+], ids=["no-witness", "timeout", "unknown", "null", "list"])
+def test_peer_error_frame_ends_the_session_unanswered(code, kept):
+    """A peer's error frame ends the session with the peer's code, if it
+    is one of the codes this module sends, else with `bad-encoding`; it
+    is never answered with an error frame."""
+    assert set(network.ERROR_CODES) == {
+        "bad-encoding", "bad-dimensions", "bad-bit", "no-witness",
+        "protocol-order", "version-mismatch", "timeout"}
+    conn, peer = socket.socketpair()
+    with conn, peer:
+        peer.settimeout(10)
+        send_message(peer, make_message("error", {"code": code}))
+        with pytest.raises(SessionError) as failed:
+            network._receive(conn, "response2")
+        conn.close()
+        assert peer.recv(1) == b""
+    assert failed.value.code == kept
+
+
+def _reset(sock):
+    """Close `sock` with SO_LINGER 0, so that the peer gets a reset."""
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                    struct.pack("ii", 1, 0))
+    sock.close()
+
+
+def test_reset_mid_frame_ends_the_prover_session(stream):
+    """A verifier that resets the connection part way through its setup
+    frame ends the prover's session with `bad-encoding`, not a raw
+    ConnectionResetError."""
+    srv = open_server_socket("127.0.0.1", 0)
+
+    def fake_verifier():
+        conn, _ = srv.accept()
+        conn.settimeout(10)
+        recv_message(conn, MAX_FRAME_BYTES)                      # hello
+        send_message(conn, make_message("hello", VERIFIER_HELLO))
+        conn.sendall(struct.pack(">I", 1000) + b'{"type"')
+        time.sleep(0.2)     # let the prover read the partial frame
+        _reset(conn)
+        srv.close()
+
+    t = threading.Thread(target=fake_verifier, daemon=True)
+    t.start()
+    with pytest.raises(SessionError) as failed:
+        prover_session("127.0.0.1", srv.getsockname()[1], BaselineProver(),
+                       stream, timeout=10)
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert failed.value.code == "bad-encoding"
+
+
+def test_read_timeout_sends_and_raises_timeout(stream, desk):
+    """A verifier whose read times out sends a `timeout` error frame and
+    ends the session with that code, in a lone session too."""
+    conn, peer = socket.socketpair()
+    with conn, peer:
+        conn.settimeout(0.2)
+        peer.settimeout(10)
+        with pytest.raises(SessionError) as failed:
+            verifier_session(conn, desk, stream)
+        assert recv_message(peer, MAX_FRAME_BYTES)["type"] == "hello"
+        reply = recv_message(peer, MAX_FRAME_BYTES)
+    assert failed.value.code == "timeout"
+    assert reply["payload"]["code"] == "timeout"
+
+
+def test_failed_send_ends_the_session():
+    """A send to a peer that has gone is `bad-encoding`, and one that
+    times out is `timeout`; neither raises an OSError."""
+    conn, peer = socket.socketpair()
+    with conn:
+        peer.close()
+        with pytest.raises(SessionError) as failed:
+            network._send(conn, "challenge", {"b_prime": 0})
+    assert failed.value.code == "bad-encoding"
+    conn, peer = socket.socketpair()
+    with conn, peer:
+        conn.settimeout(0.2)
+        with pytest.raises(SessionError) as failed:   # the peer never reads
+            network._send(conn, "response1", {"pad": "x" * (4 << 20)})
+    assert failed.value.code == "timeout"
 
 
 def _verifier_by_hand(turns):
