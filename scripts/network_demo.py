@@ -6,15 +6,18 @@ Usage: python scripts/network_demo.py [--sessions N] [--strategy NAME]
 With the honest strategy the witness channel is enabled so the quantum
 simulator can run on the prover side; classical strategies never see it.
 Also cross-checks that the networked transcripts match an in-process rerun
-with the same seeds.
+with the same seeds.  A failed client session prints its code, shuts the
+verifier down and exits 1.
 """
 import argparse
+import contextlib
+import socket
 import sys
 import threading
 
 from rotated_tcf.cli import DEFAULT_SEED, PROVERS
-from rotated_tcf.network import (connect_prover, open_server_socket,
-                                 serve_verifier)
+from rotated_tcf.network import (SessionError, connect_prover,
+                                 open_server_socket, serve_verifier)
 from rotated_tcf.params import desk_preset
 from rotated_tcf.protocol_q import run_single_trial
 from rotated_tcf.sampling import master_stream
@@ -43,13 +46,24 @@ def main() -> int:
             box["result"] = serve_verifier(
                 srv, params, master_stream(args.seed).derive("net"),
                 args.sessions, witness_channel=witness)
+        except OSError:     # the listener was shut down
+            pass
         finally:
             srv.close()
 
-    t = threading.Thread(target=serve)
+    t = threading.Thread(target=serve, daemon=True)
     t.start()
-    connect_prover("127.0.0.1", port, strategy,
-                   master_stream(args.seed).derive("net"), args.sessions)
+    try:
+        connect_prover("127.0.0.1", port, strategy,
+                       master_stream(args.seed).derive("net"), args.sessions)
+    except SessionError as exc:
+        print(f"client session failed: {exc.code}")
+        # wakes the verifier's accept(), which close() would leave blocked;
+        # a verifier done with its last session has closed it already
+        with contextlib.suppress(OSError):
+            srv.shutdown(socket.SHUT_RDWR)
+        t.join()
+        return 1
     t.join()
     stats, transcripts = box["result"]
     print(f"network run: {stats.summary()}")

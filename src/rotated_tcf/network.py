@@ -271,12 +271,14 @@ def verifier_session(conn, params: Params, trial_stream: RngStream,
 def _serve_chunk(server_sock, params: Params, trial_streams,
                  witness_channel: bool, timeout: float) -> list:
     """The sessions on `trial_streams`, one accepted connection each, in
-    order; returns their transcripts.  The verifier's keys for all of them
-    are one verifier_round1_stacked call, made only once the first
-    connection is accepted: the client shares this process's interpreter
-    lock in a loopback run, and a set-up made before it would hold up the
-    client's read of the previous session's result.  A call of its own, so
-    that one chunk's keys are freed before the next chunk's are drawn."""
+    order; returns their transcripts, a failed session's SessionError in
+    its place: the next session plays the next instance.  The verifier's
+    keys for all of them are one verifier_round1_stacked call, made only
+    once the first connection is accepted: the client shares this
+    process's interpreter lock in a loopback run, and a set-up made before
+    it would hold up the client's read of the previous session's result.
+    A call of its own, so that one chunk's keys are freed before the next
+    chunk's are drawn."""
     transcripts = []
     for i, trial_stream in enumerate(trial_streams):
         conn, _ = server_sock.accept()
@@ -285,8 +287,11 @@ def _serve_chunk(server_sock, params: Params, trial_streams,
             if i == 0:
                 vstate, _ = verifier_round1_stacked(
                     params, [t.derive("verifier") for t in trial_streams])
-            transcripts.append(_session(conn, instance_state(vstate, i),
-                                        trial_stream, witness_channel))
+            try:
+                transcripts.append(_session(conn, instance_state(vstate, i),
+                                            trial_stream, witness_channel))
+            except SessionError as exc:
+                transcripts.append(exc)
     return transcripts
 
 
@@ -296,7 +301,8 @@ def serve_verifier(server_sock, params: Params, stream: RngStream,
     """Accept `sessions` connections in order; session i uses the stream
     derive('trial', i), and each transcript is what verifier_session gives
     on that stream.  Sessions are served CHUNK at a time, each chunk's keys
-    set up in one stacked call.  Returns (Stats, transcripts)."""
+    set up in one stacked call.  Returns (Stats, transcripts): a failed
+    session counts as a loss, and its slot holds its SessionError."""
     transcripts = []
     for start in range(0, sessions, CHUNK):
         transcripts += _serve_chunk(
@@ -304,7 +310,8 @@ def serve_verifier(server_sock, params: Params, stream: RngStream,
             [stream.derive("trial", i)
              for i in range(start, min(start + CHUNK, sessions))],
             witness_channel, timeout)
-    wins = sum(int(t.success) for t in transcripts)
+    wins = sum(int(t.success) for t in transcripts
+               if not isinstance(t, SessionError))
     return Stats(successes=wins, trials=sessions), transcripts
 
 

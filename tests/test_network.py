@@ -1,5 +1,7 @@
+import contextlib
 import copy
 import functools
+import importlib.util
 import os
 import socket
 import struct
@@ -29,6 +31,29 @@ from rotated_tcf.wire import (MAX_FRAME_BYTES, MESSAGE_TYPES,
                               parse_frame, recv_message, send_message)
 
 ROOT = Path(__file__).resolve().parent.parent
+JOIN_SECONDS = 60
+
+
+class _Daemon(threading.Thread):
+    """`target` on a started daemon thread: one left blocked does not keep
+    pytest from exiting.  Its join waits at most JOIN_SECONDS and fails
+    the test if the thread still runs, then shuts down the `listener` the
+    thread serves on, which wakes a blocked accept() (on Linux, close()
+    does not)."""
+
+    def __init__(self, target, listener=None):
+        super().__init__(target=target, daemon=True)
+        self.listener = listener
+        self.start()
+
+    def join(self, timeout=JOIN_SECONDS):
+        try:
+            super().join(timeout)
+            assert not self.is_alive()
+        finally:
+            if self.listener is not None and self.is_alive():
+                with contextlib.suppress(OSError):  # closed meanwhile
+                    self.listener.shutdown(socket.SHUT_RDWR)
 
 
 def _serve_in_thread(desk, stream, sessions, witness_channel):
@@ -45,9 +70,7 @@ def _serve_in_thread(desk, stream, sessions, witness_channel):
         finally:
             srv.close()
 
-    t = threading.Thread(target=run)
-    t.start()
-    return port, t, box
+    return port, _Daemon(run, srv), box
 
 
 @pytest.mark.parametrize("sessions", [1, 15, 16, 17, 33])
@@ -114,8 +137,7 @@ def test_serve_sets_up_each_chunk_once_after_its_first_accept(
         finally:
             srv.close()
 
-    t = threading.Thread(target=serve)
-    t.start()
+    t = _Daemon(serve, srv)
     connect_prover("127.0.0.1", srv.getsockname()[1], BaselineProver(), net,
                    33, timeout=10)
     t.join(timeout=60)
@@ -129,10 +151,12 @@ def test_serve_sets_up_each_chunk_once_after_its_first_accept(
                       (33, seeds([32]))]
 
 
-def test_bad_frame_mid_serve_ends_it_with_its_code(stream, desk):
+def test_bad_session_mid_serve_is_recorded_and_the_serve_goes_on(stream,
+                                                                  desk):
     """A bad frame in session 17 of 33, the first of the second chunk,
-    gets its error frame and ends the serve with SessionError, as it does
-    in a lone session."""
+    gets its error frame, and the session's slot holds its SessionError;
+    sessions 18-33 still play the next instances of the same chunk, each
+    equal to run_single_trial on its stream."""
     net = stream.derive("net")
     port, t, box = _serve_in_thread(desk, net, 33, witness_channel=False)
     connect_prover("127.0.0.1", port, BaselineProver(), net, 16, timeout=10)
@@ -140,12 +164,76 @@ def test_bad_frame_mid_serve_ends_it_with_its_code(stream, desk):
     with sock:
         send_message(sock, make_message("response2", {"d_prime": 0}))
         reply = recv_message(sock, MAX_FRAME_BYTES)
-    t.join(timeout=10)
-    assert not t.is_alive()
+    results = [prover_session("127.0.0.1", port, BaselineProver(),
+                              net.derive("trial", i), timeout=10)
+               for i in range(17, 33)]
+    t.join()
     assert reply["type"] == "error"
     assert reply["payload"]["code"] == "protocol-order"
-    assert isinstance(box["error"], SessionError)
-    assert "protocol-order" in str(box["error"])
+    stats, transcripts = box["result"]
+    assert transcripts[16].code == "protocol-order"
+    local = [run_single_trial(desk, BaselineProver(), net.derive("trial", i))
+             for i in range(33)]
+    del local[16]
+    del transcripts[16]
+    assert [transcript_to_json(t) for t in transcripts] == \
+           [transcript_to_json(t) for t in local]
+    assert results == [{"success": t.success, "d": t.d} for t in local[16:]]
+    assert (stats.successes, stats.trials) == \
+           (sum(t.success for t in local), 33)
+
+
+def test_resetting_client_does_not_end_the_serve(stream, desk):
+    """A client that sends 10 bytes of its hello and then resets the
+    connection fails its session with `bad-encoding`; the two sessions
+    after it are served as in process."""
+    net = stream.derive("net")
+    port, t, box = _serve_in_thread(desk, net, 3, witness_channel=False)
+    sock = socket.create_connection(("127.0.0.1", port), timeout=10)
+    sock.sendall(dump_frame(make_message("hello", {
+        "role": "prover", "version": PROTOCOL_VERSION}))[:10])
+    time.sleep(0.2)     # let the verifier read the partial frame
+    _reset(sock)
+    results = [prover_session("127.0.0.1", port, BaselineProver(),
+                              net.derive("trial", i), timeout=10)
+               for i in (1, 2)]
+    t.join()
+    stats, (failed, *transcripts) = box["result"]
+    assert failed.code == "bad-encoding"
+    local = [run_single_trial(desk, BaselineProver(), net.derive("trial", i))
+             for i in (1, 2)]
+    assert [transcript_to_json(t) for t in transcripts] == \
+           [transcript_to_json(t) for t in local]
+    assert results == [{"success": t.success, "d": t.d} for t in local]
+    assert (stats.successes, stats.trials) == \
+           (sum(t.success for t in local), 3)
+
+
+def test_silent_client_times_out_and_the_serve_goes_on(stream, desk):
+    """A client that connects and sends nothing gets a `timeout` error
+    frame once the server's read times out, and the next session is
+    served as in process."""
+    net = stream.derive("net")
+    srv = open_server_socket("127.0.0.1", 0)
+    box = {}
+
+    def serve():
+        with srv:
+            box["result"] = serve_verifier(srv, desk, net, 2, timeout=0.3)
+
+    t = _Daemon(serve, srv)
+    with socket.create_connection(srv.getsockname(), timeout=10) as sock:
+        assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "hello"
+        reply = recv_message(sock, MAX_FRAME_BYTES)
+    result = prover_session(*srv.getsockname(), BaselineProver(),
+                            net.derive("trial", 1), timeout=10)
+    t.join()
+    stats, (failed, transcript) = box["result"]
+    assert reply["payload"]["code"] == failed.code == "timeout"
+    local = run_single_trial(desk, BaselineProver(), net.derive("trial", 1))
+    assert transcript_to_json(transcript) == transcript_to_json(local)
+    assert result == {"success": local.success, "d": local.d}
+    assert (stats.successes, stats.trials) == (int(local.success), 2)
 
 
 @pytest.mark.parametrize("strategy", ["honest", "classical-baseline"])
@@ -162,6 +250,27 @@ def test_network_demo_script(strategy):
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "in-process rerun: 17/17" in done.stdout
+
+
+def test_network_demo_exits_when_its_client_fails(monkeypatch, capsys):
+    """When its client side fails, scripts/network_demo.py prints the
+    session's code, shuts its verifier down and exits 1 instead of
+    waiting on the verifier's next accept()."""
+    spec = importlib.util.spec_from_file_location(
+        "network_demo", ROOT / "scripts" / "network_demo.py")
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+
+    def first_session_fails(host, port, strategy, stream, sessions):
+        prover_session(host, port, strategy, stream.derive("trial", 0))
+        raise SessionError("no-witness", "stands in for a failed session")
+
+    monkeypatch.setattr(demo, "connect_prover", first_session_fails)
+    monkeypatch.setattr(sys, "argv", ["network_demo.py", "--sessions", "3"])
+    running = threading.active_count()
+    assert demo.main() == 1
+    assert "client session failed: no-witness" in capsys.readouterr().out
+    assert threading.active_count() == running
 
 
 def test_baseline_over_network(stream, desk):
@@ -209,17 +318,17 @@ def test_quantum_prover_requires_witness_channel(stream, desk):
 
 def test_quantum_prover_reports_missing_witness(stream, desk):
     """A quantum prover facing a closed witness channel tells the verifier
-    why it hangs up, so the serving loop stops on that code rather than on
-    a torn frame, before it waits for a second session."""
-    port, t, box = _serve_in_thread(desk, stream.derive("net"), 2,
+    why it hangs up, so the serving loop records that code rather than a
+    torn frame."""
+    port, t, box = _serve_in_thread(desk, stream.derive("net"), 1,
                                     witness_channel=False)
     with pytest.raises(SessionError, match="witness"):
         connect_prover("127.0.0.1", port, HonestQuantumProver(),
                        stream.derive("net"), 2, timeout=10)
     t.join(timeout=10)
-    assert not t.is_alive()
-    assert isinstance(box["error"], SessionError)
-    assert "no-witness" in str(box["error"])
+    stats, (failed,) = box["result"]
+    assert failed.code == "no-witness"
+    assert (stats.successes, stats.trials) == (0, 1)
 
 
 def test_out_of_order_message_gets_error_frame(stream, desk):
@@ -236,7 +345,7 @@ def test_out_of_order_message_gets_error_frame(stream, desk):
         assert reply["type"] == "error"
         assert reply["payload"]["code"] == "protocol-order"
     t.join()
-    assert "result" not in box  # the session aborted server-side
+    assert box["result"][1][0].code == "protocol-order"
 
 
 def test_version_mismatch_rejected(stream, desk):
@@ -317,8 +426,7 @@ def test_undecodable_response1_gets_error_frame(stream, desk, make_payload,
     t.join()
     assert reply["type"] == "error"
     assert reply["payload"]["code"] == code
-    assert isinstance(box["error"], SessionError)
-    assert code in str(box["error"])
+    assert box["result"][1][0].code == code
 
 
 def test_setup_frame_size(stream, desk):
@@ -371,7 +479,7 @@ def test_response1_over_its_cap_is_refused_unread(stream, desk, body):
     assert reply["type"] == "error"
     assert reply["payload"]["code"] == "bad-encoding"
     assert hang_up == b""
-    assert box["error"].code == "bad-encoding"
+    assert box["result"][1][0].code == "bad-encoding"
 
 
 def test_setup_over_its_cap_is_refused_unread(stream):
@@ -403,8 +511,7 @@ def test_setup_over_its_cap_is_refused_unread(stream):
             box["reply"] = recv_message(conn, MAX_FRAME_BYTES)
         srv.close()
 
-    t = threading.Thread(target=fake_verifier)
-    t.start()
+    t = _Daemon(fake_verifier, srv)
     with pytest.raises(SessionError, match="over the cap") as failed:
         prover_session("127.0.0.1", srv.getsockname()[1],
                        HonestQuantumProver(), stream, timeout=10)
@@ -486,8 +593,7 @@ def test_undecodable_setup_gets_error_frame(stream, desk, honest_setup,
             box["reply"] = recv_message(conn, MAX_FRAME_BYTES)
         srv.close()
 
-    t = threading.Thread(target=fake_verifier)
-    t.start()
+    t = _Daemon(fake_verifier, srv)
     with pytest.raises(SessionError, match=code):
         prover_session("127.0.0.1", port, HonestQuantumProver(),
                        stream.derive("trial", 0), timeout=10)
@@ -509,7 +615,7 @@ def test_hello_with_list_payload_is_a_wire_error(stream, desk):
         assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "hello"
     t.join(timeout=10)
     assert not t.is_alive()
-    assert box["error"].code == "bad-encoding"
+    assert box["result"][1][0].code == "bad-encoding"
 
 
 BAD_BITS = pytest.mark.parametrize("value, code", [
@@ -535,8 +641,7 @@ def test_response2_bit_is_read_strictly(stream, desk, value, code):
         finally:
             conn.close()
 
-    t = threading.Thread(target=verifier)
-    t.start()
+    t = _Daemon(verifier)
     with peer:
         send_message(peer, make_message("hello", {"role": "prover",
                                                   "version": PROTOCOL_VERSION}))
@@ -576,8 +681,7 @@ def test_challenge_bit_is_read_strictly(stream, desk, honest_setup, value,
             box["reply"] = recv_message(conn, MAX_FRAME_BYTES)
         srv.close()
 
-    t = threading.Thread(target=fake_verifier)
-    t.start()
+    t = _Daemon(fake_verifier, srv)
     with pytest.raises(SessionError, match=code):
         prover_session("127.0.0.1", port, BaselineProver(),
                        stream.derive("trial", 0), timeout=10)
@@ -648,8 +752,7 @@ def _verifier_on_socketpair(desk, stream):
         finally:
             conn.close()
 
-    t = threading.Thread(target=verifier)
-    t.start()
+    t = _Daemon(verifier)
     return peer, t, box
 
 
@@ -736,8 +839,7 @@ def test_reset_mid_frame_ends_the_prover_session(stream):
         _reset(conn)
         srv.close()
 
-    t = threading.Thread(target=fake_verifier, daemon=True)
-    t.start()
+    t = _Daemon(fake_verifier, srv)
     with pytest.raises(SessionError) as failed:
         prover_session("127.0.0.1", srv.getsockname()[1], BaselineProver(),
                        stream, timeout=10)
@@ -796,9 +898,7 @@ def _verifier_by_hand(turns):
             box["reply"] = recv_message(conn, MAX_FRAME_BYTES)
         srv.close()
 
-    t = threading.Thread(target=run)
-    t.start()
-    return srv.getsockname()[1], t, box
+    return srv.getsockname()[1], _Daemon(run, srv), box
 
 
 VERIFIER_HELLO = {"role": "verifier", "version": PROTOCOL_VERSION}
