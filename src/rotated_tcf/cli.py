@@ -1,6 +1,7 @@
 """Command-line harness: experiments, oracle checks, and network roles.
 
-Exit codes: 0 success, 2 usage error, 3 a --assert-range threshold failed.
+Exit codes: 0 success, 1 a session or check failed, 2 usage error, 3 a
+--assert-range threshold failed.
 The master seed comes from --seed, the ROTATED_TCF_SEED environment
 variable, or a fixed default, in that order; every experiment is fully
 determined by (arguments, seed).
@@ -11,12 +12,14 @@ import argparse
 import json
 import os
 import sys
+from collections import Counter
 
 import numpy as np
 
 from . import params as params_mod
 from . import protocol_q, puzzle, randomness, rsp
-from .network import open_server_socket, serve_verifier, connect_prover
+from .network import (SessionError, open_server_socket, prover_session,
+                      serve_verifier)
 from .protocol_q import PROVERS
 from .sampling import RngStream
 from .transcripts import CSV_HEADER, save_transcripts, stats_csv_row
@@ -240,19 +243,30 @@ def cmd_serve(args) -> int:
         stats, transcripts = serve_verifier(
             srv, params, stream, args.sessions,
             witness_channel=args.witness_channel)
+    failed = Counter(t.code for t in transcripts
+                     if isinstance(t, SessionError))
     print(f"sessions complete: {stats.summary()}")
-    _write_outputs(args, params, "network-verifier", stats, seed, transcripts)
-    return 0
+    for code, count in sorted(failed.items()):
+        print(f"sessions failed ({code}): {count}")
+    _write_outputs(args, params, "network-verifier", stats, seed,
+                   [t for t in transcripts if not isinstance(t, SessionError)])
+    return 1 if failed else 0
 
 
 def cmd_connect(args) -> int:
     seed = _resolve_seed(args.seed)
     stream = RngStream(seed).derive("network")
     strategy = PROVERS[args.strategy]()
-    results = connect_prover(args.host, args.port, strategy, stream,
-                             args.sessions)
-    wins = sum(1 for r in results if r.get("success"))
-    print(f"{args.strategy}: {wins}/{len(results)} sessions succeeded")
+    wins = 0
+    for i in range(args.sessions):
+        try:
+            result = prover_session(args.host, args.port, strategy,
+                                    stream.derive("trial", i))
+        except SessionError as exc:
+            print(f"error: session {i} failed ({exc.code})", file=sys.stderr)
+            return 1
+        wins += result["success"]
+    print(f"{args.strategy}: {wins}/{args.sessions} sessions succeeded")
     return 0
 
 

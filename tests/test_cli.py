@@ -236,6 +236,50 @@ def test_serve_and_connect_commands(capsys):
     assert "classical-baseline: " in out
 
 
+def test_failed_session_is_reported_not_raised(tmp_path, capsys):
+    """A quantum prover against a verifier without the witness channel:
+    `connect` names the failed session and its code and exits 1; `serve`
+    goes on to its next session, prints its failures by code, writes only
+    the completed transcript, counts the failure as a loss and exits 1."""
+    import socket
+    import time
+    srv = socket.socket()
+    srv.bind(("127.0.0.1", 0))
+    port = str(srv.getsockname()[1])
+    srv.close()
+    out, emitted = tmp_path / "stats.csv", tmp_path / "transcripts.jsonl"
+    codes = {}
+
+    def run_server():
+        codes["serve"] = main(["serve", "--port", port, "--sessions", "2",
+                               "--seed", SEED, "--out", str(out),
+                               "--emit-transcripts", str(emitted)])
+
+    t = threading.Thread(target=run_server, daemon=True)
+    t.start()
+    # a refused connection is a usage error (2): retry until the listener
+    # is up
+    for _ in range(200):
+        rc = main(["connect", "--port", port, "--sessions", "1",
+                   "--strategy", "honest", "--seed", SEED])
+        if rc != USAGE_EXIT:
+            break
+        time.sleep(0.05)
+    assert rc == 1
+    assert main(["connect", "--port", port, "--sessions", "1",
+                 "--strategy", "classical-baseline", "--seed", SEED]) == 0
+    t.join(timeout=60)
+    assert not t.is_alive()
+    assert codes["serve"] == 1
+    captured = capsys.readouterr()
+    assert "error: session 0 failed (no-witness)" in captured.err
+    assert "Traceback" not in captured.err
+    assert "sessions failed (no-witness): 1" in captured.out
+    assert len(emitted.read_text().splitlines()) == 1
+    row = out.read_text().splitlines()[1].split(",")
+    assert row[2] == "2" and row[3] in ("0", "1")
+
+
 def test_parser_subcommands_exist():
     parser = build_parser()
     args = parser.parse_args(["poq", "--trials", "3"])
