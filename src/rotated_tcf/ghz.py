@@ -70,44 +70,38 @@ def angle_sequence(a: np.ndarray, params) -> np.ndarray:
         a.shape[:-1] + (-1,))
 
 
-def _outcomes(shape, stream) -> np.ndarray:
-    """Uniform outcome bits of `shape`: one row from `stream`, or each row
-    of a stack from its own stream in the list `stream`."""
-    if len(shape) == 1:
-        return sample_bits(shape[0], stream)
-    if len(stream) != shape[0]:
+def _outcomes(shape, streams) -> np.ndarray:
+    """Uniform outcome bits of `shape`, each row of the stack from its own
+    stream in the list `streams`."""
+    if len(streams) != shape[0]:
         raise ValueError("need one stream per row")
-    return np.array([sample_bits(shape[1], s) for s in stream],
+    return np.array([sample_bits(shape[1], s) for s in streams],
                     dtype=np.int64).reshape(shape)
 
 
 def simulate_ghz_measurement(x_one: np.ndarray, x_zero: np.ndarray,
-                             r_units: np.ndarray, params, stream):
-    """Measure the first nQ qubits of (|[x_one]>|1> + |[x_zero]>|0>)/sqrt(2)
-    in the bases given by r_units.  Returns (u, qubit) where u is the
-    outcome string and qubit the exact state of the surviving qubit.  Rows
-    of x_one, x_zero and r_units, with a list of one stream per row, give
-    the stacked u and a list of qubits."""
+                             r_units: np.ndarray, params, streams):
+    """For each row of x_one, x_zero and r_units, measured on its stream in
+    the list `streams`: measure the first nQ qubits of
+    (|[x_one]>|1> + |[x_zero]>|0>)/sqrt(2) in the bases given by r_units.
+    Returns (u, qubits): the stacked outcome strings and the exact state
+    of each row's surviving qubit."""
     shape = np.shape(x_one)
     if r_units.shape != shape[:-1] + (shape[-1] * params.Q,):
         raise ValueError("need one angle per measured qubit")
-    u = _outcomes(r_units.shape, stream)
+    u = _outcomes(r_units.shape, streams)
     units = predicted_phase_units(x_one, x_zero, r_units, u, params)
-    if u.ndim == 1:
-        return u, PhaseQubit(q=params.q, units=units)
     return u, [PhaseQubit(q=params.q, units=k) for k in units.tolist()]
 
 
 def simulate_basis_measurement(x: np.ndarray, c, r_units: np.ndarray,
-                               params, stream):
-    """Measuring the basis state |[x]>|c> in XY-plane bases: outcomes are
-    uniform and carry no information, the last qubit stays |c>.  Rows of
-    x, c and r_units, with a list of one stream per row, give the stacked
-    u and a list of qubits."""
+                               params, streams):
+    """Measuring each row's basis state |[x]>|c> in XY-plane bases, on its
+    stream in the list `streams`: outcomes are uniform and carry no
+    information, the last qubit stays |c>.  Returns the stacked u and a
+    list of qubits."""
     del x  # the outcome distribution does not depend on the basis string
-    u = _outcomes(np.shape(r_units), stream)
-    if u.ndim == 1:
-        return u, PhaseQubit(q=params.q, basis=int(c))
+    u = _outcomes(np.shape(r_units), streams)
     return u, [PhaseQubit(q=params.q, basis=b)
                for b in np.asarray(c).tolist()]
 

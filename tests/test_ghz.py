@@ -97,8 +97,8 @@ def test_simulate_basis_measurement(stream):
     p = tiny_params(2, 13)
     r = angle_sequence(np.array([1, 2], dtype=np.int64), p)
     x = np.array([5, 6], dtype=np.int64)
-    u, qb = simulate_basis_measurement(x, 1, r, p, stream)
-    assert u.shape == (p.nQ,)
+    u, (qb,) = simulate_basis_measurement(x[None], [1], r[None], p, [stream])
+    assert u.shape == (1, p.nQ)
     assert set(np.unique(u)) <= {0, 1}
     assert qb.basis == 1
 
@@ -128,8 +128,8 @@ def test_simulated_phase_matches_prediction(stream):
         x_one = gen.integers(0, 5, size=2)
         x_zero = gen.integers(0, 5, size=2)
         r = angle_sequence(gen.integers(0, 5, size=2), p)
-        u, qb = simulate_ghz_measurement(x_one, x_zero, r, p,
-                                         stream.derive("m", trial))
+        (u,), (qb,) = simulate_ghz_measurement(
+            x_one[None], x_zero[None], r[None], p, [stream.derive("m", trial)])
         phase = 0
         for i in range(p.n):
             for j in range(p.Q):
@@ -144,7 +144,7 @@ def test_identical_branches_give_zero_phase(stream):
     p = tiny_params(1, 5)
     x = np.array([3], dtype=np.int64)
     r = angle_sequence(np.array([2], dtype=np.int64), p)
-    u, qb = simulate_ghz_measurement(x, x, r, p, stream)
+    _, (qb,) = simulate_ghz_measurement(x[None], x[None], r[None], p, [stream])
     assert qb.units == 0  # equal branch strings: GHZ state is |x>|+>
 
 
@@ -206,7 +206,8 @@ def test_honest_win_rate_at_a_large_modulus(stream, q):
 
 def test_stacked_calls_equal_one_dimensional_calls(stream, desk):
     """Each ghz function on a stack of rows, with one stream per row,
-    gives row by row what its 1-D call gives on the same streams."""
+    gives row by row what it gives on a stack of that one row, and the
+    phase of each row what the 1-D phase call gives."""
     p = desk
     x_one, x_zero, a = stream.gen.integers(0, p.q, size=(3, 5, p.n),
                                            dtype=np.int64)
@@ -218,13 +219,14 @@ def test_stacked_calls_equal_one_dimensional_calls(stream, desk):
     u_b, kept_b = simulate_basis_measurement(
         x_one, c, r, p, [stream.derive("basis", i) for i in range(5)])
     for i in range(5):
-        u_i, qubit = simulate_ghz_measurement(x_one[i], x_zero[i], r[i], p,
-                                              stream.derive("ghz", i))
+        row = slice(i, i + 1)
+        (u_i,), (qubit,) = simulate_ghz_measurement(
+            x_one[row], x_zero[row], r[row], p, [stream.derive("ghz", i)])
         assert u[i].tolist() == u_i.tolist() and kept[i] == qubit
         assert predicted_phase_units(x_one[i], x_zero[i], r[i], u_i, p) \
             == qubit.units
-        u_i, qubit = simulate_basis_measurement(x_one[i], c[i], r[i], p,
-                                                stream.derive("basis", i))
+        (u_i,), (qubit,) = simulate_basis_measurement(
+            x_one[row], c[row], r[row], p, [stream.derive("basis", i)])
         assert u_b[i].tolist() == u_i.tolist() and kept_b[i] == qubit
     assert predicted_phase_units(x_one, x_zero, r, u, p).tolist() == \
         [qubit.units for qubit in kept]
