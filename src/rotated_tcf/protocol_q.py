@@ -23,8 +23,8 @@ from .ghz import (PhaseQubit, angle_sequence, simulate_basis_measurement,
 from .params import Params
 from .regev import (Ciphertext, KeypairJ, PublicKey, encrypt_bit, gen_j,
                     gen_j_stacked, instance)
-from .sampling import (RngStream, sample_bits, sample_box, sample_uniform,
-                       seed_streams)
+from .sampling import (RngStream, sample_bits, sample_box_stacked,
+                       sample_uniform, seed_streams)
 from .stats import Stats
 from .trapdoor import TrapdoorPair, invert
 from .transcripts import Transcript, make_transcript
@@ -45,9 +45,12 @@ class ProverState:
     claw_case: str           # "two-preimage" or "single-preimage"
 
 
-def _bit_draws(params: Params, b_stream: RngStream, f_stream: RngStream):
-    """The encrypted bit b and the encryption randomness f."""
-    return int(sample_bits(1, b_stream)[0]), sample_bits(params.m, f_stream)
+def _bit_draws(params: Params, b_streams, f_streams):
+    """Each instance's encrypted bit b and encryption randomness f,
+    stacked: b drawn from its stream of `b_streams` (sample_bits(1, .) as
+    its bare scalar draw), f from its stream of `f_streams`."""
+    return (np.array([t.gen.integers(0, 2) for t in b_streams]),
+            np.array([sample_bits(params.m, t) for t in f_streams]))
 
 
 def _round1(params: Params, kp: KeypairJ, b, f):
@@ -57,8 +60,9 @@ def _round1(params: Params, kp: KeypairJ, b, f):
 
 
 def verifier_round1(params: Params, stream: RngStream):
-    return _round1(params, gen_j(params, stream.derive("key")),
-                   *_bit_draws(params, stream.derive("b"), stream.derive("f")))
+    b, f = _bit_draws(params, [stream.derive("b")], [stream.derive("f")])
+    return _round1(params, gen_j(params, stream.derive("key")), int(b[0]),
+                   f[0])
 
 
 def verifier_round1_stacked(params: Params, streams):
@@ -69,10 +73,9 @@ def verifier_round1_stacked(params: Params, streams):
     b_streams, f_streams = ([stream.derive(label) for stream in streams]
                             for label in ("b", "f"))
     seed_streams(b_streams + f_streams)
-    b, f = zip(*(_bit_draws(params, *both)
-                 for both in zip(b_streams, f_streams)))
+    b, f = _bit_draws(params, b_streams, f_streams)
     kp = gen_j_stacked(params, [stream.derive("key") for stream in streams])
-    return _round1(params, kp, np.array(b), np.stack(f))
+    return _round1(params, kp, b, f)
 
 
 def instance_state(vstate: VerifierState, i: int) -> VerifierState:
@@ -88,11 +91,13 @@ def instance_state(vstate: VerifierState, i: int) -> VerifierState:
         b=int(vstate.b[i]), ct=ct)
 
 
-def _prover_draws(params: Params, stream: RngStream):
-    """The prover's x, its branch bit c and its image noise g, in order."""
-    return (sample_uniform(params.n, params.q, stream),
-            int(stream.gen.integers(0, 2)),
-            sample_box(params.m, params.tau_floor, params.q, stream))
+def _prover_draws(params: Params, streams):
+    """Each instance's x, branch bit c and image noise g, stacked; each
+    stream draws its x, c and g in that order."""
+    x = np.array([sample_uniform(params.n, params.q, t) for t in streams])
+    c = np.array([t.gen.integers(0, 2) for t in streams])
+    return x, c, sample_box_stacked(params.m, params.tau_floor, params.q,
+                                    streams)
 
 
 def _claw_measurements(two, ghz_args, basis_args, r_units, params: Params,
@@ -129,11 +134,11 @@ def honest_prover_round1_stacked(params: Params, pk: PublicKey,
     witness = (s, e) with v = As + e, stacked like the key; consistency is
     checked because the simulation is meaningless against a mismatched
     key.  Each stream draws x, c and g, then u in the measurement, as a
-    lone instance's does; the arithmetic runs once for the stack."""
+    lone instance's does; g's reduction and box check, and the arithmetic,
+    run once for the stack."""
     s, e = witness
     q, tau = params.q, params.tau_floor
-    x, c, g = map(np.array, zip(*(_prover_draws(params, t)
-                                  for t in streams)))
+    x, c, g = _prover_draws(params, streams)
     # A s for the witness check and A x, as one product
     Asx = matmul_mod(pk.A, np.concatenate([s[..., None], x[..., None]], -1),
                      q)
@@ -370,7 +375,8 @@ def _trials(params: Params, prover, trial_streams, include_pk: bool,
     pstreams, cstreams = ([t.derive(label) for t in trial_streams]
                           for label in ("prover", "challenge"))
     seed_streams(cstreams + pstreams if prover.quantum else cstreams)
-    b_primes = [int(sample_bits(1, c)[0]) for c in cstreams]
+    # each b' is sample_bits(1, c)[0], as its bare scalar draw
+    b_primes = [int(c.gen.integers(0, 2)) for c in cstreams]
     vstate, y, u, d_prime, d, wins = _play_chunk(
         params, prover, [t.derive("verifier") for t in trial_streams],
         pstreams, b_primes)

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import Params
-from .sampling import (RngStream, sample_bits, sample_noise, sample_uniform,
-                       seed_streams)
+from .sampling import (RngStream, sample_bits, sample_noise_stacked,
+                       sample_uniform, seed_streams)
 from .stats import Stats
 from .trapdoor import TrapdoorPair, gen_trap, gen_trap_stacked
 from .zq import centered_abs, matmul_mod
@@ -59,9 +59,12 @@ def instance(pk: PublicKey, ct: Ciphertext, i: int):
             Ciphertext(a=ct.a[i], w=int(ct.w[i])))
 
 
-def _secrets(params: Params, s_stream: RngStream, e_stream: RngStream):
-    return (sample_uniform(params.n, params.q, s_stream),
-            sample_noise(params, e_stream))
+def _secrets(params: Params, s_streams, e_streams):
+    """Each instance's s and e, stacked: s drawn from its stream of
+    `s_streams`, e from its stream of `e_streams`."""
+    return (np.array([sample_uniform(params.n, params.q, stream)
+                      for stream in s_streams]),
+            sample_noise_stacked(params, e_streams))
 
 
 def _public_key(params: Params, A, s, e) -> PublicKey:
@@ -72,27 +75,28 @@ def _public_key(params: Params, A, s, e) -> PublicKey:
 def gen_k(params: Params, stream: RngStream) -> KeypairK:
     A = stream.derive("A").gen.integers(0, params.q, size=(params.m, params.n),
                                         dtype=np.int64)
-    s, e = _secrets(params, stream.derive("s"), stream.derive("e"))
+    s, e = (x[0] for x in _secrets(params, [stream.derive("s")],
+                                   [stream.derive("e")]))
     return KeypairK(pk=_public_key(params, A, s, e), s=s, e=e)
 
 
 def gen_j(params: Params, stream: RngStream) -> KeypairJ:
     pair = gen_trap(params, stream.derive("trap"))
-    s, e = _secrets(params, stream.derive("s"), stream.derive("e"))
+    s, e = (x[0] for x in _secrets(params, [stream.derive("s")],
+                                   [stream.derive("e")]))
     return KeypairJ(pk=_public_key(params, pair.A, s, e), s=s, e=e,
                     trapdoor=pair)
 
 
 def gen_j_stacked(params: Params, streams) -> KeypairJ:
     """gen_j for each of `streams`, stacked: the same draws from each
-    stream, with every generator seeded in one call, then v = A s + e as
-    one product."""
+    stream, with every generator seeded in one call, e's table lookup and
+    bound check once for the stack, and v = A s + e as one product."""
     trap, s_streams, e_streams = ([stream.derive(label) for stream in streams]
                                   for label in ("trap", "s", "e"))
     seed_streams(trap + s_streams + e_streams)
     pair = gen_trap_stacked(params, trap)
-    s, e = map(np.stack, zip(*(_secrets(params, *both)
-                               for both in zip(s_streams, e_streams))))
+    s, e = _secrets(params, s_streams, e_streams)
     return KeypairJ(pk=_public_key(params, pair.A, s, e), s=s, e=e,
                     trapdoor=pair)
 

@@ -13,8 +13,6 @@ from functools import lru_cache
 
 import numpy as np
 
-from .zq import centered_abs
-
 
 class RngStream:
     """Deterministic random stream identified by a 32-byte seed."""
@@ -164,10 +162,35 @@ def sample_uniform(dim: int, q: int, stream: RngStream) -> np.ndarray:
     return stream.gen.integers(0, q, size=dim, dtype=np.int64)
 
 
+def fill_bits(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the 1-d array `out` with gen.integers(0, 2, size=len(out)) and
+    return it; gen is left where that draw leaves it (state, buffered
+    half-word, the draws after).  With range 2, numpy's Lemire method
+    returns the top bit of one 32-bit half-word per entry, and PCG64 deals
+    each 64-bit word's halves low first, keeping the high one buffered
+    (`has_uint32`) for the next 32-bit draw.  So entries 2j and 2j + 1 of a
+    run read from raw words are bits 31 and 63 of word j.  A lone entry,
+    one that starts from a buffered half-word, and an odd last entry are
+    scalar draws, which take one half-word each."""
+    start, stop = 0, len(out)
+    if stop == 1 or gen.bit_generator.state["has_uint32"]:
+        out[0] = gen.integers(0, 2)
+        start = 1
+    stop -= (stop - start) % 2
+    if stop > start:
+        words = gen.bit_generator.random_raw((stop - start) // 2)
+        out[start:stop] = words.astype("<u8", copy=False).view("<u4") >> 31
+    if stop < len(out):
+        out[stop] = gen.integers(0, 2)
+    return out
+
+
 def sample_bits(m: int, stream: RngStream) -> np.ndarray:
+    """m uniform bits, int64: the draw gen.integers(0, 2, size=m), read by
+    fill_bits."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return stream.gen.integers(0, 2, size=m, dtype=np.int64)
+    return fill_bits(stream.gen, np.empty(m, dtype=np.int64))
 
 
 @lru_cache(maxsize=64)
@@ -188,14 +211,15 @@ def _cdf(pmf):
     return cdf
 
 
-def _table_draw(support, cdf, stream: RngStream, size):
-    return support[np.searchsorted(cdf, stream.gen.random(size), side="right")]
+def _table_draw(support, cdf, u):
+    """The table entries that the uniforms `u` select by inverse CDF."""
+    return support[np.searchsorted(cdf, u, side="right")]
 
 
 def sample_gaussian(sigma: float, stream: RngStream, size):
     """Draw from G(sigma) via inverse-CDF on the exact pmf table."""
     support, pmf = gaussian_table(sigma)
-    return _table_draw(support, _cdf(pmf), stream, size)
+    return _table_draw(support, _cdf(pmf), stream.gen.random(size))
 
 
 @lru_cache(maxsize=64)
@@ -212,35 +236,60 @@ def _truncated_table(sigma: float, tau: Fraction):
     return support, cdf
 
 
-def sample_truncated_gaussian(sigma: float, tau, stream: RngStream, size):
-    """Draw from G(sigma) conditioned on |x| <= tau (exact truncated table)."""
+# Each sampler below comes stacked, one row per stream: every stream makes
+# only its bare generator call, and the transform and the check run once
+# for the stack.  The one-stream sampler is its stack of one.
+
+
+def sample_truncated_gaussian_stacked(sigma: float, tau, streams, size):
+    """sample_truncated_gaussian on each of `streams`, one row each: each
+    stream's gen.random(size), then one table lookup and one bound check."""
     tau = Fraction(tau)
     if tau < 1:
         raise ValueError("tau must be >= 1")
-    out = _table_draw(*_truncated_table(sigma, tau), stream, size)
-    if not np.all(np.abs(out) * tau.denominator <= tau.numerator):
+    u = np.array([stream.gen.random(size) for stream in streams])
+    out = _table_draw(*_truncated_table(sigma, tau), u)
+    if int(np.abs(out).max(initial=0)) * tau.denominator > tau.numerator:
         raise AssertionError("truncated Gaussian draw exceeds tau")
+    return out
+
+
+def sample_truncated_gaussian(sigma: float, tau, stream: RngStream, size):
+    """Draw from G(sigma) conditioned on |x| <= tau (exact truncated table)."""
+    return sample_truncated_gaussian_stacked(sigma, tau, [stream], size)[0]
+
+
+def sample_box_stacked(m: int, tau, q: int, streams) -> np.ndarray:
+    """sample_box on each of `streams`, one row each: each stream's bare
+    integers draw, then one half-width check and one reduction mod q (a
+    draw within the half-width t < q/2 keeps its centered abs mod q)."""
+    t = min(math.floor(tau), (q - 1) // 2)
+    if 2 * t + 1 > q:
+        raise ValueError("box wider than the ring")
+    out = np.array([stream.gen.integers(-t, t + 1, size=m, dtype=np.int64)
+                    for stream in streams])
+    if int(np.abs(out).max(initial=0)) > t:
+        raise AssertionError("box draw exceeds its half-width")
+    out %= q
     return out
 
 
 def sample_box(m: int, tau, q: int, stream: RngStream) -> np.ndarray:
     """Each coordinate uniform on {x in Z_q : |x| <= tau} (centered abs)."""
-    t = min(math.floor(tau), (q - 1) // 2)
-    if 2 * t + 1 > q:
-        raise ValueError("box wider than the ring")
-    raw = stream.gen.integers(-t, t + 1, size=m, dtype=np.int64)
-    out = raw % q
-    if int(centered_abs(out, q).max(initial=0)) > t:
-        raise AssertionError("box draw exceeds its half-width")
-    return out
+    return sample_box_stacked(m, tau, q, [stream])[0]
 
 
-def sample_noise(params, stream: RngStream):
+def sample_noise_stacked(params, streams) -> np.ndarray:
+    """sample_noise on each of `streams`, one row each."""
+    if params.tau < 1:
+        # tau < 1 forces e = 0 (tiny test instances only): no draw
+        return np.zeros((len(streams), params.m), dtype=np.int64)
+    e = sample_truncated_gaussian_stacked(params.sigma, params.tau, streams,
+                                          params.m)
+    e %= params.q
+    return e
+
+
+def sample_noise(params, stream: RngStream) -> np.ndarray:
     """Error vector e <- G(sigma, tau)^m as used by key generation."""
-    if params.tau >= 1:
-        e = sample_truncated_gaussian(params.sigma, params.tau, stream,
-                                      size=params.m)
-    else:
-        # tau < 1 forces e = 0 (tiny test instances only)
-        e = np.zeros(params.m, dtype=np.int64)
-    return np.asarray(e, dtype=np.int64) % params.q
+    return sample_noise_stacked(params, [stream])[0]

@@ -8,14 +8,13 @@ stacked inputs and a stack of pairs.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from .params import Params
-from .sampling import RngStream
+from .sampling import RngStream, fill_bits
 from .zq import (bits_le, centered_abs, centered_lift, gadget_matrix,
                  gadget_multiples, inf_norm, matmul_mod)
 
@@ -34,25 +33,12 @@ def gen_trap(params: Params, stream: RngStream) -> TrapdoorPair:
     return TrapdoorPair(params=params, A=pair.A[0], N=pair.N[0])
 
 
-def _bits(gen: np.random.Generator, shape) -> np.ndarray:
-    """gen.integers(0, 2, shape, dtype=np.uint32) for an even number of
-    entries, drawn from raw 64-bit words: with range 2, numpy's Lemire
-    method returns the top bit of each 32-bit half-word, low half first,
-    so entries 2j and 2j + 1 are bits 31 and 63 of word j.  The draws that
-    follow are the same too.  If an earlier 32-bit draw left a half-word
-    buffered, the entries start from it, so that case goes to integers."""
-    if gen.bit_generator.state["has_uint32"]:
-        return gen.integers(0, 2, size=shape, dtype=np.uint32)
-    words = gen.bit_generator.random_raw(math.prod(shape) // 2)
-    return (words.astype("<u8", copy=False).view("<u4") >> 31).reshape(shape)
-
-
 def gen_trap_stacked(params: Params, streams) -> TrapdoorPair:
     """One pair per stream, stacked on a leading axis.  Each stream draws M
     and then N; N goes straight into its place in the stack, one byte per
     entry, and N M is one matmul_mod call for the stack.  N holds the
     values of an int64 draw of [0, 2) (numpy takes one 32-bit half-word
-    per entry for both), read from raw words by `_bits`."""
+    per entry for both), read from raw words by `fill_bits`."""
     n, Q, q = params.n, params.Q, params.q
     k = (Q + 1) * n
     A = np.empty((len(streams), params.m, n), dtype=np.int64)
@@ -60,7 +46,7 @@ def gen_trap_stacked(params: Params, streams) -> TrapdoorPair:
     for i, stream in enumerate(streams):
         gen = stream.gen
         A[i, Q * n:] = gen.integers(0, q, size=(k, n), dtype=np.int64)
-        N[i] = _bits(gen, (Q * n, k))  # Q (Q + 1) n^2 entries: even
+        fill_bits(gen, N[i].reshape(-1))  # a view: N is C-contiguous
     A[:, :Q * n] = (gadget_matrix(n, Q, q)
                     + matmul_mod(N, A[:, Q * n:], q)) % q
     return TrapdoorPair(params=params, A=A, N=N)

@@ -15,6 +15,7 @@ import json
 import math
 import socket
 import struct
+import time
 
 import numpy as np
 
@@ -159,6 +160,11 @@ def send_message(sock: socket.socket, msg: dict) -> None:
 
 
 def _recv_exact(sock: socket.socket, count: int) -> bytes:
+    """`count` bytes, all within the socket's timeout rather than each recv
+    within it: after each recv the timeout shrinks to the time left, and
+    stays there for the caller's next read, so the caller restores it."""
+    timeout = sock.gettimeout()
+    deadline = None if timeout is None else time.monotonic() + timeout
     chunks = []
     while count:
         chunk = sock.recv(count)
@@ -166,15 +172,25 @@ def _recv_exact(sock: socket.socket, count: int) -> bytes:
             raise WireError("connection closed mid-frame")
         chunks.append(chunk)
         count -= len(chunk)
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0 and count:
+                raise TimeoutError("frame not whole within the timeout")
+            sock.settimeout(max(left, 1e-6))
     return b"".join(chunks)
 
 
 def recv_message(sock: socket.socket, cap: int) -> dict:
     """The next frame, refused before its body is read if its header
-    announces more than `cap` bytes."""
-    header = _recv_exact(sock, 4)
-    (length,) = struct.unpack(">I", header)
-    if length > cap:
-        raise WireError(f"frame of {length} bytes announced, over the cap of "
-                        f"{cap}")
-    return parse_frame(_recv_exact(sock, length))
+    announces more than `cap` bytes.  The socket's timeout bounds the whole
+    frame, header and body together, and is restored afterwards."""
+    timeout = sock.gettimeout()
+    try:
+        (length,) = struct.unpack(">I", _recv_exact(sock, 4))
+        if length > cap:
+            raise WireError(f"frame of {length} bytes announced, over the "
+                            f"cap of {cap}")
+        body = _recv_exact(sock, length)
+    finally:
+        sock.settimeout(timeout)
+    return parse_frame(body)

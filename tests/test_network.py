@@ -3,6 +3,7 @@ import copy
 import functools
 import importlib.util
 import os
+import select
 import socket
 import struct
 import subprocess
@@ -234,6 +235,45 @@ def test_silent_client_times_out_and_the_serve_goes_on(stream, desk):
     assert transcript_to_json(transcript) == transcript_to_json(local)
     assert result == {"success": local.success, "d": local.d}
     assert (stats.successes, stats.trials) == (int(local.success), 2)
+
+
+def test_trickled_frame_times_out_as_a_whole(stream, desk):
+    """The timeout bounds a whole frame, not each read: a client that
+    trickles its hello one byte per 0.2 s, every byte inside the 0.3 s
+    timeout, gets a `timeout` error frame within the timeout plus the
+    drain, and the next session is served as in process."""
+    net = stream.derive("net")
+    srv = open_server_socket("127.0.0.1", 0)
+    box = {}
+
+    def serve():
+        with srv:
+            box["result"] = serve_verifier(srv, desk, net, 2, timeout=0.3)
+
+    t = _Daemon(serve, srv)
+    hello = dump_frame(make_message("hello", {
+        "role": "prover", "version": PROTOCOL_VERSION, "witness": False}))
+    limit = 0.3 + network.DRAIN_SECONDS + 0.5
+    with socket.create_connection(srv.getsockname(), timeout=10) as sock:
+        assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "hello"
+        start = time.monotonic()
+        for byte in hello:
+            sock.sendall(bytes([byte]))
+            answered = select.select([sock], [], [], 0.2)[0]
+            if answered or time.monotonic() - start > limit:
+                break
+        elapsed = time.monotonic() - start
+        assert answered and elapsed < limit, (
+            f"no answer {elapsed:.2f} s into a trickled hello")
+        reply = recv_message(sock, MAX_FRAME_BYTES)
+    result = prover_session(*srv.getsockname(), BaselineProver(),
+                            net.derive("trial", 1), timeout=10)
+    t.join()
+    stats, (failed, transcript) = box["result"]
+    assert reply["payload"]["code"] == failed.code == "timeout"
+    local = run_single_trial(desk, BaselineProver(), net.derive("trial", 1))
+    assert transcript_to_json(transcript) == transcript_to_json(local)
+    assert result == {"success": local.success, "d": local.d}
 
 
 @pytest.mark.parametrize("strategy", ["honest", "classical-baseline"])

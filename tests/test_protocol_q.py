@@ -1,9 +1,10 @@
+import sys
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from rotated_tcf import protocol_q
+from rotated_tcf import protocol_q, regev
 from rotated_tcf.protocol_q import (CHUNK, PROVERS, BaselineProver,
                                     ClassicalProver, DeterministicProver,
                                     HonestQuantumProver, RandomProver,
@@ -237,6 +238,33 @@ def test_prover_streams_are_batch_seeded_only_for_the_quantum_prover(
     wanted = {stream.derive("trial", i).derive("prover").seed
               for i in range(trials)}
     assert (wanted & set(seen)) == (wanted if prover.quantum else set())
+
+
+def test_a_chunk_draws_e_and_g_stacked(stream, desk, monkeypatch):
+    """A chunk of honest trials draws every trial's e and g in one stacked
+    sampler call each, and makes no one-stream sample_noise, sample_box or
+    sample_truncated_gaussian call, wherever a module looks one up."""
+    lone, stacked = [], []
+
+    def spy(log, name, real):
+        def call(*args, **kwargs):
+            log.append((name, len(args[-1]) if log is stacked else 1))
+            return real(*args, **kwargs)
+        return call
+    for module in [m for n, m in sys.modules.items()
+                   if n.split(".")[0] == "rotated_tcf"]:
+        for name in ("sample_noise", "sample_box",
+                     "sample_truncated_gaussian"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    spy(lone, name, getattr(module, name)))
+    monkeypatch.setattr(regev, "sample_noise_stacked", spy(
+        stacked, "e", regev.sample_noise_stacked))
+    monkeypatch.setattr(protocol_q, "sample_box_stacked", spy(
+        stacked, "g", protocol_q.sample_box_stacked))
+    run_experiment(desk, HonestQuantumProver(), CHUNK, stream)
+    assert lone == []
+    assert sorted(stacked) == [("e", CHUNK), ("g", CHUNK)]
 
 
 def test_deterministic_family_is_exhaustive():

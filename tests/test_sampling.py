@@ -10,12 +10,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rotated_tcf
-from rotated_tcf.params import tiny_params
+from rotated_tcf.params import desk_preset, tiny_params
 from rotated_tcf.sampling import (SEED_BATCH_MIN, RngStream, _seed_words,
                                   gaussian_table, master_stream, sample_bits,
-                                  sample_box, sample_gaussian, sample_noise,
-                                  sample_truncated_gaussian, sample_uniform,
-                                  seed_streams)
+                                  sample_box, sample_box_stacked,
+                                  sample_gaussian,
+                                  sample_noise, sample_noise_stacked,
+                                  sample_truncated_gaussian,
+                                  sample_truncated_gaussian_stacked,
+                                  sample_uniform, seed_streams)
 
 
 def test_stream_seed_validation():
@@ -124,17 +127,8 @@ def test_truncated_gaussian_tau_validation(stream):
         sample_truncated_gaussian(2.0, Fraction(1, 2), stream, size=1)
 
 
-def test_truncation_check_survives_optimize():
-    """The bound check after a truncated draw is an explicit raise, so it
-    still fires under `python -O` (forced here by a table draw that ignores
-    the truncated support)."""
-    code = ("import numpy as np, rotated_tcf.sampling as s\n"
-            "s._table_draw = lambda support, pmf, stream, size: "
-            "np.full(size, 99)\n"
-            "try:\n"
-            "    s.sample_truncated_gaussian(3.0, 5, None, size=4)\n"
-            "except AssertionError:\n"
-            "    print('raised')\n")
+def _prints_raised_under_optimize(code: str) -> None:
+    """Run `code` under `python -O` and check that it printed `raised`."""
     src = str(Path(rotated_tcf.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
@@ -142,6 +136,38 @@ def test_truncation_check_survives_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.stdout.strip() == "raised", done.stderr
+
+
+def test_truncation_check_survives_optimize():
+    """The bound check after a truncated draw is an explicit raise, so it
+    still fires under `python -O` (forced here by a table draw that ignores
+    the truncated support)."""
+    _prints_raised_under_optimize(
+        "import numpy as np, rotated_tcf.sampling as s\n"
+        "s._table_draw = lambda support, cdf, u: np.full(u.shape, 99)\n"
+        "try:\n"
+        "    s.sample_truncated_gaussian(3.0, 5, s.RngStream(bytes(32)),\n"
+        "                                size=4)\n"
+        "except AssertionError:\n"
+        "    print('raised')\n")
+
+
+def test_box_check_survives_optimize():
+    """The half-width check after a stacked box draw is an explicit raise,
+    so it still fires under `python -O`, and it covers every row (forced
+    here by a last stream whose draws land one past the box)."""
+    _prints_raised_under_optimize(
+        "import numpy as np, rotated_tcf.sampling as s\n"
+        "class Gen:\n"
+        "    def integers(self, low, high, size, dtype):\n"
+        "        return np.full(size, high, dtype)\n"
+        "class Stream:\n"
+        "    gen = Gen()\n"
+        "try:\n"
+        "    s.sample_box_stacked(4, 5, 101, [s.RngStream(bytes(32)),\n"
+        "                                     Stream()])\n"
+        "except AssertionError:\n"
+        "    print('raised')\n")
 
 
 def test_box_support(stream):
@@ -160,7 +186,6 @@ def test_box_fractional_tau(stream):
 
 
 def test_sample_noise_desk_and_tiny(stream):
-    from rotated_tcf.params import desk_preset
     p = desk_preset()
     e = sample_noise(p, stream.derive("desk"))
     assert e.shape == (p.m,)
@@ -243,3 +268,125 @@ def test_a_drawn_stream_is_not_reseeded(stream):
     assert np.array_equal(twin.integers(0, 1 << 30, size=4), first)
     assert np.array_equal(drawn.gen.integers(0, 1 << 30, size=6),
                           twin.integers(0, 1 << 30, size=6))
+
+
+# The stacked samplers against a loop of the one-instance draws they
+# replace, written out here as the reference: each stream's numpy draw,
+# then the transform for that stream alone.
+PRESETS = {"desk": desk_preset(), "mixed": tiny_params(2, 1048583, 2.0),
+           "tiny23": tiny_params(1, 23),
+           "q2^61-1": tiny_params(2, (1 << 61) - 1)}
+
+
+def _truncated_by_loop(sigma, tau, stream, size):
+    """The stream's gen.random(size) through the inverse CDF of G(sigma)
+    cut to |x| <= tau."""
+    support, pmf = gaussian_table(sigma)
+    keep = np.abs(support) * tau.denominator <= tau.numerator
+    cdf = np.cumsum(pmf[keep] / pmf[keep].sum())
+    cdf[-1] = 1.0
+    u = stream.gen.random(size)
+    return support[keep][np.searchsorted(cdf, u, side="right")]
+
+
+def _noise_by_loop(params, stream):
+    if params.tau < 1:
+        return np.zeros(params.m, dtype=np.int64)     # no draw
+    return _truncated_by_loop(params.sigma, params.tau, stream,
+                              params.m) % params.q
+
+
+def _box_by_loop(params, stream):
+    t = min(params.tau_floor, (params.q - 1) // 2)
+    return stream.gen.integers(-t, t + 1, size=params.m,
+                               dtype=np.int64) % params.q
+
+
+def _position(gen) -> tuple:
+    """Where `gen` stands: its state, and the buffered half-word if any (a
+    consumed one is stale and never read again)."""
+    state = gen.bit_generator.state
+    return (state["state"], state["has_uint32"],
+            state["uinteger"] if state["has_uint32"] else None)
+
+
+def _assert_same_place(streams, twins) -> None:
+    """Each stream's generator stands where its twin's does, and both draw
+    the same from there on."""
+    for a, b in zip(streams, twins):
+        assert _position(a.gen) == _position(b.gen)
+        for got, want in zip(_draws(a), _draws(b)):
+            assert np.array_equal(got, want)
+
+
+def _by_lone(params, name, stream):
+    if name == "noise":
+        return sample_noise(params, stream)
+    return sample_box(params.m, params.tau_floor, params.q, stream)
+
+
+@pytest.mark.parametrize("chunk", [1, 16, 17])
+@pytest.mark.parametrize("preset", list(PRESETS))
+@pytest.mark.parametrize("name, stacked, by_loop", [
+    ("noise", sample_noise_stacked, _noise_by_loop),
+    ("box", lambda p, streams: sample_box_stacked(p.m, p.tau_floor, p.q,
+                                                  streams), _box_by_loop),
+], ids=["noise", "box"])
+def test_stacked_sampler_is_a_loop_of_lone_draws(stream, preset, chunk, name,
+                                                 stacked, by_loop):
+    """A stacked sampler's rows are the draws a loop of the one-instance
+    samplers makes, with the same dtype, and each generator is left where
+    that loop leaves it."""
+    params = PRESETS[preset]
+    streams = [stream.derive(name, i) for i in range(chunk)]
+    lone, twins, lone_twins = ([RngStream(s.seed) for s in streams]
+                               for _ in range(3))
+    seed_streams(streams)
+    got = stacked(params, streams)
+    want = np.array([by_loop(params, t) for t in twins])
+    assert got.dtype == want.dtype == np.int64
+    assert got.shape == (chunk, params.m)
+    assert np.array_equal(got, want)
+    _assert_same_place(streams, twins)
+    for row, t, twin in zip(got, lone, lone_twins):
+        one = _by_lone(params, name, t)
+        assert one.dtype == np.int64 and np.array_equal(one, row)
+        assert np.array_equal(one, by_loop(params, twin))
+    _assert_same_place(lone, lone_twins)
+
+
+@pytest.mark.parametrize("chunk", [1, 16, 17])
+def test_stacked_truncated_gaussian_is_a_loop_of_table_draws(stream, chunk):
+    """At a tau that cuts the table (sigma 3, tau 7/2), each row is its
+    stream's gen.random through the truncated inverse CDF."""
+    sigma, tau = 3.0, Fraction(7, 2)
+    streams = [stream.derive("tg", i) for i in range(chunk)]
+    twins = [RngStream(s.seed) for s in streams]
+    got = sample_truncated_gaussian_stacked(sigma, tau, streams, 40)
+    want = np.array([_truncated_by_loop(sigma, tau, t, 40) for t in twins])
+    assert got.dtype == np.int64 and np.array_equal(got, want)
+    assert int(np.abs(got).max()) <= 3
+    _assert_same_place(streams, twins)
+    with pytest.raises(ValueError, match="tau must be >= 1"):
+        sample_truncated_gaussian_stacked(sigma, Fraction(1, 2), streams, 4)
+
+
+@pytest.mark.parametrize("buffered", [False, True],
+                         ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5, 172, 173, 348, 349])
+def test_sample_bits_is_the_integers_draw(stream, m, buffered):
+    """sample_bits reads raw words, or makes scalar draws, yet equals the
+    int64 integers draw of [0, 2) and leaves the generator where that
+    draw leaves it, with or without a half-word buffered before it."""
+    for k in range(12):
+        mine, twin = (stream.derive("bits", k) for _ in range(2))
+        for t in (mine, twin):
+            if buffered:    # one bit takes one half-word, and keeps one
+                t.gen.integers(0, 2, size=1, dtype=np.int64)
+            assert t.gen.bit_generator.state["has_uint32"] == buffered
+        got = sample_bits(m, mine)
+        want = twin.gen.integers(0, 2, size=m, dtype=np.int64)
+        assert got.dtype == np.int64 and np.array_equal(got, want)
+        _assert_same_place([mine], [twin])
+    with pytest.raises(ValueError, match="m must be >= 1"):
+        sample_bits(0, stream)

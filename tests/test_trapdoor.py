@@ -1,12 +1,13 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
 from rotated_tcf.params import desk_preset, tiny_params
-from rotated_tcf.sampling import sample_uniform
-from rotated_tcf.trapdoor import (_bits, find_preimage, gen_trap,
-                                  gen_trap_stacked, invert)
+from rotated_tcf.sampling import fill_bits, sample_uniform
+from rotated_tcf.trapdoor import (find_preimage, gen_trap, gen_trap_stacked,
+                                  invert)
 from rotated_tcf.zq import (bits_le, centered_abs, centered_lift, gadget_matrix,
                             inf_norm, matmul_mod)
 
@@ -47,10 +48,12 @@ def test_N_is_stored_one_byte_per_entry(stream, params):
                                     tiny_params(3, 3001)],
                          ids=["q23", "desk", "q2^61-1", "q3001-buffered"])
 def test_raw_word_N_is_the_integers_draw(stream, params):
-    """N read from raw words equals the uint32 integers draw after M, and
-    leaves the generator where that draw leaves it: the same state, no
-    buffered half-word, the same draws after.  At q = 3001, n = 3, M's 117
-    32-bit draws leave a half-word buffered, which `_bits` must use."""
+    """N read from raw words by `fill_bits` equals the uint32 integers draw
+    after M, and leaves the generator where that draw leaves it: the same
+    state and buffered half-word, the same draws after.  At q = 3001,
+    n = 3, M's 117 32-bit draws leave a half-word buffered, which
+    `fill_bits` must use first; N's 1,404 entries then end on an odd one,
+    which leaves a half-word buffered again."""
     n, Q = params.n, params.Q
     shape = (Q * n, (Q + 1) * n)
     gens = [stream.derive("trap").gen, stream.derive("trap").gen]
@@ -58,11 +61,14 @@ def test_raw_word_N_is_the_integers_draw(stream, params):
         gen.integers(0, params.q, size=((Q + 1) * n, n), dtype=np.int64)
     buffered = gens[0].bit_generator.state["has_uint32"]
     assert buffered == (params.q == 3001)
-    assert np.array_equal(_bits(gens[0], shape),
+    N = fill_bits(gens[0], np.empty(math.prod(shape), dtype=np.uint8))
+    assert np.array_equal(N.reshape(shape),
                           gens[1].integers(0, 2, size=shape, dtype=np.uint32))
     states = [gen.bit_generator.state for gen in gens]
     for key in ("state", "has_uint32"):
         assert states[0][key] == states[1][key]
+    if buffered:
+        assert states[0]["uinteger"] == states[1]["uinteger"]
     for got, want in zip(*([gen.integers(0, 23, size=7, dtype=np.uint32),
                             gen.integers(0, params.q, size=5, dtype=np.int64),
                             gen.random(3)] for gen in gens)):
