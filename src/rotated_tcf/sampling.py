@@ -264,8 +264,6 @@ def sample_box_stacked(m: int, tau, q: int, streams) -> np.ndarray:
     integers draw, then one half-width check and one reduction mod q (a
     draw within the half-width t < q/2 keeps its centered abs mod q)."""
     t = min(math.floor(tau), (q - 1) // 2)
-    if 2 * t + 1 > q:
-        raise ValueError("box wider than the ring")
     out = np.array([stream.gen.integers(-t, t + 1, size=m, dtype=np.int64)
                     for stream in streams])
     if int(np.abs(out).max(initial=0)) > t:

@@ -159,24 +159,21 @@ def send_message(sock: socket.socket, msg: dict) -> None:
     sock.sendall(dump_frame(msg))
 
 
-def _recv_exact(sock: socket.socket, count: int) -> bytes:
-    """`count` bytes, all within the socket's timeout rather than each recv
-    within it: after each recv the timeout shrinks to the time left, and
-    stays there for the caller's next read, so the caller restores it."""
-    timeout = sock.gettimeout()
-    deadline = None if timeout is None else time.monotonic() + timeout
+def _recv_exact(sock: socket.socket, count: int, deadline) -> bytes:
+    """`count` bytes; when `deadline` (a time.monotonic() reading) is set,
+    each recv waits only for the time left until it."""
     chunks = []
     while count:
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("frame not whole within the timeout")
+            sock.settimeout(left)
         chunk = sock.recv(count)
         if not chunk:
             raise WireError("connection closed mid-frame")
         chunks.append(chunk)
         count -= len(chunk)
-        if deadline is not None:
-            left = deadline - time.monotonic()
-            if left <= 0 and count:
-                raise TimeoutError("frame not whole within the timeout")
-            sock.settimeout(max(left, 1e-6))
     return b"".join(chunks)
 
 
@@ -185,12 +182,13 @@ def recv_message(sock: socket.socket, cap: int) -> dict:
     announces more than `cap` bytes.  The socket's timeout bounds the whole
     frame, header and body together, and is restored afterwards."""
     timeout = sock.gettimeout()
+    deadline = time.monotonic() + timeout if timeout else None
     try:
-        (length,) = struct.unpack(">I", _recv_exact(sock, 4))
+        (length,) = struct.unpack(">I", _recv_exact(sock, 4, deadline))
         if length > cap:
             raise WireError(f"frame of {length} bytes announced, over the "
                             f"cap of {cap}")
-        body = _recv_exact(sock, length)
+        body = _recv_exact(sock, length, deadline)
     finally:
         sock.settimeout(timeout)
     return parse_frame(body)

@@ -431,8 +431,8 @@ def _open_session(port, witness=False):
                                               "version": PROTOCOL_VERSION,
                                               "witness": witness}))
     assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "hello"
-    (length,) = struct.unpack(">I", _recv_exact(sock, 4))
-    return sock, _recv_exact(sock, length)
+    (length,) = struct.unpack(">I", _recv_exact(sock, 4, None))
+    return sock, _recv_exact(sock, length, None)
 
 
 def _response1(desk):
