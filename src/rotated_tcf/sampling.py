@@ -236,14 +236,15 @@ def _truncated_table(sigma: float, tau: Fraction):
     return support, cdf
 
 
-# Each sampler below comes stacked, one row per stream: every stream makes
+# Each sampler below is stacked, one row per stream: every stream makes
 # only its bare generator call, and the transform and the check run once
-# for the stack.  The one-stream sampler is its stack of one.
+# for the stack.  A lone draw is a stack of one.
 
 
 def sample_truncated_gaussian_stacked(sigma: float, tau, streams, size):
-    """sample_truncated_gaussian on each of `streams`, one row each: each
-    stream's gen.random(size), then one table lookup and one bound check."""
+    """`size` draws from G(sigma) conditioned on |x| <= tau (the exact
+    truncated table) on each of `streams`, one row each: each stream's
+    gen.random(size), then one table lookup and one bound check."""
     tau = Fraction(tau)
     if tau < 1:
         raise ValueError("tau must be >= 1")
@@ -254,15 +255,11 @@ def sample_truncated_gaussian_stacked(sigma: float, tau, streams, size):
     return out
 
 
-def sample_truncated_gaussian(sigma: float, tau, stream: RngStream, size):
-    """Draw from G(sigma) conditioned on |x| <= tau (exact truncated table)."""
-    return sample_truncated_gaussian_stacked(sigma, tau, [stream], size)[0]
-
-
 def sample_box_stacked(m: int, tau, q: int, streams) -> np.ndarray:
-    """sample_box on each of `streams`, one row each: each stream's bare
-    integers draw, then one half-width check and one reduction mod q (a
-    draw within the half-width t < q/2 keeps its centered abs mod q)."""
+    """m coordinates, each uniform on {x in Z_q : |x| <= tau} (centered
+    abs), on each of `streams`, one row each: each stream's bare integers
+    draw, then one half-width check and one reduction mod q (a draw
+    within the half-width t < q/2 keeps its centered abs mod q)."""
     t = min(math.floor(tau), (q - 1) // 2)
     out = np.array([stream.gen.integers(-t, t + 1, size=m, dtype=np.int64)
                     for stream in streams])
@@ -272,13 +269,9 @@ def sample_box_stacked(m: int, tau, q: int, streams) -> np.ndarray:
     return out
 
 
-def sample_box(m: int, tau, q: int, stream: RngStream) -> np.ndarray:
-    """Each coordinate uniform on {x in Z_q : |x| <= tau} (centered abs)."""
-    return sample_box_stacked(m, tau, q, [stream])[0]
-
-
 def sample_noise_stacked(params, streams) -> np.ndarray:
-    """sample_noise on each of `streams`, one row each."""
+    """The key-generation error vector e <- G(sigma, tau)^m mod q on each
+    of `streams`, one row each."""
     if params.tau < 1:
         # tau < 1 forces e = 0 (tiny test instances only): no draw
         return np.zeros((len(streams), params.m), dtype=np.int64)
@@ -286,8 +279,3 @@ def sample_noise_stacked(params, streams) -> np.ndarray:
                                           params.m)
     e %= params.q
     return e
-
-
-def sample_noise(params, stream: RngStream) -> np.ndarray:
-    """Error vector e <- G(sigma, tau)^m as used by key generation."""
-    return sample_noise_stacked(params, [stream])[0]

@@ -1,16 +1,26 @@
-"""Framed JSON wire format for the networked verifier/prover sessions.
+"""Framed wire format for the networked verifier/prover sessions.
 
-Frames are a 4-byte big-endian length prefix followed by a UTF-8 JSON body.
-Z_q scalars travel as decimal strings (JSON numbers are unreliable past
-2^53).  A Z_q vector or matrix travels as one string: the base64 of its
-entries as little-endian int64, row-major.  A bit string travels as one
-string of "0" and "1" characters.  The decoders accept only canonical
-base64, whole int64 entries in [0, q) and the expected shape, and raise
-WireError for anything else.
+A frame is a 4-byte big-endian length, then a body of that many bytes.
+The body is a JSON envelope, ASCII only, that holds the message's type,
+version and scalar fields, followed by its sections: the bytes of each
+Z_q vector or matrix, as little-endian int64 entries, row-major, back to
+back.  In the envelope, an array's field holds the marker
+{"section": k}, and the top-level "sections" lists each section's length
+in bytes, in order.  A frame without arrays has no table and no
+sections, so its body is plain JSON.  Z_q scalars travel as decimal
+strings (JSON numbers are unreliable past 2^53), and a bit string as one
+string of "0" and "1" characters.
+
+`dump_frame` and `parse_frame` are the only code that knows this layout:
+a message holds each array as `bytes` (from `encode_vector` or
+`encode_matrix`), and `parse_frame` gives each back as a read-only view of
+the frame's buffer.  `parse_frame` refuses a body whose table does not
+account for every byte after the envelope, or whose markers do not use
+each section exactly once, and `decode_vector` accepts only whole int64
+entries in [0, q) in the expected shape.  Every refusal is a WireError.
 """
 from __future__ import annotations
 
-import base64
 import json
 import math
 import socket
@@ -19,7 +29,7 @@ import time
 
 import numpy as np
 
-PROTOCOL_VERSION = 3
+PROTOCOL_VERSION = 4
 MAX_FRAME_BYTES = 64 * 1024 * 1024
 # The envelope and scalar fields of any frame fit in this many bytes, and so
 # does every frame without an array: hello, challenge, response2, result and
@@ -47,41 +57,38 @@ class DimensionError(WireError):
 
 
 _INT64 = np.dtype("<i8")
+_SECTION_TYPES = (bytes, memoryview)
+_ENCODER = json.JSONEncoder(separators=(",", ":"), sort_keys=True)
+_DECODER = json.JSONDecoder()
 
 
-def encode_vector(v) -> str:
-    return base64.b64encode(
-        np.ascontiguousarray(v, dtype=_INT64).tobytes()).decode("ascii")
+def encode_vector(v) -> bytes:
+    return np.ascontiguousarray(v, dtype=_INT64).tobytes()
 
 
-def decode_vector(text, q: int, shape: tuple) -> np.ndarray:
-    """The int64 array of shape `shape` in `text`."""
-    if not isinstance(text, str):
-        raise WireError(f"array must be a string, got {type(text).__name__}")
-    try:
-        raw = base64.b64decode(text, validate=True)
-    except ValueError:      # binascii.Error, or a non-ASCII character
-        raise WireError("array is not valid base64") from None
-    if base64.b64encode(raw).decode("ascii") != text:
-        raise WireError("array base64 is not canonical")
-    if len(raw) % _INT64.itemsize:
-        raise WireError(f"array of {len(raw)} bytes is not int64-aligned")
-    out = np.frombuffer(raw, dtype=_INT64).astype(np.int64)
+def decode_vector(data, q: int, shape: tuple) -> np.ndarray:
+    """The int64 array of shape `shape` in the section `data`."""
+    if not isinstance(data, _SECTION_TYPES):
+        raise WireError(f"array must be a section, got {type(data).__name__}")
+    if len(data) % _INT64.itemsize:
+        raise WireError(f"array of {len(data)} bytes is not int64-aligned")
+    out = np.frombuffer(data, dtype=_INT64)
     if out.size != math.prod(shape):
         raise DimensionError(
             f"array of {out.size} entries does not fit shape {shape}")
-    out = out.reshape(shape)
-    if out.size and (int(out.min()) < 0 or int(out.max()) >= q):
+    out = out.reshape(shape).astype(np.int64)   # aligned, and its own copy
+    # a negative entry, read as unsigned, is at least 2^63 > q
+    if int(out.view(np.uint64).max(initial=0)) >= q:
         raise WireError(f"array entry outside [0, {q})")
     return out
 
 
-def encode_matrix(M) -> str:
+def encode_matrix(M) -> bytes:
     return encode_vector(M)
 
 
-def decode_matrix(text, q: int, shape: tuple) -> np.ndarray:
-    return decode_vector(text, q, shape)
+def decode_matrix(data, q: int, shape: tuple) -> np.ndarray:
+    return decode_vector(data, q, shape)
 
 
 def encode_bits(v) -> str:
@@ -102,10 +109,9 @@ def decode_bits(text, shape: tuple) -> np.ndarray:
 def frame_cap(*array_entries: int, bits: int = 0) -> int:
     """The most bytes a frame may hold whose Z_q arrays have
     `array_entries` entries each and whose bit strings have `bits` bits in
-    all: each array's base64, the bits, and SMALL_FRAME_BYTES for the
-    rest."""
-    return (SMALL_FRAME_BYTES + bits
-            + sum(4 * -(-8 * entries // 3) for entries in array_entries))
+    all: 8 bytes per entry, the bits, and SMALL_FRAME_BYTES for the
+    envelope."""
+    return SMALL_FRAME_BYTES + bits + 8 * sum(array_entries)
 
 
 def make_message(msg_type: str, payload: dict) -> dict:
@@ -115,43 +121,98 @@ def make_message(msg_type: str, payload: dict) -> dict:
             "payload": payload}
 
 
-def check_no_secrets(msg: dict) -> None:
-    """Reject frames carrying secret-named fields anywhere outside the
-    labeled witness extension."""
-    def walk(obj, inside_witness):
-        if isinstance(obj, dict):
-            for k, v in obj.items():
-                if k == WITNESS_LABEL:
-                    walk(v, True)
-                    continue
-                if not inside_witness and k in SECRET_FIELDS:
-                    raise WireError(f"secret field {k!r} in wire message")
-                walk(v, inside_witness)
-        elif isinstance(obj, list):
-            for v in obj:
-                walk(v, inside_witness)
-    walk(msg, False)
+def _marked(obj, sections: list, inside_witness: bool = False):
+    """`obj` with each section in it moved to `sections` and replaced by
+    its marker.  A secret-named field anywhere outside the labeled witness
+    extension is a WireError: secrets never travel."""
+    if isinstance(obj, _SECTION_TYPES):
+        sections.append(obj)
+        return {"section": len(sections) - 1}
+    if isinstance(obj, dict):
+        out = {}
+        for k, v in obj.items():
+            if not inside_witness and k in SECRET_FIELDS:
+                raise WireError(f"secret field {k!r} in wire message")
+            out[k] = _marked(v, sections,
+                             inside_witness or k == WITNESS_LABEL)
+        return out
+    if isinstance(obj, list):
+        return [_marked(v, sections, inside_witness) for v in obj]
+    return obj
 
 
 def dump_frame(msg: dict) -> bytes:
-    check_no_secrets(msg)
-    body = json.dumps(msg, separators=(",", ":"), sort_keys=True).encode()
-    if len(body) > MAX_FRAME_BYTES:
+    sections = []
+    envelope = _marked(msg, sections)
+    if sections:
+        envelope["sections"] = [len(s) for s in sections]
+    head = _ENCODER.encode(envelope)
+    length = len(head) + sum(map(len, sections))
+    if length > MAX_FRAME_BYTES:
         raise WireError("frame too large")
-    return struct.pack(">I", len(body)) + body
+    return b"".join([struct.pack(">I", length), head.encode("ascii"),
+                     *sections])
 
 
-def parse_frame(body: bytes) -> dict:
+def _section_table(table, after: int) -> list:
+    """The section lengths in `table`, which must be whole int64 arrays
+    that fill exactly the `after` bytes past the envelope."""
+    if not isinstance(table, list) or any(
+            type(size) is not int or size < 0 or size % _INT64.itemsize
+            for size in table):
+        raise WireError("section table is not a list of int64-aligned "
+                        "lengths")
+    if sum(table) != after:
+        raise WireError(f"sections of {sum(table)} bytes listed, "
+                        f"{after} bytes sent")
+    return table
+
+
+def _fill(obj, sections: list, unused: set) -> None:
+    """Replace, in the dict or list `obj`, each marker by its section;
+    each section may be used only once."""
+    for key, value in (obj.items() if isinstance(obj, dict)
+                       else enumerate(obj)):
+        if isinstance(value, dict) and value.keys() == {"section"}:
+            k = value["section"]
+            if type(k) is not int or k not in unused:
+                raise WireError(f"marker {k!r:.20} names no unused section")
+            unused.remove(k)
+            obj[key] = sections[k]
+        elif isinstance(value, (dict, list)):
+            _fill(value, sections, unused)
+
+
+def parse_frame(body) -> dict:
+    """The message in a frame's `body`, each array a read-only view of
+    `body`."""
+    view = memoryview(body).toreadonly()
     try:
-        msg = json.loads(body.decode())
-    except ValueError as exc:   # bad JSON or UTF-8, or an over-long integer
+        # latin-1 maps each byte to one character, so the envelope's end
+        # is its length in bytes too
+        text = str(view, "latin-1")
+        msg, end = _DECODER.raw_decode(text)
+        if not text[:end].isascii():
+            raise WireError("frame envelope is not ASCII")
+        if (not isinstance(msg, dict) or "type" not in msg
+                or "payload" not in msg):
+            raise WireError("frame missing type/payload")
+        if not isinstance(msg["payload"], dict):
+            raise WireError("frame payload is not a JSON object")
+        if (not isinstance(msg["type"], str)
+                or msg["type"] not in MESSAGE_TYPES):
+            raise WireError(f"unknown message type {msg['type']!r:.40}")
+        sections = []
+        for size in _section_table(msg.pop("sections", []), len(view) - end):
+            sections.append(view[end:end + size])
+            end += size
+        unused = set(range(len(sections)))
+        _fill(msg["payload"], sections, unused)
+    except (ValueError, RecursionError) as exc:
+        # bad JSON, an over-long integer, or nesting past the stack
         raise WireError(f"malformed frame: {exc}") from None
-    if not isinstance(msg, dict) or "type" not in msg or "payload" not in msg:
-        raise WireError("frame missing type/payload")
-    if not isinstance(msg["payload"], dict):
-        raise WireError("frame payload is not a JSON object")
-    if msg["type"] not in MESSAGE_TYPES:
-        raise WireError(f"unknown message type {msg['type']!r}")
+    if unused:
+        raise WireError(f"sections {sorted(unused)} are never used")
     return msg
 
 
@@ -159,22 +220,24 @@ def send_message(sock: socket.socket, msg: dict) -> None:
     sock.sendall(dump_frame(msg))
 
 
-def _recv_exact(sock: socket.socket, count: int, deadline) -> bytes:
-    """`count` bytes; when `deadline` (a time.monotonic() reading) is set,
-    each recv waits only for the time left until it."""
-    chunks = []
-    while count:
+def _recv_exact(sock: socket.socket, count: int, deadline) -> bytearray:
+    """`count` bytes, read into one buffer; when `deadline` (a
+    time.monotonic() reading) is set, each recv waits only for the time
+    left until it."""
+    buf = bytearray(count)
+    view = memoryview(buf)
+    got = 0
+    while got < count:
         if deadline is not None:
             left = deadline - time.monotonic()
             if left <= 0:
                 raise TimeoutError("frame not whole within the timeout")
             sock.settimeout(left)
-        chunk = sock.recv(count)
-        if not chunk:
+        read = sock.recv_into(view[got:])
+        if not read:
             raise WireError("connection closed mid-frame")
-        chunks.append(chunk)
-        count -= len(chunk)
-    return b"".join(chunks)
+        got += read
+    return buf
 
 
 def recv_message(sock: socket.socket, cap: int) -> dict:

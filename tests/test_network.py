@@ -2,7 +2,9 @@ import contextlib
 import copy
 import functools
 import importlib.util
+import json
 import os
+import re
 import select
 import socket
 import struct
@@ -21,6 +23,7 @@ from rotated_tcf import network
 from rotated_tcf.network import (SessionError, connect_prover,
                                  open_server_socket, prover_session,
                                  serve_verifier, verifier_session)
+from rotated_tcf.params import desk_preset
 from rotated_tcf.protocol_q import (CHUNK, BaselineProver,
                                     HonestQuantumProver, run_single_trial)
 from rotated_tcf.transcripts import transcript_to_json
@@ -451,9 +454,9 @@ def _last_entry_q(desk, length):
     (lambda d: {**_response1(d), "y": _last_entry_q(d, d.m)}, "bad-encoding"),
     (lambda d: {"y": _response1(d)["y"]}, "bad-encoding"),
     (lambda d: {**_response1(d), "y": ["0"] * d.m}, "bad-encoding"),
-    (lambda d: {**_response1(d), "y": "not base64!"}, "bad-encoding"),
+    (lambda d: {**_response1(d), "y": "A" * (8 * d.m)}, "bad-encoding"),
     (lambda d: {**_response1(d), "u": "0120"}, "bad-encoding"),
-], ids=["entry-ge-q", "missing-key", "wrong-type", "bad-base64",
+], ids=["entry-ge-q", "missing-key", "wrong-type", "string-for-array",
         "non-bit"])
 def test_undecodable_response1_gets_error_frame(stream, desk, make_payload,
                                                 code):
@@ -470,16 +473,16 @@ def test_undecodable_response1_gets_error_frame(stream, desk, make_payload,
 
 
 def test_setup_frame_size(stream, desk):
-    """The packed arrays keep an honest desk setup frame, witness included,
-    well under the roughly 31.6 KB it took with one decimal string per
-    entry."""
+    """Raw int64 sections keep an honest desk setup frame, witness
+    included, near its 17 KB of array entries: 22.6 KB when each array was
+    base64 in the JSON, 31.6 KB with one decimal string per entry."""
     port, t, box = _serve_in_thread(desk, stream.derive("net"), 1,
                                     witness_channel=True)
     sock, body = _open_session(port, witness=True)
     with sock:
         setup = parse_frame(body)["payload"]
         assert WITNESS_LABEL in setup
-        assert len(body) + 4 <= 24_000
+        assert len(body) + 4 <= 18_000
         send_message(sock, make_message("response1", _response1(desk)))
         send_message(sock, make_message("response2", {"d_prime": 0}))
         assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "challenge"
@@ -579,7 +582,17 @@ def honest_setup(stream, desk):
     sock, body = _open_session(port, witness=True)
     sock.close()
     t.join()
-    return parse_frame(body)["payload"]
+    return _owned(parse_frame(body)["payload"])
+
+
+def _owned(obj):
+    """`obj` with each section, a view of its frame's buffer, copied out
+    to bytes, so that a test can deep-copy it and send it again."""
+    if isinstance(obj, memoryview):
+        return bytes(obj)
+    if isinstance(obj, dict):
+        return {key: _owned(value) for key, value in obj.items()}
+    return obj
 
 
 DELETE = object()
@@ -590,7 +603,7 @@ DELETE = object()
     (("n",), DELETE, "bad-encoding"),
     (("pk", "A"), [["1"]], "bad-encoding"),
     (("n",), [4], "bad-encoding"),
-    (("ct", "a"), "@@@@", "bad-encoding"),
+    (("ct", "a"), "AAAAAAAAAAA=", "bad-encoding"),
     (("ct", "w"), "-1", "bad-encoding"),
     (("ct", "w"), 3.5, "bad-encoding"),
     (("n",), True, "bad-encoding"),
@@ -603,10 +616,14 @@ DELETE = object()
         np.zeros((d.m - 1, d.n), dtype=np.int64)), "bad-dimensions"),
     ((WITNESS_LABEL, "s"), lambda d: encode_vector(
         np.zeros(d.n, dtype=np.int64)), "bad-encoding"),
+    (("ct", "w"), bytes(8), "bad-encoding"),
+    (("q",), lambda d: encode_vector([d.q]), "bad-encoding"),
+    (("n",), bytes(8), "bad-encoding"),
 ], ids=["missing-v", "missing-n", "wrong-type-A", "wrong-type-n",
-        "bad-base64", "w-out-of-range", "w-float", "n-bool", "lambda-float",
-        "q-padded", "sigma-nan", "entry-ge-q", "witness-entry-ge-q",
-        "wrong-shape", "witness-s-zero"])
+        "string-for-array", "w-out-of-range", "w-float", "n-bool",
+        "lambda-float", "q-padded", "sigma-nan", "entry-ge-q",
+        "witness-entry-ge-q", "wrong-shape", "witness-s-zero", "w-section",
+        "q-section", "n-section"])
 def test_undecodable_setup_gets_error_frame(stream, desk, honest_setup,
                                             path, value, code):
     """A prover that cannot decode the setup frame tells the verifier why
@@ -658,10 +675,167 @@ def test_hello_with_list_payload_is_a_wire_error(stream, desk):
     assert box["result"][1][0].code == "bad-encoding"
 
 
+def _split(frame: bytes):
+    """A v4 frame's JSON envelope, as a dict, and the bytes after it."""
+    body = frame[4:]
+    envelope, end = json.JSONDecoder().raw_decode(body.decode("latin-1"))
+    return envelope, body[end:]
+
+
+def _markers(obj):
+    if isinstance(obj, dict):
+        if obj.keys() == {"section"}:
+            yield obj
+        for value in obj.values():
+            yield from _markers(value)
+
+
+def _hostile(frame: bytes, layout: str) -> bytes:
+    """`frame` with its section layout broken as `layout` says."""
+    envelope, tail = _split(frame)
+    table = envelope["sections"]
+    if layout == "sections-short":
+        tail = tail[:-8]
+    elif layout == "sections-long":
+        tail += bytes(8)
+    elif layout == "no-table":
+        del envelope["sections"]
+    elif layout == "index-out-of-range":
+        next(_markers(envelope))["section"] = len(table)
+    elif layout == "used-twice":
+        envelope["payload"]["pad"] = {"section": len(table) - 1}
+    elif layout == "never-used":
+        table.append(8)
+        tail += bytes(8)
+    elif layout == "not-int64-aligned":
+        table[-1] += 3
+        tail += bytes(3)
+    body = json.dumps(envelope).encode() + tail
+    return struct.pack(">I", len(body)) + body
+
+
+HOSTILE_LAYOUTS = pytest.mark.parametrize("layout", [
+    "sections-short", "sections-long", "no-table", "index-out-of-range",
+    "used-twice", "never-used", "not-int64-aligned"])
+
+
+@HOSTILE_LAYOUTS
+def test_hostile_response1_layout_gets_error_frame(stream, desk, layout):
+    """A response1 whose sections do not match its table, or whose markers
+    do not use each section once, gets a `bad-encoding` error frame; the
+    session's slot holds that code, and the serve ends normally."""
+    port, t, box = _serve_in_thread(desk, stream.derive("net"), 1,
+                                    witness_channel=False)
+    sock, _ = _open_session(port)
+    with sock:
+        sock.sendall(_hostile(dump_frame(
+            make_message("response1", _response1(desk))), layout))
+        reply = recv_message(sock, MAX_FRAME_BYTES)
+    t.join()
+    assert "error" not in box
+    assert reply["payload"]["code"] == "bad-encoding"
+    assert box["result"][1][0].code == "bad-encoding"
+
+
+@HOSTILE_LAYOUTS
+def test_hostile_setup_layout_gets_error_frame(stream, honest_setup, layout):
+    """A setup whose sections do not match its table, or whose markers do
+    not use each section once, ends the prover's session with
+    SessionError `bad-encoding`, and the verifier gets that error frame."""
+    frame = _hostile(dump_frame(make_message("setup", honest_setup)), layout)
+    srv = open_server_socket("127.0.0.1", 0)
+    box = {}
+
+    def fake_verifier():
+        conn, _ = srv.accept()
+        with conn:
+            conn.settimeout(10)
+            recv_message(conn, MAX_FRAME_BYTES)                      # hello
+            send_message(conn, make_message("hello", VERIFIER_HELLO))
+            conn.sendall(frame)
+            box["reply"] = recv_message(conn, MAX_FRAME_BYTES)
+        srv.close()
+
+    t = _Daemon(fake_verifier, srv)
+    with pytest.raises(SessionError) as failed:
+        prover_session("127.0.0.1", srv.getsockname()[1],
+                       HonestQuantumProver(), stream.derive("trial", 0),
+                       timeout=10)
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert failed.value.code == "bad-encoding"
+    assert box["reply"]["payload"]["code"] == "bad-encoding"
+
+
+def _v3_hello(role: str) -> bytes:
+    """A hello frame as a version-3 peer sends it: one plain JSON body."""
+    body = (b'{"payload":{"role":"' + role.encode()
+            + b'","version":3,"witness":false},"protocol_version":3,'
+            b'"type":"hello"}')
+    return struct.pack(">I", len(body)) + body
+
+
+def test_v3_prover_gets_version_mismatch(stream, desk):
+    """A version-3 prover's hello, plain JSON as v4 keeps every frame
+    without arrays, reaches the verifier's version check and gets
+    `version-mismatch`, not `bad-encoding`."""
+    port, t, box = _serve_in_thread(desk, stream.derive("net"), 1,
+                                    witness_channel=False)
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(_v3_hello("prover"))
+        assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "hello"
+        reply = recv_message(sock, MAX_FRAME_BYTES)
+    t.join()
+    assert reply["payload"]["code"] == "version-mismatch"
+    assert box["result"][1][0].code == "version-mismatch"
+
+
+def test_v3_verifier_gets_version_mismatch(stream):
+    """A version-3 verifier's hello gets `version-mismatch` from a v4
+    prover, which ends its session with that code."""
+    srv = open_server_socket("127.0.0.1", 0)
+    box = {}
+
+    def old_verifier():
+        conn, _ = srv.accept()
+        with conn:
+            conn.settimeout(10)
+            recv_message(conn, MAX_FRAME_BYTES)                      # hello
+            conn.sendall(_v3_hello("verifier"))
+            box["reply"] = recv_message(conn, MAX_FRAME_BYTES)
+        srv.close()
+
+    t = _Daemon(old_verifier, srv)
+    with pytest.raises(SessionError) as failed:
+        prover_session("127.0.0.1", srv.getsockname()[1], BaselineProver(),
+                       stream, timeout=10)
+    t.join(timeout=10)
+    assert not t.is_alive()
+    assert failed.value.code == "version-mismatch"
+    assert box["reply"]["payload"]["code"] == "version-mismatch"
+
+
+def test_readme_states_the_wire_version_and_desk_caps():
+    """README's wire section gives the protocol version and, per message
+    type, the cap at desk that `network._frame_cap` computes."""
+    text = (ROOT / "README.md").read_text()
+    (version,) = re.findall(r"The wire protocol is at version (\d+)\.", text)
+    assert int(version) == PROTOCOL_VERSION
+    caps = text[text.index("| message expected | cap | at desk |"):]
+    rows = re.findall(r"^\| `(\w+)`.*\| ([\d,]+) B[^|]*\|$",
+                      caps[:caps.index("\n\n")], re.MULTILINE)
+    desk = desk_preset()
+    assert [name for name, _ in rows] == ["hello", "response1", "setup"]
+    for name, figure in rows:
+        assert int(figure.replace(",", "")) == network._frame_cap(name, desk)
+    assert f"{network.SETUP_FRAME_BYTES:,} B" in caps
+
+
 BAD_BITS = pytest.mark.parametrize("value, code", [
     ("x", "bad-encoding"), (1.7, "bad-encoding"), (True, "bad-encoding"),
     (None, "bad-encoding"), (2, "bad-bit"), (-1, "bad-bit"),
-], ids=["str", "float", "bool", "null", "two", "minus-one"])
+    (encode_vector([1]), "bad-encoding"),
+], ids=["str", "float", "bool", "null", "two", "minus-one", "section"])
 
 
 @BAD_BITS
@@ -979,13 +1153,14 @@ _JSON = st.recursive(
 
 
 def _values(desk):
-    """Payload values: any JSON, integers past 2^63, and arrays and bit
-    strings of the wrong length."""
+    """Payload values: any JSON, integers past 2^63, arrays and bit
+    strings of the wrong length, and sections of any length."""
     return (_JSON
             | st.integers(2**63, 2**80) | st.integers(-2**80, -2**63 - 1)
             | st.integers(0, 2 * desk.m).map(
                 lambda k: encode_vector(np.ones(k, dtype=np.int64)))
-            | st.integers(0, 2 * desk.nQ).map(lambda k: "1" * k))
+            | st.integers(0, 2 * desk.nQ).map(lambda k: "1" * k)
+            | st.binary(max_size=40))
 
 
 def _fuzz_verifier(desk, stream):

@@ -242,29 +242,30 @@ def test_prover_streams_are_batch_seeded_only_for_the_quantum_prover(
 
 def test_a_chunk_draws_e_and_g_stacked(stream, desk, monkeypatch):
     """A chunk of honest trials draws every trial's e and g in one stacked
-    sampler call each, and makes no one-stream sample_noise, sample_box or
-    sample_truncated_gaussian call, wherever a module looks one up."""
-    lone, stacked = [], []
+    sampler call each, over all of the chunk's streams, and makes no
+    stacked sampler call on fewer streams (a lone draw), wherever a
+    module looks one up."""
+    calls = []
 
-    def spy(log, name, real):
+    def spy(name, real):
         def call(*args, **kwargs):
-            log.append((name, len(args[-1]) if log is stacked else 1))
+            calls.append((name, next(len(a) for a in args
+                                     if isinstance(a, list))))
             return real(*args, **kwargs)
         return call
     for module in [m for n, m in sys.modules.items()
                    if n.split(".")[0] == "rotated_tcf"]:
-        for name in ("sample_noise", "sample_box",
-                     "sample_truncated_gaussian"):
+        for name in ("sample_noise_stacked", "sample_box_stacked",
+                     "sample_truncated_gaussian_stacked"):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
-                                    spy(lone, name, getattr(module, name)))
-    monkeypatch.setattr(regev, "sample_noise_stacked", spy(
-        stacked, "e", regev.sample_noise_stacked))
-    monkeypatch.setattr(protocol_q, "sample_box_stacked", spy(
-        stacked, "g", protocol_q.sample_box_stacked))
+                                    spy(name, getattr(module, name)))
     run_experiment(desk, HonestQuantumProver(), CHUNK, stream)
-    assert lone == []
-    assert sorted(stacked) == [("e", CHUNK), ("g", CHUNK)]
+    # e is the truncated Gaussian reduced mod q, drawn inside
+    # sample_noise_stacked
+    assert sorted(calls) == [("sample_box_stacked", CHUNK),
+                             ("sample_noise_stacked", CHUNK),
+                             ("sample_truncated_gaussian_stacked", CHUNK)]
 
 
 def test_deterministic_family_is_exhaustive():

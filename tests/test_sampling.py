@@ -13,10 +13,8 @@ import rotated_tcf
 from rotated_tcf.params import desk_preset, tiny_params
 from rotated_tcf.sampling import (SEED_BATCH_MIN, RngStream, _seed_words,
                                   gaussian_table, master_stream, sample_bits,
-                                  sample_box, sample_box_stacked,
-                                  sample_gaussian,
-                                  sample_noise, sample_noise_stacked,
-                                  sample_truncated_gaussian,
+                                  sample_box_stacked, sample_gaussian,
+                                  sample_noise_stacked,
                                   sample_truncated_gaussian_stacked,
                                   sample_uniform, seed_streams)
 
@@ -104,7 +102,7 @@ def test_gaussian_mean_and_tail(stream):
 def test_truncated_gaussian_support_and_moments(stream):
     sigma, tau = 3.0, Fraction(5)
     n = 200_000
-    draws = np.asarray(sample_truncated_gaussian(sigma, tau, stream, size=n))
+    (draws,) = sample_truncated_gaussian_stacked(sigma, tau, [stream], n)
     assert int(np.abs(draws).max()) <= 5
     # truncation can only shrink the second moment
     second = float((draws.astype(float) ** 2).mean())
@@ -118,13 +116,13 @@ def test_truncated_gaussian_close_to_untruncated(stream):
     keep = np.abs(support) <= 3
     tvd = float(pmf[~keep].sum())
     assert tvd < 0.005
-    draws = np.asarray(sample_truncated_gaussian(1.0, 3, stream, size=50_000))
+    (draws,) = sample_truncated_gaussian_stacked(1.0, 3, [stream], 50_000)
     assert int(np.abs(draws).max()) <= 3
 
 
 def test_truncated_gaussian_tau_validation(stream):
     with pytest.raises(ValueError):
-        sample_truncated_gaussian(2.0, Fraction(1, 2), stream, size=1)
+        sample_truncated_gaussian_stacked(2.0, Fraction(1, 2), [stream], 1)
 
 
 def _prints_raised_under_optimize(code: str) -> None:
@@ -146,8 +144,8 @@ def test_truncation_check_survives_optimize():
         "import numpy as np, rotated_tcf.sampling as s\n"
         "s._table_draw = lambda support, cdf, u: np.full(u.shape, 99)\n"
         "try:\n"
-        "    s.sample_truncated_gaussian(3.0, 5, s.RngStream(bytes(32)),\n"
-        "                                size=4)\n"
+        "    s.sample_truncated_gaussian_stacked(\n"
+        "        3.0, 5, [s.RngStream(bytes(32))], 4)\n"
         "except AssertionError:\n"
         "    print('raised')\n")
 
@@ -172,7 +170,7 @@ def test_box_check_survives_optimize():
 
 def test_box_support(stream):
     q = 7
-    draws = sample_box(50_000, Fraction(1), q, stream)
+    (draws,) = sample_box_stacked(50_000, Fraction(1), q, [stream])
     assert set(np.unique(draws).tolist()) == {0, 1, 6}
     counts = np.bincount(draws, minlength=q)
     for v in (0, 1, 6):
@@ -181,19 +179,19 @@ def test_box_support(stream):
 
 def test_box_fractional_tau(stream):
     # tau = 23/220 < 1 collapses the box to {0}
-    draws = sample_box(1000, Fraction(23, 220), 23, stream)
+    (draws,) = sample_box_stacked(1000, Fraction(23, 220), 23, [stream])
     assert np.all(draws == 0)
 
 
 def test_sample_noise_desk_and_tiny(stream):
     p = desk_preset()
-    e = sample_noise(p, stream.derive("desk"))
+    (e,) = sample_noise_stacked(p, [stream.derive("desk")])
     assert e.shape == (p.m,)
     lifted = np.where(e > p.q // 2, e - p.q, e)
     assert int(np.abs(lifted).max()) * p.tau.denominator <= p.tau.numerator
     tiny = tiny_params(1, 23)
     assert tiny.tau < 1
-    assert np.all(sample_noise(tiny, stream.derive("tiny")) == 0)
+    assert np.all(sample_noise_stacked(tiny, [stream.derive("tiny")]) == 0)
 
 
 def test_same_seed_same_draws():
@@ -320,9 +318,11 @@ def _assert_same_place(streams, twins) -> None:
 
 
 def _by_lone(params, name, stream):
+    """A lone draw: the stacked sampler on a stack of one."""
     if name == "noise":
-        return sample_noise(params, stream)
-    return sample_box(params.m, params.tau_floor, params.q, stream)
+        return sample_noise_stacked(params, [stream])[0]
+    return sample_box_stacked(params.m, params.tau_floor, params.q,
+                              [stream])[0]
 
 
 @pytest.mark.parametrize("chunk", [1, 16, 17])

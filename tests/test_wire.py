@@ -1,21 +1,24 @@
-import base64
+import itertools
+import json
 import math
 import socket
 import struct
 import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from rotated_tcf.wire import (MAX_FRAME_BYTES, PROTOCOL_VERSION,
-                              SECRET_FIELDS, SMALL_FRAME_BYTES, WITNESS_LABEL,
-                              DimensionError, WireError, check_no_secrets,
-                              decode_bits, decode_matrix, decode_vector,
-                              dump_frame, encode_bits, encode_matrix,
-                              encode_vector, frame_cap, make_message,
-                              parse_frame, recv_message, send_message)
+from rotated_tcf.wire import (MAX_FRAME_BYTES, MESSAGE_TYPES,
+                              PROTOCOL_VERSION, SECRET_FIELDS,
+                              SMALL_FRAME_BYTES, WITNESS_LABEL,
+                              DimensionError, WireError, decode_bits,
+                              decode_matrix, decode_vector, dump_frame,
+                              encode_bits, encode_matrix, encode_vector,
+                              frame_cap, make_message, parse_frame,
+                              recv_message, send_message)
 
 
 Q61 = (1 << 61) - 1
@@ -24,18 +27,22 @@ Q61 = (1 << 61) - 1
 def test_vector_codec_roundtrip_exact():
     v = np.array([0, 1, 4398046511118, (1 << 60) + 7], dtype=np.int64)
     encoded = encode_vector(v)
-    assert isinstance(encoded, str)
-    # one base64 string of little-endian int64 entries
-    assert base64.b64decode(encoded) == v.astype("<i8").tobytes()
+    # one section of little-endian int64 entries
+    assert encoded == v.astype("<i8").tobytes()
     decoded = decode_vector(encoded, Q61, (4,))
     assert decoded.dtype == np.int64
+    assert np.array_equal(decoded, v)
+    # a view of a frame's buffer decodes to an array of its own
+    buf = bytearray(b"\xff" + encoded)
+    decoded = decode_vector(memoryview(buf)[1:], Q61, (4,))
+    buf[1:] = bytes(len(encoded))
     assert np.array_equal(decoded, v)
 
 
 def test_matrix_and_bits_codecs():
     M = np.array([[1, 2, 3], [4, 5, 6]], dtype=np.int64)
     encoded = encode_matrix(M)
-    assert isinstance(encoded, str)
+    assert isinstance(encoded, bytes)
     assert np.array_equal(decode_matrix(encoded, 7, (2, 3)), M)
     # row-major: the same bytes as the flattened rows
     assert encoded == encode_vector(M.reshape(-1))
@@ -86,54 +93,47 @@ def test_out_of_range_entries_rejected(q, entries, bad, at):
     _wire_error_only(decode_vector, text, q, (len(entries),))
 
 
-@given(st.none() | st.integers() | st.floats() | st.binary()
-       | st.lists(st.text(max_size=3), max_size=3)
-       | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+_NON_STRINGS = (st.none() | st.integers() | st.floats() | st.binary()
+                | st.lists(st.text(max_size=3), max_size=3)
+                | st.dictionaries(st.text(max_size=2), st.integers(),
+                                  max_size=2))
+
+
+@given(_NON_STRINGS)
 def test_non_string_rejected(value):
-    _wire_error_only(decode_vector, value, Q61, (1,))
-    _wire_error_only(decode_matrix, value, Q61, (1, 1))
     _wire_error_only(decode_bits, value, (1,))
 
 
-@given(st.text(max_size=40))
-def test_arbitrary_text_never_escapes(text):
-    """Any string decodes to an int64 array or raises WireError."""
+@given(_NON_STRINGS.filter(lambda v: not isinstance(v, bytes))
+       | st.text(max_size=16))
+def test_non_section_rejected(value):
+    """An array must arrive as a section: a string (v3's base64 form), a
+    number, a list or a dict in its place is a WireError."""
+    _wire_error_only(decode_vector, value, Q61, (1,))
+    _wire_error_only(decode_matrix, value, Q61, (1, 1))
+
+
+@given(st.text(max_size=40) | st.binary(max_size=40))
+def test_arbitrary_text_never_escapes(value):
+    """Any string or section decodes to an int64 array or raises
+    WireError."""
     for decode, args in ((decode_vector, (Q61, (1,))),
                          (decode_vector, (Q61, (2,))),
                          (decode_matrix, (Q61, (1, 2))),
-                         (decode_bits, ((len(text),),)),
+                         (decode_bits, ((len(value),),)),
                          (decode_bits, ((3,),))):
         try:
-            out = decode(text, *args)
+            out = decode(value, *args)
         except WireError:
             continue
         assert out.dtype == np.int64
 
 
 @given(st.lists(st.integers(0, 100), min_size=1, max_size=6),
-       st.sampled_from("!*-_ \n\u00e9\ud800"), st.integers(0, 60))
-def test_non_alphabet_base64_rejected(entries, char, at):
-    text = encode_vector(np.array(entries, dtype=np.int64))
-    at = min(at, len(text))
-    _wire_error_only(decode_vector, text[:at] + char + text[at:], 101,
-                     (len(entries),))
-
-
-def test_non_canonical_base64_rejected():
-    text = encode_vector(np.array([5], dtype=np.int64))  # "BQAAAAAAAAA="
-    assert np.array_equal(decode_vector(text, 7, (1,)), [5])
-    # same bytes, but nonzero padding bits in the last character
-    _wire_error_only(decode_vector, text[:-2] + "B=", 7, (1,))
-    # missing padding
-    _wire_error_only(decode_vector, text.rstrip("="), 7, (1,))
-
-
-@given(st.lists(st.integers(0, 100), min_size=1, max_size=6),
        st.integers(1, 7))
 def test_truncated_length_rejected(entries, cut):
     raw = np.array(entries, dtype="<i8").tobytes()[:-cut]
-    _wire_error_only(decode_vector, base64.b64encode(raw).decode(), 101,
-                     (len(entries),))
+    _wire_error_only(decode_vector, raw, 101, (len(entries),))
 
 
 @given(st.lists(st.integers(0, 100), max_size=6),
@@ -170,6 +170,120 @@ def test_frame_roundtrip():
     assert length == len(frame) - 4
     assert parse_frame(frame[4:]) == msg
     assert msg["protocol_version"] == PROTOCOL_VERSION
+    # a frame without arrays is plain JSON, with no section table
+    assert json.loads(frame[4:]) == msg
+
+
+def test_frame_layout_is_an_envelope_then_the_sections():
+    """Each array leaves a marker in the ASCII envelope and travels after
+    it, in the order of the table of section lengths; parsing gives each
+    one back as a view of the body."""
+    A = np.arange(6, dtype=np.int64).reshape(2, 3)
+    v = np.array([7, (1 << 60) + 1], dtype=np.int64)
+    msg = make_message("setup", {"pk": {"A": encode_matrix(A),
+                                        "v": encode_vector(v)},
+                                 "ct": {"w": "5"}})
+    body = dump_frame(msg)[4:]
+    envelope, end = json.JSONDecoder().raw_decode(body.decode("latin-1"))
+    assert body[:end].isascii()
+    markers = envelope["payload"]["pk"]
+    assert sorted(markers.values(), key=str) == [{"section": 0},
+                                                 {"section": 1}]
+    sections = {}
+    at = end
+    for k, size in enumerate(envelope["sections"]):
+        sections[k] = body[at:at + size]
+        at += size
+    assert at == len(body)
+    assert sections[markers["A"]["section"]] == A.astype("<i8").tobytes()
+    assert sections[markers["v"]["section"]] == v.astype("<i8").tobytes()
+    parsed = parse_frame(bytearray(body))
+    assert parsed == msg
+    assert isinstance(parsed["payload"]["pk"]["A"], memoryview)
+    assert np.array_equal(
+        decode_matrix(parsed["payload"]["pk"]["A"], 1 << 61, (2, 3)), A)
+
+
+def _body(envelope: dict, tail: bytes = b"") -> bytes:
+    return json.dumps(envelope).encode() + tail
+
+
+def _y_frame(**change) -> dict:
+    """A response1 envelope whose y is section 0, of 16 bytes."""
+    return {**make_message("response1", {"y": {"section": 0}, "u": "01"}),
+            "sections": [16], **change}
+
+
+HOSTILE_BODIES = {
+    "sections-short": _body(_y_frame(), bytes(8)),
+    "sections-long": _body(_y_frame(), bytes(24)),
+    "no-table": _body(make_message("response1", {"u": "01"}), bytes(16)),
+    "marker-no-table": _body(make_message("response1",
+                                          {"y": {"section": 0}})),
+    "index-out-of-range": _body(_y_frame(payload={"y": {"section": 1}}),
+                                bytes(16)),
+    "index-negative": _body(_y_frame(payload={"y": {"section": -1}}),
+                            bytes(16)),
+    "index-bool": _body(_y_frame(payload={"y": {"section": False}}),
+                        bytes(16)),
+    "index-str": _body(_y_frame(payload={"y": {"section": "0"}}),
+                       bytes(16)),
+    "used-twice": _body(_y_frame(payload={"y": {"section": 0},
+                                          "z": [{"section": 0}]}),
+                        bytes(16)),
+    "never-used": _body(_y_frame(sections=[16, 8]), bytes(24)),
+    "not-int64-aligned": _body(_y_frame(sections=[13]), bytes(13)),
+    "table-not-a-list": _body(_y_frame(sections=16), bytes(16)),
+    "table-float": _body(_y_frame(sections=[16.0]), bytes(16)),
+    "table-negative": _body(_y_frame(sections=[24, -8]), bytes(16)),
+    "non-ascii-envelope": _body(make_message("hello", {"role": "x"}))
+    .replace(b"x", b"\xe9"),
+    "type-not-a-string": _body({"type": ["hello"], "payload": {}}),
+    "deep-nesting": b'{"type": "hello", "payload": {"x": ' + b"[" * 1000
+    + b"]" * 1000 + b"}}",
+}
+
+
+@pytest.mark.parametrize("body", HOSTILE_BODIES.values(),
+                         ids=HOSTILE_BODIES.keys())
+def test_hostile_body_is_a_wire_error(body):
+    """A table that does not account for every byte after the envelope, a
+    marker that names no unused section, a section never used or not
+    whole int64 entries, and an envelope that is not ASCII JSON, are each
+    refused with WireError."""
+    assert len(body) <= SMALL_FRAME_BYTES + 1024
+    with pytest.raises(WireError):
+        parse_frame(body)
+
+
+_ENVELOPE_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-9, 40) | st.text(max_size=4)
+    | st.builds(lambda k: {"section": k}, st.integers(-1, 3) | st.booleans()),
+    lambda inner: (st.lists(inner, max_size=3)
+                   | st.dictionaries(st.text(max_size=4), inner,
+                                     max_size=3)),
+    max_leaves=8)
+_ENVELOPES = st.fixed_dictionaries(
+    {"type": st.sampled_from(sorted(MESSAGE_TYPES)) | _ENVELOPE_VALUES,
+     "payload": _ENVELOPE_VALUES},
+    optional={"sections": st.lists(st.integers(-8, 40), max_size=4)
+              | _ENVELOPE_VALUES,
+              "protocol_version": _ENVELOPE_VALUES})
+
+
+@settings(deadline=None)
+@given(st.binary(max_size=4096)
+       | st.builds(_body, _ENVELOPES, st.binary(max_size=48)))
+def test_any_small_body_parses_to_a_dict_or_a_wire_error(body):
+    """Any body of at most 4 KB, bytes or a JSON envelope with markers and
+    a section table followed by bytes, parses to a message or raises
+    WireError, and nothing else."""
+    try:
+        msg = parse_frame(body[:4096])
+    except WireError:
+        return
+    assert isinstance(msg, dict) and isinstance(msg["payload"], dict)
+    assert msg["type"] in MESSAGE_TYPES
 
 
 def test_overlong_integer_literal_is_a_wire_error():
@@ -216,7 +330,6 @@ def test_secret_fields_never_travel():
 def test_witness_label_is_the_only_exemption():
     payload = {WITNESS_LABEL: {"s": ["1"], "e": ["0"]}, "note": "simulation"}
     dump_frame(make_message("setup", payload))  # allowed
-    check_no_secrets({"payload": payload})
     # a secret next to the witness subtree is still rejected
     with pytest.raises(WireError):
         dump_frame(make_message("setup",
@@ -273,6 +386,35 @@ def test_send_recv_over_socketpair():
     finally:
         a.close()
         b.close()
+
+
+def test_frame_split_across_many_sends_arrives_whole():
+    """A frame sent a few bytes at a time, in sends of 1 to 7 bytes, is
+    read into one buffer and parses to the message sent."""
+    msg = make_message("response1", {
+        "y": encode_vector(np.arange(40, dtype=np.int64) * 3),
+        "u": encode_bits(np.arange(9) % 2)})
+    frame = dump_frame(msg)
+    a, b = socket.socketpair()
+    with a, b:
+        b.settimeout(10)
+
+        def trickle():
+            at = 0
+            for size in itertools.cycle(range(1, 8)):
+                if at >= len(frame):
+                    return
+                a.sendall(frame[at:at + size])
+                at += size
+                time.sleep(0.0005)
+        t = threading.Thread(target=trickle)
+        t.start()
+        got = recv_message(b, MAX_FRAME_BYTES)
+        t.join(timeout=10)
+        assert not t.is_alive()
+    assert got == msg
+    assert np.array_equal(decode_vector(got["payload"]["y"], 121, (40,)),
+                          np.arange(40) * 3)
 
 
 def test_truncated_stream_detected():
