@@ -4,9 +4,9 @@ One protocol session per TCP connection, driven through the fixed order
 hello -> setup -> response1 -> challenge -> response2 -> result.  A
 message is a dict whose Z_q arrays are `wire.encode_*` bytes and whose
 other fields are JSON values; how a frame lays them out is wire.py's
-business alone.  Both ends
-derive their randomness from per-session streams, so a loopback run with
-the same master seed reproduces the in-process transcripts bit for bit.
+business alone.  Both ends derive their randomness from per-session
+streams, so a loopback run with the same master seed reproduces the
+in-process transcripts bit for bit.
 Each frame is read by `_receive`, through its type's one decoder, and
 refused unread if its header announces more than its type's cap.  A
 session that fails raises SessionError with its error frame's code.

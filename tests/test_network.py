@@ -831,6 +831,26 @@ def test_readme_states_the_wire_version_and_desk_caps():
     assert f"{network.SETUP_FRAME_BYTES:,} B" in caps
 
 
+def test_nesting_past_the_stack_gets_error_frame(stream, desk):
+    """A hello of 1,000 nested JSON lists, under the 1,024-byte cap, gets
+    a `bad-encoding` error frame: the decoder's RecursionError does not
+    end the serve, and the next session is served as in process."""
+    net = stream.derive("net")
+    port, t, box = _serve_in_thread(desk, net, 2, witness_channel=False)
+    with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
+        sock.sendall(struct.pack(">I", 1000) + b"[" * 1000)
+        assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "hello"
+        reply = recv_message(sock, MAX_FRAME_BYTES)
+    prover_session("127.0.0.1", port, BaselineProver(),
+                   net.derive("trial", 1), timeout=10)
+    t.join()
+    assert "error" not in box
+    stats, (failed, transcript) = box["result"]
+    assert reply["payload"]["code"] == failed.code == "bad-encoding"
+    local = run_single_trial(desk, BaselineProver(), net.derive("trial", 1))
+    assert transcript_to_json(transcript) == transcript_to_json(local)
+
+
 BAD_BITS = pytest.mark.parametrize("value, code", [
     ("x", "bad-encoding"), (1.7, "bad-encoding"), (True, "bad-encoding"),
     (None, "bad-encoding"), (2, "bad-bit"), (-1, "bad-bit"),
