@@ -9,6 +9,7 @@ determined by (arguments, seed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -22,7 +23,8 @@ from .network import (SessionError, open_server_socket, prover_session,
                       serve_verifier)
 from .protocol_q import PROVERS
 from .sampling import RngStream
-from .transcripts import CSV_HEADER, save_transcripts, stats_csv_row
+from .transcripts import (CSV_HEADER, save_transcripts, stats_csv_row,
+                          transcript_to_json)
 
 DEFAULT_SEED = "8b9d5d0a" * 8
 
@@ -175,12 +177,15 @@ def cmd_poq(args) -> int:
     seed = _resolve_seed(args.seed)
     stream = RngStream(seed).derive("poq", args.prover)
     prover = PROVERS[args.prover]()
-    transcripts = [] if args.emit_transcripts else None
-    sink = transcripts.append if transcripts is not None else None
-    stats = protocol_q.run_experiment(params, prover, args.trials, stream,
-                                      transcript_sink=sink)
+    # each transcript is written as its trial completes, none kept
+    with (open(args.emit_transcripts, "w") if args.emit_transcripts
+          else contextlib.nullcontext()) as fh:
+        sink = (None if fh is None else
+                lambda t: fh.write(transcript_to_json(t) + "\n"))
+        stats = protocol_q.run_experiment(params, prover, args.trials, stream,
+                                          transcript_sink=sink)
     print(f"{params.preset_name} {args.prover}: {stats.summary()}")
-    _write_outputs(args, params, args.prover, stats, seed, transcripts)
+    _write_outputs(args, params, args.prover, stats, seed)
     if args.assert_range:
         lo, hi = args.assert_range
         if not lo <= stats.estimate <= hi:

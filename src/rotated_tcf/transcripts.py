@@ -1,12 +1,16 @@
 """Transcript records for protocol runs, JSON-lines persistence, CSV stats.
 
-All Z_q values are serialized as decimal strings so the files stay exact for
-any modulus (JSON numbers silently lose precision past 2^53).
+In memory a transcript holds its Z_q values as Python ints.  In JSON they
+are decimal strings, so the files stay exact for any modulus (JSON numbers
+silently lose precision past 2^53).  A line is the compact, key-sorted
+JSON of the record; `transcript_to_json` writes it in one formatting pass
+and `transcript_from_dict` checks every field of a loaded record.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -17,10 +21,10 @@ from .stats import Stats
 @dataclass(frozen=True)
 class Transcript:
     params_ref: str
-    pk: dict | None        # {"A": [[...]], "v": [...]} decimal strings, optional
-    ct: dict               # {"a": [...], "w": "..."}
-    y: list
-    u: list
+    pk: dict | None        # {"A": [[...]], "v": [...]} Z_q ints, optional
+    ct: dict               # {"a": [...], "w": ...} Z_q ints
+    y: list                # Z_q ints
+    u: list                # bits, 0 or 1
     b: int
     b_prime: int
     d: int
@@ -36,25 +40,21 @@ class Transcript:
             raise ValueError("success flag inconsistent with (d, d', b, b')")
 
 
-def _zq_list(v) -> list:
-    return list(map(str, np.asarray(v).tolist()))
-
-
-def _bit_list(v) -> list:
-    return np.asarray(v, dtype=np.int64).tolist()
+def _ints(v) -> list:
+    return np.asarray(v).tolist()
 
 
 def make_transcript(params, pk, ct, y, u, b, b_prime, d, d_prime, seed_info,
                     include_pk: bool = False) -> Transcript:
     pk_field = None
     if include_pk:
-        pk_field = {"A": [_zq_list(row) for row in pk.A], "v": _zq_list(pk.v)}
+        pk_field = {"A": _ints(pk.A), "v": _ints(pk.v)}
     return Transcript(
         params_ref=params.preset_name,
         pk=pk_field,
-        ct={"a": _zq_list(ct.a), "w": str(int(ct.w))},
-        y=_zq_list(y),
-        u=_bit_list(u),
+        ct={"a": _ints(ct.a), "w": int(ct.w)},
+        y=_ints(y),
+        u=_ints(u),
         b=int(b),
         b_prime=int(b_prime),
         d=int(d),
@@ -64,15 +64,103 @@ def make_transcript(params, pk, ct, y, u, b, b_prime, d, d_prime, seed_info,
     )
 
 
+# The keys in sorted order, as json.dumps(sort_keys=True) writes them.
+_LINE = ('{"b":%d,"b_prime":%d,"ct":{"a":%s,"w":"%d"},"d":%d,"d_prime":%d,'
+         '"params_ref":%s,"pk":%s,"seed_info":%s,"success":%s,"u":%s,'
+         '"y":%s}')
+
+
+@lru_cache(maxsize=64)
+def _array_template(n: int, quoted: bool) -> str:
+    """A JSON array of n "%d" fields, each in quotes when `quoted`."""
+    field = '"%d"' if quoted else "%d"
+    return "[" + ",".join([field] * n) + "]"
+
+
+def _array(values, quoted: bool = True) -> str:
+    return _array_template(len(values), quoted) % tuple(values)
+
+
 def transcript_to_json(t: Transcript) -> str:
-    return json.dumps(t.__dict__, separators=(",", ":"), sort_keys=True)
+    """The record's line: json.dumps of its fields, Z_q values as decimal
+    strings, with separators (",", ":") and sorted keys."""
+    pk = ("null" if t.pk is None else '{"A":[%s],"v":%s}'
+          % (",".join(map(_array, t.pk["A"])), _array(t.pk["v"])))
+    return _LINE % (t.b, t.b_prime, _array(t.ct["a"]), t.ct["w"], t.d,
+                    t.d_prime, json.dumps(t.params_ref), pk,
+                    json.dumps(t.seed_info),
+                    "true" if t.success else "false", _array(t.u, False),
+                    _array(t.y))
 
 
-def transcript_from_dict(obj: dict) -> Transcript:
-    try:
-        return Transcript(**obj)
-    except TypeError as exc:
-        raise ValueError(f"bad transcript fields: {exc}") from None
+_FIELDS = frozenset(f.name for f in fields(Transcript))
+
+
+def _zq(s) -> int:
+    """A Z_q value from its JSON form, a canonical decimal string."""
+    if isinstance(s, str) and s.isascii() and s.isdigit():
+        value = int(s)
+        if str(value) == s:
+            return value
+    raise ValueError(f"Z_q value {s!r} is not a canonical decimal string")
+
+
+def _bit(x) -> int:
+    # bool is an int subclass, and JSON's true is not the bit 1
+    if type(x) is int and x in (0, 1):
+        return x
+    raise ValueError(f"bit {x!r} is not the integer 0 or 1")
+
+
+def _array_of(v, parse=_zq) -> list:
+    if not isinstance(v, list):
+        raise ValueError(f"{v!r} is not an array")
+    return [parse(x) for x in v]
+
+
+def _record(obj, keys, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise ValueError(f"{what} is a {type(obj).__name__}, not an object")
+    if obj.keys() != keys:
+        raise ValueError(f"{what} has the keys {sorted(obj)}, not "
+                         f"{sorted(keys)}")
+    return obj
+
+
+def _public_key(obj) -> dict | None:
+    if obj is None:
+        return None
+    _record(obj, {"A", "v"}, "pk")
+    A = _array_of(obj["A"], _array_of)
+    v = _array_of(obj["v"])
+    if any(len(row) != len(A[0]) for row in A) or len(v) != len(A):
+        raise ValueError("pk.A is not a matrix with one row per entry of pk.v")
+    return {"A": A, "v": v}
+
+
+def transcript_from_dict(obj) -> Transcript:
+    """The Transcript a parsed JSON line records; ValueError unless every
+    field has the form transcript_to_json writes."""
+    _record(obj, _FIELDS, "transcript")
+    ct = _record(obj["ct"], {"a", "w"}, "ct")
+    for key in ("params_ref", "seed_info"):
+        if not isinstance(obj[key], str):
+            raise ValueError(f"{key} {obj[key]!r} is not a string")
+    if type(obj["success"]) is not bool:
+        raise ValueError(f"success {obj['success']!r} is not a bool")
+    return Transcript(
+        params_ref=obj["params_ref"],
+        pk=_public_key(obj["pk"]),
+        ct={"a": _array_of(ct["a"]), "w": _zq(ct["w"])},
+        y=_array_of(obj["y"]),
+        u=_array_of(obj["u"], _bit),
+        b=_bit(obj["b"]),
+        b_prime=_bit(obj["b_prime"]),
+        d=_bit(obj["d"]),
+        d_prime=_bit(obj["d_prime"]),
+        success=obj["success"],
+        seed_info=obj["seed_info"],
+    )
 
 
 def save_transcripts(path, transcripts: Iterable[Transcript]) -> int:

@@ -6,6 +6,9 @@ import pytest
 
 from rotated_tcf.cli import (ASSERT_EXIT, DEFAULT_SEED, USAGE_EXIT,
                              build_parser, main)
+from rotated_tcf.protocol_q import BaselineProver, run_experiment
+from rotated_tcf.sampling import RngStream
+from rotated_tcf.transcripts import load_transcripts, save_transcripts
 
 SEED = "3c" * 32
 
@@ -61,7 +64,7 @@ def test_poq_rejects_zero_trials():
     assert main(["poq", "--trials", "0"]) == USAGE_EXIT
 
 
-def test_poq_outputs(tmp_path, capsys):
+def test_poq_outputs(tmp_path, capsys, desk):
     csv = tmp_path / "stats.csv"
     jsonl = tmp_path / "t.jsonl"
     assert main(["poq", "--prover", "classical-baseline", "--trials", "20",
@@ -70,8 +73,14 @@ def test_poq_outputs(tmp_path, capsys):
     lines = csv.read_text().splitlines()
     assert lines[0].startswith("preset,prover,")
     assert lines[1].split(",")[1] == "classical-baseline"
-    from rotated_tcf.transcripts import load_transcripts
     assert len(list(load_transcripts(jsonl))) == 20
+    # written trial by trial, the file is what an in-process run saves
+    held = []
+    run_experiment(desk, BaselineProver(), 20,
+                   RngStream(SEED).derive("poq", "classical-baseline"),
+                   transcript_sink=held.append)
+    save_transcripts(tmp_path / "held.jsonl", held)
+    assert jsonl.read_bytes() == (tmp_path / "held.jsonl").read_bytes()
 
 
 def test_seed_validation_and_env_fallback(tmp_path, capsys, monkeypatch):
