@@ -94,13 +94,11 @@ def simulate_ghz_measurement(x_one: np.ndarray, x_zero: np.ndarray,
     return u, [PhaseQubit(q=params.q, units=k) for k in units.tolist()]
 
 
-def simulate_basis_measurement(x: np.ndarray, c, r_units: np.ndarray,
-                               params, streams):
+def simulate_basis_measurement(c, r_units: np.ndarray, params, streams):
     """Measuring each row's basis state |[x]>|c> in XY-plane bases, on its
     stream in the list `streams`: outcomes are uniform and carry no
-    information, the last qubit stays |c>.  Returns the stacked u and a
-    list of qubits."""
-    del x  # the outcome distribution does not depend on the basis string
+    information, whatever x is, and the last qubit stays |c>.  Returns the
+    stacked u and a list of qubits."""
     u = _outcomes(np.shape(r_units), streams)
     return u, [PhaseQubit(q=params.q, basis=b)
                for b in np.asarray(c).tolist()]

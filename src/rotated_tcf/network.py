@@ -33,7 +33,7 @@ from .protocol_q import (CHUNK, VerifierState, instance_state, prover_round1,
 # Not called here: perfbench/layers.py looks this name up on network.
 from .protocol_q import honest_prover_round1
 from .regev import Ciphertext, PublicKey
-from .sampling import RngStream, sample_bits
+from .sampling import RngStream
 from .stats import Stats
 from .wire import (PROTOCOL_VERSION, SMALL_FRAME_BYTES, WITNESS_LABEL,
                    WireError, decode_bits, decode_matrix, decode_vector,
@@ -254,7 +254,7 @@ def _session(conn, vstate: VerifierState, trial_stream: RngStream,
                                 "e": encode_vector(vstate.keypair.e)}
     _send(conn, "setup", setup)
     y, u = _receive(conn, "response1", params)
-    b_prime = int(sample_bits(1, trial_stream.derive("challenge"))[0])
+    b_prime = int(trial_stream.derive("challenge").gen.integers(0, 2))
     _send(conn, "challenge", {"b_prime": b_prime})
     d_prime = _receive(conn, "response2")
     transcript = verifier_score(vstate, y, u, b_prime, d_prime,

@@ -27,7 +27,7 @@ from .sampling import (RngStream, sample_bits, sample_box_stacked,
                        sample_uniform, seed_streams)
 from .stats import Stats
 from .trapdoor import TrapdoorPair, invert
-from .transcripts import Transcript, make_transcript
+from .transcripts import Transcript, accepts, make_transcript
 from .zq import bit_dot, bits_le_vec, matmul_mod
 
 
@@ -42,13 +42,18 @@ class VerifierState:
 @dataclass
 class ProverState:
     qubit: PhaseQubit
-    claw_case: str           # "two-preimage" or "single-preimage"
+
+    @property
+    def claw_case(self) -> str:
+        # the kept qubit is a basis state exactly when the claw has one
+        return ("two-preimage" if self.qubit.basis is None
+                else "single-preimage")
 
 
 def _bit_draws(params: Params, b_streams, f_streams):
     """Each instance's encrypted bit b and encryption randomness f,
-    stacked: b drawn from its stream of `b_streams` (sample_bits(1, .) as
-    its bare scalar draw), f from its stream of `f_streams`."""
+    stacked: b drawn from its stream of `b_streams`, f from its stream of
+    `f_streams`."""
     return (np.array([t.gen.integers(0, 2) for t in b_streams]),
             np.array([sample_bits(params.m, t) for t in f_streams]))
 
@@ -104,7 +109,7 @@ def _claw_measurements(two, ghz_args, basis_args, r_units, params: Params,
                        streams):
     """Each row's (u, kept qubit), each row measured on its stream:
     simulate_ghz_measurement on (x1, x0) = `ghz_args` where the claw has
-    two preimages (`two`), simulate_basis_measurement on (x, c) =
+    two preimages (`two`), simulate_basis_measurement on (c,) =
     `basis_args` where it has one.  Each case is one call for its rows.
     A stack with one case, as every stack of one is and nearly every desk
     stack, is measured whole, without the row copies and the merge that
@@ -151,15 +156,12 @@ def honest_prover_round1_stacked(params: Params, pk: PublicKey,
     two = (((g + (1 - 2 * cbit) * e + tau) % q).max(axis=-1) <= 2 * tau)
     x0 = (x - cbit * s) % q
     x1 = (x0 + s) % q
-    u, qubits = _claw_measurements(two, (x1, x0), (x, c),
+    u, qubits = _claw_measurements(two, (x1, x0), (c,),
                                    angle_sequence(ct.a, params), params,
                                    streams)
-    states = []
-    for qubit, w, is_two in zip(qubits, ct.w.tolist(), two.tolist()):
+    for qubit, w in zip(qubits, ct.w.tolist()):
         qubit.rotate_z(w)       # a no-op on a single-preimage basis state
-        states.append(ProverState(qubit=qubit, claw_case="two-preimage"
-                                  if is_two else "single-preimage"))
-    return states, (y, u)
+    return [ProverState(qubit=qubit) for qubit in qubits], (y, u)
 
 
 def _stack_of_one(pk: PublicKey, ct: Ciphertext, witness):
@@ -346,7 +348,7 @@ def _play_chunk(params: Params, prover, setup_streams, prover_streams,
     (the two-branch trapdoor inversion and the claw bits) is one stacked
     call.  Each instance draws what a lone instance draws on the same
     streams.  Returns the stacked verifier state and y, u, d', d and the
-    win mask (d ^ d') == (b & b') stacked."""
+    win mask, `accepts` of the stack."""
     vstate, (pk, ct) = verifier_round1_stacked(params, setup_streams)
     kp = vstate.keypair
     ys, us, d_primes = [], [], []
@@ -360,7 +362,7 @@ def _play_chunk(params: Params, prover, setup_streams, prover_streams,
     y, u, d_prime = np.stack(ys), np.stack(us), np.array(d_primes)
     d = decrypted_bit(kp.trapdoor, kp.pk.v, y, u)
     return (vstate, y, u, d_prime, d,
-            (d ^ d_prime) == (vstate.b & np.asarray(b_primes)))
+            accepts(vstate.b, np.asarray(b_primes), d, d_prime))
 
 
 def _trials(params: Params, prover, trial_streams, include_pk: bool,
@@ -375,7 +377,6 @@ def _trials(params: Params, prover, trial_streams, include_pk: bool,
     pstreams, cstreams = ([t.derive(label) for t in trial_streams]
                           for label in ("prover", "challenge"))
     seed_streams(cstreams + pstreams if prover.quantum else cstreams)
-    # each b' is sample_bits(1, c)[0], as its bare scalar draw
     b_primes = [int(c.gen.integers(0, 2)) for c in cstreams]
     vstate, y, u, d_prime, d, wins = _play_chunk(
         params, prover, [t.derive("verifier") for t in trial_streams],
@@ -444,7 +445,7 @@ def rewinding_experiment(variant: str, params: Params, prover,
     for i in range(trials):
         t = stream.derive("rewind", variant, i)
         vstate, (pk, ct) = verifier_round1(params, t)
-        b_prime = int(sample_bits(1, t.derive("challenge"))[0])
+        b_prime = int(t.derive("challenge").gen.integers(0, 2))
         if variant == "C''":
             # the same f encrypting 0: strip b * floor(q/4) from w
             ct = Ciphertext(a=ct.a, w=(ct.w - vstate.b * (params.q // 4))
@@ -457,12 +458,11 @@ def rewinding_experiment(variant: str, params: Params, prover,
             replay = t.derive("replay")
             votes = []
             for k in range(params.lam):
-                bk = int(sample_bits(1, replay.derive("bk", k))[0])
+                bk = int(replay.derive("bk", k).gen.integers(0, 2))
                 dk = int(prover.second_response(bk, p, replay.derive("dk", k)))
                 votes.append(dk ^ (vstate.b & bk))
             d = _maj(votes)
-        if (d ^ d_prime) == (vstate.b & b_prime):
-            wins += 1
+        wins += int(accepts(vstate.b, b_prime, d, d_prime))
     return Stats(successes=wins, trials=trials)
 
 

@@ -25,8 +25,9 @@ from .protocol_q import (PROVERS, ProverState, _play_chunk, decrypted_bit,
 # Not called here: perfbench/layers.py looks this name up on puzzle.
 from .protocol_q import honest_prover_round1
 from .regev import Ciphertext, PublicKey
-from .sampling import RngStream, sample_bits, seed_streams
+from .sampling import RngStream, seed_streams
 from .stats import Stats
+from .transcripts import accepts
 from .trapdoor import TrapdoorPair
 from .trapdoor import invert  # not called: perfbench/layers.py rebinds it
 
@@ -73,7 +74,7 @@ def puzzle_V(p: Puzzle, k: PuzzleKey, o: Obligation, b_prime: int,
     """The verdict, a bool: d xor d' == b and b', with d decrypted through
     the trapdoor."""
     d = decrypted_bit(k.trapdoor, p.pk.v, o.y, o.u)
-    return (d ^ d_prime) == (k.b & b_prime)
+    return accepts(k.b, b_prime, d, d_prime)
 
 
 def _solver(solver: str):
@@ -114,7 +115,7 @@ def verified_count(params: Params, ell: int, stream: RngStream,
     Instance i plays on stream.derive("instance", i), CHUNK at a time."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
-    b_prime = int(sample_bits(1, stream.derive("challenge"))[0])
+    b_prime = int(stream.derive("challenge").gen.integers(0, 2))
     return sum(_verified(params, [stream.derive("instance", i)
                                   for i in range(start,
                                                  min(start + CHUNK, ell))],

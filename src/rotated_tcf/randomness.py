@@ -80,7 +80,13 @@ WARN_HMIN_FLOOR = 0.05
 class ScoreEntropyReport:
     stats: Stats
     entropy: EntropyEstimate
-    warning: bool
+
+    @property
+    def warning(self) -> bool:
+        """Success well above 3/4 with h_min near 0: sound classical
+        strategies never show it."""
+        return (self.stats.estimate - 0.75 > WARN_SCORE_MARGIN
+                and self.entropy.h_min < WARN_HMIN_FLOOR)
 
     def lines(self) -> list[str]:
         out = [
@@ -99,20 +105,10 @@ class ScoreEntropyReport:
         return out
 
 
-def warning_rule(stats: Stats, entropy: EntropyEstimate) -> bool:
-    return (stats.estimate - 0.75 > WARN_SCORE_MARGIN
-            and entropy.h_min < WARN_HMIN_FLOOR)
-
-
-def build_report(stats: Stats, entropy: EntropyEstimate) -> ScoreEntropyReport:
-    return ScoreEntropyReport(stats=stats, entropy=entropy,
-                              warning=warning_rule(stats, entropy))
-
-
 def score_entropy_report(prover, params: Params, trials: int,
                          stream: RngStream, contexts: int = 50,
                          replays: int = 100) -> ScoreEntropyReport:
     stats = run_experiment(params, prover, trials, stream.derive("score"))
     entropy = estimate_minentropy(prover, params, contexts, replays,
                                   stream.derive("entropy"))
-    return build_report(stats, entropy)
+    return ScoreEntropyReport(stats=stats, entropy=entropy)

@@ -146,7 +146,7 @@ def distinguishing_game(params: Params, adversary, trials: int,
     for i in range(trials):
         trial = stream.derive("ind", i)
         kp = gen(params, trial.derive("key"))
-        b = int(sample_bits(1, trial.derive("b"))[0])
+        b = int(trial.derive("b").gen.integers(0, 2))
         plaintext = b if mode == "real-b" else 0
         ct = encrypt_bit(kp.pk, plaintext,
                          sample_bits(params.m, trial.derive("f")))

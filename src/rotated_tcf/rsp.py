@@ -44,9 +44,12 @@ class ClientState:
 
 @dataclass(frozen=True)
 class RspOutcome:
-    aborted: bool
-    b: int | None = None
+    b: int | None = None            # None when the client aborted
     target: PhaseQubit | None = None
+
+    @property
+    def aborted(self) -> bool:
+        return self.b is None
 
 
 def rsp_client_round1(params: Params, alpha: int, stream: RngStream,
@@ -97,10 +100,10 @@ def rsp_client_finish(state: ClientState, y: np.ndarray,
     found = find_preimage(kp.trapdoor, np.stack([y, (y + kp.pk.v) % p.q]),
                           p.tau)
     if found is None:
-        return RspOutcome(aborted=True)
+        return RspOutcome()
     b = claw_bit(found[0], u, p.Q)
     target = PhaseQubit(q=p.q, units=(2 * state.alpha + p.q * b) % (2 * p.q))
-    return RspOutcome(aborted=False, b=b, target=target)
+    return RspOutcome(b=b, target=target)
 
 
 def trace_distance(q1: PhaseQubit, q2: PhaseQubit) -> float:

@@ -169,11 +169,11 @@ def fill_bits(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
     returns the top bit of one 32-bit half-word per entry, and PCG64 deals
     each 64-bit word's halves low first, keeping the high one buffered
     (`has_uint32`) for the next 32-bit draw.  So entries 2j and 2j + 1 of a
-    run read from raw words are bits 31 and 63 of word j.  A lone entry,
-    one that starts from a buffered half-word, and an odd last entry are
-    scalar draws, which take one half-word each."""
+    run read from raw words are bits 31 and 63 of word j.  An entry that
+    starts from a buffered half-word, and an odd last entry (a lone entry
+    included), are scalar draws, which take one half-word each."""
     start, stop = 0, len(out)
-    if stop == 1 or gen.bit_generator.state["has_uint32"]:
+    if gen.bit_generator.state["has_uint32"]:
         out[0] = gen.integers(0, 2)
         start = 1
     stop -= (stop - start) % 2

@@ -29,15 +29,17 @@ class Transcript:
     b_prime: int
     d: int
     d_prime: int
-    success: bool
     seed_info: str
 
-    def recompute_success(self) -> bool:
-        return (self.d ^ self.d_prime) == (self.b & self.b_prime)
+    @property
+    def success(self) -> bool:
+        return accepts(self.b, self.b_prime, self.d, self.d_prime)
 
-    def __post_init__(self):
-        if self.success != self.recompute_success():
-            raise ValueError("success flag inconsistent with (d, d', b, b')")
+
+def accepts(b, b_prime, d, d_prime):
+    """The verifier's rule: a trial is won exactly when d xor d' = b b'.
+    Elementwise, so stacked arrays give one verdict per instance."""
+    return (d ^ d_prime) == (b & b_prime)
 
 
 def _ints(v) -> list:
@@ -59,7 +61,6 @@ def make_transcript(params, pk, ct, y, u, b, b_prime, d, d_prime, seed_info,
         b_prime=int(b_prime),
         d=int(d),
         d_prime=int(d_prime),
-        success=bool((int(d) ^ int(d_prime)) == (int(b) & int(b_prime))),
         seed_info=seed_info,
     )
 
@@ -93,7 +94,7 @@ def transcript_to_json(t: Transcript) -> str:
                     _array(t.y))
 
 
-_FIELDS = frozenset(f.name for f in fields(Transcript))
+_FIELDS = frozenset(f.name for f in fields(Transcript)) | {"success"}
 
 
 def _zq(s) -> int:
@@ -148,7 +149,7 @@ def transcript_from_dict(obj) -> Transcript:
             raise ValueError(f"{key} {obj[key]!r} is not a string")
     if type(obj["success"]) is not bool:
         raise ValueError(f"success {obj['success']!r} is not a bool")
-    return Transcript(
+    t = Transcript(
         params_ref=obj["params_ref"],
         pk=_public_key(obj["pk"]),
         ct={"a": _array_of(ct["a"]), "w": _zq(ct["w"])},
@@ -158,9 +159,11 @@ def transcript_from_dict(obj) -> Transcript:
         b_prime=_bit(obj["b_prime"]),
         d=_bit(obj["d"]),
         d_prime=_bit(obj["d_prime"]),
-        success=obj["success"],
         seed_info=obj["seed_info"],
     )
+    if obj["success"] != t.success:
+        raise ValueError("success flag inconsistent with (d, d', b, b')")
+    return t
 
 
 def save_transcripts(path, transcripts: Iterable[Transcript]) -> int:

@@ -1,8 +1,8 @@
 """Framed wire format for the networked verifier/prover sessions.
 
 A frame is a 4-byte big-endian length, then a body of that many bytes.
-The body is a JSON envelope, ASCII only, that holds the message's type,
-version and scalar fields, followed by its sections: the bytes of each
+The body is a JSON envelope, ASCII only, that holds the message's type
+and scalar fields, followed by its sections: the bytes of each
 Z_q vector or matrix, as little-endian int64 entries, row-major, back to
 back.  In the envelope, an array's field holds the marker
 {"section": k}, and the top-level "sections" lists each section's length
@@ -117,8 +117,7 @@ def frame_cap(*array_entries: int, bits: int = 0) -> int:
 def make_message(msg_type: str, payload: dict) -> dict:
     if msg_type not in MESSAGE_TYPES:
         raise WireError(f"unknown message type {msg_type!r}")
-    return {"type": msg_type, "protocol_version": PROTOCOL_VERSION,
-            "payload": payload}
+    return {"type": msg_type, "payload": payload}
 
 
 def _marked(obj, sections: list, inside_witness: bool = False):

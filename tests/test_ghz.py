@@ -96,8 +96,7 @@ def test_measure_xy_basis_state_is_fair_coin(stream):
 def test_simulate_basis_measurement(stream):
     p = tiny_params(2, 13)
     r = angle_sequence(np.array([1, 2], dtype=np.int64), p)
-    x = np.array([5, 6], dtype=np.int64)
-    u, (qb,) = simulate_basis_measurement(x[None], [1], r[None], p, [stream])
+    u, (qb,) = simulate_basis_measurement([1], r[None], p, [stream])
     assert u.shape == (1, p.nQ)
     assert set(np.unique(u)) <= {0, 1}
     assert qb.basis == 1
@@ -217,7 +216,7 @@ def test_stacked_calls_equal_one_dimensional_calls(stream, desk):
     u, kept = simulate_ghz_measurement(
         x_one, x_zero, r, p, [stream.derive("ghz", i) for i in range(5)])
     u_b, kept_b = simulate_basis_measurement(
-        x_one, c, r, p, [stream.derive("basis", i) for i in range(5)])
+        c, r, p, [stream.derive("basis", i) for i in range(5)])
     for i in range(5):
         row = slice(i, i + 1)
         (u_i,), (qubit,) = simulate_ghz_measurement(
@@ -226,7 +225,7 @@ def test_stacked_calls_equal_one_dimensional_calls(stream, desk):
         assert predicted_phase_units(x_one[i], x_zero[i], r[i], u_i, p) \
             == qubit.units
         (u_i,), (qubit,) = simulate_basis_measurement(
-            x_one[row], c[row], r[row], p, [stream.derive("basis", i)])
+            c[row], r[row], p, [stream.derive("basis", i)])
         assert u_b[i].tolist() == u_i.tolist() and kept_b[i] == qubit
     assert predicted_phase_units(x_one, x_zero, r, u, p).tolist() == \
         [qubit.units for qubit in kept]

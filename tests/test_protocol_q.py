@@ -17,8 +17,9 @@ from rotated_tcf.protocol_q import (CHUNK, PROVERS, BaselineProver,
                                     run_single_trial, verifier_round1,
                                     verifier_score)
 from rotated_tcf.regev import instance
-from rotated_tcf.sampling import sample_uniform, seed_streams
-from rotated_tcf.zq import bit_dot, bits_le_vec, matmul_mod
+from rotated_tcf.sampling import (sample_box_stacked, sample_uniform,
+                                  seed_streams)
+from rotated_tcf.zq import bit_dot, bits_le_vec, centered_abs, matmul_mod
 
 
 def test_verifier_round1_encrypts_its_bit(stream, desk):
@@ -66,6 +67,26 @@ def test_stacked_prover_turn_equals_one_instance_turns(stream, request,
         cases.add(state.claw_case)
     if preset == "mixed":
         assert cases == {"two-preimage", "single-preimage"}
+
+
+def test_claw_case_is_the_two_preimage_mask(stream, mixed):
+    """At MIXED each state's claw case is whether |g + e| (c = 0) or
+    |g - e| (c = 1) stays within tau, from x, c and g drawn again on a
+    twin of the instance's prover stream; both cases occur."""
+    p = mixed
+    pk, ct, (s, e), streams = _stacked_instances(p, stream, 2 * CHUNK)
+    states, _ = honest_prover_round1_stacked(p, pk, ct, (s, e), streams)
+    want = []
+    for i in range(len(streams)):
+        twin = stream.derive("p", i)
+        sample_uniform(p.n, p.q, twin)
+        c = int(twin.gen.integers(0, 2))
+        (g,) = sample_box_stacked(p.m, p.tau_floor, p.q, [twin])
+        z = centered_abs((g + (1 - 2 * c) * e[i]) % p.q, p.q)
+        want.append("two-preimage" if z.max() <= p.tau
+                    else "single-preimage")
+    assert [state.claw_case for state in states] == want
+    assert set(want) == {"two-preimage", "single-preimage"}
 
 
 def test_stacked_prover_refuses_one_inconsistent_row(stream, desk):

@@ -4,9 +4,8 @@ import pytest
 
 from rotated_tcf.protocol_q import (BaselineProver, HonestQuantumProver,
                                     RandomProver)
-from rotated_tcf.randomness import (EntropyEstimate, build_report,
-                                    estimate_minentropy, score_entropy_report,
-                                    warning_rule)
+from rotated_tcf.randomness import (EntropyEstimate, ScoreEntropyReport,
+                                    estimate_minentropy, score_entropy_report)
 from rotated_tcf.stats import Stats
 
 
@@ -57,17 +56,18 @@ def _flat_entropy(p):
 
 def test_warning_rule_fires_on_impossible_combination():
     # success 0.80 with no fresh second-round randomness: excluded classically
-    assert warning_rule(Stats(1600, 2000), _flat_entropy(1.0))
-    report = build_report(Stats(1600, 2000), _flat_entropy(1.0))
+    report = ScoreEntropyReport(Stats(1600, 2000), _flat_entropy(1.0))
     assert report.warning
     assert any("WARNING" in line for line in report.lines())
 
 
 def test_warning_rule_quiet_for_sound_strategies():
     # deterministic baseline: high guessing prob but only 3/4 success
-    assert not warning_rule(Stats(1500, 2000), _flat_entropy(1.0))
+    assert not ScoreEntropyReport(Stats(1500, 2000),
+                                  _flat_entropy(1.0)).warning
     # strong success with plenty of entropy is the honest quantum profile
-    assert not warning_rule(Stats(1707, 2000), _flat_entropy(0.55))
+    assert not ScoreEntropyReport(Stats(1707, 2000),
+                                  _flat_entropy(0.55)).warning
 
 
 def test_score_entropy_report_baseline(stream, desk):

@@ -10,6 +10,7 @@ from rotated_tcf.rsp import (blindness_sampler, rsp_client_finish,
                              run_rsp_experiment, run_rsp_once,
                              trace_distance)
 from rotated_tcf.sampling import sample_uniform
+from rotated_tcf.trapdoor import find_preimage
 from rotated_tcf.zq import matmul_mod
 
 
@@ -105,6 +106,26 @@ def test_finish_aborts_on_garbage_image(stream, desk):
     state, _ = rsp_client_round1(desk, 5, stream.derive("c"))
     y = sample_uniform(desk.m, desk.q, stream.derive("y"))
     assert rsp_client_finish(state, y, np.zeros(desk.nQ, dtype=np.int64)).aborted
+
+
+def test_aborted_exactly_when_no_preimage(stream, desk):
+    """RspOutcome.aborted holds exactly when find_preimage finds no
+    preimage pair for y, over honest images and uniform ones."""
+    seen = set()
+    for i in range(6):
+        state, msg = rsp_client_round1(desk, 7 * i, stream.derive("c", i))
+        kp = state.keypair
+        (y, u), _ = rsp_server_round(desk, msg, (kp.s, kp.e),
+                                     stream.derive("s", i))
+        if i % 2:
+            y = sample_uniform(desk.m, desk.q, stream.derive("y", i))
+        found = find_preimage(kp.trapdoor,
+                              np.stack([y, (y + kp.pk.v) % desk.q]), desk.tau)
+        outcome = rsp_client_finish(state, y, u)
+        assert outcome.aborted == (found is None)
+        assert (outcome.b is None) == (outcome.target is None)
+        seen.add(outcome.aborted)
+    assert seen == {True, False}
 
 
 def test_server_round_checks_witness(stream, desk):

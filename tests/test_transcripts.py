@@ -8,9 +8,10 @@ import pytest
 from rotated_tcf.protocol_q import (BaselineProver, HonestQuantumProver,
                                     run_experiment)
 from rotated_tcf.stats import Stats
-from rotated_tcf.transcripts import (CSV_HEADER, Transcript, load_transcripts,
-                                     make_transcript, save_transcripts,
-                                     stats_csv_row, transcript_from_dict,
+from rotated_tcf.transcripts import (CSV_HEADER, Transcript, accepts,
+                                     load_transcripts, make_transcript,
+                                     save_transcripts, stats_csv_row,
+                                     transcript_from_dict,
                                      transcript_to_json)
 
 
@@ -47,12 +48,33 @@ def test_json_is_exact_for_large_moduli(stream, desk):
     assert transcript_from_dict(obj) == t
 
 
-def test_success_flag_is_checked():
-    base = dict(params_ref="x", pk=None, ct={"a": [], "w": 0}, y=[], u=[],
-                b=1, b_prime=1, d=0, d_prime=0, seed_info="")
-    Transcript(**base, success=False)
-    with pytest.raises(ValueError):
-        Transcript(**base, success=True)
+BITS = [(b, b_prime, d, d_prime) for b in (0, 1) for b_prime in (0, 1)
+        for d in (0, 1) for d_prime in (0, 1)]
+
+
+def test_accepts_is_the_papers_rule():
+    """accepts(b, b', d, d') is d xor d' = b b' on all 16 bit patterns,
+    on ints and elementwise on one stacked array of each."""
+    want = [(d + d_prime) % 2 == b * b_prime for b, b_prime, d, d_prime
+            in BITS]
+    assert [accepts(*bits) for bits in BITS] == want
+    stacked = accepts(*np.array(BITS, dtype=np.int64).T)
+    assert stacked.shape == (16,) and stacked.tolist() == want
+
+
+def test_success_flag_is_checked(tmp_path):
+    """The verdict is derived, not stored; a loaded line's flag must agree
+    with its (b, b', d, d')."""
+    with pytest.raises(TypeError):
+        Transcript(params_ref="x", pk=None, ct={"a": [], "w": 0}, y=[],
+                   u=[], b=1, b_prime=1, d=0, d_prime=0, seed_info="",
+                   success=False)
+    good = _valid_record()
+    path = tmp_path / "t.jsonl"
+    path.write_text(json.dumps({**good, "success": not good["success"]})
+                    + "\n")
+    with pytest.raises(ValueError, match=":1: .*success flag inconsistent"):
+        list(load_transcripts(path))
 
 
 def test_tampered_line_detected(tmp_path, stream, desk):
@@ -101,7 +123,7 @@ def _reference_json(t: Transcript) -> str:
     def decimal(values):
         return list(map(str, values))
     obj = dict(vars(t), ct={"a": decimal(t.ct["a"]), "w": str(t.ct["w"])},
-               y=decimal(t.y))
+               y=decimal(t.y), success=t.success)
     if t.pk is not None:
         obj["pk"] = {"A": [decimal(row) for row in t.pk["A"]],
                      "v": decimal(t.pk["v"])}
@@ -142,14 +164,14 @@ def test_writer_matches_json_dumps_at_61_bits():
 def test_writer_escapes_free_text(text):
     t = Transcript(params_ref=text, pk={"A": [], "v": []},
                    ct={"a": [], "w": 0}, y=[], u=[], b=0, b_prime=1, d=1,
-                   d_prime=1, success=True, seed_info=text[::-1])
+                   d_prime=1, seed_info=text[::-1])
     _assert_written_exactly(t)
 
 
 def _valid_record() -> dict:
     t = Transcript(params_ref="desk", pk={"A": [[1, 2], [3, 4]], "v": [5, 6]},
                    ct={"a": [7, 8], "w": 9}, y=[10, 11], u=[0, 1], b=1,
-                   b_prime=1, d=0, d_prime=1, success=True, seed_info="ab")
+                   b_prime=1, d=0, d_prime=1, seed_info="ab")
     return json.loads(transcript_to_json(t))
 
 

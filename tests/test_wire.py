@@ -169,9 +169,18 @@ def test_frame_roundtrip():
     (length,) = struct.unpack(">I", frame[:4])
     assert length == len(frame) - 4
     assert parse_frame(frame[4:]) == msg
-    assert msg["protocol_version"] == PROTOCOL_VERSION
     # a frame without arrays is plain JSON, with no section table
     assert json.loads(frame[4:]) == msg
+
+
+def test_envelope_version_is_optional():
+    """The hello carries the version; a peer whose envelopes still hold
+    protocol_version parses as one whose envelopes do not."""
+    msg = make_message("challenge", {"b_prime": 1})
+    assert "protocol_version" not in msg
+    with_version = dict(msg, protocol_version=PROTOCOL_VERSION)
+    for sent in (msg, with_version):
+        assert parse_frame(json.dumps(sent).encode()) == sent
 
 
 def test_frame_layout_is_an_envelope_then_the_sections():
