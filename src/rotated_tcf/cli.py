@@ -20,11 +20,11 @@ import numpy as np
 from . import params as params_mod
 from . import protocol_q, puzzle, randomness, rsp
 from .network import (SessionError, open_server_socket, prover_session,
-                      serve_verifier)
+                      serve_sessions)
 from .protocol_q import PROVERS
 from .sampling import RngStream
-from .transcripts import (CSV_HEADER, save_transcripts, stats_csv_row,
-                          transcript_to_json)
+from .stats import Stats
+from .transcripts import CSV_HEADER, stats_csv_row, transcript_to_json
 
 DEFAULT_SEED = "8b9d5d0a" * 8
 
@@ -154,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write_outputs(args, params, prover_name, stats, seed, transcripts=None):
+def _write_outputs(args, params, prover_name, stats, seed):
     if args.out:
         new = not os.path.exists(args.out)
         with open(args.out, "a") as fh:
@@ -162,8 +162,14 @@ def _write_outputs(args, params, prover_name, stats, seed, transcripts=None):
                 fh.write(CSV_HEADER + "\n")
             fh.write(stats_csv_row(params.preset_name, prover_name, stats,
                                    seed) + "\n")
-    if transcripts is not None and args.emit_transcripts:
-        save_transcripts(args.emit_transcripts, transcripts)
+
+
+def _transcript_file(args):
+    """The --emit-transcripts file, open for writing, or a context of None
+    without it; each transcript line goes in as its trial ends, none
+    kept."""
+    return (open(args.emit_transcripts, "w") if args.emit_transcripts
+            else contextlib.nullcontext())
 
 
 def cmd_params(args) -> int:
@@ -177,9 +183,7 @@ def cmd_poq(args) -> int:
     seed = _resolve_seed(args.seed)
     stream = RngStream(seed).derive("poq", args.prover)
     prover = PROVERS[args.prover]()
-    # each transcript is written as its trial completes, none kept
-    with (open(args.emit_transcripts, "w") if args.emit_transcripts
-          else contextlib.nullcontext()) as fh:
+    with _transcript_file(args) as fh:
         sink = (None if fh is None else
                 lambda t: fh.write(transcript_to_json(t) + "\n"))
         stats = protocol_q.run_experiment(params, prover, args.trials, stream,
@@ -241,20 +245,25 @@ def cmd_serve(args) -> int:
     params = _resolve_params(args)
     seed = _resolve_seed(args.seed)
     stream = RngStream(seed).derive("network")
-    with open_server_socket(args.host, args.port) as srv:
+    wins, failed = 0, Counter()
+    with _transcript_file(args) as fh, \
+            open_server_socket(args.host, args.port) as srv:
         host, port = srv.getsockname()
         print(f"verifier listening on {host}:{port} for {args.sessions} "
               "sessions")
-        stats, transcripts = serve_verifier(
-            srv, params, stream, args.sessions,
-            witness_channel=args.witness_channel)
-    failed = Counter(t.code for t in transcripts
-                     if isinstance(t, SessionError))
+        for result in serve_sessions(srv, params, stream, args.sessions,
+                                     witness_channel=args.witness_channel):
+            if isinstance(result, SessionError):
+                failed[result.code] += 1
+                continue
+            wins += result.success
+            if fh is not None:
+                fh.write(transcript_to_json(result) + "\n")
+    stats = Stats(successes=wins, trials=args.sessions)
     print(f"sessions complete: {stats.summary()}")
     for code, count in sorted(failed.items()):
         print(f"sessions failed ({code}): {count}")
-    _write_outputs(args, params, "network-verifier", stats, seed,
-                   [t for t in transcripts if not isinstance(t, SessionError)])
+    _write_outputs(args, params, "network-verifier", stats, seed)
     return 1 if failed else 0
 
 

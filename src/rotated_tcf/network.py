@@ -10,9 +10,10 @@ in-process transcripts bit for bit.
 Each frame is read by `_receive`, through its type's one decoder, and
 refused unread if its header announces more than its type's cap.  A
 session that fails raises SessionError with its error frame's code.
-`serve_verifier` sets up the verifier's keys for each chunk of
+`serve_sessions` sets up the verifier's keys for each chunk of
 `protocol_q.CHUNK` sessions in one stacked call, made once the chunk's
-first connection is accepted; each session plays on its own instance.
+first connection is accepted; each session plays on its own instance,
+and its result is yielded as it ends.
 
 The honest quantum prover only exists as a simulation, which needs the
 key-side witness (s, e).  The prover's hello says whether it needs it; a
@@ -272,17 +273,16 @@ def verifier_session(conn, params: Params, trial_stream: RngStream,
 
 
 def _serve_chunk(server_sock, params: Params, trial_streams,
-                 witness_channel: bool, timeout: float) -> list:
+                 witness_channel: bool, timeout: float):
     """The sessions on `trial_streams`, one accepted connection each, in
-    order; returns their transcripts, a failed session's SessionError in
-    its place: the next session plays the next instance.  The verifier's
-    keys for all of them are one verifier_round1_stacked call, made only
-    once the first connection is accepted: the client shares this
-    process's interpreter lock in a loopback run, and a set-up made before
-    it would hold up the client's read of the previous session's result.
-    A call of its own, so that one chunk's keys are freed before the next
-    chunk's are drawn."""
-    transcripts = []
+    order; yields each one's transcript, or a failed session's
+    SessionError, once its connection is closed: the next session plays
+    the next instance.  The verifier's keys for all of them are one
+    verifier_round1_stacked call, made only once the first connection is
+    accepted: the client shares this process's interpreter lock in a
+    loopback run, and a set-up made before it would hold up the client's
+    read of the previous session's result.  A generator of its own, so
+    that one chunk's keys are freed before the next chunk's are drawn."""
     for i, trial_stream in enumerate(trial_streams):
         conn, _ = server_sock.accept()
         with conn:
@@ -291,28 +291,37 @@ def _serve_chunk(server_sock, params: Params, trial_streams,
                 vstate, _ = verifier_round1_stacked(
                     params, [t.derive("verifier") for t in trial_streams])
             try:
-                transcripts.append(_session(conn, instance_state(vstate, i),
-                                            trial_stream, witness_channel))
+                result = _session(conn, instance_state(vstate, i),
+                                  trial_stream, witness_channel)
             except SessionError as exc:
-                transcripts.append(exc)
-    return transcripts
+                result = exc
+        yield result
+
+
+def serve_sessions(server_sock, params: Params, stream: RngStream,
+                   sessions: int, witness_channel: bool = False,
+                   timeout: float = DEFAULT_TIMEOUT):
+    """Accept `sessions` connections in order, and yield each session's
+    Transcript, or its SessionError, as the session ends; session i uses
+    the stream derive('trial', i), and its transcript is what
+    verifier_session gives on that stream.  Sessions are served CHUNK at
+    a time, each chunk's keys set up in one stacked call."""
+    for start in range(0, sessions, CHUNK):
+        yield from _serve_chunk(
+            server_sock, params,
+            [stream.derive("trial", i)
+             for i in range(start, min(start + CHUNK, sessions))],
+            witness_channel, timeout)
 
 
 def serve_verifier(server_sock, params: Params, stream: RngStream,
                    sessions: int, witness_channel: bool = False,
                    timeout: float = DEFAULT_TIMEOUT):
-    """Accept `sessions` connections in order; session i uses the stream
-    derive('trial', i), and each transcript is what verifier_session gives
-    on that stream.  Sessions are served CHUNK at a time, each chunk's keys
-    set up in one stacked call.  Returns (Stats, transcripts): a failed
-    session counts as a loss, and its slot holds its SessionError."""
-    transcripts = []
-    for start in range(0, sessions, CHUNK):
-        transcripts += _serve_chunk(
-            server_sock, params,
-            [stream.derive("trial", i)
-             for i in range(start, min(start + CHUNK, sessions))],
-            witness_channel, timeout)
+    """serve_sessions run to its end.  Returns (Stats, transcripts): a
+    failed session counts as a loss, and its slot holds its
+    SessionError."""
+    transcripts = list(serve_sessions(server_sock, params, stream, sessions,
+                                      witness_channel, timeout))
     wins = sum(int(t.success) for t in transcripts
                if not isinstance(t, SessionError))
     return Stats(successes=wins, trials=sessions), transcripts

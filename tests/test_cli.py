@@ -6,6 +6,8 @@ import pytest
 
 from rotated_tcf.cli import (ASSERT_EXIT, DEFAULT_SEED, USAGE_EXIT,
                              build_parser, main)
+from rotated_tcf.network import (connect_prover, open_server_socket,
+                                 serve_verifier)
 from rotated_tcf.protocol_q import BaselineProver, run_experiment
 from rotated_tcf.sampling import RngStream
 from rotated_tcf.transcripts import load_transcripts, save_transcripts
@@ -213,18 +215,20 @@ def test_config_null_leaves_the_flag_out(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
 
 
-def test_serve_and_connect_commands(capsys):
+def test_serve_and_connect_commands(tmp_path, capsys, desk):
     import socket
     import time
     srv = socket.socket()
     srv.bind(("127.0.0.1", 0))
     port = srv.getsockname()[1]
     srv.close()
+    emitted = tmp_path / "t.jsonl"
     codes = {}
 
     def run_server():
         codes["serve"] = main(["serve", "--port", str(port), "--sessions",
-                               "3", "--seed", SEED])
+                               "3", "--seed", SEED, "--emit-transcripts",
+                               str(emitted)])
 
     t = threading.Thread(target=run_server)
     t.start()
@@ -243,6 +247,20 @@ def test_serve_and_connect_commands(capsys):
     out = capsys.readouterr().out
     assert "sessions complete" in out
     assert "classical-baseline: " in out
+    # written session by session, the file is what serve_verifier's list
+    # saves at the same seed
+    network = RngStream(SEED).derive("network")
+    box = {}
+    with open_server_socket("127.0.0.1", 0) as ref:
+        t = threading.Thread(target=lambda: box.update(
+            result=serve_verifier(ref, desk, network, 3)), daemon=True)
+        t.start()
+        connect_prover("127.0.0.1", ref.getsockname()[1], BaselineProver(),
+                       network, 3, timeout=10)
+        t.join(timeout=60)
+    assert not t.is_alive()
+    save_transcripts(tmp_path / "held.jsonl", box["result"][1])
+    assert emitted.read_bytes() == (tmp_path / "held.jsonl").read_bytes()
 
 
 def test_failed_session_is_reported_not_raised(tmp_path, capsys):

@@ -116,6 +116,38 @@ class _CountingListener:
         return pair
 
 
+def test_serve_sessions_yields_each_session_as_it_ends(stream, desk):
+    """serve_sessions yields session 0's transcript before it accepts a
+    second connection, and each session it yields is the in-process
+    transcript of its trial."""
+    net = stream.derive("net")
+    results = []
+
+    def client(i):
+        return _Daemon(lambda: results.append(prover_session(
+            "127.0.0.1", port, BaselineProver(), net.derive("trial", i),
+            timeout=10)))
+
+    with open_server_socket("127.0.0.1", 0) as srv:
+        srv.settimeout(JOIN_SECONDS)    # an accept with no client fails
+        port = srv.getsockname()[1]
+        listener = _CountingListener(srv)
+        sessions = network.serve_sessions(listener, desk, net, 2)
+        first = client(0)
+        served = [next(sessions)]
+        assert listener.accepted == 1
+        first.join()
+        second = client(1)
+        served += list(sessions)
+        second.join()
+    assert listener.accepted == 2
+    local = [run_single_trial(desk, BaselineProver(), net.derive("trial", i))
+             for i in range(2)]
+    assert [transcript_to_json(t) for t in served] == \
+           [transcript_to_json(t) for t in local]
+    assert [r["success"] for r in results] == [t.success for t in local]
+
+
 def test_serve_sets_up_each_chunk_once_after_its_first_accept(
         stream, desk, monkeypatch):
     """33 sessions make three stacked key set-ups, over the verifier
