@@ -36,6 +36,7 @@ from .protocol_q import honest_prover_round1
 from .regev import Ciphertext, PublicKey
 from .sampling import RngStream
 from .stats import Stats
+from .transcripts import _decimal
 from .wire import (PROTOCOL_VERSION, SMALL_FRAME_BYTES, WITNESS_LABEL,
                    WireError, decode_bits, decode_matrix, decode_vector,
                    encode_bits, encode_matrix, encode_vector, frame_cap,
@@ -115,16 +116,6 @@ def _number(value, kinds: tuple):
         names = " or ".join(k.__name__ for k in kinds)
         raise WireError(f"expected a JSON {names}, got {value!r:.40}")
     return value
-
-
-def _decimal(text, bound: int) -> int:
-    """An integer in [0, bound) sent as a canonical decimal string."""
-    if (not isinstance(text, str) or len(text) > len(str(bound))
-            or not (text.isascii() and text.isdigit())
-            or str(int(text)) != text or int(text) >= bound):
-        raise WireError(f"expected a decimal string in [0, {bound})"
-                        f", got {text!r:.40}")
-    return int(text)
 
 
 def _bit(payload: dict, key: str) -> int:

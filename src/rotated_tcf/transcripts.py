@@ -4,13 +4,16 @@ In memory a transcript holds its Z_q values as Python ints.  In JSON they
 are decimal strings, so the files stay exact for any modulus (JSON numbers
 silently lose precision past 2^53).  A line is the compact, key-sorted
 JSON of the record; `transcript_to_json` writes it in one formatting pass
-and `transcript_from_dict` checks every field of a loaded record.
+and `transcript_from_dict` checks every field of a loaded record against
+the run's Params: its form, each array's length and each value's range.
+The verdict `success` is not stored: it is `accepts` of the record's bits,
+and a line carries it for readers of the file.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -97,13 +100,15 @@ def transcript_to_json(t: Transcript) -> str:
 _FIELDS = frozenset(f.name for f in fields(Transcript)) | {"success"}
 
 
-def _zq(s) -> int:
-    """A Z_q value from its JSON form, a canonical decimal string."""
-    if isinstance(s, str) and s.isascii() and s.isdigit():
-        value = int(s)
-        if str(value) == s:
-            return value
-    raise ValueError(f"Z_q value {s!r} is not a canonical decimal string")
+def _decimal(text, bound: int) -> int:
+    """An integer in [0, bound) written as a canonical decimal string: a
+    Z_q value as a transcript line or a peer's frame holds it."""
+    if (not isinstance(text, str) or len(text) > len(str(bound))
+            or not (text.isascii() and text.isdigit())
+            or str(int(text)) != text or int(text) >= bound):
+        raise ValueError(f"expected a decimal string in [0, {bound})"
+                         f", got {text!r:.40}")
+    return int(text)
 
 
 def _bit(x) -> int:
@@ -113,9 +118,11 @@ def _bit(x) -> int:
     raise ValueError(f"bit {x!r} is not the integer 0 or 1")
 
 
-def _array_of(v, parse=_zq) -> list:
+def _array_of(v, length: int, parse, what: str) -> list:
     if not isinstance(v, list):
-        raise ValueError(f"{v!r} is not an array")
+        raise ValueError(f"{what} {v!r:.40} is not an array")
+    if len(v) != length:
+        raise ValueError(f"{what} has {len(v)} entries, not {length}")
     return [parse(x) for x in v]
 
 
@@ -128,33 +135,36 @@ def _record(obj, keys, what: str) -> dict:
     return obj
 
 
-def _public_key(obj) -> dict | None:
+def _public_key(obj, params, zq) -> dict | None:
     if obj is None:
         return None
     _record(obj, {"A", "v"}, "pk")
-    A = _array_of(obj["A"], _array_of)
-    v = _array_of(obj["v"])
-    if any(len(row) != len(A[0]) for row in A) or len(v) != len(A):
-        raise ValueError("pk.A is not a matrix with one row per entry of pk.v")
-    return {"A": A, "v": v}
+    row = partial(_array_of, length=params.n, parse=zq, what="pk.A row")
+    return {"A": _array_of(obj["A"], params.m, row, "pk.A"),
+            "v": _array_of(obj["v"], params.m, zq, "pk.v")}
 
 
-def transcript_from_dict(obj) -> Transcript:
-    """The Transcript a parsed JSON line records; ValueError unless every
-    field has the form transcript_to_json writes."""
+def transcript_from_dict(obj, params) -> Transcript:
+    """The Transcript a parsed JSON line records of a run at `params`;
+    ValueError unless every field has the form, length and range that
+    transcript_to_json writes for such a run."""
     _record(obj, _FIELDS, "transcript")
     ct = _record(obj["ct"], {"a", "w"}, "ct")
     for key in ("params_ref", "seed_info"):
         if not isinstance(obj[key], str):
             raise ValueError(f"{key} {obj[key]!r} is not a string")
+    if obj["params_ref"] != params.preset_name:
+        raise ValueError(f"params_ref {obj['params_ref']!r:.40} is not "
+                         f"{params.preset_name!r}")
     if type(obj["success"]) is not bool:
         raise ValueError(f"success {obj['success']!r} is not a bool")
+    zq = partial(_decimal, bound=params.q)
     t = Transcript(
         params_ref=obj["params_ref"],
-        pk=_public_key(obj["pk"]),
-        ct={"a": _array_of(ct["a"]), "w": _zq(ct["w"])},
-        y=_array_of(obj["y"]),
-        u=_array_of(obj["u"], _bit),
+        pk=_public_key(obj["pk"], params, zq),
+        ct={"a": _array_of(ct["a"], params.n, zq, "ct.a"), "w": zq(ct["w"])},
+        y=_array_of(obj["y"], params.m, zq, "y"),
+        u=_array_of(obj["u"], params.nQ, _bit, "u"),
         b=_bit(obj["b"]),
         b_prime=_bit(obj["b_prime"]),
         d=_bit(obj["d"]),
@@ -175,14 +185,17 @@ def save_transcripts(path, transcripts: Iterable[Transcript]) -> int:
     return count
 
 
-def load_transcripts(path) -> Iterator[Transcript]:
+def load_transcripts(path, params) -> Iterator[Transcript]:
+    """The transcripts in the JSON-lines file `path` of a run at `params`;
+    a line that transcript_from_dict refuses is a ValueError that names
+    the file and the line."""
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
             try:
                 obj = json.loads(line)
-                yield transcript_from_dict(obj)
+                yield transcript_from_dict(obj, params)
             except (json.JSONDecodeError, ValueError) as exc:
                 raise ValueError(f"{path}:{lineno}: corrupt transcript ({exc})") from None
 

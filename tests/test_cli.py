@@ -75,7 +75,7 @@ def test_poq_outputs(tmp_path, capsys, desk):
     lines = csv.read_text().splitlines()
     assert lines[0].startswith("preset,prover,")
     assert lines[1].split(",")[1] == "classical-baseline"
-    assert len(list(load_transcripts(jsonl))) == 20
+    assert len(list(load_transcripts(jsonl, desk))) == 20
     # written trial by trial, the file is what an in-process run saves
     held = []
     run_experiment(desk, BaselineProver(), 20,

@@ -1,3 +1,4 @@
+import copy
 import json
 import re
 from types import SimpleNamespace
@@ -5,6 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from rotated_tcf.params import tiny_params
 from rotated_tcf.protocol_q import (BaselineProver, HonestQuantumProver,
                                     run_experiment)
 from rotated_tcf.stats import Stats
@@ -26,7 +28,7 @@ def test_roundtrip_lossless(tmp_path, stream, desk):
     transcripts = _collect(desk, stream)
     path = tmp_path / "t.jsonl"
     assert save_transcripts(path, transcripts) == len(transcripts)
-    loaded = list(load_transcripts(path))
+    loaded = list(load_transcripts(path, desk))
     assert loaded == transcripts
 
 
@@ -35,7 +37,7 @@ def test_roundtrip_with_public_key(tmp_path, stream, desk):
     assert transcripts[0].pk is not None
     path = tmp_path / "t.jsonl"
     save_transcripts(path, transcripts)
-    assert list(load_transcripts(path)) == transcripts
+    assert list(load_transcripts(path, desk)) == transcripts
 
 
 def test_json_is_exact_for_large_moduli(stream, desk):
@@ -45,7 +47,7 @@ def test_json_is_exact_for_large_moduli(stream, desk):
     assert all(isinstance(x, str) for x in obj["y"])
     assert all(isinstance(x, str) for x in obj["ct"]["a"])
     assert isinstance(obj["ct"]["w"], str)
-    assert transcript_from_dict(obj) == t
+    assert transcript_from_dict(obj, desk) == t
 
 
 BITS = [(b, b_prime, d, d_prime) for b in (0, 1) for b_prime in (0, 1)
@@ -74,7 +76,7 @@ def test_success_flag_is_checked(tmp_path):
     path.write_text(json.dumps({**good, "success": not good["success"]})
                     + "\n")
     with pytest.raises(ValueError, match=":1: .*success flag inconsistent"):
-        list(load_transcripts(path))
+        list(load_transcripts(path, PARAMS))
 
 
 def test_tampered_line_detected(tmp_path, stream, desk):
@@ -87,7 +89,7 @@ def test_tampered_line_detected(tmp_path, stream, desk):
     lines[1] = json.dumps(obj, separators=(",", ":"), sort_keys=True)
     path.write_text("\n".join(lines) + "\n")
     with pytest.raises(ValueError, match=":2:"):
-        list(load_transcripts(path))
+        list(load_transcripts(path, desk))
 
 
 def test_corrupt_json_reports_line_number(tmp_path, stream, desk):
@@ -97,25 +99,25 @@ def test_corrupt_json_reports_line_number(tmp_path, stream, desk):
     with open(path, "a") as fh:
         fh.write("{not json\n")
     with pytest.raises(ValueError, match=":3:"):
-        list(load_transcripts(path))
+        list(load_transcripts(path, desk))
 
 
-def test_unknown_fields_rejected(tmp_path):
+def test_unknown_fields_rejected(tmp_path, desk):
     path = tmp_path / "t.jsonl"
     # an object without the fields, then records that are not objects
     for line in ('{"type": "bogus"}', "[]", '"x"', "5", "null"):
         path.write_text(line + "\n")
         with pytest.raises(ValueError, match=":1:"):
-            list(load_transcripts(path))
+            list(load_transcripts(path, desk))
 
 
 def test_empty_and_blank_lines(tmp_path, stream, desk):
     path = tmp_path / "empty.jsonl"
     path.write_text("")
-    assert list(load_transcripts(path)) == []
+    assert list(load_transcripts(path, desk)) == []
     transcripts = _collect(desk, stream, n=1)
     path.write_text("\n" + transcript_to_json(transcripts[0]) + "\n\n")
-    assert list(load_transcripts(path)) == transcripts
+    assert list(load_transcripts(path, desk)) == transcripts
 
 
 def _reference_json(t: Transcript) -> str:
@@ -130,10 +132,10 @@ def _reference_json(t: Transcript) -> str:
     return json.dumps(obj, separators=(",", ":"), sort_keys=True)
 
 
-def _assert_written_exactly(t: Transcript) -> None:
+def _assert_written_exactly(t: Transcript, params) -> None:
     line = transcript_to_json(t)
     assert line == _reference_json(t)
-    assert transcript_from_dict(json.loads(line)) == t
+    assert transcript_from_dict(json.loads(line), params) == t
 
 
 @pytest.mark.parametrize("include_pk", [False, True])
@@ -143,19 +145,19 @@ def test_writer_matches_json_dumps(stream, mixed, include_pk):
                    transcript_sink=out.append, include_pk=include_pk)
     for t in out:
         assert (t.pk is not None) == include_pk
-        _assert_written_exactly(t)
+        _assert_written_exactly(t, mixed)
 
 
 def test_writer_matches_json_dumps_at_61_bits():
     top = (1 << 61) - 2
     zq = np.array([top, 0, 1, top - 1], dtype=np.int64)
+    params = SimpleNamespace(preset_name="q61", q=top + 1, m=4, n=4, nQ=3)
     t = make_transcript(
-        SimpleNamespace(preset_name="q61"),
-        SimpleNamespace(A=np.stack([zq, zq[::-1]]), v=zq[:2]),
+        params, SimpleNamespace(A=np.stack([zq, zq[::-1]] * 2), v=zq),
         SimpleNamespace(a=zq, w=np.int64(top)), zq, np.array([1, 0, 1]),
         1, 1, 0, 1, seed_info="", include_pk=True)
     assert t.y == [top, 0, 1, top - 1] and t.ct["w"] == top
-    _assert_written_exactly(t)
+    _assert_written_exactly(t, params)
 
 
 @pytest.mark.parametrize("text", ['quote " here', "back\\slash",
@@ -165,66 +167,127 @@ def test_writer_escapes_free_text(text):
     t = Transcript(params_ref=text, pk={"A": [], "v": []},
                    ct={"a": [], "w": 0}, y=[], u=[], b=0, b_prime=1, d=1,
                    d_prime=1, seed_info=text[::-1])
-    _assert_written_exactly(t)
+    _assert_written_exactly(t, SimpleNamespace(preset_name=text, q=2, m=0,
+                                               n=0, nQ=0))
+
+
+# A run's parameters small enough to write a record out by hand: n = 1,
+# m = 9 and nQ = 4.
+PARAMS = tiny_params(1, 13)
 
 
 def _valid_record() -> dict:
-    t = Transcript(params_ref="desk", pk={"A": [[1, 2], [3, 4]], "v": [5, 6]},
-                   ct={"a": [7, 8], "w": 9}, y=[10, 11], u=[0, 1], b=1,
-                   b_prime=1, d=0, d_prime=1, seed_info="ab")
+    t = Transcript(params_ref=PARAMS.preset_name,
+                   pk={"A": [[k] for k in range(9)], "v": list(range(9))},
+                   ct={"a": [7], "w": 9}, y=list(range(2, 11)),
+                   u=[0, 1, 1, 0], b=1, b_prime=1, d=0, d_prime=1,
+                   seed_info="ab")
     return json.loads(transcript_to_json(t))
 
 
+_GONE = object()    # the key or entry at the path is removed
+
+
+def _changed(record: dict, path: tuple, value) -> dict:
+    """A copy of `record` with the entry at `path` set to `value`, removed
+    for _GONE, or appended when its index is the length of its list."""
+    out = copy.deepcopy(record)
+    *head, last = path
+    parent = out
+    for key in head:
+        parent = parent[key]
+    if value is _GONE:
+        del parent[last]
+    elif isinstance(parent, list) and last == len(parent):
+        parent.append(value)
+    else:
+        parent[last] = value
+    return out
+
+
+# Each case sets one path of the valid record to a value of the wrong form.
 MALFORMED = {
-    "b=2": {"b": 2},
-    "b=true": {"b": True},
-    "b_prime string": {"b_prime": "1"},
-    "d float": {"d": 1.0},
-    "d_prime null": {"d_prime": None},
-    "u entry 7": {"u": [0, 7]},
-    "u entry string": {"u": [0, "q"]},
-    "u entry bool": {"u": [0, True]},
-    "u not array": {"u": "01"},
-    "y entry word": {"y": ["10", "x"]},
-    "y entry float": {"y": ["10", 1.5]},
-    "y entry null": {"y": ["10", None]},
-    "y entry int": {"y": ["10", 11]},
-    "y leading zero": {"y": ["10", "011"]},
-    "y sign": {"y": ["10", "-11"]},
-    "y plus": {"y": ["10", "+11"]},
-    "y space": {"y": ["10", " 11"]},
-    "y empty string": {"y": ["10", ""]},
-    "y non-ASCII digits": {"y": ["10", "\u0661\u0661"]},
-    "y not array": {"y": "10"},
-    "ct junk": {"ct": "junk"},
-    "ct no w": {"ct": {"a": ["7", "8"]}},
-    "ct extra key": {"ct": {"a": ["7", "8"], "w": "9", "x": "1"}},
-    "ct w int": {"ct": {"a": ["7", "8"], "w": 9}},
-    "ct a string": {"ct": {"a": "78", "w": "9"}},
-    "pk number": {"pk": 5},
-    "pk array": {"pk": []},
-    "pk no v": {"pk": {"A": [["1", "2"], ["3", "4"]]}},
-    "pk entry int": {"pk": {"A": [["1", 2], ["3", "4"]], "v": ["5", "6"]}},
-    "pk rows not arrays": {"pk": {"A": ["12", "34"], "v": ["5", "6"]}},
-    "pk ragged": {"pk": {"A": [["1", "2"], ["3"]], "v": ["5", "6"]}},
-    "pk v length": {"pk": {"A": [["1", "2"], ["3", "4"]], "v": ["5"]}},
-    "success 1": {"success": 1},
-    "success string": {"success": "true"},
-    "params_ref number": {"params_ref": 5},
-    "seed_info null": {"seed_info": None},
-    "extra field": {"note": "x"},
+    "b=2": (("b",), 2),
+    "b=true": (("b",), True),
+    "b_prime string": (("b_prime",), "1"),
+    "d float": (("d",), 1.0),
+    "d_prime null": (("d_prime",), None),
+    "u entry 7": (("u", -1), 7),
+    "u entry string": (("u", -1), "q"),
+    "u entry bool": (("u", -1), True),
+    "u not array": (("u",), "0110"),
+    "y entry word": (("y", -1), "x"),
+    "y entry float": (("y", -1), 1.5),
+    "y entry null": (("y", -1), None),
+    "y entry int": (("y", -1), 10),
+    "y leading zero": (("y", -1), "010"),
+    "y sign": (("y", -1), "-10"),
+    "y plus": (("y", -1), "+10"),
+    "y space": (("y", -1), " 10"),
+    "y empty string": (("y", -1), ""),
+    "y non-ASCII digits": (("y", -1), "\u0661\u0660"),
+    "y not array": (("y",), "10"),
+    "ct junk": (("ct",), "junk"),
+    "ct no w": (("ct", "w"), _GONE),
+    "ct extra key": (("ct", "x"), "1"),
+    "ct w int": (("ct", "w"), 9),
+    "ct a string": (("ct", "a"), "7"),
+    "pk number": (("pk",), 5),
+    "pk array": (("pk",), []),
+    "pk no v": (("pk", "v"), _GONE),
+    "pk entry int": (("pk", "A", 0, 0), 0),
+    "pk rows not arrays": (("pk", "A", 0), "0"),
+    "pk ragged": (("pk", "A", -1), ["8", "8"]),
+    "pk v length": (("pk", "v", -1), _GONE),
+    "success 1": (("success",), 1),
+    "success string": (("success",), "true"),
+    "params_ref number": (("params_ref",), 5),
+    "seed_info null": (("seed_info",), None),
+    "extra field": (("note",), "x"),
 }
+
+# Each case is in the writer's form but does not fit the run's parameters
+# (q = 13, n = 1, m = 9, nQ = 4); the loader names what is wrong.
+MISFIT = {
+    "params_ref of another run": (("params_ref",), "desk", "params_ref"),
+    "y entry past 2^64": (("y", -1), "99999999999999999999", r"\[0, 13\)"),
+    "y entry q": (("y", -1), "13", r"\[0, 13\)"),
+    "y short": (("y", -1), _GONE, "y has 8 entries, not 9"),
+    "y long": (("y", 9), "1", "y has 10 entries, not 9"),
+    "u short": (("u", -1), _GONE, "u has 3 entries, not 4"),
+    "u long": (("u", 4), 1, "u has 5 entries, not 4"),
+    "ct.a long": (("ct", "a", 1), "1", "ct.a has 2 entries, not 1"),
+    "ct.w q": (("ct", "w"), "13", r"\[0, 13\)"),
+    "pk.A row missing": (("pk", "A", -1), _GONE, "pk.A has 8 entries"),
+    "pk.A transposed": (("pk", "A"), [[str(k) for k in range(9)]],
+                        "pk.A has 1 entries, not 9"),
+    "pk.A entry q": (("pk", "A", 0, 0), "13", r"\[0, 13\)"),
+    "pk.v long": (("pk", "v", 9), "1", "pk.v has 10 entries, not 9"),
+    "pk.v entry q": (("pk", "v", 0), "13", r"\[0, 13\)"),
+}
+
+
+def _refused_on_line_2(tmp_path, change, message=""):
+    good = _valid_record()
+    assert transcript_from_dict(good, PARAMS) is not None
+    path = tmp_path / "t.jsonl"
+    path.write_text(json.dumps(good) + "\n"
+                    + json.dumps(_changed(good, *change)) + "\n")
+    with pytest.raises(ValueError,
+                       match=f"^{re.escape(str(path))}:2: .*{message}"):
+        list(load_transcripts(path, PARAMS))
 
 
 @pytest.mark.parametrize("change", MALFORMED.values(), ids=MALFORMED.keys())
 def test_malformed_record_refused_with_its_line(tmp_path, change):
-    good = _valid_record()
-    assert transcript_from_dict(good) is not None
-    path = tmp_path / "t.jsonl"
-    path.write_text(json.dumps(good) + "\n" + json.dumps({**good, **change})
-                    + "\n")
-    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
-        list(load_transcripts(path))
+    _refused_on_line_2(tmp_path, change)
+
+
+@pytest.mark.parametrize("path, value, message", MISFIT.values(),
+                         ids=MISFIT.keys())
+def test_record_misfit_to_the_run_refused_with_its_line(tmp_path, path,
+                                                         value, message):
+    _refused_on_line_2(tmp_path, (path, value), message)
 
 
 def test_csv_row_format():
