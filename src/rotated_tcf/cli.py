@@ -246,8 +246,8 @@ def cmd_serve(args) -> int:
     seed = _resolve_seed(args.seed)
     stream = RngStream(seed).derive("network")
     wins, failed = 0, Counter()
-    with _transcript_file(args) as fh, \
-            open_server_socket(args.host, args.port) as srv:
+    with open_server_socket(args.host, args.port) as srv, \
+            _transcript_file(args) as fh:
         host, port = srv.getsockname()
         print(f"verifier listening on {host}:{port} for {args.sessions} "
               "sessions")

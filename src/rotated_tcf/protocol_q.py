@@ -45,7 +45,7 @@ class ProverState:
 
     @property
     def claw_case(self) -> str:
-        # the kept qubit is a basis state exactly when the claw has one
+        # a basis state is kept exactly when the claw has one preimage
         return ("two-preimage" if self.qubit.basis is None
                 else "single-preimage")
 

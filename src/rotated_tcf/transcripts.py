@@ -196,7 +196,7 @@ def load_transcripts(path, params) -> Iterator[Transcript]:
             try:
                 obj = json.loads(line)
                 yield transcript_from_dict(obj, params)
-            except (json.JSONDecodeError, ValueError) as exc:
+            except (ValueError, RecursionError) as exc:   # nesting too deep
                 raise ValueError(f"{path}:{lineno}: corrupt transcript ({exc})") from None
 
 

@@ -104,8 +104,10 @@ def test_corrupt_json_reports_line_number(tmp_path, stream, desk):
 
 def test_unknown_fields_rejected(tmp_path, desk):
     path = tmp_path / "t.jsonl"
-    # an object without the fields, then records that are not objects
-    for line in ('{"type": "bogus"}', "[]", '"x"', "5", "null"):
+    # an object without the fields, then records that are not objects,
+    # the last nested past the parser's recursion limit
+    for line in ('{"type": "bogus"}', "[]", '"x"', "5", "null",
+                 "[" * 100_000):
         path.write_text(line + "\n")
         with pytest.raises(ValueError, match=":1:"):
             list(load_transcripts(path, desk))
