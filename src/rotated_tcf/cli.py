@@ -166,8 +166,8 @@ def _write_outputs(args, params, prover_name, stats, seed):
 
 def _transcript_file(args):
     """The --emit-transcripts file, open for writing, or a context of None
-    without it; each transcript line goes in as its trial ends, none
-    kept."""
+    without it.  `poq` and `serve` write each line as its trial or session
+    ends, and keep no transcript."""
     return (open(args.emit_transcripts, "w") if args.emit_transcripts
             else contextlib.nullcontext())
 
