@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 import numpy as np
 
@@ -78,18 +79,16 @@ def invert(pair: TrapdoorPair, v: np.ndarray) -> np.ndarray:
     Nv2 = np.swapaxes(matmul_mod(pair.N, np.swapaxes(v2, -1, -2), q), -1, -2)
     blk = (v[..., :Q * n] - Nv2.reshape(v.shape[:-1] + (Q * n,))) % q
     blk = blk.reshape(v.shape[:-1] + (n, Q))
-    w_last = matmul_mod(bits_le(q, Q), np.swapaxes(blk, -1, -2), q)
+    q_bits, h, q_inverse = _decoder(q, Q)
+    w_last = matmul_mod(q_bits, np.swapaxes(blk, -1, -2), q)
     w = np.concatenate([(2 * blk[..., :-1] - blk[..., 1:]) % q,
                         w_last[..., None]], axis=-1)
-    # e'_0 = (h . w) / q with h = row 0 of q S^-1, h_k = floor(q / 2^(k+1))
-    # + [k = Q-1].  Computed mod 2^64, where q is invertible: exact whenever
-    # the integer sum is q e'_0 with |e'_0| < 2^63, i.e. whenever a
-    # decoding exists.
-    h = np.uint64(q) >> np.arange(1, Q + 1, dtype=np.uint64)
-    h[-1] += np.uint64(1)
+    # e'_0 = (h . w) / q, computed mod 2^64, where q is invertible: exact
+    # whenever the integer sum is q e'_0 with |e'_0| < 2^63, i.e. whenever
+    # a decoding exists.
     hw = (centered_lift(w, q).view(np.uint64) * h).sum(axis=-1,
                                                         dtype=np.uint64)
-    e0 = (hw * np.uint64(pow(q, -1, 1 << 64))).view(np.int64)
+    e0 = (hw * q_inverse).view(np.int64)
     s = (blk[..., 0] - e0 % q) % q
     # Accept only if blk - g s_i is short in every coordinate, 2Q |.| < q
     # (tested as |.| <= (q-1) // 2Q, which cannot overflow): this also
@@ -99,13 +98,25 @@ def invert(pair: TrapdoorPair, v: np.ndarray) -> np.ndarray:
     return np.where(ok[..., None], s, 0)
 
 
+@lru_cache
+def _decoder(q: int, Q: int):
+    """invert's constants for one modulus, built once and read-only: the
+    bits of q (the last row of S), h = row 0 of q S^-1, with h_k =
+    floor(q / 2^(k+1)) + [k = Q-1], and q^-1 mod 2^64."""
+    q_bits = bits_le(q, Q)
+    h = np.uint64(q) >> np.arange(1, Q + 1, dtype=np.uint64)
+    h[-1] += np.uint64(1)
+    for table in (q_bits, h):
+        table.setflags(write=False)
+    return q_bits, h, np.uint64(pow(q, -1, 1 << 64))
+
+
 def find_preimage(pair: TrapdoorPair, y: np.ndarray, tau: Fraction):
     """Return (x, g) with y = A x + g and ||g||_inf <= tau, else None.
     y may be stacked, shape (..., m); then every row must be within tau."""
     p = pair.params
     x = invert(pair, y)
     g = (y - matmul_mod(pair.A, x[..., None], p.q)[..., 0]) % p.q
-    tau = Fraction(tau)
     if inf_norm(g, p.q) * tau.denominator <= tau.numerator:
         return x, g
     return None

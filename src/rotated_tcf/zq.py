@@ -3,13 +3,24 @@
 Vectors and matrices are numpy int64 arrays holding canonical representatives
 in [0, q).  Every product goes through `matmul_mod`, which stays exact:
 matrix products with sums below 2**53 run in float64, other sums below 2**63
-in int64, sums that could overflow 64 bits are computed via limb splitting
-(Horner folding stays within int64) or fall back to Python integers.
+in int64.  A larger sum P is reduced by an estimated quotient, as in Shoup's
+MulMod: P mod 2**64 (a wrapping uint64 product) less q floor(F / q), with F
+the float64 product.  With r = k + 5 for the inner dimension k, F / q
+carries at most r roundings per term: three in each term's product
+(converting both operands, multiplying), k - 1 along the sum, one adding a
+fold's acc 2^c (below), and two in the quotient (converting q, dividing).
+So |F / q - P / q| <= r 2^-53 V / (q (1 - r 2^-53)) for any bound V on P,
+which is below 1 while r V < (2**53 - r) q.  The estimate is then off by at
+most one, the residue lies in [-q, 2q), where its wrapped value read as
+int64 is exact, and one `% q` makes it canonical.  Where V = k max(A) (q-1)
+breaks that bound, B is split into c-bit limbs and folded back by Horner's
+rule, each step's acc 2^c + A @ limb reduced by the same estimate.
 Supported moduli: odd primes q < 2**61.
 """
 from __future__ import annotations
 
 import threading
+from functools import lru_cache
 
 import numpy as np
 
@@ -52,14 +63,17 @@ def bits_le_vec(x: np.ndarray, Q: int) -> np.ndarray:
     return ((x[..., None] >> shifts) & 1).reshape(x.shape[:-1] + (-1,))
 
 
+@lru_cache
 def gadget_matrix(n: int, Q: int, q: int) -> np.ndarray:
-    """Block-diagonal nQ x n matrix; column i carries (1, 2, ..., 2^(Q-1))."""
+    """Block-diagonal nQ x n matrix; column i carries (1, 2, ..., 2^(Q-1)).
+    Built once per (n, Q, q) and read-only."""
     if n < 1 or Q < 1:
         raise ValueError("n and Q must be >= 1")
     g = (np.int64(1) << np.arange(Q, dtype=np.int64)) % q
     G = np.zeros((n * Q, n), dtype=np.int64)
     for i in range(n):
         G[i * Q:(i + 1) * Q, i] = g
+    G.setflags(write=False)
     return G
 
 
@@ -97,12 +111,14 @@ def matmul_mod(A, B, q: int):
     k * max(A) * (q-1) < 2^53 and A has more than one row, exact since every
     product and partial sum is then an integer below 2^53 whatever the
     summation order; one int64 product when it fits below 2^63 (0/1
-    matrices and vectors); otherwise B is split into c-bit limbs, each
-    partial product fitting in int64, and folded back by Horner's rule mod
-    q; if no limb width fits, Python integers.  A float64 A is taken to be
-    in its `product_dtype`, so it is multiplied as it is.  A uint8 A (a
-    0/1 matrix stored one byte per entry) is widened one matrix at a time,
-    see _matmul_mod_bytes."""
+    matrices and vectors); otherwise the estimated quotient of the module
+    docstring, on B whole while r k max(A) (q-1) < (2^53 - r) q with
+    r = k + 5 (so at desk, and with k = 4 at any q below 2^47), else on
+    c-bit limbs of B with c the widest that keeps each Horner step's
+    value, below (q - 1 + k max(A)) 2^c, within the same bound (two limbs
+    at a 61-bit q).  A float64 A is taken to be in its `product_dtype`, so
+    it is multiplied as it is.  A uint8 A (a 0/1 matrix stored one byte
+    per entry) is widened one matrix at a time, see _matmul_mod_bytes."""
     B = np.asarray(B, dtype=np.int64)
     if isinstance(A, np.ndarray):
         if A.dtype == np.uint8:
@@ -114,21 +130,35 @@ def matmul_mod(A, B, q: int):
     if product_dtype(A.shape, top, q) is np.float64:
         return (A.astype(np.float64) @ B.astype(np.float64)
                 ).astype(np.int64) % q
-    top *= A.shape[-1]
-    if top * (q - 1) <= _INT64_MAX:
+    k = A.shape[-1]
+    if k * top * (q - 1) <= _INT64_MAX:
         return (A @ B) % q
-    # c-bit limbs: a Horner step acc * 2^c + A @ limb, with acc < q and
-    # each limb below 2^c, stays below (q - 1 + top) * 2^c, which must fit
-    c = (_INT64_MAX // (top + q - 1)).bit_length() - 1
-    if c < 1:
-        return np.asarray((A.astype(object) @ B.astype(object)) % q,
-                          dtype=np.int64)
+    r = k + 5
+    room = ((1 << 53) - r) * q - 1     # r V <= room keeps the estimate exact
+    Au, Af = A.view(np.uint64), A.astype(np.float64)
+    if r * k * top * (q - 1) <= room:
+        return _estimate(Au @ B.view(np.uint64),
+                         Af @ B.astype(np.float64), q)
+    c = (room // (r * (q - 1 + k * top))).bit_length() - 1
     mask = (1 << c) - 1
-    high = ((q - 1).bit_length() - 1) // c * c   # B >> high < 2^c
-    acc = (A @ (B >> high)) % q
-    for shift in range(high - c, -1, -c):
-        acc = ((acc << c) + A @ ((B >> shift) & mask)) % q
+    acc = np.int64(0)
+    for shift in range(((q - 1).bit_length() - 1) // c * c, -1, -c):
+        limb = (B >> shift) & mask
+        acc = _estimate(
+            np.add(np.left_shift(acc.view(np.uint64), c),
+                   Au @ limb.view(np.uint64)),
+            np.ldexp(acc.astype(np.float64), c) + Af @ limb.astype(np.float64),
+            q)
     return acc
+
+
+def _estimate(P, F, q: int):
+    """The sum whose value is P mod 2^64 and about F, reduced mod q: P less
+    q floor(F / q), wrapping, which is exact in [-q, 2q) when the estimate
+    is off by at most one (see the module docstring).  Explicit ufuncs,
+    since numpy warns of wrap-around in operators on a 0-d result."""
+    t = np.floor(F / q).astype(np.uint64)
+    return np.subtract(P, np.multiply(t, np.uint64(q))).view(np.int64) % q
 
 
 # Each thread's work buffer for _matmul_mod_bytes, kept from call to call

@@ -3,10 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import collections
 import sys
 import threading
 
-from rotated_tcf.params import desk_preset
+from rotated_tcf.params import desk_preset, next_prime
+from rotated_tcf.trapdoor import _decoder
 from rotated_tcf.zq import (bit_dot, bits_le, bits_le_vec, centered_abs,
                             centered_lift, gadget_matrix, gadget_multiples,
                             inf_norm, matmul_mod)
@@ -84,16 +86,32 @@ def _assert_matmul_mod_exact(A, B, q):
     assert np.array_equal(np.asarray(got).astype(object), ref)
 
 
+def _path(shape_a, top, q):
+    """The path matmul_mod takes, by the rules of its docstring, for an
+    int64 A of this shape with entries in [0, top]: float64, int64, the
+    estimated quotient on B whole, or on limbs of B."""
+    k = shape_a[-1]
+    if len(shape_a) > 1 and shape_a[-2] > 1 and k * top * (q - 1) < 1 << 53:
+        return "float64"
+    if k * top * (q - 1) < 1 << 63:
+        return "int64"
+    r = k + 5
+    return ("estimate" if r * k * top * (q - 1) < ((1 << 53) - r) * q
+            else "limbs")
+
+
 def test_mul_mod_implementations_agree():
     """matmul_mod against a Python-integer reference on every path: one
-    float64 product, one int64 product (0/1 left operand), limbs of B, and
-    Python integers; stacked operands included.  The boundary cases put
-    k * max(A) * (q-1) just below and just above 2^53, with sums near that
-    bound, where a float64 product would start to round, and a 1-D left
-    operand, which stays in int64, just below and just above 2^63."""
+    float64 product, one int64 product (0/1 left operand), the estimated
+    quotient on B whole, and on limbs of B; stacked operands included.
+    The boundary cases put k * max(A) * (q-1) just below and just above
+    2^53, with sums near that bound, where a float64 product would start
+    to round, and a 1-D left operand, which stays in int64, just below
+    and just above 2^63."""
     gen = np.random.default_rng(7)
     edge_gen = np.random.default_rng(8)
     boundary_cases = int64_cases = 0
+    paths = collections.Counter()
     for q in (5, 3001, (1 << 31) - 1, 4398046511119, BIG_Q):
         for shape_a, shape_b in (((9,), (9,)), ((7, 9), (9,)), ((9,), (9, 4)),
                                  ((7, 9), (9, 4)), ((3, 7, 9), (3, 9, 4))):
@@ -101,6 +119,7 @@ def test_mul_mod_implementations_agree():
                 A = gen.integers(0, hi, size=shape_a, dtype=np.int64)
                 B = gen.integers(0, q, size=shape_b, dtype=np.int64)
                 _assert_matmul_mod_exact(A, B, q)
+                paths[_path(shape_a, int(A.max()), q)] += 1
             # largest max(A) with k * max(A) * (q-1) below 2^53; one above
             # it gives sums past 2^53, where odd ones round in float64
             edge = ((1 << 53) - 1) // (shape_a[-1] * (q - 1))
@@ -114,10 +133,11 @@ def test_mul_mod_implementations_agree():
                     sums = A.astype(object) @ B.astype(object)
                     assert (np.max(sums) > 1 << 53) == (top > edge)
                     boundary_cases += 1
+                    paths[_path(shape_a, top, q)] += 1
             if len(shape_a) > 1:
                 continue
             # largest max(A) with k * max(A) * (q-1) within int64; one
-            # above it takes the limb path
+            # above it takes the estimated quotient
             edge = ((1 << 63) - 1) // (shape_a[-1] * (q - 1))
             for top in (edge, edge + 1):
                 if 2 <= top < q:
@@ -127,15 +147,17 @@ def test_mul_mod_implementations_agree():
                     sums = A.astype(object) @ B.astype(object)
                     assert (np.max(sums) >= 1 << 63) == (top > edge)
                     int64_cases += 1
+                    paths[_path(shape_a, top, q)] += 1
     assert boundary_cases == 20
     assert int64_cases == 8
+    assert paths == {"float64": 24, "int64": 30, "estimate": 19, "limbs": 5}
 
 
 def test_matmul_mod_byte_matrices_exact():
     """A uint8 left operand, one matrix or a stack, is widened one matrix
     at a time: exact where the widened product is float64 (desk q) and
-    where it takes int64 limbs (q = 2^61 - 1), with 0/1 entries and up to
-    255."""
+    where it takes the estimated quotient (q = 2^61 - 1), with 0/1 entries
+    and up to 255."""
     gen = np.random.default_rng(12)
     for q in (desk_preset().q, BIG_Q):
         for hi in (2, 256):
@@ -206,18 +228,102 @@ def test_matmul_mod_large_modulus_exact():
     assert np.array_equal(matmul_mod(A, x, q).astype(object), ref)
 
 
-@pytest.mark.parametrize("q", [(1 << 40) - 1, desk_preset().q],
-                         ids=["q2^40-1", "desk"])
+@pytest.mark.parametrize("q", [(1 << 40) - 1, desk_preset().q,
+                               next_prime(3 << 59), BIG_Q],
+                         ids=["q2^40-1", "desk", "q3<<59", "q2^61-1"])
 def test_matmul_mod_limb_fold_at_its_bound(q):
-    """Every entry q - 1, on the limb path: each Horner step of the fold
-    then reaches its bound, (q - 1) 2^c plus the largest limb product.
-    With an inner dimension of 1 the two parts are of one size, and just
-    below a power of two, q leaves no slack in the limb width, so a width
-    that fits each part on its own would overflow their sum."""
+    """Every entry q - 1, the largest sums a path sees.  At q = 2^40 - 1
+    and at desk the estimated quotient takes B whole; at the 61-bit
+    moduli B is split into limbs, and each Horner step's value, acc 2^c
+    plus the largest limb product, reaches its bound.  With an inner
+    dimension of 1 the two parts are of one size."""
     for shape_a, shape_b in (((7, 1), (1, 4)), ((1,), (1, 4)),
                              ((7, 9), (9, 4)), ((3, 7, 9), (3, 9, 4))):
+        assert _path(shape_a, q - 1, q) == ("limbs" if q.bit_length() == 61
+                                            else "estimate")
         _assert_matmul_mod_exact(np.full(shape_a, q - 1, dtype=np.int64),
                                  np.full(shape_b, q - 1, dtype=np.int64), q)
+
+
+KERNEL_MODULI = [5, 1048583, desk_preset().q, next_prime(1 << 46),
+                 next_prime(3 << 59), BIG_Q]
+KERNEL_IDS = ["q5", "mixed", "desk", "q47bit", "q3<<59", "q2^61-1"]
+
+
+@pytest.mark.parametrize("q", KERNEL_MODULI, ids=KERNEL_IDS)
+def test_matmul_mod_shapes_exact(q):
+    """Against Python integers, from q = 5, where every product fits in
+    float64 or int64, to 2^61 - 1, where B is split into limbs: operands
+    all q - 1 and random; k = 1; 1-D times 1-D, whose result is 0-d;
+    stacked and broadcast stacks; and a uint8 left operand."""
+    gen = np.random.default_rng(q % 10007)
+    cases = [((7, 1), (1, 4)), ((1,), (1,)), ((9,), (9,)), ((9,), (9, 4)),
+             ((7, 9), (9,)), ((3, 7, 9), (3, 9, 4)), ((7, 9), (2, 9, 4)),
+             ((2, 1, 7, 9), (3, 9, 4)), ((3, 7, 9), (9, 1))]
+    for shape_a, shape_b in cases:
+        for A, B in ((np.full(shape_a, q - 1, dtype=np.int64),
+                      np.full(shape_b, q - 1, dtype=np.int64)),
+                     (gen.integers(0, q, size=shape_a, dtype=np.int64),
+                      gen.integers(0, q, size=shape_b, dtype=np.int64))):
+            _assert_matmul_mod_exact(A, B, q)
+        if len(shape_a) == len(shape_b) == 1:
+            assert np.ndim(matmul_mod(A, B, q)) == 0
+    for hi in (2, 256):
+        A = gen.integers(0, hi, size=(3, 7, 40)).astype(np.uint8)
+        B = gen.integers(0, q, size=(3, 40, 4), dtype=np.int64)
+        _assert_matmul_mod_exact(A, B, q)
+        _assert_matmul_mod_exact(A[0], B[0, :, 0], q)
+
+
+@pytest.mark.parametrize("q", KERNEL_MODULI[3:], ids=KERNEL_IDS[3:])
+@pytest.mark.parametrize("k", [12, 40])
+def test_matmul_mod_estimate_at_its_bounds(q, k):
+    """Just below and just above each bound of the estimated quotient,
+    with every entry of B q - 1 and every entry of A at max(A) = top:
+    the largest sum r k top (q-1), r = k + 5, within (2^53 - r) q takes
+    B whole and one past it takes limbs; then the largest top that keeps
+    the limb width c of the first limb case, r (q - 1 + k top) 2^c within
+    the same bound, and one past it, which narrows the limbs by a bit.
+    Every one of these sums passes 2^64, so the wrap is taken on all.
+    Random entries just under each top, whose float64 products round
+    every which way, go with them, also at 32 times the first bound: an
+    estimate on B whole there is off by more than one on most such
+    entries, though the bound's worst case is far from typical."""
+    gen = np.random.default_rng(k)
+    r = k + 5
+    room = ((1 << 53) - r) * q - 1
+    whole = room // (r * k * (q - 1))
+    c = (room // (r * (q - 1 + k * (whole + 1)))).bit_length() - 1
+    limbs = (room // (r << c) - (q - 1)) // k
+    tops = [top for top in (whole, whole + 1, limbs, limbs + 1)
+            if 2 <= top < q]
+    assert tops[:2] == [whole, whole + 1]
+    tops += [whole << 5] if whole << 5 < q else []
+    for top in tops:
+        A = np.full((7, k), top, dtype=np.int64)
+        B = np.full((k, 3), q - 1, dtype=np.int64)
+        assert k * top * (q - 1) >= 1 << 64
+        assert _path(A.shape, top, q) == ("estimate" if top <= whole
+                                          else "limbs")
+        _assert_matmul_mod_exact(A, B, q)
+        _assert_matmul_mod_exact(A[None], B[None], q)
+        _assert_matmul_mod_exact(
+            top - gen.integers(0, 1 << 30, size=(16, k), dtype=np.int64),
+            q - 1 - gen.integers(0, 1 << 30, size=(k, 16), dtype=np.int64),
+            q)
+
+
+def test_cached_tables_are_read_only():
+    """gadget_matrix and invert's decoder constants are built once per
+    modulus and shared, so none of them can be written."""
+    q = desk_preset().q
+    G = gadget_matrix(4, 43, q)
+    assert gadget_matrix(4, 43, q) is G
+    q_bits, h, _ = _decoder(q, 43)
+    assert _decoder(q, 43)[0] is q_bits
+    for table in (G, q_bits, h):
+        with pytest.raises(ValueError):
+            table[0, ...] = 0
 
 
 def test_matmul_mod_shape_check():
