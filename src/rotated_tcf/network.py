@@ -34,7 +34,7 @@ from .protocol_q import (CHUNK, VerifierState, instance_state, prover_round1,
 # Not called here: perfbench/layers.py looks this name up on network.
 from .protocol_q import honest_prover_round1
 from .regev import Ciphertext, PublicKey
-from .sampling import RngStream
+from .sampling import RngStream, seed_streams
 from .stats import Stats
 from .transcripts import _decimal
 from .wire import (PROTOCOL_VERSION, SMALL_FRAME_BYTES, WITNESS_LABEL,
@@ -229,10 +229,11 @@ def open_server_socket(host: str, port: int) -> socket.socket:
 
 
 def _session(conn, vstate: VerifierState, trial_stream: RngStream,
-             witness_channel: bool):
+             challenge_stream: RngStream, witness_channel: bool):
     """Drive one session on an accepted connection, with the verifier's
-    set-up `vstate` for the trial on `trial_stream`; returns a
-    Transcript."""
+    set-up `vstate` for the trial on `trial_stream` and its challenge bit
+    drawn from `challenge_stream`, the trial's derive('challenge');
+    returns a Transcript."""
     params, pk, ct = vstate.params, vstate.keypair.pk, vstate.ct
     wants_witness = _handshake(conn, "verifier", "prover")
     setup = {"preset": params.preset_name, "lambda": params.lam,
@@ -246,7 +247,7 @@ def _session(conn, vstate: VerifierState, trial_stream: RngStream,
                                 "e": encode_vector(vstate.keypair.e)}
     _send(conn, "setup", setup)
     y, u = _receive(conn, "response1", params)
-    b_prime = int(trial_stream.derive("challenge").gen.integers(0, 2))
+    b_prime = int(challenge_stream.gen.integers(0, 2))
     _send(conn, "challenge", {"b_prime": b_prime})
     d_prime = _receive(conn, "response2")
     transcript = verifier_score(vstate, y, u, b_prime, d_prime,
@@ -260,7 +261,8 @@ def verifier_session(conn, params: Params, trial_stream: RngStream,
                      witness_channel: bool = False):
     """Drive one session on an accepted connection; returns a Transcript."""
     vstate, _ = verifier_round1(params, trial_stream.derive("verifier"))
-    return _session(conn, vstate, trial_stream, witness_channel)
+    return _session(conn, vstate, trial_stream,
+                    trial_stream.derive("challenge"), witness_channel)
 
 
 def _serve_chunk(server_sock, params: Params, trial_streams,
@@ -272,8 +274,10 @@ def _serve_chunk(server_sock, params: Params, trial_streams,
     verifier_round1_stacked call, made only once the first connection is
     accepted: the client shares this process's interpreter lock in a
     loopback run, and a set-up made before it would hold up the client's
-    read of the previous session's result.  A generator of its own, so
-    that one chunk's keys are freed before the next chunk's are drawn."""
+    read of the previous session's result.  The set-up also seeds every
+    session's challenge generator, in one call.  A generator of its own,
+    so that one chunk's keys are freed before the next chunk's are
+    drawn."""
     for i, trial_stream in enumerate(trial_streams):
         conn, _ = server_sock.accept()
         with conn:
@@ -281,9 +285,12 @@ def _serve_chunk(server_sock, params: Params, trial_streams,
             if i == 0:
                 vstate, _ = verifier_round1_stacked(
                     params, [t.derive("verifier") for t in trial_streams])
+                challenges = [t.derive("challenge") for t in trial_streams]
+                seed_streams(challenges)
             try:
                 result = _session(conn, instance_state(vstate, i),
-                                  trial_stream, witness_channel)
+                                  trial_stream, challenges[i],
+                                  witness_channel)
             except SessionError as exc:
                 result = exc
         yield result
