@@ -15,7 +15,7 @@ import socket
 import sys
 import threading
 
-from rotated_tcf.cli import DEFAULT_SEED, PROVERS
+from rotated_tcf.cli import DEFAULT_SEED, PROVERS, positive_int
 from rotated_tcf.network import (SessionError, connect_prover,
                                  open_server_socket, serve_verifier)
 from rotated_tcf.params import desk_preset
@@ -26,7 +26,7 @@ from rotated_tcf.transcripts import transcript_to_json
 
 def main() -> int:
     ap = argparse.ArgumentParser()
-    ap.add_argument("--sessions", type=int, default=20)
+    ap.add_argument("--sessions", type=positive_int, default=20)
     ap.add_argument("--strategy", choices=sorted(PROVERS),
                     default="honest")
     ap.add_argument("--seed", default=DEFAULT_SEED)

@@ -46,12 +46,12 @@ def _usage_error(msg: str) -> int:
 
 
 def _resolve_params(args) -> params_mod.Params:
-    if args.n is None:
+    if args.n is None and {args.q, args.sigma, args.c, args.eps} == {None}:
         return params_mod.get_preset(args.preset)
-    if args.q is not None and args.sigma is not None:
+    if None not in (args.n, args.q, args.sigma):
         return params_mod.Params(lam=EXPLICIT_LAM, n=args.n, q=args.q,
                                  sigma=args.sigma)
-    if args.c is not None and args.eps is not None:
+    if None not in (args.n, args.c, args.eps):
         gen = np.random.default_rng(0)
         return params_mod.select_params(args.n, args.c, args.eps, gen,
                                         lam=EXPLICIT_LAM)
@@ -71,6 +71,12 @@ def _add_params(sub):
 def float_pair(text: str) -> tuple:
     lo, hi = map(float, text.split(","))  # a ValueError is a usage error
     return lo, hi
+
+
+def positive_int(text: str) -> int:
+    if int(text) < 1:  # a ValueError is a usage error too
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {text}")
+    return int(text)
 
 
 def _add_seed(sub):
@@ -135,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write JSON-lines transcripts here")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7877)
-    p.add_argument("--sessions", type=int, default=100)
+    p.add_argument("--sessions", type=positive_int, default=100)
     p.add_argument("--witness-channel", action="store_true",
                    help="ship the simulation witness (honest prover only)")
 
@@ -143,14 +149,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=7877)
-    p.add_argument("--sessions", type=int, default=100)
+    p.add_argument("--sessions", type=positive_int, default=100)
     p.add_argument("--strategy", choices=sorted(PROVERS), default="classical-baseline")
 
     p = subs.add_parser("oracle-check",
                         help="cross-check the measurement simulator against "
                              "a dense statevector on tiny instances")
     _add_seed(p)
-    p.add_argument("--triples", type=int, default=50)
+    p.add_argument("--triples", type=positive_int, default=50,
+                   help="random triples per (n, q), capped at 200")
     return parser
 
 
@@ -286,25 +293,23 @@ def cmd_connect(args) -> int:
 
 def cmd_oracle_check(args) -> int:
     from .ghz import oracle_equivalence_check
-    from .params import tiny_params
     seed = _resolve_seed(args.seed)
     gen = RngStream(seed).derive("oracle").gen
+    triples = min(args.triples, 200)
     worst_tvd = 0.0
-    checked = 0
-    for n in (1, 2):
-        for q in (3, 5):
-            params = tiny_params(n, q)
-            for _ in range(min(args.triples, 200)):
-                x_one = gen.integers(0, q, size=n)
-                x_zero = gen.integers(0, q, size=n)
-                a = gen.integers(0, q, size=n)
-                ok, tvd = oracle_equivalence_check(x_one, x_zero, a, params)
-                if not ok:
-                    print(f"FAIL: simulator/oracle mismatch at n={n} q={q}")
-                    return 1
-                worst_tvd = max(worst_tvd, tvd)
-                checked += 1
-    print(f"oracle check passed: {checked} instances, worst TVD {worst_tvd:.2e}")
+    for n, q in ((1, 3), (1, 5), (2, 3), (2, 5)):
+        params = params_mod.tiny_params(n, q)
+        for _ in range(triples):
+            x_one = gen.integers(0, q, size=n)
+            x_zero = gen.integers(0, q, size=n)
+            a = gen.integers(0, q, size=n)
+            ok, tvd = oracle_equivalence_check(x_one, x_zero, a, params)
+            if not ok:
+                print(f"FAIL: simulator/oracle mismatch at n={n} q={q}")
+                return 1
+            worst_tvd = max(worst_tvd, tvd)
+    print(f"oracle check passed: {4 * triples} instances, "
+          f"worst TVD {worst_tvd:.2e}")
     return 0
 
 

@@ -28,9 +28,9 @@ import socket
 import time
 
 from .params import Params, tiny_params
-from .protocol_q import (CHUNK, VerifierState, instance_state, prover_round1,
-                         verifier_round1, verifier_round1_stacked,
-                         verifier_score)
+from .protocol_q import (VerifierState, chunks, instance_state,
+                         prover_round1, verifier_round1,
+                         verifier_round1_stacked, verifier_score)
 # Not called here: perfbench/layers.py looks this name up on network.
 from .protocol_q import honest_prover_round1
 from .regev import Ciphertext, PublicKey
@@ -51,9 +51,9 @@ ERROR_CODES = ("bad-encoding", "bad-dimensions", "bad-bit", "no-witness",
 DRAIN_BYTES = 1 << 20
 DRAIN_SECONDS = 1.0
 
-# The largest setup scalars a prover accepts, so that a hostile verifier
-# cannot size its work at will: far above the desk preset (n = 4,
-# sigma = 3, lambda = 4) and every test preset.
+# The largest n, sigma and lambda a prover accepts in a setup (Params bounds
+# q), so that a hostile verifier cannot size its work at will: far above
+# the desk preset's (n = 4, sigma = 3, lambda = 4) and every test's.
 MAX_N = 64
 MAX_SIGMA = 2.0 ** 20
 MAX_LAMBDA = 1024
@@ -236,8 +236,8 @@ def _session(conn, vstate: VerifierState, trial_stream: RngStream,
     returns a Transcript."""
     params, pk, ct = vstate.params, vstate.keypair.pk, vstate.ct
     wants_witness = _handshake(conn, "verifier", "prover")
-    setup = {"preset": params.preset_name, "lambda": params.lam,
-             "n": params.n, "q": str(params.q), "sigma": params.sigma,
+    setup = {"lambda": params.lam, "n": params.n, "q": str(params.q),
+             "sigma": params.sigma,
              "pk": {"A": encode_matrix(pk.A), "v": encode_vector(pk.v)},
              "ct": {"a": encode_vector(ct.a), "w": str(ct.w)}}
     if witness_channel and wants_witness:
@@ -302,14 +302,11 @@ def serve_sessions(server_sock, params: Params, stream: RngStream,
     """Accept `sessions` connections in order, and yield each session's
     Transcript, or its SessionError, as the session ends; session i uses
     the stream derive('trial', i), and its transcript is what
-    verifier_session gives on that stream.  Sessions are served CHUNK at
-    a time, each chunk's keys set up in one stacked call."""
-    for start in range(0, sessions, CHUNK):
-        yield from _serve_chunk(
-            server_sock, params,
-            [stream.derive("trial", i)
-             for i in range(start, min(start + CHUNK, sessions))],
-            witness_channel, timeout)
+    verifier_session gives on that stream.  Sessions are served in
+    protocol_q.chunks, each chunk's keys set up in one stacked call."""
+    for trial_streams in chunks(stream, "trial", sessions):
+        yield from _serve_chunk(server_sock, params, trial_streams,
+                                witness_channel, timeout)
 
 
 def serve_verifier(server_sock, params: Params, stream: RngStream,

@@ -13,7 +13,7 @@ prover-visible data; see the network module for how this is enforced.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -88,12 +88,9 @@ def instance_state(vstate: VerifierState, i: int) -> VerifierState:
     state verifier_round1 gives on that instance's stream."""
     kp, pair = vstate.keypair, vstate.keypair.trapdoor
     pk, ct = instance(kp.pk, vstate.ct, i)
-    return VerifierState(
-        params=vstate.params,
-        keypair=KeypairJ(pk=pk, s=kp.s[i], e=kp.e[i],
-                         trapdoor=TrapdoorPair(params=pair.params,
-                                               A=pair.A[i], N=pair.N[i])),
-        b=int(vstate.b[i]), ct=ct)
+    keypair = KeypairJ(pk=pk, s=kp.s[i], e=kp.e[i],
+                       trapdoor=replace(pair, A=pair.A[i], N=pair.N[i]))
+    return replace(vstate, keypair=keypair, b=int(vstate.b[i]), ct=ct)
 
 
 def _prover_draws(params: Params, streams):
@@ -337,6 +334,14 @@ def prover_round1(prover, pk: PublicKey, ct: Ciphertext, witness,
 CHUNK = 16
 
 
+def chunks(stream: RngStream, label: str, count: int, size: int = CHUNK):
+    """stream.derive(label, i) for i < count, in order, as lists of `size`
+    (the last may be shorter), each derived only when it is reached."""
+    for start in range(0, count, size):
+        yield [stream.derive(label, i)
+               for i in range(start, min(start + size, count))]
+
+
 def _play_chunk(params: Params, prover, setup_streams, prover_streams,
                 b_primes):
     """The instances on `setup_streams` played as one chunk, the step that
@@ -411,11 +416,8 @@ def run_experiment(params: Params, prover, trials: int, stream: RngStream,
     transcripts are made only for a sink."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    wins = sum(_trials(params, prover,
-                       [stream.derive("trial", i)
-                        for i in range(start, min(start + CHUNK, trials))],
-                       include_pk, transcript_sink)
-               for start in range(0, trials, CHUNK))
+    wins = sum(_trials(params, prover, chunk, include_pk, transcript_sink)
+               for chunk in chunks(stream, "trial", trials))
     return Stats(successes=wins, trials=trials)
 
 

@@ -6,12 +6,12 @@ measuring that qubit, and the verifier scores d xor d' == b and b'.  The
 repetition runner plays ell independent instances against a single shared
 challenge bit and passes when at least alpha * ell of them verify.
 
-verified_count plays the instances in chunks of CHUNK on the quantumness
-test's chunk engine (protocol_q._play_chunk), the one that run_experiment
-plays its trials on: the key set-up and the scoring are one stacked call
-per chunk, and each instance's prover turns run on their own, in order.
-Each instance draws on its own streams exactly what puzzle_G and
-solve_one draw on them, so the count equals what a loop of them gives.
+verified_count walks protocol_q.chunks of CHUNK instances, as
+run_experiment walks its trials, on the same chunk engine (_play_chunk):
+the key set-up and the scoring are one stacked call per chunk, and each
+instance's prover turns run on their own, in order.  Each instance draws
+on its own streams exactly what puzzle_G and solve_one draw on them, so
+the count equals what a loop of them gives.
 """
 from __future__ import annotations
 
@@ -20,8 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .params import Params
-from .protocol_q import (PROVERS, ProverState, _play_chunk, decrypted_bit,
-                         prover_round1, verifier_round1)
+from .protocol_q import (PROVERS, ProverState, _play_chunk, chunks,
+                         decrypted_bit, prover_round1, verifier_round1)
 # Not called here: perfbench/layers.py looks this name up on puzzle.
 from .protocol_q import honest_prover_round1
 from .regev import Ciphertext, PublicKey
@@ -116,11 +116,8 @@ def verified_count(params: Params, ell: int, stream: RngStream,
     if ell < 1:
         raise ValueError("ell must be >= 1")
     b_prime = int(stream.derive("challenge").gen.integers(0, 2))
-    return sum(_verified(params, [stream.derive("instance", i)
-                                  for i in range(start,
-                                                 min(start + CHUNK, ell))],
-                         b_prime, solver)
-               for start in range(0, ell, CHUNK))
+    return sum(_verified(params, insts, b_prime, solver)
+               for insts in chunks(stream, "instance", ell, CHUNK))
 
 
 def threshold_repetition(params: Params, ell: int, alpha_threshold: float,

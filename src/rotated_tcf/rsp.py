@@ -2,12 +2,13 @@
 up to a Z^b flip, where the client keeps alpha hidden and learns b from the
 server's measurement outcomes.
 
-The client's message doubles as a Regev-style encryption of alpha: it sends
-(A, v = As + e) and (a, w) = (f^T A, f^T v + alpha).  The server runs the
-same claw-state measurement cascade as the quantumness test and rotates the
-surviving qubit by 2 pi w / q.  With the additive-alpha convention used
-here, the server ends up holding Z^b (|0> + e^(2 pi i (f^T e + alpha)/q)|1>)
-so the only deviation from the target is the noise term f^T e.
+The client's message is the quantumness test's first message (pk, ct): a
+trapdoor key pk = (A, v = As + e) and a Regev-style encryption of alpha,
+ct = (a, w) = (f^T A, f^T v + alpha).  The server runs the test's claw-state
+measurement cascade on it and rotates the surviving qubit by 2 pi w / q.
+With the additive-alpha convention used here, the server ends up holding
+Z^b (|0> + e^(2 pi i (f^T e + alpha)/q)|1>), so the only deviation from the
+target is the noise term f^T e.
 
 `sign_convention="subtractive"` instead sends w = f^T v - alpha and rotates
 by -2 pi w / q; it is retained as an executable record of an alternative
@@ -17,7 +18,7 @@ for it is expected to fail).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,7 +28,7 @@ from .ghz import (angle_sequence, simulate_basis_measurement,
                   simulate_ghz_measurement)
 from .params import Params
 from .protocol_q import claw_bit, honest_prover_round1
-from .regev import Ciphertext, PublicKey, encrypt_zq, gen_j, gen_k
+from .regev import KeypairJ, encrypt_zq, gen_j, gen_k
 from .sampling import RngStream, sample_bits, sample_uniform
 from .trapdoor import find_preimage
 from .trapdoor import invert  # not called: perfbench/layers.py rebinds it
@@ -37,7 +38,7 @@ from .zq import centered_abs, matmul_mod
 @dataclass
 class ClientState:
     params: Params
-    keypair: "object"            # KeypairJ: A + trapdoor, s, e
+    keypair: KeypairJ
     f: np.ndarray
     alpha: int
 
@@ -55,7 +56,7 @@ class RspOutcome:
 def rsp_client_round1(params: Params, alpha: int, stream: RngStream,
                       sign_convention: str = "additive",
                       force_zero_noise: bool = False):
-    """Returns (ClientState, message) with message = ((A, v), (a, w))."""
+    """Returns (ClientState, (pk, ct)), ct an encryption of alpha."""
     if sign_convention not in ("additive", "subtractive"):
         raise ValueError("sign_convention must be additive or subtractive")
     if not 0 <= alpha < params.q:
@@ -65,15 +66,13 @@ def rsp_client_round1(params: Params, alpha: int, stream: RngStream,
     kp = gen_j(params, stream.derive("key"))
     if force_zero_noise:
         # test hook: replace e with 0 so the prepared state is exact
-        e = np.zeros(params.m, dtype=np.int64)
-        v = matmul_mod(kp.pk.A, kp.s, params.q)
-        kp = type(kp)(pk=type(kp.pk)(params=params, A=kp.pk.A, v=v),
-                      s=kp.s, e=e, trapdoor=kp.trapdoor)
+        pk = replace(kp.pk, v=matmul_mod(kp.pk.A, kp.s, params.q))
+        kp = replace(kp, pk=pk, e=np.zeros(params.m, dtype=np.int64))
     payload = alpha if sign_convention == "additive" else (-alpha) % params.q
     f = sample_bits(params.m, stream.derive("f"))
     ct = encrypt_zq(kp.pk, payload, f)
     state = ClientState(params=params, keypair=kp, f=f, alpha=alpha)
-    return state, ((kp.pk.A, kp.pk.v), (ct.a, ct.w))
+    return state, (kp.pk, ct)
 
 
 def rsp_server_round(params: Params, msg, witness, stream: RngStream,
@@ -82,12 +81,10 @@ def rsp_server_round(params: Params, msg, witness, stream: RngStream,
     ((y, u), beta) where beta is the exact state of the qubit the server
     keeps.  The subtractive rotation by -2 pi w / q is the cascade's
     rotation by 2 pi ((-w) mod q) / q."""
-    (A, v), (a, w) = msg
+    pk, ct = msg
     if sign_convention != "additive":
-        w = (-w) % params.q
-    state, (y, u) = honest_prover_round1(
-        params, PublicKey(params=params, A=A, v=v), Ciphertext(a=a, w=w),
-        witness, stream)
+        ct = replace(ct, w=(-ct.w) % params.q)
+    state, (y, u) = honest_prover_round1(params, pk, ct, witness, stream)
     return (y, u), state.qubit
 
 

@@ -32,6 +32,18 @@ def test_params_incomplete_explicit():
     assert main(["params", "--n", "2"]) == USAGE_EXIT
 
 
+@pytest.mark.parametrize("flags", [
+    ["--q", "101", "--sigma", "2"], ["--q", "101"], ["--sigma", "2"],
+    ["--c", "1.5", "--eps", "0.1"], ["--c", "1.5"], ["--eps", "0.1"]])
+def test_explicit_parameters_without_n_are_refused(capsys, flags):
+    """An explicit parameter without --n is a usage error, not the preset
+    with that parameter left unread."""
+    assert main(["params", *flags]) == USAGE_EXIT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "(--n --q --sigma) or (--n --c --eps)" in captured.err
+
+
 def test_unknown_subcommand():
     assert main(["fly"]) == USAGE_EXIT
     assert main([]) == USAGE_EXIT
@@ -152,6 +164,35 @@ def test_entropy_command(capsys):
 def test_oracle_check_command(capsys):
     assert main(["oracle-check", "--triples", "5", "--seed", SEED]) == 0
     assert "oracle check passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("triples", ["0", "-5"])
+def test_oracle_check_refuses_fewer_than_one_triple(capsys, triples):
+    assert main(["oracle-check", "--triples", triples]) == USAGE_EXIT
+    assert "oracle check passed" not in capsys.readouterr().out
+
+
+def test_oracle_check_help_names_the_cap():
+    subs = next(a for a in build_parser()._actions
+                if isinstance(a, argparse._SubParsersAction))
+    assert "capped at 200" in subs.choices["oracle-check"].format_help()
+
+
+@pytest.mark.parametrize("command", ["serve", "connect"])
+@pytest.mark.parametrize("sessions", ["0", "-3"])
+def test_sessions_below_one_are_refused_before_any_socket(
+        monkeypatch, capsys, command, sessions):
+    from rotated_tcf import cli
+
+    def no_socket(*args, **kwargs):
+        raise AssertionError("a socket was opened")
+
+    monkeypatch.setattr(cli, "open_server_socket", no_socket)
+    monkeypatch.setattr(cli, "prover_session", no_socket)
+    assert main([command, "--sessions", sessions]) == USAGE_EXIT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "--sessions" in captured.err
 
 
 def test_subcommands_refuse_flags_they_ignore(tmp_path):

@@ -327,6 +327,21 @@ def test_network_demo_script(strategy):
     assert "in-process rerun: 17/17" in done.stdout
 
 
+def test_network_demo_refuses_sessions_below_one(monkeypatch, capsys):
+    """scripts/network_demo.py exits 2 on --sessions 0, before it opens
+    its listener."""
+    spec = importlib.util.spec_from_file_location(
+        "network_demo", ROOT / "scripts" / "network_demo.py")
+    demo = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(demo)
+    monkeypatch.setattr(demo, "open_server_socket", None)
+    monkeypatch.setattr(sys, "argv", ["network_demo.py", "--sessions", "0"])
+    with pytest.raises(SystemExit) as exited:
+        demo.main()
+    assert exited.value.code == 2
+    assert "--sessions" in capsys.readouterr().err
+
+
 def test_network_demo_exits_when_its_client_fails(monkeypatch, capsys):
     """When its client side fails, scripts/network_demo.py prints the
     session's code, shuts its verifier down and exits 1 instead of
@@ -566,8 +581,8 @@ def test_setup_over_its_cap_is_refused_unread(stream):
 
     def zeros(*shape):
         return encode_vector(np.zeros(shape, dtype=np.int64))
-    setup = {"preset": largest.preset_name, "lambda": largest.lam,
-             "n": n, "q": str(largest.q), "sigma": largest.sigma,
+    setup = {"lambda": largest.lam, "n": n, "q": str(largest.q),
+             "sigma": largest.sigma,
              "pk": {"A": zeros(m, n), "v": zeros(m)},
              "ct": {"a": zeros(n), "w": str(largest.q - 1)},
              WITNESS_LABEL: {"s": zeros(n), "e": zeros(m)}}
@@ -615,6 +630,15 @@ def honest_setup(stream, desk):
     sock.close()
     t.join()
     return _owned(parse_frame(body)["payload"])
+
+
+def test_setup_holds_only_what_the_prover_reads(honest_setup):
+    """The setup frame carries the scalars, the key, the ciphertext and,
+    on the witness channel, the witness; nothing that `_setup` skips."""
+    assert honest_setup.keys() == {"lambda", "n", "q", "sigma", "pk", "ct",
+                                   WITNESS_LABEL}
+    assert honest_setup["pk"].keys() == {"A", "v"}
+    assert honest_setup["ct"].keys() == {"a", "w"}
 
 
 def _owned(obj):

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from rotated_tcf.params import desk_preset, next_prime, tiny_params
-from rotated_tcf.protocol_q import (decrypted_bit,
+from rotated_tcf.protocol_q import (chunks, decrypted_bit,
                                     honest_prover_round1_stacked,
                                     verifier_round1_stacked)
 from rotated_tcf.rsp import run_rsp_once, trace_distance
@@ -22,7 +22,6 @@ from rotated_tcf.sampling import sample_bits
 from rotated_tcf.zq import centered_lift
 
 TRIALS = 256
-CHUNK = 16
 
 
 def _noise_term(f, e, q):
@@ -42,9 +41,7 @@ def test_two_preimage_phase_is_q_d_plus_noise_plus_bit(stream, params):
     where every A.x product needs limbs."""
     q = params.q
     two_preimage = 0
-    for start in range(0, TRIALS, CHUNK):
-        trials = [stream.derive("trial", i)
-                  for i in range(start, start + CHUNK)]
+    for trials in chunks(stream, "trial", TRIALS):
         vstate, (pk, ct) = verifier_round1_stacked(
             params, [t.derive("verifier") for t in trials])
         kp = vstate.keypair

@@ -8,7 +8,8 @@ from rotated_tcf import protocol_q, regev
 from rotated_tcf.protocol_q import (CHUNK, PROVERS, BaselineProver,
                                     ClassicalProver, DeterministicProver,
                                     HonestQuantumProver, RandomProver,
-                                    SECOND_RESPONSE_RULES, decrypted_bit,
+                                    SECOND_RESPONSE_RULES, chunks,
+                                    decrypted_bit,
                                     deterministic_family,
                                     exact_ct_independent_win_prob,
                                     honest_prover_round1,
@@ -177,6 +178,18 @@ def test_transcript_sink_receives_every_trial(stream, desk):
 
 
 CHUNK_EDGES = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
+
+
+@pytest.mark.parametrize("size", [CHUNK, 10, 1])
+def test_chunks_walk_the_labeled_streams_in_order(stream, size):
+    """chunks gives stream.derive(label, i) for every i below the count,
+    in order, `size` at a time with a shorter last list."""
+    for count in (0, *CHUNK_EDGES):
+        walked = list(chunks(stream, "x", count, size))
+        assert all(len(chunk) == size for chunk in walked[:-1])
+        assert 0 < len(walked[-1]) <= size if walked else count == 0
+        assert [t.seed for chunk in walked for t in chunk] == [
+            stream.derive("x", i).seed for i in range(count)]
 
 
 def _single_trials(params, prover, stream, trials, include_pk):

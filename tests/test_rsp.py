@@ -44,8 +44,9 @@ def test_client_round1_validation(stream, desk):
 
 def test_client_message_is_encryption_of_alpha(stream, desk):
     alpha = 123456789
-    state, ((A, v), (a, w)) = rsp_client_round1(desk, alpha, stream)
-    lhs = (w - int(matmul_mod(a, state.keypair.s, desk.q))) % desk.q
+    state, (pk, ct) = rsp_client_round1(desk, alpha, stream)
+    assert pk is state.keypair.pk
+    lhs = (ct.w - int(matmul_mod(ct.a, state.keypair.s, desk.q))) % desk.q
     noise = int(matmul_mod(state.f, state.keypair.e, desk.q))
     assert lhs == (noise + alpha) % desk.q
 
