@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sampling import RngStream, sample_bits
+from .sampling import RngStream, fill_bits
 from .zq import bits_le_vec, gadget_multiples
 
 
@@ -75,8 +75,10 @@ def _outcomes(shape, streams) -> np.ndarray:
     stream in the list `streams`."""
     if len(streams) != shape[0]:
         raise ValueError("need one stream per row")
-    return np.array([sample_bits(shape[1], s) for s in streams],
-                    dtype=np.int64).reshape(shape)
+    u = np.empty(shape, dtype=np.int64)
+    for row, stream in zip(u, streams):
+        fill_bits(stream.gen, row)      # sample_bits, drawn in place
+    return u
 
 
 def simulate_ghz_measurement(x_one: np.ndarray, x_zero: np.ndarray,
@@ -156,7 +158,10 @@ def predicted_phase_units(x_one, x_zero, r_units, u, params):
     and runs of that many are summed modulo 2q until one value is left
     (one run at desk)."""
     q2 = 2 * params.q
-    step = bits_le_vec(x_zero, params.Q) - bits_le_vec(x_one, params.Q)
+    # the bits of x_zero, then those of x_one, from one call
+    bits = bits_le_vec(np.concatenate([x_zero, x_one], axis=-1), params.Q)
+    nQ = bits.shape[-1] // 2
+    step = bits[..., :nQ] - bits[..., nQ:]
     phase = step * ((np.asarray(r_units, dtype=np.int64) % q2
                      + params.q * np.asarray(u, dtype=np.int64)) % q2)
     span = (1 << 63) // q2

@@ -10,6 +10,9 @@ in-process transcripts bit for bit.
 Each frame is read by `_receive`, through its type's one decoder, and
 refused unread if its header announces more than its type's cap.  A
 session that fails raises SessionError with its error frame's code.
+Each session fixes one deadline when its connection is accepted or made,
+`timeout` seconds on: every read and send waits only for the time left,
+and a session past it fails with `timeout`.
 `serve_sessions` sets up the verifier's keys for each chunk of
 `protocol_q.CHUNK` sessions in one stacked call, made once the chunk's
 first connection is accepted; each session plays on its own instance,
@@ -83,9 +86,22 @@ def _failure(exc: Exception) -> SessionError:
                         else getattr(exc, "code", "bad-encoding"), str(exc))
 
 
-def _send(sock, msg_type: str, payload: dict) -> None:
-    """Send one frame; a send that fails ends the session (`_failure`)."""
+def _deadline(timeout):
+    """The deadline of a session that starts now with `timeout` seconds, a
+    time.monotonic() reading; None, no deadline, for no timeout."""
+    return None if timeout is None else time.monotonic() + timeout
+
+
+def _send(sock, msg_type: str, payload: dict, deadline) -> None:
+    """Send one frame within the time left until the session's `deadline`;
+    a send that fails or finds no time left ends the session
+    (`_failure`)."""
     try:
+        if deadline is not None:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError("the session is past its deadline")
+            sock.settimeout(left)
         send_message(sock, make_message(msg_type, payload))
     except OSError as exc:
         raise _failure(exc) from None
@@ -99,6 +115,7 @@ def _refuse(sock, code: str, unread: bool = False) -> None:
     deadline = time.monotonic() + DRAIN_SECONDS
     left = DRAIN_BYTES if unread else 0
     with contextlib.suppress(OSError):  # a timeout, or a reset
+        sock.settimeout(DRAIN_SECONDS)  # the session's time may be up
         send_message(sock, make_message("error", {"code": code}))
         sock.shutdown(socket.SHUT_WR)
         while left > 0:
@@ -195,14 +212,15 @@ def _frame_cap(msg_type: str, *context) -> int:
     return SETUP_FRAME_BYTES if msg_type == "setup" else SMALL_FRAME_BYTES
 
 
-def _receive(sock, msg_type: str, *context):
-    """The decoded payload of the next frame, a `msg_type`.  Any failure
-    raises SessionError: a peer's error frame with its code, unanswered,
-    and any other once `_refuse` has sent its code (see `_failure`),
-    draining what the peer sends if no whole frame was read."""
+def _receive(sock, msg_type: str, deadline, *context):
+    """The decoded payload of the next frame, a `msg_type`, read by the
+    session's `deadline`.  Any failure raises SessionError: a peer's error
+    frame with its code, unanswered, and any other once `_refuse` has sent
+    its code (see `_failure`), draining what the peer sends if no whole
+    frame was read."""
     msg = None
     try:
-        msg = recv_message(sock, _frame_cap(msg_type, *context))
+        msg = recv_message(sock, _frame_cap(msg_type, *context), deadline)
         if msg["type"] not in (msg_type, "error"):
             raise SessionError("protocol-order",
                                f"expected {msg_type}, got {msg['type']}")
@@ -215,9 +233,10 @@ def _receive(sock, msg_type: str, *context):
         raise failure from None
 
 
-def _handshake(sock, role: str, peer_role: str, **hello) -> bool:
-    _send(sock, "hello", dict(hello, role=role, version=PROTOCOL_VERSION))
-    return _receive(sock, "hello", peer_role)
+def _handshake(sock, role: str, peer_role: str, deadline, **hello) -> bool:
+    _send(sock, "hello", dict(hello, role=role, version=PROTOCOL_VERSION),
+          deadline)
+    return _receive(sock, "hello", deadline, peer_role)
 
 
 def open_server_socket(host: str, port: int) -> socket.socket:
@@ -229,13 +248,13 @@ def open_server_socket(host: str, port: int) -> socket.socket:
 
 
 def _session(conn, vstate: VerifierState, trial_stream: RngStream,
-             challenge_stream: RngStream, witness_channel: bool):
-    """Drive one session on an accepted connection, with the verifier's
-    set-up `vstate` for the trial on `trial_stream` and its challenge bit
-    drawn from `challenge_stream`, the trial's derive('challenge');
-    returns a Transcript."""
+             challenge_stream: RngStream, witness_channel: bool, deadline):
+    """Drive one session on an accepted connection, by `deadline`, with
+    the verifier's set-up `vstate` for the trial on `trial_stream` and its
+    challenge bit drawn from `challenge_stream`, the trial's
+    derive('challenge'); returns a Transcript."""
     params, pk, ct = vstate.params, vstate.keypair.pk, vstate.ct
-    wants_witness = _handshake(conn, "verifier", "prover")
+    wants_witness = _handshake(conn, "verifier", "prover", deadline)
     setup = {"lambda": params.lam, "n": params.n, "q": str(params.q),
              "sigma": params.sigma,
              "pk": {"A": encode_matrix(pk.A), "v": encode_vector(pk.v)},
@@ -245,24 +264,27 @@ def _session(conn, vstate: VerifierState, trial_stream: RngStream,
         # simulator; never part of the protocol
         setup[WITNESS_LABEL] = {"s": encode_vector(vstate.keypair.s),
                                 "e": encode_vector(vstate.keypair.e)}
-    _send(conn, "setup", setup)
-    y, u = _receive(conn, "response1", params)
+    _send(conn, "setup", setup, deadline)
+    y, u = _receive(conn, "response1", deadline, params)
     b_prime = int(challenge_stream.gen.integers(0, 2))
-    _send(conn, "challenge", {"b_prime": b_prime})
-    d_prime = _receive(conn, "response2")
+    _send(conn, "challenge", {"b_prime": b_prime}, deadline)
+    d_prime = _receive(conn, "response2", deadline)
     transcript = verifier_score(vstate, y, u, b_prime, d_prime,
                                 seed_info=trial_stream.seed.hex())
     _send(conn, "result", {"success": bool(transcript.success),
-                           "d": transcript.d})
+                           "d": transcript.d}, deadline)
     return transcript
 
 
 def verifier_session(conn, params: Params, trial_stream: RngStream,
                      witness_channel: bool = False):
-    """Drive one session on an accepted connection; returns a Transcript."""
+    """Drive one session on an accepted connection; returns a Transcript.
+    The connection's timeout bounds the whole session, from this call."""
+    deadline = _deadline(conn.gettimeout())
     vstate, _ = verifier_round1(params, trial_stream.derive("verifier"))
     return _session(conn, vstate, trial_stream,
-                    trial_stream.derive("challenge"), witness_channel)
+                    trial_stream.derive("challenge"), witness_channel,
+                    deadline)
 
 
 def _serve_chunk(server_sock, params: Params, trial_streams,
@@ -270,9 +292,10 @@ def _serve_chunk(server_sock, params: Params, trial_streams,
     """The sessions on `trial_streams`, one accepted connection each, in
     order; yields each one's transcript, or a failed session's
     SessionError, once its connection is closed: the next session plays
-    the next instance.  The verifier's keys for all of them are one
-    verifier_round1_stacked call, made only once the first connection is
-    accepted: the client shares this process's interpreter lock in a
+    the next instance.  Each session has `timeout` seconds from its
+    accept, its set-up included.  The verifier's keys for all of them are
+    one verifier_round1_stacked call, made only once the first connection
+    is accepted: the client shares this process's interpreter lock in a
     loopback run, and a set-up made before it would hold up the client's
     read of the previous session's result.  The set-up also seeds every
     session's challenge generator, in one call.  A generator of its own,
@@ -280,8 +303,8 @@ def _serve_chunk(server_sock, params: Params, trial_streams,
     drawn."""
     for i, trial_stream in enumerate(trial_streams):
         conn, _ = server_sock.accept()
+        deadline = _deadline(timeout)
         with conn:
-            conn.settimeout(timeout)
             if i == 0:
                 vstate, _ = verifier_round1_stacked(
                     params, [t.derive("verifier") for t in trial_streams])
@@ -290,7 +313,7 @@ def _serve_chunk(server_sock, params: Params, trial_streams,
             try:
                 result = _session(conn, instance_state(vstate, i),
                                   trial_stream, challenges[i],
-                                  witness_channel)
+                                  witness_channel, deadline)
             except SessionError as exc:
                 result = exc
         yield result
@@ -324,10 +347,13 @@ def serve_verifier(server_sock, params: Params, stream: RngStream,
 
 def prover_session(host: str, port: int, strategy, trial_stream: RngStream,
                    timeout: float = DEFAULT_TIMEOUT) -> dict:
-    """Run one session as the prover; returns the result payload."""
+    """Run one session as the prover; returns the result payload.  The
+    session has `timeout` seconds from its connect."""
     with socket.create_connection((host, port), timeout=timeout) as sock:
-        _handshake(sock, "prover", "verifier", witness=strategy.quantum)
-        pk, ct, witness = _receive(sock, "setup", strategy.quantum)
+        deadline = _deadline(timeout)
+        _handshake(sock, "prover", "verifier", deadline,
+                   witness=strategy.quantum)
+        pk, ct, witness = _receive(sock, "setup", deadline, strategy.quantum)
         pstream = trial_stream.derive("prover")
         try:
             y, u, memory = prover_round1(strategy, pk, ct, witness, pstream)
@@ -335,11 +361,11 @@ def prover_session(host: str, port: int, strategy, trial_stream: RngStream,
             _refuse(sock, "bad-encoding")
             raise _failure(exc) from None
         _send(sock, "response1", {"y": encode_vector(y),
-                                  "u": encode_bits(u)})
-        b_prime = _receive(sock, "challenge")
+                                  "u": encode_bits(u)}, deadline)
+        b_prime = _receive(sock, "challenge", deadline)
         d_prime = int(strategy.second_response(b_prime, memory, pstream))
-        _send(sock, "response2", {"d_prime": d_prime})
-        return _receive(sock, "result")
+        _send(sock, "response2", {"d_prime": d_prime}, deadline)
+        return _receive(sock, "result", deadline)
 
 
 def connect_prover(host: str, port: int, strategy, stream: RngStream,

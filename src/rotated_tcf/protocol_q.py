@@ -178,9 +178,9 @@ def honest_prover_round1(params: Params, pk: PublicKey, ct: Ciphertext,
 
 def claw_bit(x: np.ndarray, u: np.ndarray, Q: int) -> int:
     """d = u . ([x0] xor [x1]) for the claw preimages x = (x0, x1) stacked
-    on axis -2; stacks of x and u give one bit per instance."""
-    return bit_dot(u, bits_le_vec(x[..., 0, :], Q)
-                   ^ bits_le_vec(x[..., 1, :], Q))
+    on axis -2; stacks of x and u give one bit per instance.  The bits of
+    x0 xor x1 are [x0] xor [x1]."""
+    return bit_dot(u, bits_le_vec(x[..., 0, :] ^ x[..., 1, :], Q))
 
 
 def decrypted_bit(pair: TrapdoorPair, v: np.ndarray, y: np.ndarray,

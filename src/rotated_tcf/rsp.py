@@ -61,7 +61,9 @@ def rsp_client_round1(params: Params, alpha: int, stream: RngStream,
         raise ValueError("sign_convention must be additive or subtractive")
     if not 0 <= alpha < params.q:
         raise ValueError("alpha must lie in Z_q")
-    if params.tau < 2 * params.m * params.sigma:
+    bound = 2 * params.m * params.sigma
+    # tau's floor first: a cheap test that settles it unless tau is close
+    if params.tau_floor < bound and params.tau < bound:
         raise ValueError("blind preparation requires tau >= 2 m sigma")
     kp = gen_j(params, stream.derive("key"))
     if force_zero_noise:
@@ -94,7 +96,7 @@ def rsp_client_finish(state: ClientState, y: np.ndarray,
     the flip bit b = ([x0] xor [x1]) . u and describe the target state."""
     p = state.params
     kp = state.keypair
-    found = find_preimage(kp.trapdoor, np.stack([y, (y + kp.pk.v) % p.q]),
+    found = find_preimage(kp.trapdoor, np.array([y, (y + kp.pk.v) % p.q]),
                           p.tau)
     if found is None:
         return RspOutcome()

@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 import math
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -40,12 +39,20 @@ class RngStream:
     def gen(self) -> np.random.Generator:
         if self._gen is None:
             self._gen = np.random.Generator(
-                np.random.PCG64(int.from_bytes(self.seed, "big"))
-            )
+                np.random.PCG64(_entropy_words(self.seed)))
         return self._gen
 
     def __repr__(self):
         return f"RngStream({self.seed.hex()[:16]}...)"
+
+
+def _entropy_words(seed: bytes) -> np.ndarray:
+    """int.from_bytes(seed, "big") as numpy's SeedSequence reads an int:
+    its uint32 words, least significant first, without the leading zero
+    words (a zero seed keeps one word).  Handing numpy the words skips its
+    coercion of a Python int, and seeds the same generator."""
+    words = max(1, -(-len(seed.lstrip(b"\0")) // 4))
+    return np.frombuffer(seed[::-1], dtype="<u4", count=words)
 
 
 # numpy's SeedSequence is M. O'Neill's seed_seq_fe with a pool of 4 uint32
@@ -132,9 +139,11 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
 
 
 # Streams per seed_streams call from which the vectorised words pay.  On a
-# 2-vCPU Xeon guest they cost about 90 us a call and then 4-5 us a stream
-# (PCG64 and Generator included), against 20-25 us a stream through
-# numpy's SeedSequence: even near 5 streams, so a lone instance keeps
+# 2-vCPU Xeon guest they cost about 60-130 us a call, with 2-5 us of it a
+# stream (PCG64 and Generator included), against 11-18 us a stream
+# through numpy's SeedSequence fed the seed's words (RngStream.gen; 20-28
+# us when it was fed the int).  Timed in pairs, the lone path still wins
+# at 7 streams and the vectorised call from 8, so a lone instance keeps
 # numpy's path.
 SEED_BATCH_MIN = 8
 
@@ -179,7 +188,8 @@ def fill_bits(gen: np.random.Generator, out: np.ndarray) -> np.ndarray:
     stop -= (stop - start) % 2
     if stop > start:
         words = gen.bit_generator.random_raw((stop - start) // 2)
-        out[start:stop] = words.astype("<u8", copy=False).view("<u4") >> 31
+        np.right_shift(words.astype("<u8", copy=False).view("<u4"), 31,
+                       out=out[start:stop], casting="unsafe")
     if stop < len(out):
         out[stop] = gen.integers(0, 2)
     return out
@@ -212,8 +222,9 @@ def _cdf(pmf):
 
 
 def _table_draw(support, cdf, u):
-    """The table entries that the uniforms `u` select by inverse CDF."""
-    return support[np.searchsorted(cdf, u, side="right")]
+    """The table entries that the uniforms `u` select by inverse CDF.  A
+    support is a run of consecutive integers, so entry i is i + support[0]."""
+    return np.searchsorted(cdf, u, side="right") + support[0]
 
 
 def sample_gaussian(sigma: float, stream: RngStream, size):
@@ -223,12 +234,11 @@ def sample_gaussian(sigma: float, stream: RngStream, size):
 
 
 @lru_cache(maxsize=64)
-def _truncated_table(sigma: float, tau: Fraction):
-    """Support and CDF of G(sigma) conditioned on |x| <= tau, built once
-    per (sigma, tau); read-only, since every caller shares them."""
+def _truncated_table(sigma: float, t: int):
+    """Support and CDF of G(sigma) conditioned on |x| <= t, built once per
+    (sigma, t); read-only, since every caller shares them."""
     support, pmf = gaussian_table(sigma)
-    # |x| <= tau via integer cross-multiplication
-    keep = np.abs(support) * tau.denominator <= tau.numerator
+    keep = np.abs(support) <= t
     support, pmf = support[keep], pmf[keep]
     cdf = _cdf(pmf / pmf.sum())
     support.setflags(write=False)
@@ -244,13 +254,15 @@ def _truncated_table(sigma: float, tau: Fraction):
 def sample_truncated_gaussian_stacked(sigma: float, tau, streams, size):
     """`size` draws from G(sigma) conditioned on |x| <= tau (the exact
     truncated table) on each of `streams`, one row each: each stream's
-    gen.random(size), then one table lookup and one bound check."""
-    tau = Fraction(tau)
-    if tau < 1:
+    gen.random(size), then one table lookup and one bound check.  An
+    integer x has |x| <= tau exactly when |x| <= floor(tau), so the table
+    and the check take t = floor(tau), an int, from any real tau."""
+    t = math.floor(tau)
+    if t < 1:
         raise ValueError("tau must be >= 1")
     u = np.array([stream.gen.random(size) for stream in streams])
-    out = _table_draw(*_truncated_table(sigma, tau), u)
-    if int(np.abs(out).max(initial=0)) * tau.denominator > tau.numerator:
+    out = _table_draw(*_truncated_table(sigma, t), u)
+    if int(np.abs(out).max(initial=0)) > t:
         raise AssertionError("truncated Gaussian draw exceeds tau")
     return out
 
@@ -272,10 +284,10 @@ def sample_box_stacked(m: int, tau, q: int, streams) -> np.ndarray:
 def sample_noise_stacked(params, streams) -> np.ndarray:
     """The key-generation error vector e <- G(sigma, tau)^m mod q on each
     of `streams`, one row each."""
-    if params.tau < 1:
+    if params.tau_floor < 1:
         # tau < 1 forces e = 0 (tiny test instances only): no draw
         return np.zeros((len(streams), params.m), dtype=np.int64)
-    e = sample_truncated_gaussian_stacked(params.sigma, params.tau, streams,
-                                          params.m)
+    e = sample_truncated_gaussian_stacked(params.sigma, params.tau_floor,
+                                          streams, params.m)
     e %= params.q
     return e

@@ -16,8 +16,7 @@ import numpy as np
 
 from .params import Params
 from .sampling import RngStream, fill_bits
-from .zq import (bits_le, centered_abs, centered_lift, gadget_matrix,
-                 gadget_multiples, inf_norm, matmul_mod)
+from .zq import bits_le, gadget_matrix, gadget_multiples, inf_norm, matmul_mod
 
 
 @dataclass(frozen=True)
@@ -48,8 +47,9 @@ def gen_trap_stacked(params: Params, streams) -> TrapdoorPair:
         gen = stream.gen
         A[i, Q * n:] = gen.integers(0, q, size=(k, n), dtype=np.int64)
         fill_bits(gen, N[i].reshape(-1))  # a view: N is C-contiguous
-    A[:, :Q * n] = (gadget_matrix(n, Q, q)
-                    + matmul_mod(N, A[:, Q * n:], q)) % q
+    NM = matmul_mod(N, A[:, Q * n:], q)
+    NM += gadget_matrix(n, Q, q)
+    np.remainder(NM, q, out=A[:, :Q * n])
     return TrapdoorPair(params=params, A=A, N=N)
 
 
@@ -81,20 +81,23 @@ def invert(pair: TrapdoorPair, v: np.ndarray) -> np.ndarray:
     blk = blk.reshape(v.shape[:-1] + (n, Q))
     q_bits, h, q_inverse = _decoder(q, Q)
     w_last = matmul_mod(q_bits, np.swapaxes(blk, -1, -2), q)
-    w = np.concatenate([(2 * blk[..., :-1] - blk[..., 1:]) % q,
-                        w_last[..., None]], axis=-1)
+    w = np.concatenate([2 * blk[..., :-1] - blk[..., 1:], w_last[..., None]],
+                       axis=-1)
+    # S blk mod q lifted to the centered range, ((z + half) mod q) - half
+    half = q // 2
+    w = (w + half) % q - half
     # e'_0 = (h . w) / q, computed mod 2^64, where q is invertible: exact
     # whenever the integer sum is q e'_0 with |e'_0| < 2^63, i.e. whenever
     # a decoding exists.
-    hw = (centered_lift(w, q).view(np.uint64) * h).sum(axis=-1,
-                                                        dtype=np.uint64)
-    e0 = (hw * q_inverse).view(np.int64)
+    e0 = ((w.view(np.uint64) @ h) * q_inverse).view(np.int64)
     s = (blk[..., 0] - e0 % q) % q
-    # Accept only if blk - g s_i is short in every coordinate, 2Q |.| < q
-    # (tested as |.| <= (q-1) // 2Q, which cannot overflow): this also
-    # rejects the meaningless e'_0 of a row with no decoding.
-    resid = (blk - gadget_multiples(s, Q, q)) % q
-    ok = (centered_abs(resid, q) <= (q - 1) // (2 * Q)).all(axis=(-2, -1))
+    # Accept only if blk - g s_i is short in every coordinate, 2Q |.| < q,
+    # tested as |.| <= t = (q-1) // 2Q, which cannot overflow: a centered
+    # |z| <= t is (z + t) mod q <= 2t, as 2t < q.  This also rejects the
+    # meaningless e'_0 of a row with no decoding.
+    t = (q - 1) // (2 * Q)
+    ok = ((blk - gadget_multiples(s, Q, q) + t) % q <= 2 * t).all(
+        axis=(-2, -1))
     return np.where(ok[..., None], s, 0)
 
 

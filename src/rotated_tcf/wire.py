@@ -230,7 +230,7 @@ def _recv_exact(sock: socket.socket, count: int, deadline) -> bytearray:
         if deadline is not None:
             left = deadline - time.monotonic()
             if left <= 0:
-                raise TimeoutError("frame not whole within the timeout")
+                raise TimeoutError("frame not whole by the deadline")
             sock.settimeout(left)
         read = sock.recv_into(view[got:])
         if not read:
@@ -239,12 +239,13 @@ def _recv_exact(sock: socket.socket, count: int, deadline) -> bytearray:
     return buf
 
 
-def recv_message(sock: socket.socket, cap: int) -> dict:
+def recv_message(sock: socket.socket, cap: int, deadline) -> dict:
     """The next frame, refused before its body is read if its header
-    announces more than `cap` bytes.  The socket's timeout bounds the whole
-    frame, header and body together, and is restored afterwards."""
+    announces more than `cap` bytes.  Header and body must both arrive by
+    `deadline`, a time.monotonic() reading (None: each read waits as the
+    socket's timeout lets it); the socket's timeout is restored
+    afterwards."""
     timeout = sock.gettimeout()
-    deadline = time.monotonic() + timeout if timeout else None
     try:
         (length,) = struct.unpack(">I", _recv_exact(sock, 4, deadline))
         if length > cap:

@@ -155,9 +155,11 @@ def matmul_mod(A, B, q: int):
 def _estimate(P, F, q: int):
     """The sum whose value is P mod 2^64 and about F, reduced mod q: P less
     q floor(F / q), wrapping, which is exact in [-q, 2q) when the estimate
-    is off by at most one (see the module docstring).  Explicit ufuncs,
-    since numpy warns of wrap-around in operators on a 0-d result."""
-    t = np.floor(F / q).astype(np.uint64)
+    is off by at most one (see the module docstring).  Every operand is
+    at least 0, and so is F, so the cast's truncation is the floor.
+    Explicit ufuncs, since numpy warns of wrap-around in operators on a
+    0-d result."""
+    t = (F / q).astype(np.uint64)
     return np.subtract(P, np.multiply(t, np.uint64(q))).view(np.int64) % q
 
 
@@ -179,7 +181,10 @@ def _matmul_mod_bytes(A: np.ndarray, B: np.ndarray, q: int):
     """matmul_mod for a uint8 A: one matrix, or a stack L + (r, k) with B
     of shape L + (k, c).  Each matrix of A is copied in turn into the
     thread's work buffer, in its product_dtype, and multiplied from there:
-    numpy's `@` on a narrow operand would widen the whole stack at once."""
+    numpy's `@` on a narrow operand would widen the whole stack at once.
+    In float64, where every sum is exact, each product goes straight into
+    the stack of sums, which is reduced once; in int64 each takes
+    matmul_mod's int64 paths."""
     work = _work_buffer(A.shape[-2:], product_dtype(
         A.shape, int(A.max(initial=0)), q))
     if A.ndim == 2:
@@ -187,11 +192,17 @@ def _matmul_mod_bytes(A: np.ndarray, B: np.ndarray, q: int):
         return matmul_mod(work, B, q)
     if B.shape[:-2] != A.shape[:-2]:
         raise ValueError("B does not lead with A's stack axes")
-    out = np.empty(A.shape[:-1] + B.shape[-1:], dtype=np.int64)
+    exact = work.dtype == np.float64
+    if exact:
+        B = B.astype(np.float64)
+    out = np.empty(A.shape[:-1] + B.shape[-1:], dtype=work.dtype)
     for i in np.ndindex(A.shape[:-2]):
         np.copyto(work, A[i])
-        out[i] = matmul_mod(work, B[i], q)
-    return out
+        if exact:
+            np.matmul(work, B[i], out=out[i])
+        else:
+            out[i] = matmul_mod(work, B[i], q)
+    return out.astype(np.int64) % q if exact else out
 
 
 def bit_dot(u: np.ndarray, v: np.ndarray):

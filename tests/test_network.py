@@ -36,6 +36,13 @@ from rotated_tcf.wire import (MAX_FRAME_BYTES, MESSAGE_TYPES,
 
 ROOT = Path(__file__).resolve().parent.parent
 JOIN_SECONDS = 60
+CLIENT_SECONDS = 10
+
+
+def _soon() -> float:
+    """The deadline of a frame that a test reads by hand, CLIENT_SECONDS
+    from now."""
+    return time.monotonic() + CLIENT_SECONDS
 
 
 class _Daemon(threading.Thread):
@@ -199,7 +206,7 @@ def test_bad_session_mid_serve_is_recorded_and_the_serve_goes_on(stream,
     sock, _ = _open_session(port)
     with sock:
         send_message(sock, make_message("response2", {"d_prime": 0}))
-        reply = recv_message(sock, MAX_FRAME_BYTES)
+        reply = recv_message(sock, MAX_FRAME_BYTES, _soon())
     results = [prover_session("127.0.0.1", port, BaselineProver(),
                               net.derive("trial", i), timeout=10)
                for i in range(17, 33)]
@@ -259,8 +266,8 @@ def test_silent_client_times_out_and_the_serve_goes_on(stream, desk):
 
     t = _Daemon(serve, srv)
     with socket.create_connection(srv.getsockname(), timeout=10) as sock:
-        assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "hello"
-        reply = recv_message(sock, MAX_FRAME_BYTES)
+        assert recv_message(sock, MAX_FRAME_BYTES, _soon())["type"] == "hello"
+        reply = recv_message(sock, MAX_FRAME_BYTES, _soon())
     result = prover_session(*srv.getsockname(), BaselineProver(),
                             net.derive("trial", 1), timeout=10)
     t.join()
@@ -290,7 +297,7 @@ def test_trickled_frame_times_out_as_a_whole(stream, desk):
         "role": "prover", "version": PROTOCOL_VERSION, "witness": False}))
     limit = 0.3 + network.DRAIN_SECONDS + 0.5
     with socket.create_connection(srv.getsockname(), timeout=10) as sock:
-        assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "hello"
+        assert recv_message(sock, MAX_FRAME_BYTES, _soon())["type"] == "hello"
         start = time.monotonic()
         for byte in hello:
             sock.sendall(bytes([byte]))
@@ -300,7 +307,7 @@ def test_trickled_frame_times_out_as_a_whole(stream, desk):
         elapsed = time.monotonic() - start
         assert answered and elapsed < limit, (
             f"no answer {elapsed:.2f} s into a trickled hello")
-        reply = recv_message(sock, MAX_FRAME_BYTES)
+        reply = recv_message(sock, MAX_FRAME_BYTES, _soon())
     result = prover_session(*srv.getsockname(), BaselineProver(),
                             net.derive("trial", 1), timeout=10)
     t.join()
@@ -395,6 +402,79 @@ def test_classical_prover_against_witness_channel(stream, desk):
            [transcript_to_json(t) for t in local]
 
 
+def test_session_deadline_bounds_a_client_slow_on_every_frame(stream,
+                                                              desk):
+    """The timeout bounds a whole session, not each frame: a classical
+    client that waits 0.25 s before each of its frames, every wait inside
+    the 0.3 s timeout, is past the session's deadline by its second frame.
+    The verifier answers with a `timeout` error frame, and the next
+    session is served as in process."""
+    net = stream.derive("net")
+    srv = open_server_socket("127.0.0.1", 0)
+    box = {}
+
+    def serve():
+        with srv:
+            box["result"] = serve_verifier(srv, desk, net, 2, timeout=0.3)
+
+    t = _Daemon(serve, srv)
+    frames = [("hello", {"role": "prover", "version": PROTOCOL_VERSION,
+                         "witness": False}),
+              ("response1", _response1(desk)), ("response2", {"d_prime": 0})]
+    with socket.create_connection(srv.getsockname(), timeout=10) as sock:
+        assert recv_message(sock, MAX_FRAME_BYTES, _soon())["type"] == "hello"
+        for msg_type, payload in frames:
+            time.sleep(0.25)
+            with contextlib.suppress(OSError):  # the verifier hung up
+                send_message(sock, make_message(msg_type, payload))
+            reply = recv_message(sock, MAX_FRAME_BYTES, _soon())
+            if reply["type"] == "error":
+                break
+            assert reply["type"] == {"hello": "setup",
+                                     "response1": "challenge"}[msg_type]
+    result = prover_session(*srv.getsockname(), BaselineProver(),
+                            net.derive("trial", 1), timeout=10)
+    t.join()
+    stats, (failed, transcript) = box["result"]
+    assert reply["payload"]["code"] == failed.code == "timeout"
+    local = run_single_trial(desk, BaselineProver(), net.derive("trial", 1))
+    assert transcript_to_json(transcript) == transcript_to_json(local)
+    assert result == {"success": local.success, "d": local.d}
+
+
+def test_session_deadline_bounds_a_verifier_slow_on_every_frame(
+        stream, desk, honest_setup):
+    """The prover's timeout bounds its whole session too: against a
+    verifier that waits 0.25 s before its hello and again before its
+    setup, each inside the 0.3 s timeout, the prover sends a `timeout`
+    error frame and fails with that code."""
+    srv = open_server_socket("127.0.0.1", 0)
+    box = {}
+
+    def slow_verifier():
+        conn, _ = srv.accept()
+        with conn:
+            conn.settimeout(10)
+            time.sleep(0.25)
+            send_message(conn, make_message("hello", VERIFIER_HELLO))
+            recv_message(conn, MAX_FRAME_BYTES, _soon())  # hello
+            time.sleep(0.25)
+            with contextlib.suppress(OSError):  # the prover hung up
+                send_message(conn, make_message("setup", honest_setup))
+            box["reply"] = recv_message(conn, MAX_FRAME_BYTES, _soon())
+        srv.close()
+
+    t = _Daemon(slow_verifier, srv)
+    with pytest.raises(SessionError) as failed:
+        prover_session("127.0.0.1", srv.getsockname()[1],
+                       HonestQuantumProver(), stream.derive("trial", 0),
+                       timeout=0.3)
+    t.join()
+    assert failed.value.code == "timeout"
+    assert box["reply"]["type"] == "error"
+    assert box["reply"]["payload"]["code"] == "timeout"
+
+
 def test_quantum_prover_requires_witness_channel(stream, desk):
     port, t, box = _serve_in_thread(desk, stream.derive("net"), 1,
                                     witness_channel=False)
@@ -427,11 +507,11 @@ def test_out_of_order_message_gets_error_frame(stream, desk):
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
         send_message(sock, make_message("hello", {"role": "prover",
                                                   "version": PROTOCOL_VERSION}))
-        assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "hello"
-        assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "setup"
+        assert recv_message(sock, MAX_FRAME_BYTES, _soon())["type"] == "hello"
+        assert recv_message(sock, MAX_FRAME_BYTES, _soon())["type"] == "setup"
         # jump straight to round 2: the verifier must refuse
         send_message(sock, make_message("response2", {"d_prime": 0}))
-        reply = recv_message(sock, MAX_FRAME_BYTES)
+        reply = recv_message(sock, MAX_FRAME_BYTES, _soon())
         assert reply["type"] == "error"
         assert reply["payload"]["code"] == "protocol-order"
     t.join()
@@ -447,10 +527,10 @@ def test_version_mismatch_rejected(stream, desk):
                                       timeout=10) as sock:
             send_message(sock, make_message("hello", {"role": "prover",
                                                       "version": version}))
-            reply = recv_message(sock, MAX_FRAME_BYTES)
+            reply = recv_message(sock, MAX_FRAME_BYTES, _soon())
             # server's own hello arrives first, then the error
             if reply["type"] == "hello":
-                reply = recv_message(sock, MAX_FRAME_BYTES)
+                reply = recv_message(sock, MAX_FRAME_BYTES, _soon())
             assert reply["type"] == "error"
             assert reply["payload"]["code"] == "version-mismatch"
         t.join()
@@ -462,12 +542,12 @@ def test_bad_dimensions_rejected(stream, desk):
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
         send_message(sock, make_message("hello", {"role": "prover",
                                                   "version": PROTOCOL_VERSION}))
-        assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "hello"
-        assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "setup"
+        assert recv_message(sock, MAX_FRAME_BYTES, _soon())["type"] == "hello"
+        assert recv_message(sock, MAX_FRAME_BYTES, _soon())["type"] == "setup"
         send_message(sock, make_message(
             "response1", {"y": encode_vector(np.array([1, 2])),
                           "u": encode_bits(np.array([0, 1]))}))
-        reply = recv_message(sock, MAX_FRAME_BYTES)
+        reply = recv_message(sock, MAX_FRAME_BYTES, _soon())
         assert reply["type"] == "error"
         assert reply["payload"]["code"] == "bad-dimensions"
     t.join()
@@ -480,7 +560,7 @@ def _open_session(port, witness=False):
     send_message(sock, make_message("hello", {"role": "prover",
                                               "version": PROTOCOL_VERSION,
                                               "witness": witness}))
-    assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "hello"
+    assert recv_message(sock, MAX_FRAME_BYTES, _soon())["type"] == "hello"
     (length,) = struct.unpack(">I", _recv_exact(sock, 4, None))
     return sock, _recv_exact(sock, length, None)
 
@@ -512,7 +592,7 @@ def test_undecodable_response1_gets_error_frame(stream, desk, make_payload,
     sock, _ = _open_session(port)
     with sock:
         send_message(sock, make_message("response1", make_payload(desk)))
-        reply = recv_message(sock, MAX_FRAME_BYTES)
+        reply = recv_message(sock, MAX_FRAME_BYTES, _soon())
     t.join()
     assert reply["type"] == "error"
     assert reply["payload"]["code"] == code
@@ -532,8 +612,9 @@ def test_setup_frame_size(stream, desk):
         assert len(body) + 4 <= 18_000
         send_message(sock, make_message("response1", _response1(desk)))
         send_message(sock, make_message("response2", {"d_prime": 0}))
-        assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "challenge"
-        assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "result"
+        reply = recv_message(sock, MAX_FRAME_BYTES, _soon())
+        assert reply["type"] == "challenge"
+        assert recv_message(sock, MAX_FRAME_BYTES, _soon())["type"] == "result"
     t.join()
     assert "error" not in box
 
@@ -562,7 +643,7 @@ def test_response1_over_its_cap_is_refused_unread(stream, desk, body):
     sock, _ = _open_session(port)
     with sock:
         sock.sendall(frame)
-        reply = recv_message(sock, MAX_FRAME_BYTES)
+        reply = recv_message(sock, MAX_FRAME_BYTES, _soon())
         hang_up = sock.recv(1)      # a reset raises ConnectionResetError
     t.join(timeout=10)
     assert not t.is_alive()
@@ -595,10 +676,10 @@ def test_setup_over_its_cap_is_refused_unread(stream):
         conn, _ = srv.accept()
         with conn:
             conn.settimeout(10)
-            recv_message(conn, MAX_FRAME_BYTES)                                  # hello
+            recv_message(conn, MAX_FRAME_BYTES, _soon())  # hello
             send_message(conn, make_message("hello", VERIFIER_HELLO))
             conn.sendall(struct.pack(">I", network.SETUP_FRAME_BYTES + 1))
-            box["reply"] = recv_message(conn, MAX_FRAME_BYTES)
+            box["reply"] = recv_message(conn, MAX_FRAME_BYTES, _soon())
         srv.close()
 
     t = _Daemon(fake_verifier, srv)
@@ -699,11 +780,11 @@ def test_undecodable_setup_gets_error_frame(stream, desk, honest_setup,
         conn, _ = srv.accept()
         with conn:
             conn.settimeout(10)
-            recv_message(conn, MAX_FRAME_BYTES)                                  # hello
+            recv_message(conn, MAX_FRAME_BYTES, _soon())  # hello
             send_message(conn, make_message(
                 "hello", {"role": "verifier", "version": PROTOCOL_VERSION}))
             send_message(conn, make_message("setup", setup))
-            box["reply"] = recv_message(conn, MAX_FRAME_BYTES)
+            box["reply"] = recv_message(conn, MAX_FRAME_BYTES, _soon())
         srv.close()
 
     t = _Daemon(fake_verifier, srv)
@@ -725,7 +806,7 @@ def test_hello_with_list_payload_is_a_wire_error(stream, desk):
         send_message(sock, {"type": "hello",
                             "protocol_version": PROTOCOL_VERSION,
                             "payload": ["prover", PROTOCOL_VERSION]})
-        assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "hello"
+        assert recv_message(sock, MAX_FRAME_BYTES, _soon())["type"] == "hello"
     t.join(timeout=10)
     assert not t.is_alive()
     assert box["result"][1][0].code == "bad-encoding"
@@ -786,7 +867,7 @@ def test_hostile_response1_layout_gets_error_frame(stream, desk, layout):
     with sock:
         sock.sendall(_hostile(dump_frame(
             make_message("response1", _response1(desk))), layout))
-        reply = recv_message(sock, MAX_FRAME_BYTES)
+        reply = recv_message(sock, MAX_FRAME_BYTES, _soon())
     t.join()
     assert "error" not in box
     assert reply["payload"]["code"] == "bad-encoding"
@@ -806,10 +887,10 @@ def test_hostile_setup_layout_gets_error_frame(stream, honest_setup, layout):
         conn, _ = srv.accept()
         with conn:
             conn.settimeout(10)
-            recv_message(conn, MAX_FRAME_BYTES)                      # hello
+            recv_message(conn, MAX_FRAME_BYTES, _soon())  # hello
             send_message(conn, make_message("hello", VERIFIER_HELLO))
             conn.sendall(frame)
-            box["reply"] = recv_message(conn, MAX_FRAME_BYTES)
+            box["reply"] = recv_message(conn, MAX_FRAME_BYTES, _soon())
         srv.close()
 
     t = _Daemon(fake_verifier, srv)
@@ -839,8 +920,8 @@ def test_v3_prover_gets_version_mismatch(stream, desk):
                                     witness_channel=False)
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
         sock.sendall(_v3_hello("prover"))
-        assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "hello"
-        reply = recv_message(sock, MAX_FRAME_BYTES)
+        assert recv_message(sock, MAX_FRAME_BYTES, _soon())["type"] == "hello"
+        reply = recv_message(sock, MAX_FRAME_BYTES, _soon())
     t.join()
     assert reply["payload"]["code"] == "version-mismatch"
     assert box["result"][1][0].code == "version-mismatch"
@@ -856,9 +937,9 @@ def test_v3_verifier_gets_version_mismatch(stream):
         conn, _ = srv.accept()
         with conn:
             conn.settimeout(10)
-            recv_message(conn, MAX_FRAME_BYTES)                      # hello
+            recv_message(conn, MAX_FRAME_BYTES, _soon())  # hello
             conn.sendall(_v3_hello("verifier"))
-            box["reply"] = recv_message(conn, MAX_FRAME_BYTES)
+            box["reply"] = recv_message(conn, MAX_FRAME_BYTES, _soon())
         srv.close()
 
     t = _Daemon(old_verifier, srv)
@@ -895,8 +976,8 @@ def test_nesting_past_the_stack_gets_error_frame(stream, desk):
     port, t, box = _serve_in_thread(desk, net, 2, witness_channel=False)
     with socket.create_connection(("127.0.0.1", port), timeout=10) as sock:
         sock.sendall(struct.pack(">I", 1000) + b"[" * 1000)
-        assert recv_message(sock, MAX_FRAME_BYTES)["type"] == "hello"
-        reply = recv_message(sock, MAX_FRAME_BYTES)
+        assert recv_message(sock, MAX_FRAME_BYTES, _soon())["type"] == "hello"
+        reply = recv_message(sock, MAX_FRAME_BYTES, _soon())
     prover_session("127.0.0.1", port, BaselineProver(),
                    net.derive("trial", 1), timeout=10)
     t.join()
@@ -935,12 +1016,13 @@ def test_response2_bit_is_read_strictly(stream, desk, value, code):
     with peer:
         send_message(peer, make_message("hello", {"role": "prover",
                                                   "version": PROTOCOL_VERSION}))
-        assert recv_message(peer, MAX_FRAME_BYTES)["type"] == "hello"
-        assert recv_message(peer, MAX_FRAME_BYTES)["type"] == "setup"
+        assert recv_message(peer, MAX_FRAME_BYTES, _soon())["type"] == "hello"
+        assert recv_message(peer, MAX_FRAME_BYTES, _soon())["type"] == "setup"
         send_message(peer, make_message("response1", _response1(desk)))
-        assert recv_message(peer, MAX_FRAME_BYTES)["type"] == "challenge"
+        reply = recv_message(peer, MAX_FRAME_BYTES, _soon())
+        assert reply["type"] == "challenge"
         send_message(peer, make_message("response2", {"d_prime": value}))
-        reply = recv_message(peer, MAX_FRAME_BYTES)
+        reply = recv_message(peer, MAX_FRAME_BYTES, _soon())
     t.join(timeout=10)
     assert not t.is_alive()
     assert reply["type"] == "error"
@@ -962,13 +1044,13 @@ def test_challenge_bit_is_read_strictly(stream, desk, honest_setup, value,
         conn, _ = srv.accept()
         with conn:
             conn.settimeout(10)
-            recv_message(conn, MAX_FRAME_BYTES)                                  # hello
+            recv_message(conn, MAX_FRAME_BYTES, _soon())  # hello
             send_message(conn, make_message(
                 "hello", {"role": "verifier", "version": PROTOCOL_VERSION}))
             send_message(conn, make_message("setup", honest_setup))
-            recv_message(conn, MAX_FRAME_BYTES)                                  # response1
+            recv_message(conn, MAX_FRAME_BYTES, _soon())  # response1
             send_message(conn, make_message("challenge", {"b_prime": value}))
-            box["reply"] = recv_message(conn, MAX_FRAME_BYTES)
+            box["reply"] = recv_message(conn, MAX_FRAME_BYTES, _soon())
         srv.close()
 
     t = _Daemon(fake_verifier, srv)
@@ -1014,8 +1096,8 @@ def test_setup_lambda_below_one_is_refused(honest_setup, lam):
         send_message(peer, make_message("setup",
                                         dict(honest_setup, **{"lambda": lam})))
         with pytest.raises(SessionError, match="bad-encoding"):
-            network._receive(conn, "setup", True)
-        reply = recv_message(peer, MAX_FRAME_BYTES)
+            network._receive(conn, "setup", _soon(), True)
+        reply = recv_message(peer, MAX_FRAME_BYTES, _soon())
     assert reply["type"] == "error"
     assert reply["payload"]["code"] == "bad-encoding"
 
@@ -1056,8 +1138,8 @@ def test_verifier_reads_hello_strictly(stream, desk, hello):
     with peer:
         send_message(peer, make_message("hello", {
             "role": "prover", "version": PROTOCOL_VERSION, **hello}))
-        assert recv_message(peer, MAX_FRAME_BYTES)["type"] == "hello"
-        reply = recv_message(peer, MAX_FRAME_BYTES)
+        assert recv_message(peer, MAX_FRAME_BYTES, _soon())["type"] == "hello"
+        reply = recv_message(peer, MAX_FRAME_BYTES, _soon())
     t.join(timeout=10)
     assert not t.is_alive()
     assert reply["type"] == "error"
@@ -1074,8 +1156,8 @@ def test_refused_frame_gets_error_frame(stream, desk):
         send_message(peer, {"type": "hello",
                             "protocol_version": PROTOCOL_VERSION,
                             "payload": ["prover", PROTOCOL_VERSION]})
-        assert recv_message(peer, MAX_FRAME_BYTES)["type"] == "hello"
-        reply = recv_message(peer, MAX_FRAME_BYTES)
+        assert recv_message(peer, MAX_FRAME_BYTES, _soon())["type"] == "hello"
+        reply = recv_message(peer, MAX_FRAME_BYTES, _soon())
     t.join(timeout=10)
     assert not t.is_alive()
     assert reply["type"] == "error"
@@ -1097,7 +1179,7 @@ def test_peer_error_frame_ends_the_session_unanswered(code, kept):
         peer.settimeout(10)
         send_message(peer, make_message("error", {"code": code}))
         with pytest.raises(SessionError) as failed:
-            network._receive(conn, "response2")
+            network._receive(conn, "response2", _soon())
         conn.close()
         assert peer.recv(1) == b""
     assert failed.value.code == kept
@@ -1119,7 +1201,7 @@ def test_reset_mid_frame_ends_the_prover_session(stream):
     def fake_verifier():
         conn, _ = srv.accept()
         conn.settimeout(10)
-        recv_message(conn, MAX_FRAME_BYTES)                      # hello
+        recv_message(conn, MAX_FRAME_BYTES, _soon())  # hello
         send_message(conn, make_message("hello", VERIFIER_HELLO))
         conn.sendall(struct.pack(">I", 1000) + b'{"type"')
         time.sleep(0.2)     # let the prover read the partial frame
@@ -1144,26 +1226,36 @@ def test_read_timeout_sends_and_raises_timeout(stream, desk):
         peer.settimeout(10)
         with pytest.raises(SessionError) as failed:
             verifier_session(conn, desk, stream)
-        assert recv_message(peer, MAX_FRAME_BYTES)["type"] == "hello"
-        reply = recv_message(peer, MAX_FRAME_BYTES)
+        assert recv_message(peer, MAX_FRAME_BYTES, _soon())["type"] == "hello"
+        reply = recv_message(peer, MAX_FRAME_BYTES, _soon())
     assert failed.value.code == "timeout"
     assert reply["payload"]["code"] == "timeout"
 
 
 def test_failed_send_ends_the_session():
     """A send to a peer that has gone is `bad-encoding`, and one that
-    times out is `timeout`; neither raises an OSError."""
+    does not finish by the session's deadline, or starts past it, is
+    `timeout`; none raises an OSError."""
     conn, peer = socket.socketpair()
     with conn:
         peer.close()
         with pytest.raises(SessionError) as failed:
-            network._send(conn, "challenge", {"b_prime": 0})
+            network._send(conn, "challenge", {"b_prime": 0}, _soon())
     assert failed.value.code == "bad-encoding"
     conn, peer = socket.socketpair()
     with conn, peer:
-        conn.settimeout(0.2)
         with pytest.raises(SessionError) as failed:   # the peer never reads
-            network._send(conn, "response1", {"pad": "x" * (4 << 20)})
+            network._send(conn, "response1", {"pad": "x" * (4 << 20)},
+                          time.monotonic() + 0.2)
+    assert failed.value.code == "timeout"
+    conn, peer = socket.socketpair()
+    with conn, peer:
+        peer.settimeout(0.2)
+        with pytest.raises(SessionError) as failed:
+            network._send(conn, "challenge", {"b_prime": 0},
+                          time.monotonic() - 1)
+        with pytest.raises(TimeoutError):   # nothing was sent
+            peer.recv(1)
     assert failed.value.code == "timeout"
 
 
@@ -1179,10 +1271,10 @@ def _verifier_by_hand(turns):
         with conn:
             conn.settimeout(10)
             for frames in turns:
-                recv_message(conn, MAX_FRAME_BYTES)
+                recv_message(conn, MAX_FRAME_BYTES, _soon())
                 for msg_type, payload in frames:
                     send_message(conn, make_message(msg_type, payload))
-            box["reply"] = recv_message(conn, MAX_FRAME_BYTES)
+            box["reply"] = recv_message(conn, MAX_FRAME_BYTES, _soon())
         srv.close()
 
     return srv.getsockname()[1], _Daemon(run, srv), box
@@ -1265,7 +1357,8 @@ def _fuzz_verifier(desk, stream):
             send_message(peer, make_message("hello", frames["hello"]))
             while True:     # answer until the verifier hangs up
                 try:
-                    msg_type = recv_message(peer, MAX_FRAME_BYTES)["type"]
+                    msg_type = recv_message(peer, MAX_FRAME_BYTES,
+                                            _soon())["type"]
                 except WireError:
                     break
                 if msg_type in replies:

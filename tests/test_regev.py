@@ -3,8 +3,9 @@ import itertools
 import numpy as np
 import pytest
 
+from rotated_tcf.params import desk_preset, tiny_params
 from rotated_tcf.regev import (decrypt_bit, distinguishing_game, encrypt_bit,
-                               encrypt_zq, gen_j, gen_k)
+                               encrypt_zq, gen_j, gen_j_stacked, gen_k)
 from rotated_tcf.sampling import sample_bits
 from rotated_tcf.trapdoor import invert
 from rotated_tcf.zq import centered_lift, matmul_mod
@@ -14,6 +15,26 @@ def test_public_key_relation(stream, desk):
     kp = gen_k(desk, stream)
     assert np.array_equal(kp.pk.v,
                           (matmul_mod(kp.pk.A, kp.s, desk.q) + kp.e) % desk.q)
+
+
+@pytest.mark.parametrize("params", [
+    desk_preset(), tiny_params(2, 1048583, 2.0), tiny_params(2, (1 << 61) - 1),
+], ids=["desk", "mixed", "q2^61-1"])
+@pytest.mark.parametrize("count", [1, 16])
+def test_lone_gen_j_is_its_row_of_a_stacked_call(stream, params, count):
+    """gen_j on a stream gives row i of gen_j_stacked on the same streams,
+    in a stack of one (seeded stream by stream) and of 16 (seeded in one
+    call): key, secrets, noise and trapdoor pair."""
+    stacked = gen_j_stacked(params, [stream.derive("key", i)
+                                     for i in range(count)])
+    for i in range(count):
+        lone = gen_j(params, stream.derive("key", i))
+        for got, want in ((lone.pk.A, stacked.pk.A), (lone.pk.v, stacked.pk.v),
+                          (lone.s, stacked.s), (lone.e, stacked.e),
+                          (lone.trapdoor.A, stacked.trapdoor.A),
+                          (lone.trapdoor.N, stacked.trapdoor.N)):
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want[i])
 
 
 def test_zero_randomness_hook(stream, desk):

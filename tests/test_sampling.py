@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import subprocess
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rotated_tcf
+from rotated_tcf import sampling
 from rotated_tcf.params import desk_preset, tiny_params
 from rotated_tcf.sampling import (SEED_BATCH_MIN, RngStream, _seed_words,
                                   gaussian_table, master_stream, sample_bits,
@@ -136,6 +138,48 @@ def _prints_raised_under_optimize(code: str) -> None:
     assert done.stdout.strip() == "raised", done.stderr
 
 
+@pytest.mark.parametrize("tau", [5, Fraction(11, 2), 5.75],
+                         ids=["int", "fraction", "float"])
+def test_truncated_draws_are_checked_at_floor_tau(monkeypatch, stream, tau):
+    """An integer draw lies within tau exactly when it lies within
+    floor(tau) = 5: a draw of 5 or -5 is accepted, one of 6 or -6 refused,
+    whatever the type of tau."""
+    for value, ok in ((5, True), (-5, True), (6, False), (-6, False)):
+        monkeypatch.setattr(sampling, "_table_draw",
+                            lambda support, cdf, u: np.full(u.shape, value))
+        if ok:
+            (draws,) = sample_truncated_gaussian_stacked(3.0, tau, [stream],
+                                                         4)
+            assert draws.tolist() == [value] * 4
+        else:
+            with pytest.raises(AssertionError, match="exceeds tau"):
+                sample_truncated_gaussian_stacked(3.0, tau, [stream], 4)
+
+
+class _FixedDraws:
+    """A stream whose generator's integers draw is `value` everywhere."""
+
+    def __init__(self, value):
+        self.gen = self
+        self.value = value
+
+    def integers(self, low, high, size, dtype):
+        return np.full(size, self.value, dtype)
+
+
+@pytest.mark.parametrize("tau", [5, Fraction(11, 2)], ids=["int", "fraction"])
+def test_box_draws_are_checked_at_floor_tau(tau):
+    """The box's half-width is floor(tau) = 5 (below (q - 1) / 2): draws
+    of 5 and -5 are accepted and reduced mod q, 6 and -6 refused."""
+    q = 101
+    for value in (5, -5):
+        (draws,) = sample_box_stacked(3, tau, q, [_FixedDraws(value)])
+        assert draws.tolist() == [value % q] * 3
+    for value in (6, -6):
+        with pytest.raises(AssertionError, match="half-width"):
+            sample_box_stacked(3, tau, q, [_FixedDraws(value)])
+
+
 def test_truncation_check_survives_optimize():
     """The bound check after a truncated draw is an explicit raise, so it
     still fires under `python -O` (forced here by a table draw that ignores
@@ -230,6 +274,25 @@ def _assert_same_draws(stream: RngStream) -> None:
     """`stream` draws what a fresh twin on its seed, seeded by numpy, draws."""
     for got, want in zip(_draws(stream), _draws(RngStream(stream.seed))):
         assert np.array_equal(got, want)
+
+
+def test_lone_seeding_is_numpys_seeding_of_the_int():
+    """A stream seeds its own generator from its seed's uint32 words; it
+    draws what PCG64(int.from_bytes(seed, "big")) draws, with no leading
+    zero bytes, with 4, 8 and 29 (numpy drops those leading zero words),
+    for the zero seed, and with a zero low word."""
+    base = hashlib.sha256(b"lone seeding").digest()
+    seeds = [base, bytes(4) + base[4:], bytes(8) + base[8:],
+             bytes(29) + base[29:], bytes(32), base[:28] + bytes(4)]
+    for seed in seeds:
+        got = RngStream(seed).gen
+        want = np.random.Generator(
+            np.random.PCG64(int.from_bytes(seed, "big")))
+        assert np.array_equal(got.bit_generator.random_raw(6),
+                              want.bit_generator.random_raw(6))
+        assert np.array_equal(got.integers(0, 23, size=7),
+                              want.integers(0, 23, size=7))
+        assert got.random() == want.random()
 
 
 @pytest.mark.parametrize("count", [SEED_BATCH_MIN - 1, SEED_BATCH_MIN, 48])

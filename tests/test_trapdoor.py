@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from rotated_tcf.params import desk_preset, tiny_params
-from rotated_tcf.sampling import fill_bits, sample_uniform
+from rotated_tcf.sampling import fill_bits, sample_box_stacked, sample_uniform
 from rotated_tcf.trapdoor import (find_preimage, gen_trap, gen_trap_stacked,
                                   invert)
 from rotated_tcf.zq import (bits_le, centered_abs, centered_lift, gadget_matrix,
@@ -177,6 +177,34 @@ def test_find_preimage_stacked_needs_every_row(stream, desk):
     assert find_preimage(pair, np.stack([near, near]), desk.tau) is not None
     assert find_preimage(pair, np.stack([near, far]), desk.tau) is None
     assert find_preimage(pair, np.stack([far, near]), desk.tau) is None
+
+
+@pytest.mark.parametrize("params", [desk_preset(),
+                                    tiny_params(2, (1 << 61) - 1)],
+                         ids=["desk", "q2^61-1"])
+def test_lone_find_preimage_is_its_row_of_a_stacked_call(stream, params):
+    """find_preimage on one row gives that row of the call on a stack of
+    four rows, each A x + g with g in the tau box.  A row with no preimage
+    within tau aborts its lone call and the stacked call that holds it,
+    and every other row still inverts alone."""
+    q = params.q
+    pair = gen_trap(params, stream.derive("pair"))
+    x = np.array([sample_uniform(params.n, q, stream.derive("x", i))
+                  for i in range(4)])
+    g = sample_box_stacked(params.m, params.tau_floor, q,
+                           [stream.derive("g", i) for i in range(4)])
+    y = (matmul_mod(pair.A, x.T, q).T + g) % q
+    stacked_x, stacked_g = find_preimage(pair, y, params.tau)
+    assert np.array_equal(stacked_x, x) and np.array_equal(stacked_g, g)
+    for i in range(4):
+        lone_x, lone_g = find_preimage(pair, y[i], params.tau)
+        assert np.array_equal(lone_x, stacked_x[i])
+        assert np.array_equal(lone_g, stacked_g[i])
+    y[2] = sample_uniform(params.m, q, stream.derive("far"))
+    assert find_preimage(pair, y, params.tau) is None
+    assert find_preimage(pair, y[2], params.tau) is None
+    for i in (0, 1, 3):
+        assert np.array_equal(find_preimage(pair, y[i], params.tau)[0], x[i])
 
 
 def test_invert_rejects_noise_past_guarantee(stream):

@@ -344,6 +344,12 @@ def test_witness_label_is_the_only_exemption():
                                 {WITNESS_LABEL: {"s": ["1"]}, "b": 1}))
 
 
+
+def _soon() -> float:
+    """A frame's deadline for these tests, ten seconds from now."""
+    return time.monotonic() + 10
+
+
 def test_oversized_frame_rejected():
     msg = make_message("setup", {"blob": "x" * (MAX_FRAME_BYTES + 10)})
     with pytest.raises(WireError):
@@ -353,7 +359,7 @@ def test_oversized_frame_rejected():
     try:
         a.sendall(header)
         with pytest.raises(WireError):
-            recv_message(b, MAX_FRAME_BYTES)
+            recv_message(b, MAX_FRAME_BYTES, _soon())
     finally:
         a.close()
         b.close()
@@ -377,10 +383,27 @@ def test_recv_message_refuses_a_frame_over_its_cap():
     with a, b:
         b.settimeout(10)
         a.sendall(frame)
-        assert recv_message(b, cap)["type"] == "result"
+        assert recv_message(b, cap, _soon())["type"] == "result"
         a.sendall(struct.pack(">I", cap + 1))   # the header alone
         with pytest.raises(WireError, match="over the cap"):
-            recv_message(b, cap)
+            recv_message(b, cap, _soon())
+
+
+
+def test_recv_message_stops_at_its_deadline():
+    """A frame that is not whole by the deadline raises TimeoutError there,
+    however the socket's own timeout is set, and the socket keeps that
+    timeout."""
+    frame = dump_frame(make_message("result", {"success": True, "d": 0}))
+    a, b = socket.socketpair()
+    with a, b:
+        b.settimeout(10)
+        a.sendall(frame[:-1])
+        start = time.monotonic()
+        with pytest.raises(TimeoutError):
+            recv_message(b, MAX_FRAME_BYTES, start + 0.2)
+        assert 0.15 < time.monotonic() - start < 5
+        assert b.gettimeout() == 10
 
 
 def test_send_recv_over_socketpair():
@@ -389,7 +412,7 @@ def test_send_recv_over_socketpair():
         msg = make_message("result", {"success": True, "d": 0})
         t = threading.Thread(target=send_message, args=(a, msg))
         t.start()
-        assert recv_message(b, MAX_FRAME_BYTES) == msg
+        assert recv_message(b, MAX_FRAME_BYTES, _soon()) == msg
         t.join()
     finally:
         a.close()
@@ -417,7 +440,7 @@ def test_frame_split_across_many_sends_arrives_whole():
                 time.sleep(0.0005)
         t = threading.Thread(target=trickle)
         t.start()
-        got = recv_message(b, MAX_FRAME_BYTES)
+        got = recv_message(b, MAX_FRAME_BYTES, _soon())
         t.join(timeout=10)
         assert not t.is_alive()
     assert got == msg
@@ -432,6 +455,6 @@ def test_truncated_stream_detected():
         a.sendall(frame[: len(frame) - 3])
         a.close()
         with pytest.raises(WireError):
-            recv_message(b, MAX_FRAME_BYTES)
+            recv_message(b, MAX_FRAME_BYTES, _soon())
     finally:
         b.close()

@@ -11,7 +11,7 @@ from rotated_tcf.params import desk_preset, next_prime
 from rotated_tcf.trapdoor import _decoder
 from rotated_tcf.zq import (bit_dot, bits_le, bits_le_vec, centered_abs,
                             centered_lift, gadget_matrix, gadget_multiples,
-                            inf_norm, matmul_mod)
+                            inf_norm, matmul_mod, product_dtype)
 
 BIG_Q = (1 << 61) - 1  # Mersenne prime, the largest supported modulus
 
@@ -168,6 +168,54 @@ def test_matmul_mod_byte_matrices_exact():
             _assert_matmul_mod_exact(A[0], B[0, :, 0], q)
         with pytest.raises(ValueError):
             matmul_mod(A, B[:2], q)
+
+
+@pytest.mark.parametrize("q", [desk_preset().q, 1048583,
+                               next_prime(3 << 59)],
+                         ids=["desk", "mixed", "q3<<59"])
+def test_byte_products_exact_on_one_matrix_and_on_stacks(q):
+    """A 0/1 uint8 A, as a trapdoor's N is stored, times B against Python
+    integers: one matrix, a stack of one and a stack of 16, with B of 4
+    columns (N M) and of 2 (an inversion's two rows), every entry of B
+    q - 1 and random.  At desk and MIXED the sums stay in float64 and are
+    reduced once for the stack; at a 61-bit q the work buffer is int64 and
+    each matrix takes the estimated quotient."""
+    gen = np.random.default_rng(q % 10007)
+    k = 24
+    assert product_dtype((16, 20, k), 1, q) is (
+        np.int64 if q.bit_length() == 61 else np.float64)
+    for lead in ((), (1,), (16,)):
+        A = gen.integers(0, 2, size=lead + (20, k)).astype(np.uint8)
+        for cols in (4, 2):
+            _assert_matmul_mod_exact(
+                A, np.full(lead + (k, cols), q - 1, dtype=np.int64), q)
+            _assert_matmul_mod_exact(
+                A, gen.integers(0, q, size=lead + (k, cols), dtype=np.int64),
+                q)
+
+
+@pytest.mark.parametrize("q", [desk_preset().q, next_prime(1 << 46),
+                               next_prime(3 << 59), BIG_Q],
+                         ids=["desk", "q47bit", "q3<<59", "q2^61-1"])
+def test_thin_key_products_exact_at_the_estimate_bound(q):
+    """The key's products with k = n = 4 inner terms, as A s, A [s x] and
+    the two rows of A x take them (one matrix, a broadcast stack, a stack
+    of one and a stack of 16), against Python integers: every entry
+    q - 1, the largest sum each path sees, and random entries within 2^30
+    of q.  Up to 47 bits B is taken whole; at 61 bits it is split into
+    limbs."""
+    gen = np.random.default_rng(q % 10009)
+    m, n = 348, 4
+    assert _path((m, n), q - 1, q) == ("limbs" if q.bit_length() == 61
+                                       else "estimate")
+    for shape_a, shape_b in (((m, n), (n, 1)), ((m, n), (n, 2)),
+                             ((m, n), (2, n, 1)), ((1, m, n), (1, n, 2)),
+                             ((16, m, n), (16, n, 1))):
+        _assert_matmul_mod_exact(np.full(shape_a, q - 1, dtype=np.int64),
+                                 np.full(shape_b, q - 1, dtype=np.int64), q)
+        near = [q - 1 - gen.integers(0, 1 << 30, size=shape, dtype=np.int64)
+                for shape in (shape_a, shape_b)]
+        _assert_matmul_mod_exact(*near, q)
 
 
 def test_byte_products_in_threads_stay_exact():
