@@ -39,7 +39,7 @@ class RngStream:
     def gen(self) -> np.random.Generator:
         if self._gen is None:
             self._gen = np.random.Generator(
-                np.random.PCG64(_entropy_words(self.seed)))
+                np.random.PCG64(_SeedWords(_lone_words(self.seed))))
         return self._gen
 
     def __repr__(self):
@@ -128,8 +128,27 @@ def _seed_words(seeds) -> np.ndarray:
         np.uint64)
 
 
+# generate_state's 8 hashmix calls, as (xor, multiply) pairs of ints
+_STATE_CALLS = list(zip(_STATE_XOR.ravel().tolist(),
+                        _STATE_MUL.ravel().tolist()))
+
+
+def _lone_words(seed: bytes) -> np.ndarray:
+    """_seed_words for one seed, of any entropy: numpy's SeedSequence
+    mixes the seed's words into its pool, and generate_state's hashmix
+    calls then run here in Python ints, cheaper for one seed than numpy's
+    generate_state."""
+    pool = np.random.SeedSequence(_entropy_words(seed)).pool.tolist()
+    state = []
+    for word, (xor, mul) in zip(pool * 2, _STATE_CALLS):
+        value = (word ^ xor) * mul & 0xFFFFFFFF
+        state.append(value ^ value >> 16)
+    return np.array(state, dtype="<u4").view("<u8").astype(np.uint64)
+
+
 class _SeedWords(np.random.bit_generator.ISeedSequence):
-    """Hands PCG64 the words that `_seed_words` computed for its seed."""
+    """Hands PCG64 the words computed for its seed, by `_seed_words` or
+    `_lone_words`."""
 
     def __init__(self, words):
         self.words = words

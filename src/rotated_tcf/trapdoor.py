@@ -76,11 +76,11 @@ def invert(pair: TrapdoorPair, v: np.ndarray) -> np.ndarray:
         raise ValueError("v does not lead with the pairs' stack axes")
     # N v2 for every row as one product per pair: N @ (rows of v2)^T
     v2 = v[..., Q * n:].reshape(lead + (-1, (Q + 1) * n))
-    Nv2 = np.swapaxes(matmul_mod(pair.N, np.swapaxes(v2, -1, -2), q), -1, -2)
+    Nv2 = matmul_mod(pair.N, v2.swapaxes(-1, -2), q).swapaxes(-1, -2)
     blk = (v[..., :Q * n] - Nv2.reshape(v.shape[:-1] + (Q * n,))) % q
     blk = blk.reshape(v.shape[:-1] + (n, Q))
     q_bits, h, q_inverse = _decoder(q, Q)
-    w_last = matmul_mod(q_bits, np.swapaxes(blk, -1, -2), q)
+    w_last = matmul_mod(q_bits, blk.swapaxes(-1, -2), q)
     w = np.concatenate([2 * blk[..., :-1] - blk[..., 1:], w_last[..., None]],
                        axis=-1)
     # S blk mod q lifted to the centered range, ((z + half) mod q) - half

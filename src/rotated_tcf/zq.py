@@ -42,7 +42,8 @@ def centered_lift(x, q: int):
 
 
 def inf_norm(v: np.ndarray, q: int) -> int:
-    if np.size(v) == 0:
+    v = np.asarray(v)
+    if v.size == 0:
         raise ValueError("inf_norm of empty vector")
     return int(centered_abs(v, q).max())
 
