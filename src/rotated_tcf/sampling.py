@@ -49,8 +49,8 @@ class RngStream:
 def _entropy_words(seed: bytes) -> np.ndarray:
     """int.from_bytes(seed, "big") as numpy's SeedSequence reads an int:
     its uint32 words, least significant first, without the leading zero
-    words (a zero seed keeps one word).  Handing numpy the words skips its
-    coercion of a Python int, and seeds the same generator."""
+    words (a zero seed keeps one word).  Given the words, SeedSequence
+    skips its coercion of a Python int and mixes the same pool."""
     words = max(1, -(-len(seed.lstrip(b"\0")) // 4))
     return np.frombuffer(seed[::-1], dtype="<u4", count=words)
 
@@ -158,12 +158,12 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
 
 
 # Streams per seed_streams call from which the vectorised words pay.  On a
-# 2-vCPU Xeon guest they cost about 60-130 us a call, with 2-5 us of it a
-# stream (PCG64 and Generator included), against 11-18 us a stream
-# through numpy's SeedSequence fed the seed's words (RngStream.gen; 20-28
-# us when it was fed the int).  Timed in pairs, the lone path still wins
-# at 7 streams and the vectorised call from 8, so a lone instance keeps
-# numpy's path.
+# 2-vCPU Xeon guest they cost about 60-85 us a call, 1-3 us of it a
+# stream (PCG64 and Generator included), against about 10 us a stream
+# for a lone stream (`_lone_words`; 20-28 us when numpy's SeedSequence
+# took the seed as an int).  Timed in pairs, the lone path wins at 7
+# streams, the two tie at 8 and the vectorised call wins from 9, so a
+# lone instance keeps the lone path.
 SEED_BATCH_MIN = 8
 
 
@@ -171,8 +171,8 @@ def seed_streams(streams) -> None:
     """Seed the generators of `streams` in one vectorised call, with the
     bits that their own first use would give them.  A stream that already
     has a generator keeps it (reseeding would rewind it), and one whose
-    seed starts with four zero bytes is left to seed itself through numpy;
-    below SEED_BATCH_MIN streams, all of them are."""
+    seed starts with four zero bytes is left to seed itself, as a lone
+    stream; below SEED_BATCH_MIN streams, all of them are."""
     todo = [s for s in streams if s._gen is None and s.seed[:4] != bytes(4)]
     if len(todo) < SEED_BATCH_MIN:
         return
