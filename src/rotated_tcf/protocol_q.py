@@ -190,8 +190,10 @@ def decrypted_bit(pair: TrapdoorPair, v: np.ndarray, y: np.ndarray,
     pairs with stacked v, y and u gives one bit per instance, from one
     inversion call."""
     p = pair.params
-    return claw_bit(invert(pair, np.stack([y, (y + v) % p.q], axis=-2)), u,
-                    p.Q)
+    y = np.asarray(y, dtype=np.int64)
+    rows = np.concatenate([y[..., None, :], ((y + v) % p.q)[..., None, :]],
+                          axis=-2)
+    return claw_bit(invert(pair, rows), u, p.Q)
 
 
 def verifier_score(vstate: VerifierState, y: np.ndarray, u: np.ndarray,

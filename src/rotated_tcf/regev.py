@@ -111,12 +111,10 @@ def encrypt_zq(pk: PublicKey, value: int, f: np.ndarray) -> Ciphertext:
     # read as uint64, a 0/1 entry is at most 1 and any other above it
     if f.shape[-1] != p.m or f.view(np.uint64).max(initial=0) > 1:
         raise ValueError("f must be a 0/1 vector of length m")
-    # f^T A and f^T v as one product, f^T [A | v]
-    fAv = matmul_mod(f[..., None, :],
-                     np.concatenate([pk.A, pk.v[..., None]], axis=-1),
-                     p.q)[..., 0, :]
-    w = (fAv[..., -1] + value) % p.q
-    return Ciphertext(a=fAv[..., :-1], w=w if w.ndim else int(w))
+    row = f[..., None, :]
+    a = matmul_mod(row, pk.A, p.q)[..., 0, :]
+    w = (matmul_mod(row, pk.v[..., None], p.q)[..., 0, 0] + value) % p.q
+    return Ciphertext(a=a, w=w if w.ndim else int(w))
 
 
 def encrypt_bit(pk: PublicKey, b, f: np.ndarray) -> Ciphertext:

@@ -280,10 +280,11 @@ def test_silent_client_times_out_and_the_serve_goes_on(stream, desk):
 
 
 def test_trickled_frame_times_out_as_a_whole(stream, desk):
-    """The timeout bounds a whole frame, not each read: a client that
-    trickles its hello one byte per 0.2 s, every byte inside the 0.3 s
-    timeout, gets a `timeout` error frame within the timeout plus the
-    drain, and the next session is served as in process."""
+    """The timeout bounds a whole frame, not each read (it bounds the
+    whole session): a client that trickles its hello one byte per 0.2 s,
+    every byte inside the 0.3 s timeout, gets a `timeout` error frame
+    within the timeout plus the drain, and the next session is served as
+    in process."""
     net = stream.derive("net")
     srv = open_server_socket("127.0.0.1", 0)
     box = {}
