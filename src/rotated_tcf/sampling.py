@@ -139,11 +139,10 @@ def _lone_words(seed: bytes) -> np.ndarray:
     calls then run here in Python ints, cheaper for one seed than numpy's
     generate_state."""
     pool = np.random.SeedSequence(_entropy_words(seed)).pool.tolist()
-    state = []
-    for word, (xor, mul) in zip(pool * 2, _STATE_CALLS):
-        value = (word ^ xor) * mul & 0xFFFFFFFF
-        state.append(value ^ value >> 16)
-    return np.array(state, dtype="<u4").view("<u8").astype(np.uint64)
+    hashed = [(word ^ xor) * mul & 0xFFFFFFFF
+              for word, (xor, mul) in zip(pool * 2, _STATE_CALLS)]
+    return np.array([value ^ value >> 16 for value in hashed],
+                    dtype="<u4").view("<u8").astype(np.uint64)
 
 
 class _SeedWords(np.random.bit_generator.ISeedSequence):
