@@ -157,7 +157,7 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
 
 
 # Streams per seed_streams call from which the vectorised words pay.  On a
-# 2-vCPU Xeon guest they cost about 60-85 us a call, 1-3 us of it a
+# 2-vCPU Xeon guest they cost about 60-85 us a call, of which 1-3 us a
 # stream (PCG64 and Generator included), against about 10 us a stream
 # for a lone stream (`_lone_words`; 20-28 us when numpy's SeedSequence
 # took the seed as an int).  Timed in pairs, the lone path wins at 7
