@@ -43,7 +43,7 @@ from .transcripts import _decimal
 from .wire import (PROTOCOL_VERSION, SMALL_FRAME_BYTES, WITNESS_LABEL,
                    WireError, decode_bits, decode_matrix, decode_vector,
                    encode_bits, encode_matrix, encode_vector, frame_cap,
-                   make_message, recv_message, send_message)
+                   make_message, recv_message, send_message, settimeout_until)
 
 DEFAULT_TIMEOUT = 30.0
 # The codes of the error frames this module sends.
@@ -97,11 +97,7 @@ def _send(sock, msg_type: str, payload: dict, deadline) -> None:
     a send that fails or finds no time left ends the session
     (`_failure`)."""
     try:
-        if deadline is not None:
-            left = deadline - time.monotonic()
-            if left <= 0:
-                raise TimeoutError("the session is past its deadline")
-            sock.settimeout(left)
+        settimeout_until(sock, deadline)
         send_message(sock, make_message(msg_type, payload))
     except OSError as exc:
         raise _failure(exc) from None

@@ -38,8 +38,8 @@ class RngStream:
     @property
     def gen(self) -> np.random.Generator:
         if self._gen is None:
-            self._gen = np.random.Generator(
-                np.random.PCG64(_SeedWords(_lone_words(self.seed))))
+            self._gen = np.random.Generator(np.random.PCG64(
+                np.random.SeedSequence(_entropy_words(self.seed))))
         return self._gen
 
     def __repr__(self):
@@ -58,8 +58,9 @@ def _entropy_words(seed: bytes) -> np.ndarray:
 # numpy's SeedSequence is M. O'Neill's seed_seq_fe with a pool of 4 uint32
 # words (its hashmix and mix, with the constants of numpy's
 # random/bit_generator.pyx): fixed-width uint32 arithmetic that runs over a
-# whole batch of seeds at once.  Below, each seed is one column and each
-# word one row.
+# whole batch of seeds at once, for `seed_streams`; a lone stream takes
+# numpy's own SeedSequence.  Below, each seed is one column and each word
+# one row.
 _XSHIFT = np.uint32(16)
 _MIX_L, _MIX_R = np.uint32(0xca01f9dd), np.uint32(0x4973f715)
 
@@ -128,26 +129,8 @@ def _seed_words(seeds) -> np.ndarray:
         np.uint64)
 
 
-# generate_state's 8 hashmix calls, as (xor, multiply) pairs of ints
-_STATE_CALLS = list(zip(_STATE_XOR.ravel().tolist(),
-                        _STATE_MUL.ravel().tolist()))
-
-
-def _lone_words(seed: bytes) -> np.ndarray:
-    """_seed_words for one seed, of any entropy: numpy's SeedSequence
-    mixes the seed's words into its pool, and generate_state's hashmix
-    calls then run here in Python ints, cheaper for one seed than numpy's
-    generate_state."""
-    pool = np.random.SeedSequence(_entropy_words(seed)).pool.tolist()
-    hashed = [(word ^ xor) * mul & 0xFFFFFFFF
-              for word, (xor, mul) in zip(pool * 2, _STATE_CALLS)]
-    return np.array([value ^ value >> 16 for value in hashed],
-                    dtype="<u4").view("<u8").astype(np.uint64)
-
-
 class _SeedWords(np.random.bit_generator.ISeedSequence):
-    """Hands PCG64 the words computed for its seed, by `_seed_words` or
-    `_lone_words`."""
+    """Hands PCG64 the words `_seed_words` computed for its seed."""
 
     def __init__(self, words):
         self.words = words
@@ -157,11 +140,11 @@ class _SeedWords(np.random.bit_generator.ISeedSequence):
 
 
 # Streams per seed_streams call from which the vectorised words pay.  On a
-# 2-vCPU Xeon guest they cost about 60-85 us a call, of which 1-3 us a
-# stream (PCG64 and Generator included), against about 10 us a stream
-# for a lone stream (`_lone_words`; 20-28 us when numpy's SeedSequence
-# took the seed as an int).  Timed in pairs, the lone path wins at 7
-# streams, the two tie at 8 and the vectorised call wins from 9, so a
+# 2-vCPU Xeon guest they cost about 80-90 us a call, PCG64 and Generator
+# included, against about 12 us a stream for a lone stream (numpy's
+# SeedSequence given the seed's words).  Timed in pairs, the lone path
+# wins at 7 streams (89 against 92 us), the two are about even at 8 (97
+# against 93) and the vectorised call wins from 9 (105 against 84), so a
 # lone instance keeps the lone path.
 SEED_BATCH_MIN = 8
 

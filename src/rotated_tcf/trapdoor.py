@@ -116,10 +116,14 @@ def _decoder(q: int, Q: int):
 
 def find_preimage(pair: TrapdoorPair, y: np.ndarray, tau: Fraction):
     """Return (x, g) with y = A x + g and ||g||_inf <= tau, else None.
-    y may be stacked, shape (..., m); then every row must be within tau."""
+    y may be stacked, shape (..., m), and the pair too, as for `invert`;
+    then every row must be within tau."""
     p = pair.params
     x = invert(pair, y)
-    g = (y - matmul_mod(pair.A, x[..., None], p.q)[..., 0]) % p.q
+    # A x for every row as one product per pair: A @ (rows of x)^T
+    rows = x.reshape(pair.A.shape[:-2] + (-1, p.n)).swapaxes(-1, -2)
+    Ax = matmul_mod(pair.A, rows, p.q).swapaxes(-1, -2)
+    g = (y - Ax.reshape(x.shape[:-1] + (p.m,))) % p.q
     if inf_norm(g, p.q) * tau.denominator <= tau.numerator:
         return x, g
     return None

@@ -219,19 +219,25 @@ def send_message(sock: socket.socket, msg: dict) -> None:
     sock.sendall(dump_frame(msg))
 
 
+def settimeout_until(sock: socket.socket, deadline) -> None:
+    """Let `sock`'s next read or send wait only for the time left until
+    `deadline`, a time.monotonic() reading (None: leave the socket's
+    timeout as it is); TimeoutError when no time is left."""
+    if deadline is not None:
+        left = deadline - time.monotonic()
+        if left <= 0:
+            raise TimeoutError("past the deadline")
+        sock.settimeout(left)
+
+
 def _recv_exact(sock: socket.socket, count: int, deadline) -> bytearray:
-    """`count` bytes, read into one buffer; when `deadline` (a
-    time.monotonic() reading) is set, each recv waits only for the time
-    left until it."""
+    """`count` bytes, read into one buffer; each recv waits only for the
+    time left until `deadline` (`settimeout_until`)."""
     buf = bytearray(count)
     view = memoryview(buf)
     got = 0
     while got < count:
-        if deadline is not None:
-            left = deadline - time.monotonic()
-            if left <= 0:
-                raise TimeoutError("frame not whole by the deadline")
-            sock.settimeout(left)
+        settimeout_until(sock, deadline)
         read = sock.recv_into(view[got:])
         if not read:
             raise WireError("connection closed mid-frame")

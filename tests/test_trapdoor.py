@@ -184,9 +184,11 @@ def test_find_preimage_stacked_needs_every_row(stream, desk):
                          ids=["desk", "q2^61-1"])
 def test_lone_find_preimage_is_its_row_of_a_stacked_call(stream, params):
     """find_preimage on one row gives that row of the call on a stack of
-    four rows, each A x + g with g in the tau box.  A row with no preimage
-    within tau aborts its lone call and the stacked call that holds it,
-    and every other row still inverts alone."""
+    four rows, each A x + g with g in the tau box, and a stack of three
+    pairs with two rows each gives each pair's rows what that pair gives
+    them alone.  A row with no preimage within tau aborts its lone call
+    and the stacked call that holds it, and every other row still inverts
+    alone."""
     q = params.q
     pair = gen_trap(params, stream.derive("pair"))
     x = np.array([sample_uniform(params.n, q, stream.derive("x", i))
@@ -200,6 +202,19 @@ def test_lone_find_preimage_is_its_row_of_a_stacked_call(stream, params):
         lone_x, lone_g = find_preimage(pair, y[i], params.tau)
         assert np.array_equal(lone_x, stacked_x[i])
         assert np.array_equal(lone_g, stacked_g[i])
+    pairs = gen_trap_stacked(params, [stream.derive("pairs", i)
+                                      for i in range(3)])
+    rows = np.stack([(matmul_mod(pairs.A[i], x[i:i + 2].T, q).T
+                      + g[i:i + 2]) % q for i in range(3)])
+    stacked_x, stacked_g = find_preimage(pairs, rows, params.tau)
+    assert stacked_x.shape == (3, 2, params.n)
+    assert stacked_g.shape == rows.shape
+    for i in range(3):
+        lone_x, lone_g = find_preimage(
+            gen_trap(params, stream.derive("pairs", i)), rows[i], params.tau)
+        assert np.array_equal(stacked_x[i], lone_x)
+        assert np.array_equal(stacked_x[i], x[i:i + 2])
+        assert np.array_equal(stacked_g[i], lone_g)
     y[2] = sample_uniform(params.m, q, stream.derive("far"))
     assert find_preimage(pair, y, params.tau) is None
     assert find_preimage(pair, y[2], params.tau) is None
