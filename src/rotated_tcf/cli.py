@@ -30,7 +30,6 @@ DEFAULT_SEED = "8b9d5d0a" * 8
 
 USAGE_EXIT = 2
 ASSERT_EXIT = 3
-EXPLICIT_LAM = 4  # lambda of explicit parameter sets, as in the desk preset
 
 
 def _resolve_seed(arg: str | None) -> str:
@@ -46,21 +45,22 @@ def _usage_error(msg: str) -> int:
 
 
 def _resolve_params(args) -> params_mod.Params:
+    """The desk preset, or an explicit parameter set at its lambda."""
+    desk = params_mod.desk_preset()
     if args.n is None and {args.q, args.sigma, args.c, args.eps} == {None}:
-        return params_mod.get_preset(args.preset)
+        return desk
     if None not in (args.n, args.q, args.sigma):
-        return params_mod.Params(lam=EXPLICIT_LAM, n=args.n, q=args.q,
+        return params_mod.Params(lam=desk.lam, n=args.n, q=args.q,
                                  sigma=args.sigma)
     if None not in (args.n, args.c, args.eps):
         gen = np.random.default_rng(0)
         return params_mod.select_params(args.n, args.c, args.eps, gen,
-                                        lam=EXPLICIT_LAM)
+                                        lam=desk.lam)
     raise SystemExit(_usage_error(
         "explicit parameters need either (--n --q --sigma) or (--n --c --eps)"))
 
 
 def _add_params(sub):
-    sub.add_argument("--preset", default="desk")
     sub.add_argument("--n", type=int)
     sub.add_argument("--q", type=int)
     sub.add_argument("--sigma", type=float)

@@ -153,10 +153,10 @@ def predicted_phase_units(x_one, x_zero, r_units, u, params):
     """The analytic simulator's phase for a fixed outcome string u, an int:
     sum_k (y_k - x_k) (r_k + q u_k) mod 2q over the bits x of x_one and y
     of x_zero.  Stacks of x_one, x_zero, r_units and u give one phase per
-    row.  Exact for every q < 2^61: a term (y_k - x_k)((r_k + q u_k) mod
-    2q) is below 2q in size, so 2^63 // 2q >= 2 of them sum within int64,
-    and runs of that many are summed modulo 2q until one value is left
-    (one run at desk)."""
+    row.  Exact for every q < 2**MAX_Q_BITS (params.py): a term
+    (y_k - x_k)((r_k + q u_k) mod 2q) is below 2q in size, so
+    2^63 // 2q >= 2 of them sum within int64, and runs of that many are
+    summed modulo 2q until one value is left (one run at desk)."""
     q2 = 2 * params.q
     # the bits of x_zero, then those of x_one, from one call
     bits = bits_le_vec(np.concatenate([x_zero, x_one], axis=-1), params.Q)
@@ -174,8 +174,12 @@ def predicted_phase_units(x_one, x_zero, r_units, u, params):
     return phase if phase.ndim else int(phase)
 
 
-def oracle_equivalence_check(x_one, x_zero, a, params,
-                             atol: float = 1e-9):
+# oracle_equivalence_check's tolerance, on each state overlap's distance
+# from 1 and on the outcome distribution's TVD from uniform.
+ORACLE_ATOL = 1e-9
+
+
+def oracle_equivalence_check(x_one, x_zero, a, params):
     """Compare the dense statevector oracle against the analytic model
     (uniform outcomes plus the exact phase formula) for one triple.
 
@@ -190,6 +194,6 @@ def oracle_equivalence_check(x_one, x_zero, a, params,
         tvd += abs(prob - 2.0 ** -d) / 2
         units = predicted_phase_units(x_one, x_zero, r_units, u, params)
         overlap = abs(np.vdot(equator_state(units, params.q), state))
-        if abs(overlap - 1) > atol:
+        if abs(overlap - 1) > ORACLE_ATOL:
             return False, tvd
-    return tvd < atol, tvd
+    return tvd < ORACLE_ATOL, tvd

@@ -30,7 +30,7 @@ import math
 import socket
 import time
 
-from .params import Params, tiny_params
+from .params import MAX_Q_BITS, Params, tiny_params
 from .protocol_q import (VerifierState, chunks, instance_state,
                          prover_round1, verifier_round1,
                          verifier_round1_stacked, verifier_score)
@@ -63,8 +63,9 @@ MAX_LAMBDA = 1024
 
 # The largest setup a prover reads: the key (A, v), the ciphertext's a and
 # the witness (s, e) at the largest parameters the bounds above admit
-# (2^61 - 1 is the largest prime below Params' bound on q).
-_LARGEST = Params(lam=MAX_LAMBDA, n=MAX_N, q=(1 << 61) - 1, sigma=MAX_SIGMA)
+# (2^MAX_Q_BITS - 1, a Mersenne prime, is the largest q that Params takes).
+_LARGEST = Params(lam=MAX_LAMBDA, n=MAX_N, q=(1 << MAX_Q_BITS) - 1,
+                  sigma=MAX_SIGMA)
 SETUP_FRAME_BYTES = frame_cap(_LARGEST.m * _LARGEST.n, _LARGEST.m,
                               _LARGEST.n, _LARGEST.n, _LARGEST.m)
 
@@ -158,7 +159,7 @@ def _bounded(payload: dict, key: str, kinds: tuple, bound):
 def _setup(payload: dict, wants_witness: bool):
     """(public key, ciphertext, witness or None)."""
     params = tiny_params(n=_bounded(payload, "n", (int,), MAX_N),
-                         q=_decimal(payload["q"], 1 << 61),  # Params' limit
+                         q=_decimal(payload["q"], 1 << MAX_Q_BITS),
                          sigma=float(_bounded(payload, "sigma", (int, float),
                                               MAX_SIGMA)),
                          lam=_bounded(payload, "lambda", (int,), MAX_LAMBDA))

@@ -12,6 +12,10 @@ from functools import lru_cache
 
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# Every modulus is below 2**MAX_Q_BITS, so that ghz's phase sums (terms
+# below 2q) and zq's products stay exact in int64.
+MAX_Q_BITS = 61
+
 
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid for all n < 3.3e24."""
@@ -60,12 +64,12 @@ class Params:
     def __post_init__(self):
         # Size first: Miller-Rabin on a q of thousands of digits, say one
         # a hostile setup frame carries, takes seconds.
-        if self.q.bit_length() > 61:
-            raise ValueError("moduli >= 2**61 are not supported")
+        if self.q.bit_length() > MAX_Q_BITS:
+            raise ValueError(f"moduli >= 2**{MAX_Q_BITS} are not supported")
         if self.q < 3 or self.q % 2 == 0 or not is_prime(self.q):
             raise ValueError(f"q={self.q} must be an odd prime")
-        if self.sigma < 1:
-            raise ValueError("sigma must be >= 1")
+        if not 1 <= self.sigma < math.inf:  # NaN fails both comparisons
+            raise ValueError("sigma must be finite and >= 1")
         if self.n < 1:
             raise ValueError("n must be >= 1")
         if self.lam < 1:
@@ -139,12 +143,3 @@ def tiny_params(n: int, q: int, sigma: float = 1.0, lam: int = 4) -> Params:
     """Deliberately tiny instances for exhaustive / oracle tests."""
     return Params(lam=lam, n=n, q=q, sigma=sigma, preset_name=f"tiny-n{n}-q{q}")
 
-
-PRESETS = {"desk": desk_preset}
-
-
-def get_preset(name: str) -> Params:
-    try:
-        return PRESETS[name]()
-    except KeyError:
-        raise ValueError(f"unknown preset {name!r}; known: {sorted(PRESETS)}") from None

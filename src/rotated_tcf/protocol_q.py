@@ -216,7 +216,6 @@ class ClassicalProver:
     on the same p with fresh randomness, which is what the rewinding
     experiments exploit."""
 
-    name = "classical"
     quantum = False
 
     def first_response(self, pk: PublicKey, ct: Ciphertext, stream: RngStream):
@@ -285,7 +284,6 @@ class HonestQuantumProver:
     """The exactly-simulated quantum device; its memory is the kept qubit,
     which measuring consumes, so it cannot be replayed."""
 
-    name = "honest-quantum"
     quantum = True
 
     def second_response(self, b_prime, memory, stream):

@@ -23,6 +23,9 @@ MIN_REPLAYS = 10
 @dataclass(frozen=True)
 class EntropyEstimate:
     guessing_prob: float
+    # The lowest per-context guessing probability, min over contexts: the
+    # context where d' was hardest to guess, not min-entropy's worst case
+    # (that would be the highest).  The digests pin the name and the value.
     worst_context_prob: float
     contexts: int
     samples_per_context: int
@@ -106,8 +109,8 @@ class ScoreEntropyReport:
 
 
 def score_entropy_report(prover, params: Params, trials: int,
-                         stream: RngStream, contexts: int = 50,
-                         replays: int = 100) -> ScoreEntropyReport:
+                         stream: RngStream, contexts: int,
+                         replays: int) -> ScoreEntropyReport:
     stats = run_experiment(params, prover, trials, stream.derive("score"))
     entropy = estimate_minentropy(prover, params, contexts, replays,
                                   stream.derive("entropy"))

@@ -21,8 +21,6 @@ class RngStream:
     def __init__(self, seed):
         if isinstance(seed, str):
             seed = bytes.fromhex(seed)
-        elif isinstance(seed, int) and 0 <= seed < 1 << 256:
-            seed = seed.to_bytes(32, "big")
         if not isinstance(seed, bytes) or len(seed) != 32:
             raise ValueError("seed must be 32 bytes / 64 hex chars")
         self.seed = seed

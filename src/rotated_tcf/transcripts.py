@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -174,15 +174,6 @@ def transcript_from_dict(obj, params) -> Transcript:
     if obj["success"] != t.success:
         raise ValueError("success flag inconsistent with (d, d', b, b')")
     return t
-
-
-def save_transcripts(path, transcripts: Iterable[Transcript]) -> int:
-    count = 0
-    with open(path, "w") as fh:
-        for t in transcripts:
-            fh.write(transcript_to_json(t) + "\n")
-            count += 1
-    return count
 
 
 def load_transcripts(path, params) -> Iterator[Transcript]:

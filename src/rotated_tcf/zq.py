@@ -15,7 +15,7 @@ most one, the residue lies in [-q, 2q), where its wrapped value read as
 int64 is exact, and one `% q` makes it canonical.  Where V = k max(A) (q-1)
 breaks that bound, B is split into c-bit limbs and folded back by Horner's
 rule, each step's acc 2^c + A @ limb reduced by the same estimate.
-Supported moduli: odd primes q < 2**61.
+Supported moduli: odd primes q < 2**MAX_Q_BITS (params.py).
 """
 from __future__ import annotations
 

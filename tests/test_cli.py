@@ -10,13 +10,13 @@ from rotated_tcf.network import (connect_prover, open_server_socket,
                                  serve_verifier)
 from rotated_tcf.protocol_q import BaselineProver, run_experiment
 from rotated_tcf.sampling import RngStream
-from rotated_tcf.transcripts import load_transcripts, save_transcripts
+from rotated_tcf.transcripts import load_transcripts, transcript_to_json
 
 SEED = "3c" * 32
 
 
 def test_params_command(capsys):
-    assert main(["params", "--preset", "desk"]) == 0
+    assert main(["params"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["preset"] == "desk"
     assert out["q"] == str((1 << 42) + 15)
@@ -74,8 +74,12 @@ def test_assert_range_is_checked_before_the_run(tmp_path, monkeypatch):
     assert not out.exists()
 
 
-def test_poq_rejects_zero_trials():
+def test_poq_rejects_zero_trials(capsys):
     assert main(["poq", "--trials", "0"]) == USAGE_EXIT
+    # a sigma that is not finite is refused before any sampler sizes a table
+    assert main(["poq", "--n", "2", "--q", "3001", "--sigma", "inf",
+                 "--trials", "1"]) == USAGE_EXIT
+    assert "Traceback" not in capsys.readouterr().err
 
 
 def test_poq_outputs(tmp_path, capsys, desk):
@@ -93,8 +97,8 @@ def test_poq_outputs(tmp_path, capsys, desk):
     run_experiment(desk, BaselineProver(), 20,
                    RngStream(SEED).derive("poq", "classical-baseline"),
                    transcript_sink=held.append)
-    save_transcripts(tmp_path / "held.jsonl", held)
-    assert jsonl.read_bytes() == (tmp_path / "held.jsonl").read_bytes()
+    assert jsonl.read_text() == "".join(transcript_to_json(t) + "\n"
+                                        for t in held)
 
 
 def test_seed_validation_and_env_fallback(tmp_path, capsys, monkeypatch):
@@ -197,7 +201,7 @@ def test_sessions_below_one_are_refused_before_any_socket(
 
 def test_subcommands_refuse_flags_they_ignore(tmp_path):
     """Each subcommand accepts only the flags it reads."""
-    assert main(["oracle-check", "--preset", "desk"]) == USAGE_EXIT
+    assert main(["oracle-check", "--n", "4"]) == USAGE_EXIT
     assert main(["poq", "--lam", "4"]) == USAGE_EXIT
     assert main(["params", "--lam", "4"]) == USAGE_EXIT
     out = tmp_path / "rsp.csv"
@@ -300,8 +304,8 @@ def test_serve_and_connect_commands(tmp_path, capsys, desk):
                        network, 3, timeout=10)
         t.join(timeout=60)
     assert not t.is_alive()
-    save_transcripts(tmp_path / "held.jsonl", box["result"][1])
-    assert emitted.read_bytes() == (tmp_path / "held.jsonl").read_bytes()
+    assert emitted.read_text() == "".join(transcript_to_json(t) + "\n"
+                                          for t in box["result"][1])
 
 
 def test_failed_session_is_reported_not_raised(tmp_path, capsys):
@@ -368,4 +372,4 @@ def test_flag_count_is_pinned():
     flags = [a for sub in subs.choices.values() for a in sub._actions
              if not isinstance(a, argparse._HelpAction)]
     assert top == ["config"]
-    assert len(flags) == 72
+    assert len(flags) == 66

@@ -23,8 +23,8 @@ from rotated_tcf import network
 from rotated_tcf.network import (SessionError, connect_prover,
                                  open_server_socket, prover_session,
                                  serve_verifier, verifier_session)
-from rotated_tcf.params import desk_preset
-from rotated_tcf.protocol_q import (CHUNK, BaselineProver,
+from rotated_tcf.params import MAX_Q_BITS, Params, desk_preset, next_prime
+from rotated_tcf.protocol_q import (CHUNK, PROVERS, BaselineProver,
                                     HonestQuantumProver, run_single_trial)
 from rotated_tcf.transcripts import transcript_to_json
 from rotated_tcf.wire import (MAX_FRAME_BYTES, MESSAGE_TYPES,
@@ -1269,7 +1269,8 @@ def _verifier_by_hand(turns):
 
     def run():
         conn, _ = srv.accept()
-        with conn:
+        # a prover that hangs up early ends the turns, and leaves no reply
+        with conn, contextlib.suppress(WireError, OSError):
             conn.settimeout(10)
             for frames in turns:
                 recv_message(conn, MAX_FRAME_BYTES, _soon())
@@ -1387,3 +1388,105 @@ def test_fuzzed_frames_only_end_the_session(stream, desk):
     local = run_single_trial(desk, BaselineProver(),
                              stream.derive("net").derive("trial", 0))
     assert transcript_to_json(box["result"][1][0]) == transcript_to_json(local)
+
+
+def _admitted_setup(params, rng, noise):
+    """A well-formed setup at `params`, witness included: a uniform key A
+    and ciphertext, and v = A s + e, so the witness opens the key.  The
+    error e is zero, small or uniform mod q, as `noise` says."""
+    q, n, m = params.q, params.n, params.m
+    A = rng.integers(0, q, size=(m, n), dtype=np.int64)
+    s = rng.integers(0, q, size=n, dtype=np.int64)
+    e = {"zero": np.zeros(m, dtype=np.int64),
+         "small": rng.integers(-2, 3, size=m) % q,
+         "uniform": rng.integers(0, q, size=m, dtype=np.int64)}[noise]
+    v = np.array([(sum(int(a) * int(x) for a, x in zip(row, s)) + int(err))
+                  % q for row, err in zip(A, e)], dtype=np.int64)
+    a = rng.integers(0, q, size=n, dtype=np.int64)
+    return {"lambda": params.lam, "n": n, "q": str(q),
+            "sigma": params.sigma,
+            "pk": {"A": encode_matrix(A), "v": encode_vector(v)},
+            "ct": {"a": encode_vector(a), "w": str(int(rng.integers(0, q)))},
+            WITNESS_LABEL: {"s": encode_vector(s), "e": encode_vector(e)}}
+
+
+def _prover_turn(turns, prover, stream):
+    """prover_session against `turns` played by hand: its result payload,
+    or the SessionError that ended it."""
+    port, t, _ = _verifier_by_hand(turns)
+    try:
+        return prover_session("127.0.0.1", port, prover, stream, timeout=10)
+    except SessionError as exc:
+        return exc
+    finally:
+        t.join(timeout=10)
+
+
+def _fuzz_prover(desk, honest_setup, stream):
+    @settings(max_examples=250, deadline=None, database=None)
+    @given(data=st.data())
+    def session(data):
+        if data.draw(st.booleans()):
+            params, setup = desk, copy.deepcopy(honest_setup)
+        else:
+            q = next_prime(data.draw(st.integers(3, (1 << MAX_Q_BITS) - 1)))
+            params = Params(lam=data.draw(st.integers(1, network.MAX_LAMBDA)),
+                            n=data.draw(st.integers(1, 8)), q=q,
+                            sigma=data.draw(st.floats(1, network.MAX_SIGMA)))
+            setup = _admitted_setup(
+                params, np.random.default_rng(data.draw(st.integers(0, 99))),
+                data.draw(st.sampled_from(["zero", "small", "uniform"])))
+        frames = {"hello": dict(VERIFIER_HELLO), "setup": setup,
+                  "challenge": {"b_prime": data.draw(st.integers(0, 1))},
+                  "result": {"success": data.draw(st.booleans()),
+                             "d": data.draw(st.integers(0, 1))}}
+        target = data.draw(st.sampled_from(sorted(frames)))
+        payload = frames[target]
+        how = data.draw(st.sampled_from(["none", "drop", "set", "replace"]))
+        if how == "drop":
+            del payload[data.draw(st.sampled_from(sorted(payload)))]
+        elif how == "set":
+            key = data.draw(st.sampled_from(sorted(payload)) | _KEYS)
+            payload[key] = data.draw(_values(params))
+        elif how == "replace":
+            frames[target] = data.draw(
+                st.dictionaries(_KEYS, _values(params), max_size=4))
+        turns = [[("hello", frames["hello"]), ("setup", frames["setup"])],
+                 [("challenge", frames["challenge"])],
+                 [("result", frames["result"])]]
+        for name, prover in sorted(PROVERS.items()):
+            ended = _prover_turn(turns, prover(), stream.derive(name))
+            if isinstance(ended, SessionError):
+                assert ended.code in network.ERROR_CODES
+            else:   # the result's two fields, whatever else it carries
+                assert ended == {key: frames["result"][key]
+                                 for key in ("success", "d")}
+
+    session()
+
+
+def test_fuzzed_verifier_frames_only_end_the_prover_session(
+        stream, desk, honest_setup):
+    """Mutated hello, setup, challenge and result payloads (dropped keys,
+    swapped types, arbitrary text, wrong shapes, integers past 2^63), and
+    well-formed setups at random admitted (n, q, sigma, lambda) with
+    zero, small or uniform key noise, end every prover's session with its
+    result or a SessionError whose code is an error frame's code."""
+    _fuzz_prover(desk, honest_setup, stream.derive("fuzz"))
+
+
+def test_honest_turn_at_the_largest_setup(stream):
+    """The honest prover plays a session on the largest setup a verifier
+    may send, n = MAX_N at q = 2^61 - 1, well inside a wide bound (tens of
+    milliseconds for the turn itself)."""
+    params = Params(lam=4, n=network.MAX_N, q=(1 << MAX_Q_BITS) - 1,
+                    sigma=3.0)
+    setup = _admitted_setup(params, np.random.default_rng(1), "small")
+    result = {"success": True, "d": 0}
+    start = time.monotonic()
+    ended = _prover_turn([[("hello", VERIFIER_HELLO), ("setup", setup)],
+                          [("challenge", {"b_prime": 1})],
+                          [("result", result)]],
+                         HonestQuantumProver(), stream)
+    assert ended == result
+    assert time.monotonic() - start < 10

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from rotated_tcf.params import (TINY_PARAMS_CACHE, Params, desk_preset,
-                                get_preset, is_prime, next_prime,
-                                select_params, tiny_params)
+                                is_prime, next_prime, select_params,
+                                tiny_params)
 
 
 def test_is_prime_small():
@@ -51,6 +51,9 @@ def test_params_rejects_bad_inputs():
         Params(lam=4, n=2, q=2, sigma=1.0)   # even
     with pytest.raises(ValueError):
         Params(lam=4, n=2, q=23, sigma=0.5)  # sigma < 1
+    for sigma in (float("inf"), float("nan")):  # not finite
+        with pytest.raises(ValueError, match="finite"):
+            Params(lam=4, n=2, q=23, sigma=sigma)
     with pytest.raises(ValueError):
         Params(lam=4, n=0, q=23, sigma=1.0)
     with pytest.raises(ValueError):
@@ -81,12 +84,6 @@ def test_select_params_validation():
         select_params(1, 1.0, 0.5, gen)
     with pytest.raises(ValueError):
         select_params(8, -1.0, 0.5, gen)
-
-
-def test_get_preset():
-    assert get_preset("desk") is desk_preset()
-    with pytest.raises(ValueError):
-        get_preset("nope")
 
 
 def test_tiny_params_cache_is_bounded():

@@ -12,8 +12,7 @@ from rotated_tcf.protocol_q import (BaselineProver, HonestQuantumProver,
 from rotated_tcf.stats import Stats
 from rotated_tcf.transcripts import (CSV_HEADER, Transcript, accepts,
                                      load_transcripts, make_transcript,
-                                     save_transcripts, stats_csv_row,
-                                     transcript_from_dict,
+                                     stats_csv_row, transcript_from_dict,
                                      transcript_to_json)
 
 
@@ -24,10 +23,16 @@ def _collect(desk, stream, n=30, include_pk=False):
     return out
 
 
+def _write(path, transcripts):
+    """`transcripts` as a JSON-lines file, one transcript_to_json line each."""
+    path.write_text("".join(transcript_to_json(t) + "\n"
+                            for t in transcripts))
+
+
 def test_roundtrip_lossless(tmp_path, stream, desk):
     transcripts = _collect(desk, stream)
     path = tmp_path / "t.jsonl"
-    assert save_transcripts(path, transcripts) == len(transcripts)
+    _write(path, transcripts)
     loaded = list(load_transcripts(path, desk))
     assert loaded == transcripts
 
@@ -36,7 +41,7 @@ def test_roundtrip_with_public_key(tmp_path, stream, desk):
     transcripts = _collect(desk, stream, n=2, include_pk=True)
     assert transcripts[0].pk is not None
     path = tmp_path / "t.jsonl"
-    save_transcripts(path, transcripts)
+    _write(path, transcripts)
     assert list(load_transcripts(path, desk)) == transcripts
 
 
@@ -82,7 +87,7 @@ def test_success_flag_is_checked(tmp_path):
 def test_tampered_line_detected(tmp_path, stream, desk):
     transcripts = _collect(desk, stream, n=3)
     path = tmp_path / "t.jsonl"
-    save_transcripts(path, transcripts)
+    _write(path, transcripts)
     lines = path.read_text().splitlines()
     obj = json.loads(lines[1])
     obj["d_prime"] ^= 1  # flips the predicate but not the recorded flag
@@ -95,7 +100,7 @@ def test_tampered_line_detected(tmp_path, stream, desk):
 def test_corrupt_json_reports_line_number(tmp_path, stream, desk):
     transcripts = _collect(desk, stream, n=2)
     path = tmp_path / "t.jsonl"
-    save_transcripts(path, transcripts)
+    _write(path, transcripts)
     with open(path, "a") as fh:
         fh.write("{not json\n")
     with pytest.raises(ValueError, match=":3:"):
