@@ -30,7 +30,8 @@ import math
 import socket
 import time
 
-from .params import MAX_Q_BITS, Params, tiny_params
+from .params import (MAX_LAMBDA, MAX_N, MAX_Q_BITS, MAX_SIGMA, Params,
+                     tiny_params)
 from .protocol_q import (VerifierState, chunks, instance_state,
                          prover_round1, verifier_round1,
                          verifier_round1_stacked, verifier_score)
@@ -54,16 +55,9 @@ ERROR_CODES = ("bad-encoding", "bad-dimensions", "bad-bit", "no-witness",
 DRAIN_BYTES = 1 << 20
 DRAIN_SECONDS = 1.0
 
-# The largest n, sigma and lambda a prover accepts in a setup (Params bounds
-# q), so that a hostile verifier cannot size its work at will: far above
-# the desk preset's (n = 4, sigma = 3, lambda = 4) and every test's.
-MAX_N = 64
-MAX_SIGMA = 2.0 ** 20
-MAX_LAMBDA = 1024
-
 # The largest setup a prover reads: the key (A, v), the ciphertext's a and
-# the witness (s, e) at the largest parameters the bounds above admit
-# (2^MAX_Q_BITS - 1, a Mersenne prime, is the largest q that Params takes).
+# the witness (s, e) at the largest parameters that Params admits
+# (2^MAX_Q_BITS - 1, a Mersenne prime, is the largest q it takes).
 _LARGEST = Params(lam=MAX_LAMBDA, n=MAX_N, q=(1 << MAX_Q_BITS) - 1,
                   sigma=MAX_SIGMA)
 SETUP_FRAME_BYTES = frame_cap(_LARGEST.m * _LARGEST.n, _LARGEST.m,
@@ -148,21 +142,13 @@ def _hello(payload: dict, peer_role: str) -> bool:
     return _number(payload.get("witness", False), (bool,))
 
 
-def _bounded(payload: dict, key: str, kinds: tuple, bound):
-    """payload[key] as a number of one of `kinds`, at most `bound`."""
-    value = _number(payload[key], kinds)
-    if value > bound:
-        raise SessionError("bad-encoding", f"{key} is over the bound {bound}")
-    return value
-
-
 def _setup(payload: dict, wants_witness: bool):
-    """(public key, ciphertext, witness or None)."""
-    params = tiny_params(n=_bounded(payload, "n", (int,), MAX_N),
+    """(public key, ciphertext, witness or None).  Params refuses, with a
+    ValueError, a setup whose n, sigma or lambda is out of its bounds."""
+    params = tiny_params(n=_number(payload["n"], (int,)),
                          q=_decimal(payload["q"], 1 << MAX_Q_BITS),
-                         sigma=float(_bounded(payload, "sigma", (int, float),
-                                              MAX_SIGMA)),
-                         lam=_bounded(payload, "lambda", (int,), MAX_LAMBDA))
+                         sigma=float(_number(payload["sigma"], (int, float))),
+                         lam=_number(payload["lambda"], (int,)))
     q, n, m = params.q, params.n, params.m
     pk = PublicKey(params=params,
                    A=decode_matrix(payload["pk"]["A"], q, (m, n)),

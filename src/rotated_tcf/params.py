@@ -10,11 +10,20 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 
+import numpy as np
+
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 # Every modulus is below 2**MAX_Q_BITS, so that ghz's phase sums (terms
 # below 2q) and zq's products stay exact in int64.
 MAX_Q_BITS = 61
+# The largest n, sigma and lambda of any parameter set, so that no input,
+# a flag or a hostile verifier's setup frame, can size the work at will:
+# far above the desk preset's (n = 4, sigma = 3, lambda = 4) and every
+# test's.
+MAX_N = 64
+MAX_SIGMA = 2.0 ** 20
+MAX_LAMBDA = 1024
 
 
 def is_prime(n: int) -> bool:
@@ -68,12 +77,13 @@ class Params:
             raise ValueError(f"moduli >= 2**{MAX_Q_BITS} are not supported")
         if self.q < 3 or self.q % 2 == 0 or not is_prime(self.q):
             raise ValueError(f"q={self.q} must be an odd prime")
-        if not 1 <= self.sigma < math.inf:  # NaN fails both comparisons
-            raise ValueError("sigma must be finite and >= 1")
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
-        if self.lam < 1:
-            raise ValueError("lam must be >= 1")
+        if not 1 <= self.sigma <= MAX_SIGMA:  # NaN fails both comparisons
+            raise ValueError(
+                f"sigma must be finite and in [1, {MAX_SIGMA:.0f}]")
+        if not 1 <= self.n <= MAX_N:
+            raise ValueError(f"n must be in [1, {MAX_N}]")
+        if not 1 <= self.lam <= MAX_LAMBDA:
+            raise ValueError(f"lam must be in [1, {MAX_LAMBDA}]")
         Q = (self.q - 1).bit_length()  # ceil(log2 q) for q >= 3, q not a power of 2
         m = self.n * (2 * Q + 1)
         object.__setattr__(self, "Q", Q)
@@ -109,8 +119,9 @@ class Params:
         }
 
 
-def select_params(n: int, c: float, eps: float, rng, lam: int | None = None) -> Params:
-    """sigma = n^c and q a random odd prime in [n^(2+eps)*sigma, 2n^(2+eps)*sigma]."""
+def select_params(n: int, c: float, eps: float) -> Params:
+    """sigma = n^c and q an odd prime in [n^(2+eps)*sigma, 2n^(2+eps)*sigma],
+    drawn from default_rng(0), at the desk preset's lambda."""
     if n < 2 or c <= 0 or eps <= 0:
         raise ValueError("need n >= 2, c > 0, eps > 0")
     sigma = float(n) ** c
@@ -118,11 +129,12 @@ def select_params(n: int, c: float, eps: float, rng, lam: int | None = None) -> 
     hi = math.floor(2 * n ** (2 + eps) * sigma)
     if hi - lo < 4:
         raise ValueError("prime search range too narrow")
+    rng = np.random.default_rng(0)
     for _ in range(10_000):
         cand = int(rng.integers(lo, hi + 1)) | 1
         if lo <= cand <= hi and is_prime(cand):
-            return Params(lam=lam if lam is not None else n, n=n, q=cand,
-                          sigma=sigma, preset_name=f"selected-n{n}")
+            return Params(lam=desk_preset().lam, n=n, q=cand, sigma=sigma,
+                          preset_name=f"selected-n{n}")
     raise AssertionError("no prime found in range (cannot occur for ranges this wide)")
 
 

@@ -329,8 +329,8 @@ def prover_round1(prover, pk: PublicKey, ct: Ciphertext, witness,
 # transcript waits for the chunk's set-up, prover turns and scoring, so at
 # 16 those slow ones stay under a tenth of all transcripts (at 10 they are
 # a tenth, and the 90th-percentile gap between transcripts is a chunk's
-# work); the chunk's trapdoors, Qn x (Q+1)n bytes each (30 KB at desk),
-# stay small.
+# work).  The chunk's trapdoors are Qn x (Q+1)n bytes each: 30 KB at desk,
+# 15.5 MB at Params' bounds (n = 64, q < 2^61).
 CHUNK = 16
 
 

@@ -19,8 +19,8 @@ class RngStream:
     __slots__ = ("seed", "_gen")
 
     def __init__(self, seed):
-        if isinstance(seed, str):
-            seed = bytes.fromhex(seed)
+        if isinstance(seed, str):  # length first: fromhex skips whitespace
+            seed = bytes.fromhex(seed) if len(seed) == 64 else None
         if not isinstance(seed, bytes) or len(seed) != 32:
             raise ValueError("seed must be 32 bytes / 64 hex chars")
         self.seed = seed

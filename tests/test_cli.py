@@ -3,6 +3,7 @@ import json
 import threading
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rotated_tcf.cli import (ASSERT_EXIT, DEFAULT_SEED, USAGE_EXIT,
                              build_parser, main)
@@ -42,6 +43,48 @@ def test_explicit_parameters_without_n_are_refused(capsys, flags):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "(--n --q --sigma) or (--n --c --eps)" in captured.err
+
+
+@pytest.mark.parametrize("flags", [
+    ["--n", "2", "--q", "3001", "--sigma", "1e300"],
+    ["--n", "65", "--q", "3001", "--sigma", "1"],
+    ["--n", "2", "--c", "2000", "--eps", "1"],
+    ["--n", "2", "--c", "1", "--eps", "1e6"]],
+    ids=["huge-sigma", "n-over-bound", "sigma-overflows", "q-overflows"])
+def test_params_out_of_bounds_are_usage_errors(capsys, flags):
+    """A parameter set outside Params' bounds, or one whose float powers
+    overflow, is a usage error: exit 2 and a one-line message."""
+    assert main(["params", *flags]) == USAGE_EXIT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
+_INTS = st.one_of(st.integers(-3, 100), st.integers(-10**40, 10**40))
+_FLOATS = st.one_of(st.floats(-10, 100), st.floats(),
+                    st.sampled_from([5e-324, 1e-9]))
+
+
+def test_params_command_never_crashes(capsys):
+    """Drawn --n/--q/--sigma and --n/--c/--eps, huge, tiny, negative, inf
+    and nan, print a parameter set or exit 2 with a message, never a
+    traceback."""
+    @settings(max_examples=200, deadline=None, database=None)
+    @given(n=_INTS, triplet=st.one_of(
+        st.tuples(st.just("q"), _INTS, st.just("sigma"), _FLOATS),
+        st.tuples(st.just("c"), _FLOATS, st.just("eps"), _FLOATS)))
+    def run(n, triplet):
+        first, a, second, b = triplet
+        code = main(["params", f"--n={n}", f"--{first}={a!r}",
+                     f"--{second}={b!r}"])
+        captured = capsys.readouterr()
+        assert code in (0, USAGE_EXIT)
+        if code == 0:
+            assert json.loads(captured.out)["n"] == n
+        else:
+            assert captured.out == "" and "Traceback" not in captured.err
+
+    run()
 
 
 def test_unknown_subcommand():

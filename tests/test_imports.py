@@ -131,6 +131,18 @@ def test_every_public_name_has_a_reader():
     assert unread == UNREAD_PUBLIC.keys()
 
 
+def test_parameter_bounds_are_set_once():
+    """Params holds every parameter set to one set of bounds, so each is
+    assigned at top level in params.py and in no other module."""
+    bounds = {"MAX_Q_BITS", "MAX_N", "MAX_SIGMA", "MAX_LAMBDA"}
+    owners = {(p.stem, name)
+              for p in SRC.glob("*.py")
+              for name, _ in _top_level_definitions(
+                  ast.parse(p.read_text(), filename=str(p)))
+              if name in bounds}
+    assert owners == {("params", name) for name in bounds}
+
+
 def _names(owners) -> list:
     return [dict(vars(owner)) for owner in owners]
 

@@ -23,7 +23,8 @@ from rotated_tcf import network
 from rotated_tcf.network import (SessionError, connect_prover,
                                  open_server_socket, prover_session,
                                  serve_verifier, verifier_session)
-from rotated_tcf.params import MAX_Q_BITS, Params, desk_preset, next_prime
+from rotated_tcf.params import (MAX_LAMBDA, MAX_N, MAX_Q_BITS, MAX_SIGMA,
+                                Params, desk_preset, next_prime)
 from rotated_tcf.protocol_q import (CHUNK, PROVERS, BaselineProver,
                                     HonestQuantumProver, run_single_trial)
 from rotated_tcf.transcripts import transcript_to_json
@@ -1064,21 +1065,33 @@ def test_challenge_bit_is_read_strictly(stream, desk, honest_setup, value,
     assert box["reply"]["payload"]["code"] == code
 
 
+def _assert_setup_refused(setup):
+    """The prover's read of `setup` ends with SessionError `bad-encoding`,
+    and the verifier's end gets an error frame with that code."""
+    conn, peer = socket.socketpair()
+    with conn, peer:
+        conn.settimeout(10)
+        peer.settimeout(10)
+        send_message(peer, make_message("setup", setup))
+        with pytest.raises(SessionError, match="bad-encoding") as refused:
+            network._receive(conn, "setup", _soon(), True)
+        reply = recv_message(peer, MAX_FRAME_BYTES, _soon())
+    assert refused.value.code == "bad-encoding"
+    assert reply["type"] == "error"
+    assert reply["payload"]["code"] == "bad-encoding"
+
+
 @pytest.mark.parametrize("key, bound", [
-    ("n", network.MAX_N), ("sigma", network.MAX_SIGMA),
-    ("lambda", network.MAX_LAMBDA),
+    ("n", MAX_N), ("sigma", MAX_SIGMA), ("lambda", MAX_LAMBDA),
 ])
 def test_setup_scalar_over_its_bound_is_refused(desk, honest_setup, key,
                                                 bound):
     """A prover refuses `bad-encoding` to a setup whose n, sigma or lambda
-    is over its fixed bound, before it reads the key; the desk preset sits
-    far inside every bound."""
+    is over the bound Params holds every parameter set to; the desk preset
+    sits far inside every bound."""
     assert {"n": desk.n, "sigma": desk.sigma, "lambda": desk.lam}[key] \
         * 8 <= bound
-    with pytest.raises(SessionError, match="over the bound") as refused:
-        network._DECODERS["setup"](dict(honest_setup, **{key: bound + 1}),
-                                   True)
-    assert refused.value.code == "bad-encoding"
+    _assert_setup_refused(dict(honest_setup, **{key: bound + 1}))
     if key != "n":  # n sizes the key, so only these decode at the bound
         pk, _, _ = network._DECODERS["setup"](
             dict(honest_setup, **{key: bound}), True)
@@ -1090,17 +1103,7 @@ def test_setup_scalar_over_its_bound_is_refused(desk, honest_setup, key,
 def test_setup_lambda_below_one_is_refused(honest_setup, lam):
     """A setup whose lambda is not positive gets a `bad-encoding` error
     frame, and the prover's read ends with SessionError."""
-    conn, peer = socket.socketpair()
-    with conn, peer:
-        conn.settimeout(10)
-        peer.settimeout(10)
-        send_message(peer, make_message("setup",
-                                        dict(honest_setup, **{"lambda": lam})))
-        with pytest.raises(SessionError, match="bad-encoding"):
-            network._receive(conn, "setup", _soon(), True)
-        reply = recv_message(peer, MAX_FRAME_BYTES, _soon())
-    assert reply["type"] == "error"
-    assert reply["payload"]["code"] == "bad-encoding"
+    _assert_setup_refused(dict(honest_setup, **{"lambda": lam}))
 
 
 def test_every_message_type_has_a_decoder():
@@ -1430,9 +1433,9 @@ def _fuzz_prover(desk, honest_setup, stream):
             params, setup = desk, copy.deepcopy(honest_setup)
         else:
             q = next_prime(data.draw(st.integers(3, (1 << MAX_Q_BITS) - 1)))
-            params = Params(lam=data.draw(st.integers(1, network.MAX_LAMBDA)),
+            params = Params(lam=data.draw(st.integers(1, MAX_LAMBDA)),
                             n=data.draw(st.integers(1, 8)), q=q,
-                            sigma=data.draw(st.floats(1, network.MAX_SIGMA)))
+                            sigma=data.draw(st.floats(1, MAX_SIGMA)))
             setup = _admitted_setup(
                 params, np.random.default_rng(data.draw(st.integers(0, 99))),
                 data.draw(st.sampled_from(["zero", "small", "uniform"])))
@@ -1479,7 +1482,7 @@ def test_honest_turn_at_the_largest_setup(stream):
     """The honest prover plays a session on the largest setup a verifier
     may send, n = MAX_N at q = 2^61 - 1, well inside a wide bound (tens of
     milliseconds for the turn itself)."""
-    params = Params(lam=4, n=network.MAX_N, q=(1 << MAX_Q_BITS) - 1,
+    params = Params(lam=4, n=MAX_N, q=(1 << MAX_Q_BITS) - 1,
                     sigma=3.0)
     setup = _admitted_setup(params, np.random.default_rng(1), "small")
     result = {"success": True, "d": 0}

@@ -1,9 +1,9 @@
 from fractions import Fraction
 
-import numpy as np
 import pytest
 
-from rotated_tcf.params import (TINY_PARAMS_CACHE, Params, desk_preset,
+from rotated_tcf.params import (MAX_LAMBDA, MAX_N, MAX_SIGMA,
+                                TINY_PARAMS_CACHE, Params, desk_preset,
                                 is_prime, next_prime, select_params,
                                 tiny_params)
 
@@ -60,6 +60,18 @@ def test_params_rejects_bad_inputs():
         Params(lam=4, n=2, q=(1 << 62) + 57, sigma=1.0)  # too wide
 
 
+@pytest.mark.parametrize("field, bound", [
+    ("n", MAX_N), ("sigma", MAX_SIGMA), ("lam", MAX_LAMBDA)])
+def test_params_bounds_n_sigma_and_lambda(field, bound):
+    """Every parameter set, from a flag or a setup frame, has n, sigma and
+    lambda at most their bounds; at the bound it is built."""
+    base = {"lam": 4, "n": 2, "q": 23, "sigma": 1.0}
+    assert getattr(Params(**{**base, field: bound}), field) == bound
+    over = bound * 2 if field == "sigma" else bound + 1
+    with pytest.raises(ValueError, match=f"{field} must be"):
+        Params(**{**base, field: over})
+
+
 def test_derived_quantities_consistent():
     p = tiny_params(3, 97)
     assert p.Q == 7   # ceil(log2 97)
@@ -68,22 +80,23 @@ def test_derived_quantities_consistent():
 
 
 def test_select_params_in_range():
-    gen = np.random.default_rng(5)
-    p = select_params(8, 1.0, 0.5, gen)
+    p = select_params(8, 1.0, 0.5)
     sigma = 8.0
     lo = 8 ** 2.5 * sigma
     assert lo <= p.q <= 2 * lo + 1
     assert is_prime(p.q)
     assert p.sigma == sigma
-    assert p.lam == 8  # defaults to n
+    assert p.lam == desk_preset().lam
+    assert select_params(8, 1.0, 0.5) == p  # one fixed draw
 
 
 def test_select_params_validation():
-    gen = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        select_params(1, 1.0, 0.5, gen)
+        select_params(1, 1.0, 0.5)
     with pytest.raises(ValueError):
-        select_params(8, -1.0, 0.5, gen)
+        select_params(8, -1.0, 0.5)
+    with pytest.raises(ValueError, match="n must be"):
+        select_params(MAX_N + 1, 0.5, 0.1)
 
 
 def test_tiny_params_cache_is_bounded():

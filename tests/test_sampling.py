@@ -33,6 +33,16 @@ def test_stream_seed_validation():
     assert s.seed == b"\x00" * 32
 
 
+@pytest.mark.parametrize("seed", ["00 " * 32, " " + "ab" * 32,
+                                  "ab" * 32 + "\n"],
+                         ids=["spaced", "leading-space", "trailing-newline"])
+def test_hex_seed_with_whitespace_is_refused(seed):
+    """A str seed is exactly 64 hex characters: bytes.fromhex would skip
+    the whitespace and read these as 32 bytes."""
+    with pytest.raises(ValueError, match="seed must be 32 bytes"):
+        RngStream(seed)
+
+
 @pytest.mark.parametrize("seed", [-1, 1 << 256],
                          ids=["minus-one", "two-to-256"])
 def test_int_seed_must_fit_32_bytes(seed):
