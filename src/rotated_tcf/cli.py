@@ -97,7 +97,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="append a stats CSV row to this file")
     p.add_argument("--emit-transcripts",
                    help="write JSON-lines transcripts here")
-    p.add_argument("--trials", type=int, default=2000)
+    p.add_argument("--trials", type=positive_int, default=2000)
     p.add_argument("--prover", choices=sorted(PROVERS), default="honest")
     p.add_argument("--assert-range", metavar="LO,HI", type=float_pair,
                    help="exit 3 unless the estimate lands in [LO, HI]")
@@ -107,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_seed(p)
     p.add_argument("--alpha", type=int, default=None,
                    help="fixed phase numerator; default draws fresh per run")
-    p.add_argument("--trials", type=int, default=2000)
+    p.add_argument("--trials", type=positive_int, default=2000)
     p.add_argument("--zero-noise", action="store_true",
                    help="force e = 0 (exactness check)")
     p.add_argument("--sign-convention", choices=["additive", "subtractive"],
@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params(p)
     _add_seed(p)
     p.add_argument("--prover", choices=sorted(PROVERS), default="honest")
-    p.add_argument("--trials", type=int, default=2000)
+    p.add_argument("--trials", type=positive_int, default=2000)
     p.add_argument("--contexts", type=int, default=50)
     p.add_argument("--replays", type=int, default=100)
 

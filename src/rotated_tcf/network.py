@@ -236,7 +236,8 @@ def _session(conn, vstate: VerifierState, trial_stream: RngStream,
     the verifier's set-up `vstate` for the trial on `trial_stream` and its
     challenge bit drawn from `challenge_stream`, the trial's
     derive('challenge'); returns a Transcript."""
-    params, pk, ct = vstate.params, vstate.keypair.pk, vstate.ct
+    pk, ct = vstate.keypair.pk, vstate.ct
+    params = pk.params
     wants_witness = _handshake(conn, "verifier", "prover", deadline)
     setup = {"lambda": params.lam, "n": params.n, "q": str(params.q),
              "sigma": params.sigma,

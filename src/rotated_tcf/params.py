@@ -122,8 +122,12 @@ class Params:
 def select_params(n: int, c: float, eps: float) -> Params:
     """sigma = n^c and q an odd prime in [n^(2+eps)*sigma, 2n^(2+eps)*sigma],
     drawn from default_rng(0), at the desk preset's lambda."""
-    if n < 2 or c <= 0 or eps <= 0:
-        raise ValueError("need n >= 2, c > 0, eps > 0")
+    if n < 2 or not (0 < c < math.inf and 0 < eps < math.inf):
+        raise ValueError("need n >= 2 and finite c > 0, eps > 0")
+    # hi = 2 n^(2+eps+c), sized by its log so that no power below overflows
+    if 1 + (2 + eps + c) * math.log2(n) >= MAX_Q_BITS:
+        raise ValueError(f"n={n}, c={c} and eps={eps} put the range of q "
+                         f"at or past 2**{MAX_Q_BITS}")
     sigma = float(n) ** c
     lo = math.ceil(n ** (2 + eps) * sigma)
     hi = math.floor(2 * n ** (2 + eps) * sigma)

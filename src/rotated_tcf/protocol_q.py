@@ -33,7 +33,6 @@ from .zq import bit_dot, bits_le_vec, matmul_mod
 
 @dataclass
 class VerifierState:
-    params: Params
     keypair: KeypairJ
     b: int                   # an int64 array for a stack of instances
     ct: Ciphertext
@@ -58,16 +57,14 @@ def _bit_draws(params: Params, b_streams, f_streams):
             np.array([sample_bits(params.m, t) for t in f_streams]))
 
 
-def _round1(params: Params, kp: KeypairJ, b, f):
+def _round1(kp: KeypairJ, b, f):
     ct = encrypt_bit(kp.pk, b, f)
-    state = VerifierState(params=params, keypair=kp, b=b, ct=ct)
-    return state, (kp.pk, ct)
+    return VerifierState(keypair=kp, b=b, ct=ct), (kp.pk, ct)
 
 
 def verifier_round1(params: Params, stream: RngStream):
     b, f = _bit_draws(params, [stream.derive("b")], [stream.derive("f")])
-    return _round1(params, gen_j(params, stream.derive("key")), int(b[0]),
-                   f[0])
+    return _round1(gen_j(params, stream.derive("key")), int(b[0]), f[0])
 
 
 def verifier_round1_stacked(params: Params, streams):
@@ -80,7 +77,7 @@ def verifier_round1_stacked(params: Params, streams):
     seed_streams(b_streams + f_streams)
     b, f = _bit_draws(params, b_streams, f_streams)
     kp = gen_j_stacked(params, [stream.derive("key") for stream in streams])
-    return _round1(params, kp, b, f)
+    return _round1(kp, b, f)
 
 
 def instance_state(vstate: VerifierState, i: int) -> VerifierState:
@@ -201,7 +198,7 @@ def verifier_score(vstate: VerifierState, y: np.ndarray, u: np.ndarray,
                    seed_info: str = "") -> Transcript:
     kp = vstate.keypair
     d = decrypted_bit(kp.trapdoor, kp.pk.v, y, u)
-    return make_transcript(vstate.params, kp.pk, vstate.ct,
+    return make_transcript(kp.pk.params, kp.pk, vstate.ct,
                            y, u, vstate.b, b_prime, d, d_prime, seed_info)
 
 
@@ -398,12 +395,12 @@ def _trials(params: Params, prover, trial_streams, include_pk: bool,
     return int(wins.sum())
 
 
-def run_single_trial(params: Params, prover, trial_stream: RngStream,
-                     include_pk: bool = False) -> Transcript:
+def run_single_trial(params: Params, prover,
+                     trial_stream: RngStream) -> Transcript:
     """One full protocol execution with sub-streams fixed per role, so a
     networked run with the same trial seed reproduces the transcript."""
     out = []
-    _trials(params, prover, [trial_stream], include_pk, out.append)
+    _trials(params, prover, [trial_stream], False, out.append)
     return out[0]
 
 

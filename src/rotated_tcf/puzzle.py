@@ -1,6 +1,7 @@
 """1-of-2 puzzle built from the quantumness test, plus threshold repetition.
 
-G hands out (puzzle, key) = ((pk, ct), (t, b)); the solver commits to an
+G hands out (puzzle, key) = ((pk, ct), the verifier's state), the key
+holding the trapdoor and the encrypted bit b; the solver sends the
 obligation (y, u) while keeping one qubit, answers a challenge bit b' by
 measuring that qubit, and the verifier scores d xor d' == b and b'.  The
 repetition runner plays ell independent instances against a single shared
@@ -17,10 +18,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .params import Params
-from .protocol_q import (PROVERS, ProverState, _play_chunk, chunks,
+from .protocol_q import (PROVERS, VerifierState, _play_chunk, chunks,
                          decrypted_bit, prover_round1, verifier_round1)
 # Not called here: perfbench/layers.py looks this name up on puzzle.
 from .protocol_q import honest_prover_round1
@@ -28,7 +27,6 @@ from .regev import Ciphertext, PublicKey
 from .sampling import RngStream, seed_streams
 from .stats import Stats
 from .transcripts import accepts
-from .trapdoor import TrapdoorPair
 from .trapdoor import invert  # not called: perfbench/layers.py rebinds it
 
 COMPLETENESS_TARGET = 0.8535533905932737  # cos^2(pi/8)
@@ -45,35 +43,19 @@ class Puzzle:
     ct: Ciphertext
 
 
-@dataclass(frozen=True)
-class PuzzleKey:
-    trapdoor: TrapdoorPair
-    b: int
-
-
-@dataclass(frozen=True)
-class Obligation:
-    y: np.ndarray
-    u: np.ndarray
-    rho: ProverState | None  # the honest solver's single retained qubit
-                             # (plus branch bookkeeping); None if classical
-
-
 def puzzle_G(params: Params, stream: RngStream):
-    """Returns (puzzle, key, witness); the witness (s, e) exists only so the
-    harness can simulate the honest quantum solver."""
+    """Returns (puzzle, key, witness), the key being the VerifierState of
+    verifier_round1; the witness (s, e) exists only so the harness can
+    simulate the honest quantum solver."""
     vstate, (pk, ct) = verifier_round1(params, stream)
     kp = vstate.keypair
-    return (Puzzle(pk=pk, ct=ct),
-            PuzzleKey(trapdoor=kp.trapdoor, b=vstate.b),
-            (kp.s, kp.e))
+    return Puzzle(pk=pk, ct=ct), vstate, (kp.s, kp.e)
 
 
-def puzzle_V(p: Puzzle, k: PuzzleKey, o: Obligation, b_prime: int,
-             d_prime):
-    """The verdict, a bool: d xor d' == b and b', with d decrypted through
-    the trapdoor."""
-    d = decrypted_bit(k.trapdoor, p.pk.v, o.y, o.u)
+def puzzle_V(k: VerifierState, y, u, b_prime: int, d_prime):
+    """The verdict on the obligation (y, u), a bool: d xor d' == b and b',
+    with d decrypted through the trapdoor."""
+    d = decrypted_bit(k.keypair.trapdoor, k.keypair.pk.v, y, u)
     return accepts(k.b, b_prime, d, d_prime)
 
 
@@ -83,14 +65,14 @@ def _solver(solver: str):
     return PROVERS[solver]
 
 
-def solve_one(p: Puzzle, k: PuzzleKey, witness, b_prime: int,
+def solve_one(p: Puzzle, k: VerifierState, witness, b_prime: int,
               stream: RngStream, solver: str = "honest") -> int:
     """Play one instance against challenge b_prime with the prover that
     PROVERS registers as `solver`; returns the verdict."""
     prover = _solver(solver)()
-    o = Obligation(*prover_round1(prover, p.pk, p.ct, witness, stream))
-    d_prime = int(prover.second_response(b_prime, o.rho, stream))
-    return int(puzzle_V(p, k, o, b_prime, d_prime))
+    y, u, memory = prover_round1(prover, p.pk, p.ct, witness, stream)
+    d_prime = int(prover.second_response(b_prime, memory, stream))
+    return int(puzzle_V(k, y, u, b_prime, d_prime))
 
 
 def _verified(params: Params, insts, b_prime: int, solver: str) -> int:

@@ -37,7 +37,6 @@ from .zq import centered_abs, matmul_mod
 
 @dataclass
 class ClientState:
-    params: Params
     keypair: KeypairJ
     f: np.ndarray
     alpha: int
@@ -73,7 +72,7 @@ def rsp_client_round1(params: Params, alpha: int, stream: RngStream,
     payload = alpha if sign_convention == "additive" else (-alpha) % params.q
     f = sample_bits(params.m, stream.derive("f"))
     ct = encrypt_zq(kp.pk, payload, f)
-    state = ClientState(params=params, keypair=kp, f=f, alpha=alpha)
+    state = ClientState(keypair=kp, f=f, alpha=alpha)
     return state, (kp.pk, ct)
 
 
@@ -94,8 +93,8 @@ def rsp_client_finish(state: ClientState, y: np.ndarray,
                       u: np.ndarray) -> RspOutcome:
     """Abort unless y admits preimages on both branches; otherwise recover
     the flip bit b = ([x0] xor [x1]) . u and describe the target state."""
-    p = state.params
     kp = state.keypair
+    p = kp.pk.params
     found = find_preimage(kp.trapdoor, np.array([y, (y + kp.pk.v) % p.q]),
                           p.tau)
     if found is None:

@@ -60,6 +60,20 @@ def test_params_out_of_bounds_are_usage_errors(capsys, flags):
     assert captured.err.startswith("error: ")
 
 
+@pytest.mark.parametrize("flags", [
+    ["--c", "2000", "--eps", "1"], ["--c", "1", "--eps", "100"],
+    ["--c", "1", "--eps", "1e6"]])
+def test_select_params_refusal_names_c_and_eps(capsys, flags):
+    """c and eps whose float powers overflow, or whose q range reaches
+    2**MAX_Q_BITS, are refused in one line that names them, before any
+    prime search: no errno or numpy text."""
+    assert main(["params", "--n", "2", *flags]) == USAGE_EXIT
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "c=" in err and "eps=" in err
+    assert "Errno" not in err and "int64" not in err
+
+
 _INTS = st.one_of(st.integers(-3, 100), st.integers(-10**40, 10**40))
 _FLOATS = st.one_of(st.floats(-10, 100), st.floats(),
                     st.sampled_from([5e-324, 1e-9]))
@@ -125,6 +139,16 @@ def test_poq_rejects_zero_trials(capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_refused_poq_keeps_its_transcript_file(tmp_path):
+    """--trials below 1 is refused when the flags are parsed, before the
+    --emit-transcripts file is opened for writing."""
+    f = tmp_path / "t.jsonl"
+    f.write_bytes(b"kept\n")
+    assert main(["poq", "--trials", "0",
+                 "--emit-transcripts", str(f)]) == USAGE_EXIT
+    assert f.read_bytes() == b"kept\n"
+
+
 def test_poq_outputs(tmp_path, capsys, desk):
     csv = tmp_path / "stats.csv"
     jsonl = tmp_path / "t.jsonl"
@@ -179,6 +203,24 @@ def test_rsp_zero_noise(capsys):
                  "--seed", SEED]) == 0
     out = capsys.readouterr().out
     assert "mean_trace_distance=0.000e+00" in out
+
+
+def test_rsp_sign_conventions(capsys, monkeypatch):
+    """At the default seed the additive convention lands each qubit within
+    the printed bound of its target, and the subtractive one, the record
+    of a convention that does not steer the qubit, lands far outside."""
+    monkeypatch.delenv("ROTATED_TCF_SEED", raising=False)
+
+    def mean_and_bound(*flags):
+        assert main(["rsp", "--trials", "20", *flags]) == 0
+        out = capsys.readouterr().out
+        mean = float(out.split("mean_trace_distance=")[1].split()[0])
+        return mean, float(out.split("(bound ")[1].split(")")[0])
+
+    mean, bound = mean_and_bound()
+    assert mean < bound
+    mean, bound = mean_and_bound("--sign-convention", "subtractive")
+    assert mean > bound
 
 
 def test_puzzle_command(capsys):

@@ -1,7 +1,7 @@
 """Every name a module imports is used by that module, every private
-top-level name is used somewhere in the package, every public one by the
-program outside its tests, and every name the benchmark rebinds is where
-it looks for it.
+top-level name is used somewhere in the package, every public one and
+every defaulted parameter by the program outside its tests, and every
+name the benchmark rebinds is where it looks for it.
 
 The first checks parse each `rotated_tcf` module with `ast`, collect the
 names its imports bind, or its top-level definitions, and fail on any
@@ -10,7 +10,8 @@ its `restore`.
 """
 import ast
 import importlib
-from collections import Counter
+import math
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
@@ -110,6 +111,13 @@ UNREAD_PUBLIC = {
 }
 
 
+def _program_outside_src():
+    """The program's files in scripts/ and perfbench/ (not its tests)."""
+    return list((ROOT / "scripts").glob("*.py")) + [
+        p for p in (ROOT / "perfbench").glob("*.py")
+        if not p.name.startswith("test_")]
+
+
 def test_every_public_name_has_a_reader():
     """A public top-level name that no program code reads, except its own
     definition, is code that only its test calls: aim (3) deletes it.
@@ -117,9 +125,7 @@ def test_every_public_name_has_a_reader():
     scripts/ and perfbench/ (not its tests)."""
     trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
              for p in SRC.glob("*.py")}
-    program = list((ROOT / "scripts").glob("*.py")) + [
-        p for p in (ROOT / "perfbench").glob("*.py")
-        if not p.name.startswith("test_")]
+    program = _program_outside_src()
     reads = sum((_lookups(ast.parse(p.read_text(), filename=str(p)))
                  for p in program), Counter())
     reads += sum((_lookups(tree) for tree in trees.values()), Counter())
@@ -129,6 +135,81 @@ def test_every_public_name_has_a_reader():
               if not name.startswith("_")
               and reads[name] == _lookups(node)[name]}
     assert unread == UNREAD_PUBLIC.keys()
+
+
+# Defaulted parameters that no call in src, scripts/ or perfbench/ sets,
+# each kept for its reason; a parameter that gains a setter leaves this map.
+UNSET_DEFAULTS = {
+    "protocol_q.run_experiment.include_pk":
+        "set only by tests/test_digests*.py",
+    "network.connect_prover.timeout": "set only by tests/test_digests*.py",
+    "network.verifier_session.witness_channel":
+        "a function only perfbench looks up (item 6)",
+    "regev.distinguishing_game.mode": "pinned by tests/test_digests.py",
+    "regev.distinguishing_game.use_trapdoor_keys":
+        "pinned by tests/test_digests.py",
+    "sampling._SeedWords.generate_state.dtype":
+        "numpy's SeedSequence interface",
+}
+
+
+def _functions(body, prefix="", method=False):
+    """(qualified name, name, parameters a call can pass by position,
+    defaulted parameters) for each function in `body`, methods and nested
+    functions included; a method's self is never passed by position."""
+    for node in body:
+        if isinstance(node, ast.ClassDef):
+            yield from _functions(node.body, f"{prefix}{node.name}.", True)
+        elif isinstance(node, ast.FunctionDef):
+            args = node.args
+            positional = [a.arg for a in args.posonlyargs + args.args]
+            defaulted = positional[len(positional) - len(args.defaults):] + [
+                a.arg for a, default in zip(args.kwonlyargs, args.kw_defaults)
+                if default is not None]
+            yield (f"{prefix}{node.name}", node.name,
+                   positional[method:], defaulted)
+            yield from _functions(node.body, f"{prefix}{node.name}.")
+
+
+def _calls(trees):
+    """For each name called: the most arguments any call passes by
+    position (all of them past a *args) and the keywords the calls pass
+    (None for a **kwargs, which may pass any)."""
+    reach, keywords = defaultdict(int), defaultdict(set)
+    for node in (n for tree in trees for n in ast.walk(tree)
+                 if isinstance(n, ast.Call)):
+        func = node.func
+        name = getattr(func, "id", getattr(func, "attr", None))
+        starred = any(isinstance(a, ast.Starred) for a in node.args)
+        reach[name] = max(reach[name],
+                          math.inf if starred else len(node.args))
+        keywords[name] |= {k.arg for k in node.keywords}
+    return reach, keywords
+
+
+def test_every_defaulted_parameter_is_set_by_the_program():
+    """A defaulted parameter that only tests pass is a setting that only
+    tests use: each must be passed, by keyword or by position, by some
+    call in src, scripts/ or perfbench/ (not its tests), save the listed
+    exceptions in UNSET_DEFAULTS.  Calls are matched to functions by
+    name, as reads are in test_every_public_name_has_a_reader."""
+    trees = {p.stem: ast.parse(p.read_text(), filename=str(p))
+             for p in SRC.glob("*.py")}
+    program = _program_outside_src()
+    reach, keywords = _calls(list(trees.values()) + [
+        ast.parse(p.read_text(), filename=str(p)) for p in program])
+
+    def is_set(name, positional, param):
+        return bool({param, None} & keywords[name]) or (
+            param in positional and positional.index(param) < reach[name])
+
+    unset = {f"{module}.{qualified}.{param}"
+             for module, tree in trees.items()
+             for qualified, name, positional, defaulted
+             in _functions(tree.body)
+             for param in defaulted
+             if not is_set(name, positional, param)}
+    assert unset == UNSET_DEFAULTS.keys()
 
 
 def test_parameter_bounds_are_set_once():

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -192,9 +193,9 @@ def test_chunks_walk_the_labeled_streams_in_order(stream, size):
             stream.derive("x", i).seed for i in range(count)]
 
 
-def _single_trials(params, prover, stream, trials, include_pk):
-    return [run_single_trial(params, prover, stream.derive("trial", i),
-                             include_pk=include_pk) for i in range(trials)]
+def _single_trials(params, prover, stream, trials):
+    return [run_single_trial(params, prover, stream.derive("trial", i))
+            for i in range(trials)]
 
 
 @pytest.mark.parametrize("preset", ["desk", "tiny23", "tiny3001", "mixed"])
@@ -203,7 +204,8 @@ def test_run_experiment_equals_single_trial_loop(stream, request, preset,
                                                  name):
     """The chunked run_experiment hands its sink, in trial order, exactly
     the transcripts a loop of run_single_trial gives, on either side of
-    each chunk boundary and with or without the public key."""
+    each chunk boundary; with the public key, each transcript carries its
+    pk and, that cleared, is the loop's."""
     params = request.getfixturevalue(preset)
     for trials in CHUNK_EDGES:
         for include_pk in (False, True):
@@ -212,10 +214,15 @@ def test_run_experiment_equals_single_trial_loop(stream, request, preset,
             stats = run_experiment(params, PROVERS[name](), trials, s,
                                    transcript_sink=seen.append,
                                    include_pk=include_pk)
-            loop = _single_trials(params, PROVERS[name](), s, trials,
-                                  include_pk)
+            loop = _single_trials(params, PROVERS[name](), s, trials)
+            if include_pk:
+                keys = [verifier_round1(params, s.derive("trial", i)
+                                        .derive("verifier"))[1][0]
+                        for i in range(trials)]
+                assert [t.pk for t in seen] == [
+                    {"A": pk.A.tolist(), "v": pk.v.tolist()} for pk in keys]
+                seen = [replace(t, pk=None) for t in seen]
             assert seen == loop
-            assert (seen[0].pk is not None) == include_pk
             assert stats.successes == sum(t.success for t in loop)
             assert stats.trials == trials
 
@@ -249,7 +256,7 @@ def test_chunked_prover_sees_the_calls_of_the_loop(stream, desk):
     trials = 2 * CHUNK + 1
     chunked, looped = _RecordingProver(), _RecordingProver()
     run_experiment(desk, chunked, trials, stream)
-    _single_trials(desk, looped, stream, trials, False)
+    _single_trials(desk, looped, stream, trials)
     assert len(chunked.calls) == 2 * trials
     assert [c[0] for c in chunked.calls] == ["first", "second"] * trials
     assert chunked.calls == looped.calls

@@ -3,10 +3,9 @@ import pytest
 from rotated_tcf.params import tiny_params
 from rotated_tcf.protocol_q import (PROVERS, HonestQuantumProver,
                                     RandomProver, prover_round1)
-from rotated_tcf.puzzle import (CHUNK, COMPLETENESS_TARGET, Obligation,
-                                puzzle_G, puzzle_V, repetition_experiment,
-                                solve_one, threshold_repetition,
-                                verified_count)
+from rotated_tcf.puzzle import (CHUNK, COMPLETENESS_TARGET, puzzle_G,
+                                puzzle_V, repetition_experiment, solve_one,
+                                threshold_repetition, verified_count)
 from rotated_tcf.sampling import sample_bits
 
 
@@ -20,15 +19,15 @@ def test_pipeline_scores_like_protocol(stream, desk):
     from rotated_tcf.trapdoor import invert
     from rotated_tcf.zq import bit_dot, bits_le_vec
     p, k, witness = puzzle_G(desk, stream.derive("g"))
-    o = Obligation(*prover_round1(HonestQuantumProver(), p.pk, p.ct, witness,
-                                  stream.derive("o")))
+    y, u, _ = prover_round1(HonestQuantumProver(), p.pk, p.ct, witness,
+                            stream.derive("o"))
     for b_prime in (0, 1):
         for d_prime in (0, 1):
-            x0 = invert(k.trapdoor, o.y)
-            x1 = invert(k.trapdoor, (o.y + p.pk.v) % desk.q)
-            d = bit_dot(o.u, bits_le_vec(x0, desk.Q) ^ bits_le_vec(x1, desk.Q))
+            x0 = invert(k.keypair.trapdoor, y)
+            x1 = invert(k.keypair.trapdoor, (y + p.pk.v) % desk.q)
+            d = bit_dot(u, bits_le_vec(x0, desk.Q) ^ bits_le_vec(x1, desk.Q))
             expect = int((d ^ d_prime) == (k.b & b_prime))
-            assert puzzle_V(p, k, o, b_prime, d_prime) == expect
+            assert puzzle_V(k, y, u, b_prime, d_prime) == expect
 
 
 def test_solve_one_honest_and_baseline(stream, desk):
@@ -108,10 +107,10 @@ def test_pass_rate_non_increasing_in_alpha(stream, desk):
 def test_obligation_is_single_qubit(stream, desk):
     from rotated_tcf.ghz import PhaseQubit
     p, k, witness = puzzle_G(desk, stream.derive("g"))
-    o = Obligation(*prover_round1(HonestQuantumProver(), p.pk, p.ct, witness,
-                                  stream.derive("o")))
-    assert isinstance(o.rho.qubit, PhaseQubit)
-    assert o.u.shape == (desk.nQ,)
+    y, u, memory = prover_round1(HonestQuantumProver(), p.pk, p.ct, witness,
+                                 stream.derive("o"))
+    assert isinstance(memory.qubit, PhaseQubit)
+    assert u.shape == (desk.nQ,)
 
 
 def test_repetition_deterministic(stream, desk):
