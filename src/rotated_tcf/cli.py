@@ -53,8 +53,8 @@ def _resolve_params(args) -> params_mod.Params:
                                  sigma=args.sigma)
     if None not in (args.n, args.c, args.eps):
         return params_mod.select_params(args.n, args.c, args.eps)
-    raise SystemExit(_usage_error(
-        "explicit parameters need either (--n --q --sigma) or (--n --c --eps)"))
+    raise ValueError(
+        "explicit parameters need either (--n --q --sigma) or (--n --c --eps)")
 
 
 def _add_params(sub):
@@ -335,9 +335,9 @@ def _apply_config(argv: list | None) -> list:
         with open(known.config) as fh:
             config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
-        raise SystemExit(_usage_error(f"cannot read config: {exc}"))
+        raise ValueError(f"cannot read config: {exc}") from None
     if not isinstance(config, dict):
-        raise SystemExit(_usage_error("config must be a JSON object"))
+        raise ValueError("config must be a JSON object")
     flags = []
     for key, value in config.items():
         if value is True:
@@ -351,12 +351,9 @@ def _apply_config(argv: list | None) -> list:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(_apply_config(argv))
-    except SystemExit as exc:
-        return USAGE_EXIT if exc.code not in (0, None) else 0
-    try:
         return COMMANDS[args.command](args)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else USAGE_EXIT
+    except SystemExit as exc:   # argparse's own: 2, or 0 after --help
+        return USAGE_EXIT if exc.code not in (0, None) else 0
     except (ValueError, OverflowError, OSError) as exc:
         return _usage_error(str(exc))
 

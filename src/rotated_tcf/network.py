@@ -26,7 +26,6 @@ labeled, inside the setup frame.  Classical strategies never receive it.
 from __future__ import annotations
 
 import contextlib
-import math
 import socket
 import time
 
@@ -40,7 +39,7 @@ from .protocol_q import honest_prover_round1
 from .regev import Ciphertext, PublicKey
 from .sampling import RngStream, seed_streams
 from .stats import Stats
-from .transcripts import _decimal
+from .transcripts import _decimal, _number
 from .wire import (PROTOCOL_VERSION, SMALL_FRAME_BYTES, WITNESS_LABEL,
                    WireError, decode_bits, decode_matrix, decode_vector,
                    encode_bits, encode_matrix, encode_vector, frame_cap,
@@ -115,15 +114,6 @@ def _refuse(sock, code: str, unread: bool = False) -> None:
             if not chunk:
                 return
             left -= len(chunk)
-
-
-def _number(value, kinds: tuple):
-    """`value` if its type is one of `kinds`; a float must be finite."""
-    if type(value) not in kinds or (type(value) is float
-                                    and not math.isfinite(value)):
-        names = " or ".join(k.__name__ for k in kinds)
-        raise WireError(f"expected a JSON {names}, got {value!r:.40}")
-    return value
 
 
 def _bit(payload: dict, key: str) -> int:

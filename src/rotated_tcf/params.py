@@ -132,7 +132,8 @@ def select_params(n: int, c: float, eps: float) -> Params:
     lo = math.ceil(n ** (2 + eps) * sigma)
     hi = math.floor(2 * n ** (2 + eps) * sigma)
     if hi - lo < 4:
-        raise ValueError("prime search range too narrow")
+        raise ValueError(f"n={n}, c={c} and eps={eps} leave the range of q "
+                         "too narrow to search for a prime")
     rng = np.random.default_rng(0)
     for _ in range(10_000):
         cand = int(rng.integers(lo, hi + 1)) | 1
@@ -155,7 +156,8 @@ TINY_PARAMS_CACHE = 32
 
 
 @lru_cache(maxsize=TINY_PARAMS_CACHE)
-def tiny_params(n: int, q: int, sigma: float = 1.0, lam: int = 4) -> Params:
+def tiny_params(n: int, q: int, sigma: float = 1.0,
+                lam: int = desk_preset().lam) -> Params:
     """Deliberately tiny instances for exhaustive / oracle tests."""
     return Params(lam=lam, n=n, q=q, sigma=sigma, preset_name=f"tiny-n{n}-q{q}")
 

@@ -26,7 +26,7 @@ from .regev import (Ciphertext, KeypairJ, PublicKey, encrypt_bit, gen_j,
 from .sampling import (RngStream, sample_bits, sample_box_stacked,
                        sample_uniform, seed_streams)
 from .stats import Stats
-from .trapdoor import TrapdoorPair, invert
+from .trapdoor import invert
 from .transcripts import Transcript, accepts, make_transcript
 from .zq import bit_dot, bits_le_vec, matmul_mod
 
@@ -180,26 +180,24 @@ def claw_bit(x: np.ndarray, u: np.ndarray, Q: int) -> int:
     return bit_dot(u, bits_le_vec(x[..., 0, :] ^ x[..., 1, :], Q))
 
 
-def decrypted_bit(pair: TrapdoorPair, v: np.ndarray, y: np.ndarray,
-                  u: np.ndarray) -> int:
-    """The claw bit with x0 = invert(y) and x1 = invert(y + v), the claw
-    preimages recovered through the trapdoor on both branches.  A stack of
-    pairs with stacked v, y and u gives one bit per instance, from one
-    inversion call."""
-    p = pair.params
+def decrypted_bit(kp: KeypairJ, y: np.ndarray, u: np.ndarray) -> int:
+    """The claw bit with x0 = invert(y) and x1 = invert(y + v), v = kp.pk.v,
+    the claw preimages recovered through kp's trapdoor on both branches.
+    A stacked key pair with stacked y and u gives one bit per instance,
+    from one inversion call."""
+    p = kp.pk.params
     y = np.asarray(y, dtype=np.int64)
-    rows = np.concatenate([y[..., None, :], ((y + v) % p.q)[..., None, :]],
-                          axis=-2)
-    return claw_bit(invert(pair, rows), u, p.Q)
+    rows = np.concatenate(
+        [y[..., None, :], ((y + kp.pk.v) % p.q)[..., None, :]], axis=-2)
+    return claw_bit(invert(kp.trapdoor, rows), u, p.Q)
 
 
 def verifier_score(vstate: VerifierState, y: np.ndarray, u: np.ndarray,
                    b_prime: int, d_prime: int,
                    seed_info: str = "") -> Transcript:
     kp = vstate.keypair
-    d = decrypted_bit(kp.trapdoor, kp.pk.v, y, u)
-    return make_transcript(kp.pk.params, kp.pk, vstate.ct,
-                           y, u, vstate.b, b_prime, d, d_prime, seed_info)
+    return make_transcript(kp.pk, vstate.ct, y, u, vstate.b, b_prime,
+                           decrypted_bit(kp, y, u), d_prime, seed_info)
 
 
 # ---------------------------------------------------------------------------
@@ -362,7 +360,7 @@ def _play_chunk(params: Params, prover, setup_streams, prover_streams,
         ys.append(y)
         us.append(u)
     y, u, d_prime = np.stack(ys), np.stack(us), np.array(d_primes)
-    d = decrypted_bit(kp.trapdoor, kp.pk.v, y, u)
+    d = decrypted_bit(kp, y, u)
     return (vstate, y, u, d_prime, d,
             accepts(vstate.b, np.asarray(b_primes), d, d_prime))
 
@@ -389,7 +387,7 @@ def _trials(params: Params, prover, trial_streams, include_pk: bool,
                  for i in range(len(trial_streams))]
         for i, (pk_i, ct_i) in enumerate(views):
             transcript_sink(make_transcript(
-                params, pk_i, ct_i, y[i], u[i], vstate.b[i], b_primes[i],
+                pk_i, ct_i, y[i], u[i], vstate.b[i], b_primes[i],
                 d[i], d_prime[i], seed_info=trial_streams[i].seed.hex(),
                 include_pk=include_pk))
     return int(wins.sum())
@@ -452,7 +450,7 @@ def rewinding_experiment(variant: str, params: Params, prover,
         y, u, p = prover.first_response(pk, ct, t.derive("prover"))
         d_prime = int(prover.second_response(b_prime, p, t.derive("prover2")))
         if variant == "C":
-            d = decrypted_bit(vstate.keypair.trapdoor, pk.v, y, u)
+            d = decrypted_bit(vstate.keypair, y, u)
         else:
             replay = t.derive("replay")
             votes = []

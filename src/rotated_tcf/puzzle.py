@@ -55,8 +55,7 @@ def puzzle_G(params: Params, stream: RngStream):
 def puzzle_V(k: VerifierState, y, u, b_prime: int, d_prime):
     """The verdict on the obligation (y, u), a bool: d xor d' == b and b',
     with d decrypted through the trapdoor."""
-    d = decrypted_bit(k.keypair.trapdoor, k.keypair.pk.v, y, u)
-    return accepts(k.b, b_prime, d, d_prime)
+    return accepts(k.b, b_prime, decrypted_bit(k.keypair, y, u), d_prime)
 
 
 def _solver(solver: str):

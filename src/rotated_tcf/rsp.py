@@ -76,16 +76,16 @@ def rsp_client_round1(params: Params, alpha: int, stream: RngStream,
     return state, (kp.pk, ct)
 
 
-def rsp_server_round(params: Params, msg, witness, stream: RngStream,
+def rsp_server_round(msg, witness, stream: RngStream,
                      sign_convention: str = "additive"):
-    """The quantumness test's claw cascade on the client's message; returns
-    ((y, u), beta) where beta is the exact state of the qubit the server
-    keeps.  The subtractive rotation by -2 pi w / q is the cascade's
-    rotation by 2 pi ((-w) mod q) / q."""
+    """The quantumness test's claw cascade on the client's message, at its
+    key's params; returns ((y, u), beta) where beta is the exact state of
+    the qubit the server keeps.  The subtractive rotation by -2 pi w / q
+    is the cascade's rotation by 2 pi ((-w) mod q) / q."""
     pk, ct = msg
     if sign_convention != "additive":
-        ct = replace(ct, w=(-ct.w) % params.q)
-    state, (y, u) = honest_prover_round1(params, pk, ct, witness, stream)
+        ct = replace(ct, w=(-ct.w) % pk.params.q)
+    state, (y, u) = honest_prover_round1(pk.params, pk, ct, witness, stream)
     return (y, u), state.qubit
 
 
@@ -95,8 +95,7 @@ def rsp_client_finish(state: ClientState, y: np.ndarray,
     the flip bit b = ([x0] xor [x1]) . u and describe the target state."""
     kp = state.keypair
     p = kp.pk.params
-    found = find_preimage(kp.trapdoor, np.array([y, (y + kp.pk.v) % p.q]),
-                          p.tau)
+    found = find_preimage(kp.trapdoor, np.array([y, (y + kp.pk.v) % p.q]))
     if found is None:
         return RspOutcome()
     b = claw_bit(found[0], u, p.Q)
@@ -122,8 +121,7 @@ def run_rsp_once(params: Params, alpha: int, stream: RngStream,
                                    sign_convention=sign_convention,
                                    force_zero_noise=force_zero_noise)
     witness = (state.keypair.s, state.keypair.e)
-    (y, u), beta = rsp_server_round(params, msg, witness,
-                                    stream.derive("server"),
+    (y, u), beta = rsp_server_round(msg, witness, stream.derive("server"),
                                     sign_convention=sign_convention)
     outcome = rsp_client_finish(state, y, u)
     return outcome, beta, state

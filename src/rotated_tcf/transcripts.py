@@ -12,6 +12,7 @@ and a line carries it for readers of the file.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, fields
 from functools import lru_cache, partial
 from typing import Iterator
@@ -49,13 +50,13 @@ def _ints(v) -> list:
     return np.asarray(v).tolist()
 
 
-def make_transcript(params, pk, ct, y, u, b, b_prime, d, d_prime, seed_info,
+def make_transcript(pk, ct, y, u, b, b_prime, d, d_prime, seed_info,
                     include_pk: bool = False) -> Transcript:
     pk_field = None
     if include_pk:
         pk_field = {"A": _ints(pk.A), "v": _ints(pk.v)}
     return Transcript(
-        params_ref=params.preset_name,
+        params_ref=pk.params.preset_name,
         pk=pk_field,
         ct={"a": _ints(ct.a), "w": int(ct.w)},
         y=_ints(y),
@@ -111,9 +112,19 @@ def _decimal(text, bound: int) -> int:
     return int(text)
 
 
+def _number(value, kinds: tuple):
+    """`value`, a JSON scalar read from outside the program, if its type is
+    exactly one of `kinds` (JSON's true is not the integer 1); a float
+    must be finite."""
+    if type(value) not in kinds or (type(value) is float
+                                    and not math.isfinite(value)):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise ValueError(f"expected a JSON {names}, got {value!r:.40}")
+    return value
+
+
 def _bit(x) -> int:
-    # bool is an int subclass, and JSON's true is not the bit 1
-    if type(x) is int and x in (0, 1):
+    if _number(x, (int,)) in (0, 1):
         return x
     raise ValueError(f"bit {x!r} is not the integer 0 or 1")
 
@@ -150,14 +161,10 @@ def transcript_from_dict(obj, params) -> Transcript:
     transcript_to_json writes for such a run."""
     _record(obj, _FIELDS, "transcript")
     ct = _record(obj["ct"], {"a", "w"}, "ct")
-    for key in ("params_ref", "seed_info"):
-        if not isinstance(obj[key], str):
-            raise ValueError(f"{key} {obj[key]!r} is not a string")
-    if obj["params_ref"] != params.preset_name:
+    if _number(obj["params_ref"], (str,)) != params.preset_name:
         raise ValueError(f"params_ref {obj['params_ref']!r:.40} is not "
                          f"{params.preset_name!r}")
-    if type(obj["success"]) is not bool:
-        raise ValueError(f"success {obj['success']!r} is not a bool")
+    _number(obj["success"], (bool,))
     zq = partial(_decimal, bound=params.q)
     t = Transcript(
         params_ref=obj["params_ref"],
@@ -169,7 +176,7 @@ def transcript_from_dict(obj, params) -> Transcript:
         b_prime=_bit(obj["b_prime"]),
         d=_bit(obj["d"]),
         d_prime=_bit(obj["d_prime"]),
-        seed_info=obj["seed_info"],
+        seed_info=_number(obj["seed_info"], (str,)),
     )
     if obj["success"] != t.success:
         raise ValueError("success flag inconsistent with (d, d', b, b')")

@@ -9,7 +9,6 @@ stacked inputs and a stack of pairs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -114,16 +113,16 @@ def _decoder(q: int, Q: int):
     return q_bits, h, np.uint64(pow(q, -1, 1 << 64))
 
 
-def find_preimage(pair: TrapdoorPair, y: np.ndarray, tau: Fraction):
-    """Return (x, g) with y = A x + g and ||g||_inf <= tau, else None.
-    y may be stacked, shape (..., m), and the pair too, as for `invert`;
-    then every row must be within tau."""
+def find_preimage(pair: TrapdoorPair, y: np.ndarray):
+    """Return (x, g) with y = A x + g and ||g||_inf <= tau, the pair's
+    params.tau, else None.  y may be stacked, shape (..., m), and the pair
+    too, as for `invert`; then every row must be within tau."""
     p = pair.params
     x = invert(pair, y)
     # A x for every row as one product per pair: A @ (rows of x)^T
     rows = x.reshape(pair.A.shape[:-2] + (-1, p.n)).swapaxes(-1, -2)
     Ax = matmul_mod(pair.A, rows, p.q).swapaxes(-1, -2)
     g = (y - Ax.reshape(x.shape[:-1] + (p.m,))) % p.q
-    if inf_norm(g, p.q) * tau.denominator <= tau.numerator:
+    if inf_norm(g, p.q) * p.tau.denominator <= p.tau.numerator:
         return x, g
     return None

@@ -1,6 +1,8 @@
 import argparse
+import importlib.util
 import json
 import threading
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +16,7 @@ from rotated_tcf.sampling import RngStream
 from rotated_tcf.transcripts import load_transcripts, transcript_to_json
 
 SEED = "3c" * 32
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_params_command(capsys):
@@ -62,11 +65,12 @@ def test_params_out_of_bounds_are_usage_errors(capsys, flags):
 
 @pytest.mark.parametrize("flags", [
     ["--c", "2000", "--eps", "1"], ["--c", "1", "--eps", "100"],
-    ["--c", "1", "--eps", "1e6"]])
+    ["--c", "1", "--eps", "1e6"], ["--c", "1e-9", "--eps", "1e-9"]])
 def test_select_params_refusal_names_c_and_eps(capsys, flags):
-    """c and eps whose float powers overflow, or whose q range reaches
-    2**MAX_Q_BITS, are refused in one line that names them, before any
-    prime search: no errno or numpy text."""
+    """c and eps whose float powers overflow, whose q range reaches
+    2**MAX_Q_BITS, or whose q range is too narrow to search, are refused
+    in one line that names them, before any prime search: no errno or
+    numpy text."""
     assert main(["params", "--n", "2", *flags]) == USAGE_EXIT
     err = capsys.readouterr().err
     assert err.count("\n") == 1
@@ -343,6 +347,39 @@ def test_config_null_leaves_the_flag_out(tmp_path, monkeypatch, capsys):
                  "classical-baseline", "--seed", SEED]) == 0
     assert "/3 =" in capsys.readouterr().out
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json"]
+
+
+def test_config_true_is_a_bare_flag_and_a_list_is_refused(tmp_path,
+                                                          capsys):
+    """The README's form of a config: a key set to true is a bare flag, so
+    {"trials": 3, "zero-noise": true} runs what --trials 3 --zero-noise
+    runs.  A config that is not a JSON object is a usage error."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"trials": 3, "zero-noise": True}))
+    assert main(["rsp", "--config", str(cfg), "--seed", SEED]) == 0
+    from_config = capsys.readouterr().out
+    assert "mean_trace_distance=0.000e+00" in from_config
+    assert main(["rsp", "--trials", "3", "--zero-noise", "--seed", SEED]) == 0
+    assert capsys.readouterr().out == from_config
+    cfg.write_text(json.dumps([{"trials": 3}]))
+    assert main(["rsp", "--config", str(cfg)]) == USAGE_EXIT
+    assert capsys.readouterr().err == "error: config must be a JSON object\n"
+
+
+def test_desk_battery_parses(tmp_path):
+    """Every command that scripts/run_desk_experiments.py runs is one that
+    the CLI's parser takes, so a renamed flag breaks this test and not
+    only the battery."""
+    spec = importlib.util.spec_from_file_location(
+        "run_desk_experiments",
+        ROOT / "scripts" / "run_desk_experiments.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    argvs = script.battery(50, DEFAULT_SEED, str(tmp_path))
+    assert {argv[0] for argv in argvs} == {"poq", "rsp", "puzzle", "entropy"}
+    for argv in argvs:
+        assert build_parser().parse_args(argv).command == argv[0]
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_serve_and_connect_commands(tmp_path, capsys, desk):

@@ -48,7 +48,7 @@ def test_two_preimage_phase_is_q_d_plus_noise_plus_bit(stream, params):
         states, (y, u) = honest_prover_round1_stacked(
             params, pk, ct, (kp.s, kp.e),
             [t.derive("prover") for t in trials])
-        d = decrypted_bit(kp.trapdoor, pk.v, y, u)
+        d = decrypted_bit(kp, y, u)
         for i, (t, state) in enumerate(zip(trials, states)):
             if state.claw_case != "two-preimage":
                 continue

@@ -123,7 +123,7 @@ def test_zero_u_forces_d_zero(stream, desk):
     vstate, (pk, ct) = verifier_round1(desk, stream)
     y = matmul_mod(pk.A, np.zeros(desk.n, dtype=np.int64), desk.q)
     u = np.zeros(desk.nQ, dtype=np.int64)
-    assert decrypted_bit(vstate.keypair.trapdoor, pk.v, y, u) == 0
+    assert decrypted_bit(vstate.keypair, y, u) == 0
 
 
 def test_verifier_score_matches_predicate(stream, desk):
@@ -390,8 +390,8 @@ def test_decrypted_bit_flips_with_single_claw_bit(stream, desk):
     hot = int(np.flatnonzero(z)[0])
     u = np.zeros(desk.nQ, dtype=np.int64)
     # e is absorbed into the allowed noise: y = A x0 + 0, y + v = A x1 + e
-    d0 = decrypted_bit(vstate.keypair.trapdoor, pk.v, y, u)
+    d0 = decrypted_bit(vstate.keypair, y, u)
     u[hot] = 1
-    d1 = decrypted_bit(vstate.keypair.trapdoor, pk.v, y, u)
+    d1 = decrypted_bit(vstate.keypair, y, u)
     assert d0 == 0 and d1 == 1
     assert bit_dot(u, z) == 1

@@ -116,12 +116,11 @@ def test_aborted_exactly_when_no_preimage(stream, desk):
     for i in range(6):
         state, msg = rsp_client_round1(desk, 7 * i, stream.derive("c", i))
         kp = state.keypair
-        (y, u), _ = rsp_server_round(desk, msg, (kp.s, kp.e),
-                                     stream.derive("s", i))
+        (y, u), _ = rsp_server_round(msg, (kp.s, kp.e), stream.derive("s", i))
         if i % 2:
             y = sample_uniform(desk.m, desk.q, stream.derive("y", i))
         found = find_preimage(kp.trapdoor,
-                              np.stack([y, (y + kp.pk.v) % desk.q]), desk.tau)
+                              np.stack([y, (y + kp.pk.v) % desk.q]))
         outcome = rsp_client_finish(state, y, u)
         assert outcome.aborted == (found is None)
         assert (outcome.b is None) == (outcome.target is None)
@@ -133,7 +132,7 @@ def test_server_round_checks_witness(stream, desk):
     state, msg = rsp_client_round1(desk, 5, stream.derive("c"))
     bad = ((state.keypair.s + 1) % desk.q, state.keypair.e)
     with pytest.raises(ValueError):
-        rsp_server_round(desk, msg, bad, stream.derive("s"))
+        rsp_server_round(msg, bad, stream.derive("s"))
 
 
 def test_blindness_sampler_shapes(stream, desk):

@@ -160,7 +160,7 @@ def test_writer_matches_json_dumps_at_61_bits():
     zq = np.array([top, 0, 1, top - 1], dtype=np.int64)
     params = SimpleNamespace(preset_name="q61", q=top + 1, m=4, n=4, nQ=3)
     t = make_transcript(
-        params, SimpleNamespace(A=np.stack([zq, zq[::-1]] * 2), v=zq),
+        SimpleNamespace(params=params, A=np.stack([zq, zq[::-1]] * 2), v=zq),
         SimpleNamespace(a=zq, w=np.int64(top)), zq, np.array([1, 0, 1]),
         1, 1, 0, 1, seed_info="", include_pk=True)
     assert t.y == [top, 0, 1, top - 1] and t.ct["w"] == top

@@ -134,7 +134,7 @@ def test_uniform_image_inverts_to_sentinel_or_far(stream, desk):
     misses = 0
     for i in range(50):
         y = sample_uniform(desk.m, desk.q, stream.derive("y", i))
-        if find_preimage(pair, y, desk.tau) is None:
+        if find_preimage(pair, y) is None:
             misses += 1
     assert misses == 50
 
@@ -148,7 +148,7 @@ def test_find_preimage_accepts_honest_claw(stream, desk):
         g = t.gen.integers(-tau_floor, tau_floor + 1, size=desk.m,
                            dtype=np.int64)
         y = (matmul_mod(pair.A, x, desk.q) + g) % desk.q
-        got = find_preimage(pair, y, desk.tau)
+        got = find_preimage(pair, y)
         assert got is not None
         x_hat, g_hat = got
         assert np.array_equal(x_hat, x)
@@ -162,7 +162,7 @@ def test_find_preimage_with_shift(stream, desk):
     v = matmul_mod(pair.A, s, desk.q)
     x = sample_uniform(desk.n, desk.q, stream.derive("x"))
     y = (matmul_mod(pair.A, x, desk.q) - v) % desk.q
-    got = find_preimage(pair, np.stack([y, (y + v) % desk.q]), desk.tau)
+    got = find_preimage(pair, np.stack([y, (y + v) % desk.q]))
     assert got is not None
     assert np.array_equal(got[0], [(x - s) % desk.q, x])
     assert not got[1].any()
@@ -174,9 +174,9 @@ def test_find_preimage_stacked_needs_every_row(stream, desk):
     x = sample_uniform(desk.n, desk.q, stream.derive("x"))
     near = matmul_mod(pair.A, x, desk.q)
     far = sample_uniform(desk.m, desk.q, stream.derive("far"))
-    assert find_preimage(pair, np.stack([near, near]), desk.tau) is not None
-    assert find_preimage(pair, np.stack([near, far]), desk.tau) is None
-    assert find_preimage(pair, np.stack([far, near]), desk.tau) is None
+    assert find_preimage(pair, np.stack([near, near])) is not None
+    assert find_preimage(pair, np.stack([near, far])) is None
+    assert find_preimage(pair, np.stack([far, near])) is None
 
 
 @pytest.mark.parametrize("params", [desk_preset(),
@@ -196,30 +196,30 @@ def test_lone_find_preimage_is_its_row_of_a_stacked_call(stream, params):
     g = sample_box_stacked(params.m, params.tau_floor, q,
                            [stream.derive("g", i) for i in range(4)])
     y = (matmul_mod(pair.A, x.T, q).T + g) % q
-    stacked_x, stacked_g = find_preimage(pair, y, params.tau)
+    stacked_x, stacked_g = find_preimage(pair, y)
     assert np.array_equal(stacked_x, x) and np.array_equal(stacked_g, g)
     for i in range(4):
-        lone_x, lone_g = find_preimage(pair, y[i], params.tau)
+        lone_x, lone_g = find_preimage(pair, y[i])
         assert np.array_equal(lone_x, stacked_x[i])
         assert np.array_equal(lone_g, stacked_g[i])
     pairs = gen_trap_stacked(params, [stream.derive("pairs", i)
                                       for i in range(3)])
     rows = np.stack([(matmul_mod(pairs.A[i], x[i:i + 2].T, q).T
                       + g[i:i + 2]) % q for i in range(3)])
-    stacked_x, stacked_g = find_preimage(pairs, rows, params.tau)
+    stacked_x, stacked_g = find_preimage(pairs, rows)
     assert stacked_x.shape == (3, 2, params.n)
     assert stacked_g.shape == rows.shape
     for i in range(3):
         lone_x, lone_g = find_preimage(
-            gen_trap(params, stream.derive("pairs", i)), rows[i], params.tau)
+            gen_trap(params, stream.derive("pairs", i)), rows[i])
         assert np.array_equal(stacked_x[i], lone_x)
         assert np.array_equal(stacked_x[i], x[i:i + 2])
         assert np.array_equal(stacked_g[i], lone_g)
     y[2] = sample_uniform(params.m, q, stream.derive("far"))
-    assert find_preimage(pair, y, params.tau) is None
-    assert find_preimage(pair, y[2], params.tau) is None
+    assert find_preimage(pair, y) is None
+    assert find_preimage(pair, y[2]) is None
     for i in (0, 1, 3):
-        assert np.array_equal(find_preimage(pair, y[i], params.tau)[0], x[i])
+        assert np.array_equal(find_preimage(pair, y[i])[0], x[i])
 
 
 def test_invert_rejects_noise_past_guarantee(stream):
