@@ -39,7 +39,7 @@ from .protocol_q import honest_prover_round1
 from .regev import Ciphertext, PublicKey
 from .sampling import RngStream, seed_streams
 from .stats import Stats
-from .transcripts import _decimal, _number
+from .transcripts import _bit, _decimal, _number
 from .wire import (PROTOCOL_VERSION, SMALL_FRAME_BYTES, WITNESS_LABEL,
                    WireError, decode_bits, decode_matrix, decode_vector,
                    encode_bits, encode_matrix, encode_vector, frame_cap,
@@ -116,13 +116,6 @@ def _refuse(sock, code: str, unread: bool = False) -> None:
             left -= len(chunk)
 
 
-def _bit(payload: dict, key: str) -> int:
-    """payload[key] as a JSON integer that is 0 or 1."""
-    if _number(payload[key], (int,)) not in (0, 1):
-        raise SessionError("bad-bit", f"{key} is not a bit")
-    return payload[key]
-
-
 def _hello(payload: dict, peer_role: str) -> bool:
     """Whether the peer asks for the witness."""
     if payload.get("version") != PROTOCOL_VERSION:
@@ -166,10 +159,10 @@ _DECODERS = {
     "response1": lambda p, params: (decode_vector(p["y"], params.q,
                                                   (params.m,)),
                                     decode_bits(p["u"], (params.nQ,))),
-    "challenge": lambda p: _bit(p, "b_prime"),
-    "response2": lambda p: _bit(p, "d_prime"),
+    "challenge": lambda p: _bit(p["b_prime"]),
+    "response2": lambda p: _bit(p["d_prime"]),
     "result": lambda p: {"success": _number(p["success"], (bool,)),
-                         "d": _bit(p, "d")},
+                         "d": _bit(p["d"])},
     "error": _peer_error,
 }
 
@@ -213,11 +206,7 @@ def _handshake(sock, role: str, peer_role: str, deadline, **hello) -> bool:
 
 
 def open_server_socket(host: str, port: int) -> socket.socket:
-    srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-    srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-    srv.bind((host, port))
-    srv.listen(8)
-    return srv
+    return socket.create_server((host, port), backlog=8)
 
 
 def _session(conn, vstate: VerifierState, trial_stream: RngStream,

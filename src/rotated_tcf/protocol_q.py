@@ -28,7 +28,7 @@ from .sampling import (RngStream, sample_bits, sample_box_stacked,
 from .stats import Stats
 from .trapdoor import invert
 from .transcripts import Transcript, accepts, make_transcript
-from .zq import bit_dot, bits_le_vec, matmul_mod
+from .zq import bit_dot, bits_le_vec, matmul_mod, within
 
 
 @dataclass
@@ -145,9 +145,8 @@ def honest_prover_round1_stacked(params: Params, pk: PublicKey,
         raise ValueError("witness inconsistent with public key")
     cbit = c[:, None]
     y = (Asx[..., 1] - cbit * pk.v + g) % q
-    # Two preimages when |g + e| (c = 0) or |g - e| (c = 1) is within
-    # tau: a centered |z| <= tau is (z + tau) mod q <= 2 tau, as tau < q/2.
-    two = (((g + (1 - 2 * cbit) * e + tau) % q).max(axis=-1) <= 2 * tau)
+    # Two preimages when |g + e| (c = 0) or |g - e| (c = 1) is within tau
+    two = within(g + (1 - 2 * cbit) * e, tau, q).all(axis=-1)
     x0 = (x - cbit * s) % q
     x1 = (x0 + s) % q
     u, qubits = _claw_measurements(two, (x1, x0), (c,),

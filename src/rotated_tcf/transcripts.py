@@ -123,10 +123,16 @@ def _number(value, kinds: tuple):
     return value
 
 
+class BitError(ValueError):
+    """A JSON integer other than 0 or 1 where a bit belongs."""
+    code = "bad-bit"            # the error code a session answers it with
+
+
 def _bit(x) -> int:
+    """`x`, a bit of a transcript line or a peer's frame, if it is 0 or 1."""
     if _number(x, (int,)) in (0, 1):
         return x
-    raise ValueError(f"bit {x!r} is not the integer 0 or 1")
+    raise BitError(f"bit {x!r:.40} is not the integer 0 or 1")
 
 
 def _array_of(v, length: int, parse, what: str) -> list:
@@ -187,13 +193,12 @@ def load_transcripts(path, params) -> Iterator[Transcript]:
     """The transcripts in the JSON-lines file `path` of a run at `params`;
     a line that transcript_from_dict refuses is a ValueError that names
     the file and the line."""
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
             try:
-                obj = json.loads(line)
-                yield transcript_from_dict(obj, params)
+                text = line.decode()    # a bad byte is this line's error
+                if text.strip():
+                    yield transcript_from_dict(json.loads(text), params)
             except (ValueError, RecursionError) as exc:   # nesting too deep
                 raise ValueError(f"{path}:{lineno}: corrupt transcript ({exc})") from None
 

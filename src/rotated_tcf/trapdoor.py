@@ -15,7 +15,8 @@ import numpy as np
 
 from .params import Params
 from .sampling import RngStream, fill_bits
-from .zq import bits_le, gadget_matrix, gadget_multiples, inf_norm, matmul_mod
+from .zq import (bits_le_vec, centered_abs, gadget_matrix, gadget_multiples,
+                 matmul_mod, within)
 
 
 @dataclass(frozen=True)
@@ -90,13 +91,10 @@ def invert(pair: TrapdoorPair, v: np.ndarray) -> np.ndarray:
     # a decoding exists.
     e0 = ((w.view(np.uint64) @ h) * q_inverse).view(np.int64)
     s = (blk[..., 0] - e0 % q) % q
-    # Accept only if blk - g s_i is short in every coordinate, 2Q |.| < q,
-    # tested as |.| <= t = (q-1) // 2Q, which cannot overflow: a centered
-    # |z| <= t is (z + t) mod q <= 2t, as 2t < q.  This also rejects the
-    # meaningless e'_0 of a row with no decoding.
-    t = (q - 1) // (2 * Q)
-    ok = ((blk - gadget_multiples(s, Q, q) + t) % q <= 2 * t).all(
-        axis=(-2, -1))
+    # Accept only if every coordinate of blk - g s_i has 2Q |.| < q; this
+    # also rejects the meaningless e'_0 of a row with no decoding.
+    ok = within(blk - gadget_multiples(s, Q, q), (q - 1) // (2 * Q),
+                q).all(axis=(-2, -1))
     return np.where(ok[..., None], s, 0)
 
 
@@ -105,7 +103,7 @@ def _decoder(q: int, Q: int):
     """invert's constants for one modulus, built once and read-only: the
     bits of q (the last row of S), h = row 0 of q S^-1, with h_k =
     floor(q / 2^(k+1)) + [k = Q-1], and q^-1 mod 2^64."""
-    q_bits = bits_le(q, Q)
+    q_bits = bits_le_vec(q, Q)
     h = np.uint64(q) >> np.arange(1, Q + 1, dtype=np.uint64)
     h[-1] += np.uint64(1)
     for table in (q_bits, h):
@@ -123,6 +121,6 @@ def find_preimage(pair: TrapdoorPair, y: np.ndarray):
     rows = x.reshape(pair.A.shape[:-2] + (-1, p.n)).swapaxes(-1, -2)
     Ax = matmul_mod(pair.A, rows, p.q).swapaxes(-1, -2)
     g = (y - Ax.reshape(x.shape[:-1] + (p.m,))) % p.q
-    if inf_norm(g, p.q) * p.tau.denominator <= p.tau.numerator:
+    if int(centered_abs(g, p.q).max()) <= p.tau_floor:
         return x, g
     return None

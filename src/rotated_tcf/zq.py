@@ -41,24 +41,17 @@ def centered_lift(x, q: int):
     return np.where(x > half, x - q, x)
 
 
-def inf_norm(v: np.ndarray, q: int) -> int:
-    v = np.asarray(v)
-    if v.size == 0:
-        raise ValueError("inf_norm of empty vector")
-    return int(centered_abs(v, q).max())
-
-
-def bits_le(x: int, Q: int) -> np.ndarray:
-    """Little-endian binary representation of x, length Q."""
-    x = int(x)
-    if x >> Q:
-        raise ValueError(f"{x} does not fit in {Q} bits")
-    return np.array([(x >> j) & 1 for j in range(Q)], dtype=np.int64)
+def within(z, t: int, q: int):
+    """Whether z's residue r in (-q/2, q/2] has |r| <= t, elementwise:
+    (z + t) mod q <= 2t.  Exact for 0 <= t < q/2, where |r| <= t puts
+    r + t in [0, 2t] and any other r puts it in (2t, q) mod q.  For z in
+    (-q, 2q), z + t stays below 2.5 q, so an int64 z cannot overflow."""
+    return (z + t) % q <= 2 * t
 
 
 def bits_le_vec(x: np.ndarray, Q: int) -> np.ndarray:
     """Concatenated little-endian bits of each coordinate, length len(x)*Q;
-    a stack of vectors, shape (..., k), gives shape (..., k*Q)."""
+    a stack of vectors, shape (..., k), gives (..., k*Q), a scalar (Q,)."""
     x = np.asarray(x, dtype=np.int64)
     shifts = np.arange(Q, dtype=np.int64)
     return ((x[..., None] >> shifts) & 1).reshape(x.shape[:-1] + (-1,))

@@ -1,6 +1,7 @@
 import contextlib
 import copy
 import functools
+import gc
 import importlib.util
 import json
 import os
@@ -12,6 +13,7 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -83,6 +85,17 @@ def _serve_in_thread(desk, stream, sessions, witness_channel):
             srv.close()
 
     return port, _Daemon(run, srv), box
+
+
+def test_listener_on_a_taken_port_leaves_no_socket_open():
+    """A listener that cannot bind raises OSError and closes its socket."""
+    with open_server_socket("127.0.0.1", 0) as taken:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(OSError):
+                open_server_socket("127.0.0.1", taken.getsockname()[1])
+            gc.collect()
+    assert [w for w in caught if w.category is ResourceWarning] == []
 
 
 @pytest.mark.parametrize("sessions", [1, 15, 16, 17, 33])

@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rotated_tcf.params import tiny_params
 from rotated_tcf.protocol_q import (BaselineProver, HonestQuantumProver,
@@ -295,6 +297,57 @@ def test_malformed_record_refused_with_its_line(tmp_path, change):
 def test_record_misfit_to_the_run_refused_with_its_line(tmp_path, path,
                                                          value, message):
     _refused_on_line_2(tmp_path, (path, value), message)
+
+
+def _two_lines(tmp_path, first: bytes, second: bytes):
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(first + b"\n" + second + b"\n")
+    return path
+
+
+def test_non_utf8_byte_is_refused_with_its_line(tmp_path):
+    """A byte that is not UTF-8 is an error of the line that holds it."""
+    good = json.dumps(_valid_record()).encode()
+    path = _two_lines(tmp_path, good, good[:5] + b"\xff" + good[5:])
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:2: "):
+        list(load_transcripts(path, PARAMS))
+
+
+def test_non_utf8_byte_does_not_mask_an_earlier_refusal(tmp_path):
+    """A refusable line 1 is named first, whatever line 2 holds."""
+    bad = json.dumps(_changed(_valid_record(), ("b",), 2)).encode()
+    path = _two_lines(tmp_path, bad, b"\xff")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:1: "):
+        list(load_transcripts(path, PARAMS))
+
+
+@settings(max_examples=400, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]),
+                          st.integers(min_value=0),
+                          st.integers(min_value=0, max_value=255).filter(
+                              lambda byte: byte != ord("\n"))),
+                min_size=1, max_size=4))
+def test_mutated_line_loads_or_is_refused_with_its_line(tmp_path, edits):
+    """Bytes of line 2 replaced, inserted or deleted, never a newline: the
+    file loads, or the loader names line 2."""
+    good = json.dumps(_valid_record()).encode()
+    line = bytearray(good)
+    for edit, at, byte in edits:
+        at %= len(line) + (edit == "insert")
+        if edit == "insert":
+            line.insert(at, byte)
+        elif edit == "delete":
+            del line[at]
+        else:
+            line[at] = byte
+    path = _two_lines(tmp_path, good, bytes(line))
+    try:
+        loaded = list(load_transcripts(path, PARAMS))
+    except ValueError as exc:
+        assert str(exc).startswith(f"{path}:2: ")
+    else:
+        assert len(loaded) in (1, 2)
 
 
 def test_csv_row_format():

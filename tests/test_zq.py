@@ -9,9 +9,9 @@ import threading
 
 from rotated_tcf.params import desk_preset, next_prime
 from rotated_tcf.trapdoor import _decoder
-from rotated_tcf.zq import (bit_dot, bits_le, bits_le_vec, centered_abs,
+from rotated_tcf.zq import (bit_dot, bits_le_vec, centered_abs,
                             centered_lift, gadget_matrix, gadget_multiples,
-                            inf_norm, matmul_mod, product_dtype)
+                            matmul_mod, product_dtype, within)
 
 BIG_Q = (1 << 61) - 1  # Mersenne prime, the largest supported modulus
 
@@ -20,16 +20,6 @@ def test_centered_abs_example():
     assert int(centered_abs(5, 7)) == 2
     assert int(centered_abs(2, 7)) == 2
     assert int(centered_abs(0, 7)) == 0
-
-
-def test_inf_norm_example():
-    v = np.array([6, 5, 10], dtype=np.int64)
-    assert inf_norm(v, 11) == 5
-
-
-def test_inf_norm_empty_rejected():
-    with pytest.raises(ValueError):
-        inf_norm(np.array([], dtype=np.int64), 7)
 
 
 def test_centered_lift_range():
@@ -42,13 +32,9 @@ def test_centered_lift_range():
 
 
 def test_bits_le_example():
-    assert bits_le(3, 3).tolist() == [1, 1, 0]
+    """A scalar gives its own Q bits."""
+    assert bits_le_vec(3, 3).tolist() == [1, 1, 0]
     assert int(np.array([1, 1, 0]) @ (1 << np.arange(3))) == 3
-
-
-def test_bits_le_overflow_rejected():
-    with pytest.raises(ValueError):
-        bits_le(8, 3)
 
 
 def test_bits_le_vec_concatenates():
@@ -409,7 +395,21 @@ def test_centered_abs_symmetry(x):
 @given(st.integers(min_value=0, max_value=(1 << 40) - 1),
        st.integers(min_value=40, max_value=50))
 def test_bits_roundtrip(x, Q):
-    assert sum(int(b) << j for j, b in enumerate(bits_le(x, Q))) == x
+    assert sum(int(b) << j for j, b in enumerate(bits_le_vec(x, Q))) == x
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_within_is_the_centered_range_test(data):
+    """within(z, t, q) is whether z mod q's centered absolute value is at
+    most t, for every z in (-q, 2q) and half-width 0 <= t <= (q-1)/2, at
+    small moduli and the largest supported one."""
+    q = data.draw(st.sampled_from([3, 11, 3001, BIG_Q]))
+    z = data.draw(st.integers(min_value=-q + 1, max_value=2 * q - 1))
+    t = data.draw(st.integers(min_value=0, max_value=(q - 1) // 2))
+    expected = min(z % q, q - z % q) <= t
+    assert bool(within(np.int64(z), t, q)) == expected
+    assert within(np.array([z], dtype=np.int64), t, q).tolist() == [expected]
 
 
 @settings(max_examples=200, deadline=None)
