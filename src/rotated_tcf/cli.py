@@ -67,6 +67,8 @@ def _add_params(sub):
 
 def float_pair(text: str) -> tuple:
     lo, hi = map(float, text.split(","))  # a ValueError is a usage error
+    if not lo <= hi:  # NaN fails it too: no estimate lands in the range
+        raise argparse.ArgumentTypeError(f"need LO <= HI, got {text}")
     return lo, hi
 
 

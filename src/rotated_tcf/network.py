@@ -32,10 +32,10 @@ import time
 from .params import (MAX_LAMBDA, MAX_N, MAX_Q_BITS, MAX_SIGMA, Params,
                      tiny_params)
 from .protocol_q import (VerifierState, chunks, instance_state,
-                         prover_round1, verifier_round1,
-                         verifier_round1_stacked, verifier_score)
-# Not called here: perfbench/layers.py looks this name up on network.
-from .protocol_q import honest_prover_round1
+                         prover_round1, verifier_round1_stacked,
+                         verifier_score)
+# Not called here: perfbench/layers.py looks these names up on network.
+from .protocol_q import honest_prover_round1, verifier_round1
 from .regev import Ciphertext, PublicKey
 from .sampling import RngStream, seed_streams
 from .stats import Stats
@@ -209,8 +209,9 @@ def open_server_socket(host: str, port: int) -> socket.socket:
     return socket.create_server((host, port), backlog=8)
 
 
-def _session(conn, vstate: VerifierState, trial_stream: RngStream,
-             challenge_stream: RngStream, witness_channel: bool, deadline):
+def verifier_session(conn, vstate: VerifierState, trial_stream: RngStream,
+                     challenge_stream: RngStream, witness_channel: bool,
+                     deadline):
     """Drive one session on an accepted connection, by `deadline`, with
     the verifier's set-up `vstate` for the trial on `trial_stream` and its
     challenge bit drawn from `challenge_stream`, the trial's
@@ -239,17 +240,6 @@ def _session(conn, vstate: VerifierState, trial_stream: RngStream,
     return transcript
 
 
-def verifier_session(conn, params: Params, trial_stream: RngStream,
-                     witness_channel: bool = False):
-    """Drive one session on an accepted connection; returns a Transcript.
-    The connection's timeout bounds the whole session, from this call."""
-    deadline = _deadline(conn.gettimeout())
-    vstate, _ = verifier_round1(params, trial_stream.derive("verifier"))
-    return _session(conn, vstate, trial_stream,
-                    trial_stream.derive("challenge"), witness_channel,
-                    deadline)
-
-
 def _serve_chunk(server_sock, params: Params, trial_streams,
                  witness_channel: bool, timeout: float):
     """The sessions on `trial_streams`, one accepted connection each, in
@@ -274,9 +264,9 @@ def _serve_chunk(server_sock, params: Params, trial_streams,
                 challenges = [t.derive("challenge") for t in trial_streams]
                 seed_streams(challenges)
             try:
-                result = _session(conn, instance_state(vstate, i),
-                                  trial_stream, challenges[i],
-                                  witness_channel, deadline)
+                result = verifier_session(conn, instance_state(vstate, i),
+                                          trial_stream, challenges[i],
+                                          witness_channel, deadline)
             except SessionError as exc:
                 result = exc
         yield result
@@ -286,10 +276,11 @@ def serve_sessions(server_sock, params: Params, stream: RngStream,
                    sessions: int, witness_channel: bool = False,
                    timeout: float = DEFAULT_TIMEOUT):
     """Accept `sessions` connections in order, and yield each session's
-    Transcript, or its SessionError, as the session ends; session i uses
-    the stream derive('trial', i), and its transcript is what
-    verifier_session gives on that stream.  Sessions are served in
-    protocol_q.chunks, each chunk's keys set up in one stacked call."""
+    Transcript, or its SessionError, as the session ends.  Session i is
+    one verifier_session call on the stream derive('trial', i), and its
+    transcript is what run_single_trial gives on that stream.  Sessions
+    are served in protocol_q.chunks, each chunk's keys set up in one
+    stacked call."""
     for trial_streams in chunks(stream, "trial", sessions):
         yield from _serve_chunk(server_sock, params, trial_streams,
                                 witness_channel, timeout)

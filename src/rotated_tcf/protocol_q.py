@@ -192,8 +192,7 @@ def decrypted_bit(kp: KeypairJ, y: np.ndarray, u: np.ndarray) -> int:
 
 
 def verifier_score(vstate: VerifierState, y: np.ndarray, u: np.ndarray,
-                   b_prime: int, d_prime: int,
-                   seed_info: str = "") -> Transcript:
+                   b_prime: int, d_prime: int, seed_info: str) -> Transcript:
     kp = vstate.keypair
     return make_transcript(kp.pk, vstate.ct, y, u, vstate.b, b_prime,
                            decrypted_bit(kp, y, u), d_prime, seed_info)

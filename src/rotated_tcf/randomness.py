@@ -111,7 +111,10 @@ class ScoreEntropyReport:
 def score_entropy_report(prover, params: Params, trials: int,
                          stream: RngStream, contexts: int,
                          replays: int) -> ScoreEntropyReport:
-    stats = run_experiment(params, prover, trials, stream.derive("score"))
+    """The estimate comes first, so that its refusal of `contexts` or
+    `replays` costs no trials; the streams are labelled, so the order
+    changes no draw."""
     entropy = estimate_minentropy(prover, params, contexts, replays,
                                   stream.derive("entropy"))
+    stats = run_experiment(params, prover, trials, stream.derive("score"))
     return ScoreEntropyReport(stats=stats, entropy=entropy)

@@ -130,9 +130,11 @@ def test_assert_range_is_checked_before_the_run(tmp_path, monkeypatch):
 
     monkeypatch.setattr(protocol_q, "run_experiment", no_run)
     out = tmp_path / "f.csv"
-    assert main(["poq", "--assert-range", "banana",
-                 "--out", str(out)]) == USAGE_EXIT
-    assert not out.exists()
+    # a range with LO > HI, or a NaN end, is one no estimate lands in
+    for bounds in ("banana", "0.9,0.1", "nan,1", "0,nan"):
+        assert main(["poq", "--assert-range", bounds,
+                     "--out", str(out)]) == USAGE_EXIT
+        assert not out.exists()
 
 
 def test_poq_rejects_zero_trials(capsys):
@@ -252,6 +254,18 @@ def test_entropy_command(capsys):
     out = capsys.readouterr().out
     assert "h_min" in out
     assert "WARNING" not in out
+
+
+@pytest.mark.parametrize("flags", [["--replays", "5"], ["--contexts", "0"]])
+def test_entropy_refuses_its_battery_size_before_any_trial(monkeypatch,
+                                                           flags):
+    from rotated_tcf import randomness
+
+    def no_run(*args, **kwargs):
+        raise AssertionError("the experiment ran")
+
+    monkeypatch.setattr(randomness, "run_experiment", no_run)
+    assert main(["entropy", *flags]) == USAGE_EXIT
 
 
 def test_oracle_check_command(capsys):

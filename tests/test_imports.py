@@ -26,6 +26,7 @@ SRC = ROOT / "src" / "rotated_tcf"
 # where they are until the benchmark stops looking them up.
 PERFBENCH_REBINDS = {
     ("network", "honest_prover_round1"),
+    ("network", "verifier_round1"),
     ("puzzle", "honest_prover_round1"),
     ("puzzle", "invert"),
     ("rsp", "invert"),
@@ -143,8 +144,6 @@ UNSET_DEFAULTS = {
     "protocol_q.run_experiment.include_pk":
         "set only by tests/test_digests*.py",
     "network.connect_prover.timeout": "set only by tests/test_digests*.py",
-    "network.verifier_session.witness_channel":
-        "a function only perfbench looks up (item 6)",
     "regev.distinguishing_game.mode": "pinned by tests/test_digests.py",
     "regev.distinguishing_game.use_trapdoor_keys":
         "pinned by tests/test_digests.py",

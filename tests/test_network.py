@@ -28,7 +28,8 @@ from rotated_tcf.network import (SessionError, connect_prover,
 from rotated_tcf.params import (MAX_LAMBDA, MAX_N, MAX_Q_BITS, MAX_SIGMA,
                                 Params, desk_preset, next_prime)
 from rotated_tcf.protocol_q import (CHUNK, PROVERS, BaselineProver,
-                                    HonestQuantumProver, run_single_trial)
+                                    HonestQuantumProver, run_single_trial,
+                                    verifier_round1)
 from rotated_tcf.transcripts import transcript_to_json
 from rotated_tcf.wire import (MAX_FRAME_BYTES, MESSAGE_TYPES,
                               PROTOCOL_VERSION, SECRET_FIELDS,
@@ -46,6 +47,15 @@ def _soon() -> float:
     """The deadline of a frame that a test reads by hand, CLIENT_SECONDS
     from now."""
     return time.monotonic() + CLIENT_SECONDS
+
+
+def _lone_session(conn, desk, stream, deadline):
+    """verifier_session on `conn`, by `deadline`, for the trial on
+    `stream`, its state set up by a lone verifier_round1 on the trial's
+    verifier stream, as a served session's is by the stacked set-up."""
+    vstate, _ = verifier_round1(desk, stream.derive("verifier"))
+    return verifier_session(conn, vstate, stream, stream.derive("challenge"),
+                            False, deadline)
 
 
 class _Daemon(threading.Thread):
@@ -122,6 +132,29 @@ def test_loopback_matches_in_process(stream, desk, sessions, prover,
     assert results == [{"success": t.success, "d": t.d} for t in local]
     assert (stats.successes, stats.trials) == \
            (sum(t.success for t in local), sessions)
+
+
+def test_every_served_session_is_one_verifier_session_call(
+        stream, desk, monkeypatch):
+    """17 sessions, two chunks, are 17 calls of network.verifier_session,
+    looked up by name, and each gives the in-process transcript."""
+    calls = []
+    session = network.verifier_session
+
+    def counting(*args):
+        calls.append(args[2].seed)
+        return session(*args)
+
+    monkeypatch.setattr(network, "verifier_session", counting)
+    net = stream.derive("net")
+    port, t, box = _serve_in_thread(desk, net, 17, False)
+    connect_prover("127.0.0.1", port, BaselineProver(), net, 17, timeout=10)
+    t.join(timeout=60)
+    assert calls == [net.derive("trial", i).seed for i in range(17)]
+    local = [run_single_trial(desk, BaselineProver(), net.derive("trial", i))
+             for i in range(17)]
+    assert [transcript_to_json(t) for t in box["result"][1]] == \
+           [transcript_to_json(t) for t in local]
 
 
 class _CountingListener:
@@ -1014,20 +1047,7 @@ BAD_BITS = pytest.mark.parametrize("value, code", [
 def test_response2_bit_is_read_strictly(stream, desk, value, code):
     """The verifier, driven by hand over a socketpair, answers a d' that is
     not the JSON integer 0 or 1 with an error frame and SessionError."""
-    conn, peer = socket.socketpair()
-    conn.settimeout(10)
-    peer.settimeout(10)
-    box = {}
-
-    def verifier():
-        try:
-            box["result"] = verifier_session(conn, desk, stream)
-        except Exception as exc:  # surfaced via box
-            box["error"] = exc
-        finally:
-            conn.close()
-
-    t = _Daemon(verifier)
+    peer, t, box = _verifier_on_socketpair(desk, stream)
     with peer:
         send_message(peer, make_message("hello", {"role": "prover",
                                                   "version": PROTOCOL_VERSION}))
@@ -1129,13 +1149,12 @@ def _verifier_on_socketpair(desk, stream):
     """A live verifier_session on one end of a socketpair; returns the other
     end, the verifier's thread and the box its result or error lands in."""
     conn, peer = socket.socketpair()
-    conn.settimeout(10)
     peer.settimeout(10)
     box = {}
 
     def verifier():
         try:
-            box["result"] = verifier_session(conn, desk, stream)
+            box["result"] = _lone_session(conn, desk, stream, _soon())
         except Exception as exc:  # surfaced via box
             box["error"] = exc
         finally:
@@ -1236,13 +1255,12 @@ def test_reset_mid_frame_ends_the_prover_session(stream):
 
 def test_read_timeout_sends_and_raises_timeout(stream, desk):
     """A verifier whose read times out sends a `timeout` error frame and
-    ends the session with that code, in a lone session too."""
+    ends the session with that code."""
     conn, peer = socket.socketpair()
     with conn, peer:
-        conn.settimeout(0.2)
         peer.settimeout(10)
         with pytest.raises(SessionError) as failed:
-            verifier_session(conn, desk, stream)
+            _lone_session(conn, desk, stream, time.monotonic() + 0.2)
         assert recv_message(peer, MAX_FRAME_BYTES, _soon())["type"] == "hello"
         reply = recv_message(peer, MAX_FRAME_BYTES, _soon())
     assert failed.value.code == "timeout"

@@ -130,7 +130,7 @@ def test_verifier_score_matches_predicate(stream, desk):
     vstate, (pk, ct) = verifier_round1(desk, stream)
     y = np.zeros(desk.m, dtype=np.int64)
     u = np.zeros(desk.nQ, dtype=np.int64)
-    t = verifier_score(vstate, y, u, b_prime=1, d_prime=0)
+    t = verifier_score(vstate, y, u, b_prime=1, d_prime=0, seed_info="")
     assert t.success == ((t.d ^ 0) == (vstate.b & 1))
     assert t.b == vstate.b and t.b_prime == 1
 
