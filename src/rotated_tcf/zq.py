@@ -19,6 +19,7 @@ Supported moduli: odd primes q < 2**MAX_Q_BITS (params.py).
 """
 from __future__ import annotations
 
+import ctypes
 import threading
 from functools import lru_cache
 
@@ -157,10 +158,38 @@ def _estimate(P, F, q: int):
     return np.subtract(P, np.multiply(t, np.uint64(q))).view(np.int64) % q
 
 
+def _pin_heap_thresholds(cdll) -> None:
+    """Pin glibc's mmap threshold at 32 MiB and its trim threshold at 64
+    MiB, through `cdll("libc.so.6")`.  Left dynamic, glibc sets its trim
+    threshold to twice the largest mmapped block freed, about 0.97 MB once
+    a desk chunk's 484 KB N stack is freed, below a chunk's transient peak
+    of about 1.46 MB: the heap's top goes back to the kernel at the end of
+    every chunk and is faulted in again by the next, up to 16 pages per
+    trial.  Setting either threshold turns both dynamic ones off, so the
+    trim threshold is pinned only once the mmap threshold is.  Where
+    libc.so.6 does not load or has no mallopt (musl, macOS, Windows),
+    nothing changes."""
+    try:
+        mallopt = getattr(cdll("libc.so.6"), "mallopt", None)
+    except OSError:
+        return
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    if mallopt(-3, 32 << 20):   # M_MMAP_THRESHOLD; 0 where glibc refuses it
+        mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
+
+
+_pin_heap_thresholds(ctypes.CDLL)
+
 # Each thread's work buffer for _matmul_mod_bytes, kept from call to call
-# until a product of another shape or dtype replaces it.  A fresh buffer per
-# call (242 KB for a desk trapdoor) is one more block that glibc may hand
-# back to the system between calls and then fault in again.
+# until a product of another shape or dtype replaces it.  With the heap
+# thresholds pinned, a fresh buffer per call (242 KB for a desk trapdoor)
+# stays mapped too, so keeping it no longer saves page faults.  On
+# perfbench's poq-honest a fresh buffer has read about 3 % slower in one
+# series of pairs and 0.6 % faster in another, so it stays until a
+# benchmark tells the two apart.
 _WORK = threading.local()
 
 

@@ -4,14 +4,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import collections
+import ctypes
+import os
+import subprocess
 import sys
+import textwrap
 import threading
+import types
+from pathlib import Path
 
+import rotated_tcf
 from rotated_tcf.params import desk_preset, next_prime
 from rotated_tcf.trapdoor import _decoder
-from rotated_tcf.zq import (bit_dot, bits_le_vec, centered_abs,
-                            centered_lift, gadget_matrix, gadget_multiples,
-                            matmul_mod, product_dtype, within)
+from rotated_tcf.zq import (_pin_heap_thresholds, bit_dot, bits_le_vec,
+                            centered_abs, centered_lift, gadget_matrix,
+                            gadget_multiples, matmul_mod, product_dtype,
+                            within)
 
 BIG_Q = (1 << 61) - 1  # Mersenne prime, the largest supported modulus
 
@@ -423,3 +431,77 @@ def test_matvec_distributes(seed):
     lhs = matmul_mod(A, (x + y) % q, q)
     rhs = (matmul_mod(A, x, q) + matmul_mod(A, y, q)) % q
     assert np.array_equal(lhs, rhs)
+
+
+def _glibc_mallopt():
+    try:
+        return getattr(ctypes.CDLL("libc.so.6"), "mallopt", None)
+    except OSError:
+        return None
+
+
+@pytest.mark.parametrize("taken, expected", [
+    (1, [(-3, 32 << 20), (-1, 64 << 20)]),
+    (0, [(-3, 32 << 20)]),
+])
+def test_heap_policy_pins_trim_only_after_mmap(taken, expected):
+    """M_MMAP_THRESHOLD (-3) first, then M_TRIM_THRESHOLD (-1).  glibc
+    refuses an mmap threshold past half its heap size (16 MiB on 32-bit);
+    pinning the trim threshold alone would then send every block above
+    the 128 KiB default through mmap, so it stays dynamic."""
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return taken
+    _pin_heap_thresholds(lambda name: types.SimpleNamespace(mallopt=mallopt))
+    assert calls == expected
+
+
+def test_heap_policy_is_a_no_op_where_it_cannot_apply():
+    """A C library with no mallopt (macOS, Windows) and one that does not
+    load (no libc.so.6) both leave the heap as it is, without raising."""
+    loaded = []
+
+    def no_mallopt(name):
+        loaded.append(name)
+        return types.SimpleNamespace()
+
+    def missing(name):
+        loaded.append(name)
+        raise OSError(f"{name}: cannot open shared object file")
+    assert _pin_heap_thresholds(no_mallopt) is None
+    assert _pin_heap_thresholds(missing) is None
+    assert loaded == ["libc.so.6", "libc.so.6"]
+
+
+@pytest.mark.skipif(_glibc_mallopt() is None,
+                    reason="the heap policy applies on glibc only")
+def test_honest_chunks_reuse_the_heap_of_the_chunk_before():
+    """Once warm, 16 chunks of honest desk trials fault in fewer than 64
+    pages: each chunk reuses the heap the one before it freed.  glibc's
+    dynamic trim threshold handed it back after every chunk instead, about
+    16 faults per trial (4,161 over these 256)."""
+    code = textwrap.dedent("""
+        import resource
+        from rotated_tcf import protocol_q
+        from rotated_tcf.params import desk_preset
+        from rotated_tcf.sampling import master_stream
+
+        params, prover = desk_preset(), protocol_q.HonestQuantumProver()
+        stream = master_stream("5e" * 32)
+        protocol_q.run_experiment(params, prover, 2 * protocol_q.CHUNK,
+                                  stream.derive("warm-up"))
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        protocol_q.run_experiment(params, prover, 16 * protocol_q.CHUNK,
+                                  stream.derive("counted"))
+        print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+        """)
+    src = str(Path(rotated_tcf.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert int(done.stdout) < 64
