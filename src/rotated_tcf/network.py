@@ -14,9 +14,10 @@ Each session fixes one deadline when its connection is accepted or made,
 `timeout` seconds on: every read and send waits only for the time left,
 and a session past it fails with `timeout`.
 `serve_sessions` sets up the verifier's keys for each chunk of
-`protocol_q.CHUNK` sessions in one stacked call, made once the chunk's
-first connection is accepted; each session plays on its own instance,
-and its result is yielded as it ends.
+`protocol_q.chunk_size(params)` sessions, the one chunk rule of every
+driver, in one stacked call, made once the chunk's first connection is
+accepted; each session plays on its own instance, and its result is
+yielded as it ends.
 
 The honest quantum prover only exists as a simulation, which needs the
 key-side witness (s, e).  The prover's hello says whether it needs it; a
@@ -31,7 +32,7 @@ import time
 
 from .params import (MAX_LAMBDA, MAX_N, MAX_Q_BITS, MAX_SIGMA, Params,
                      tiny_params)
-from .protocol_q import (VerifierState, chunks, instance_state,
+from .protocol_q import (VerifierState, chunk_size, chunks, instance_state,
                          prover_round1, verifier_round1_stacked,
                          verifier_score)
 # Not called here: perfbench/layers.py looks these names up on network.
@@ -279,9 +280,10 @@ def serve_sessions(server_sock, params: Params, stream: RngStream,
     Transcript, or its SessionError, as the session ends.  Session i is
     one verifier_session call on the stream derive('trial', i), and its
     transcript is what run_single_trial gives on that stream.  Sessions
-    are served in protocol_q.chunks, each chunk's keys set up in one
-    stacked call."""
-    for trial_streams in chunks(stream, "trial", sessions):
+    are served in protocol_q.chunks of chunk_size(params), each chunk's
+    keys set up in one stacked call."""
+    for trial_streams in chunks(stream, "trial", sessions,
+                                chunk_size(params)):
         yield from _serve_chunk(server_sock, params, trial_streams,
                                 witness_channel, timeout)
 

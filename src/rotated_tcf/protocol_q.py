@@ -28,7 +28,7 @@ from .sampling import (RngStream, sample_bits, sample_box_stacked,
 from .stats import Stats
 from .trapdoor import invert
 from .transcripts import Transcript, accepts, make_transcript
-from .zq import bit_dot, bits_le_vec, matmul_mod, within
+from .zq import MMAP_THRESHOLD, bit_dot, bits_le_vec, matmul_mod, within
 
 
 @dataclass
@@ -318,16 +318,30 @@ def prover_round1(prover, pk: PublicKey, ct: Ciphertext, witness,
 # ---------------------------------------------------------------------------
 # Trial runner.
 
-# Trials per stacked call in run_experiment.  Only a chunk's first
-# transcript waits for the chunk's set-up, prover turns and scoring, so at
-# 16 those slow ones stay under a tenth of all transcripts (at 10 they are
-# a tenth, and the 90th-percentile gap between transcripts is a chunk's
-# work).  The chunk's trapdoors are Qn x (Q+1)n bytes each: 30 KB at desk,
-# 15.5 MB at Params' bounds (n = 64, q < 2^61).
-CHUNK = 16
+# Instances per stacked call in every chunked driver (run_experiment,
+# puzzle.verified_count, network.serve_sessions), unless chunk_size caps
+# it.  At desk a stacked chunk costs about 0.4 ms on top of about 0.2 ms
+# per instance (a fit to `puzzle-baseline`'s CPU time per 50-instance run
+# at chunks of 10, 25, 32 and 50), so fewer chunks pay that cost less
+# often.  Against chunks of 10 that workload read -1 % at 16 (16 + 16 +
+# 16 + 2, and the tail of 2 seeds its streams one at a time, below
+# sampling.SEED_BATCH_MIN), +12 % at 25 and at 32, and +14 % at 50, its
+# peak RSS up 2.4 % at 25 and 7.5 % at 50.  25 plays a 50-instance run as
+# two full chunks.  Only a chunk's first transcript waits for the chunk's
+# set-up, prover turns and scoring, so at 25 one transcript in 25 is a
+# slow one.
+CHUNK = 25
 
 
-def chunks(stream: RngStream, label: str, count: int, size: int = CHUNK):
+def chunk_size(params: Params) -> int:
+    """Instances per chunk at `params`: CHUNK, or fewer where the chunk's
+    stacked trapdoors N, Qn x (Q+1)n bytes each (30 KB at desk, 15.5 MB at
+    Params' bounds), would pass zq.MMAP_THRESHOLD; never fewer than 1."""
+    n_bytes = params.nQ * (params.nQ + params.n)
+    return max(1, min(CHUNK, MMAP_THRESHOLD // n_bytes))
+
+
+def chunks(stream: RngStream, label: str, count: int, size: int):
     """stream.derive(label, i) for i < count, in order, as lists of `size`
     (the last may be shorter), each derived only when it is reached."""
     for start in range(0, count, size):
@@ -404,13 +418,14 @@ def run_experiment(params: Params, prover, trials: int, stream: RngStream,
                    transcript_sink=None, include_pk: bool = False):
     """Monte Carlo over independent trials; deterministic given the stream
     seed and independent of any execution order since trial i always uses
-    the sub-stream derive('trial', i).  Trials run CHUNK at a time, each
-    transcript is what run_single_trial gives on its stream, and
-    transcripts are made only for a sink."""
+    the sub-stream derive('trial', i).  Trials run chunk_size(params) at a
+    time, each transcript is what run_single_trial gives on its stream,
+    and transcripts are made only for a sink."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     wins = sum(_trials(params, prover, chunk, include_pk, transcript_sink)
-               for chunk in chunks(stream, "trial", trials))
+               for chunk in chunks(stream, "trial", trials,
+                                   chunk_size(params)))
     return Stats(successes=wins, trials=trials)
 
 

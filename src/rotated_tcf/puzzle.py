@@ -7,20 +7,22 @@ measuring that qubit, and the verifier scores d xor d' == b and b'.  The
 repetition runner plays ell independent instances against a single shared
 challenge bit and passes when at least alpha * ell of them verify.
 
-verified_count walks protocol_q.chunks of CHUNK instances, as
-run_experiment walks its trials, on the same chunk engine (_play_chunk):
-the key set-up and the scoring are one stacked call per chunk, and each
-instance's prover turns run on their own, in order.  Each instance draws
-on its own streams exactly what puzzle_G and solve_one draw on them, so
-the count equals what a loop of them gives.
+verified_count walks protocol_q.chunks of protocol_q.chunk_size(params)
+instances, the one chunk rule of every driver, as run_experiment walks its
+trials, on the same chunk engine (_play_chunk): the key set-up and the
+scoring are one stacked call per chunk, and each instance's prover turns
+run on their own, in order.  Each instance draws on its own streams
+exactly what puzzle_G and solve_one draw on them, so the count equals
+what a loop of them gives.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .params import Params
-from .protocol_q import (PROVERS, VerifierState, _play_chunk, chunks,
-                         decrypted_bit, prover_round1, verifier_round1)
+from .protocol_q import (PROVERS, VerifierState, _play_chunk, chunk_size,
+                         chunks, decrypted_bit, prover_round1,
+                         verifier_round1)
 # Not called here: perfbench/layers.py looks this name up on puzzle.
 from .protocol_q import honest_prover_round1
 from .regev import Ciphertext, PublicKey
@@ -30,12 +32,6 @@ from .transcripts import accepts
 from .trapdoor import invert  # not called: perfbench/layers.py rebinds it
 
 COMPLETENESS_TARGET = 0.8535533905932737  # cos^2(pi/8)
-
-# Instances per stacked call in threshold_repetition: enough to spread each
-# call's fixed cost, few enough that the chunk's trapdoors (Qn x (Q+1)n
-# bytes each, 30 KB at desk) stay a small share of the process.
-CHUNK = 10
-
 
 @dataclass(frozen=True)
 class Puzzle:
@@ -93,12 +89,14 @@ def _verified(params: Params, insts, b_prime: int, solver: str) -> int:
 def verified_count(params: Params, ell: int, stream: RngStream,
                    solver: str = "honest") -> int:
     """How many of ell instances verify against one shared challenge bit.
-    Instance i plays on stream.derive("instance", i), CHUNK at a time."""
+    Instance i plays on stream.derive("instance", i), chunk_size(params)
+    at a time."""
     if ell < 1:
         raise ValueError("ell must be >= 1")
     b_prime = int(stream.derive("challenge").gen.integers(0, 2))
     return sum(_verified(params, insts, b_prime, solver)
-               for insts in chunks(stream, "instance", ell, CHUNK))
+               for insts in chunks(stream, "instance", ell,
+                                   chunk_size(params)))
 
 
 def threshold_repetition(params: Params, ell: int, alpha_threshold: float,

@@ -158,17 +158,22 @@ def _estimate(P, F, q: int):
     return np.subtract(P, np.multiply(t, np.uint64(q))).view(np.int64) % q
 
 
+# The mmap threshold _pin_heap_thresholds sets: a block below it comes from
+# the heap.  protocol_q.chunk_size keeps a chunk's N stack below it.
+MMAP_THRESHOLD = 32 << 20
+
+
 def _pin_heap_thresholds(cdll) -> None:
-    """Pin glibc's mmap threshold at 32 MiB and its trim threshold at 64
-    MiB, through `cdll("libc.so.6")`.  Left dynamic, glibc sets its trim
-    threshold to twice the largest mmapped block freed, about 0.97 MB once
-    a desk chunk's 484 KB N stack is freed, below a chunk's transient peak
-    of about 1.46 MB: the heap's top goes back to the kernel at the end of
-    every chunk and is faulted in again by the next, up to 16 pages per
-    trial.  Setting either threshold turns both dynamic ones off, so the
-    trim threshold is pinned only once the mmap threshold is.  Where
-    libc.so.6 does not load or has no mallopt (musl, macOS, Windows),
-    nothing changes."""
+    """Pin glibc's mmap threshold at MMAP_THRESHOLD (32 MiB) and its trim
+    threshold at twice that, through `cdll("libc.so.6")`.  Left dynamic,
+    glibc sets its trim threshold to twice the largest mmapped block
+    freed, about 0.97 MB once the 484 KB N stack of a 16-trial desk chunk
+    is freed, below that chunk's transient peak of about 1.46 MB: the
+    heap's top goes back to the kernel at the end of every chunk and is
+    faulted in again by the next, up to 16 pages per trial.  Setting
+    either threshold turns both dynamic ones off, so the trim threshold is
+    pinned only once the mmap threshold is.  Where libc.so.6 does not load
+    or has no mallopt (musl, macOS, Windows), nothing changes."""
     try:
         mallopt = getattr(cdll("libc.so.6"), "mallopt", None)
     except OSError:
@@ -177,8 +182,8 @@ def _pin_heap_thresholds(cdll) -> None:
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    if mallopt(-3, 32 << 20):   # M_MMAP_THRESHOLD; 0 where glibc refuses it
-        mallopt(-1, 64 << 20)   # M_TRIM_THRESHOLD
+    if mallopt(-3, MMAP_THRESHOLD):   # M_MMAP_THRESHOLD; 0 if refused
+        mallopt(-1, 2 * MMAP_THRESHOLD)   # M_TRIM_THRESHOLD
 
 
 _pin_heap_thresholds(ctypes.CDLL)

@@ -223,6 +223,18 @@ def test_parameter_bounds_are_set_once():
     assert owners == {("params", name) for name in bounds}
 
 
+def test_chunk_count_is_set_once():
+    """Every chunked driver plays protocol_q.chunk_size(params) instances
+    at a time, so CHUNK is assigned at top level in protocol_q.py and in
+    no other module."""
+    owners = {p.stem
+              for p in SRC.glob("*.py")
+              for name, _ in _top_level_definitions(
+                  ast.parse(p.read_text(), filename=str(p)))
+              if name == "CHUNK"}
+    assert owners == {"protocol_q"}
+
+
 def _names(owners) -> list:
     return [dict(vars(owner)) for owner in owners]
 

@@ -27,9 +27,9 @@ from rotated_tcf.network import (SessionError, connect_prover,
                                  serve_verifier, verifier_session)
 from rotated_tcf.params import (MAX_LAMBDA, MAX_N, MAX_Q_BITS, MAX_SIGMA,
                                 Params, desk_preset, next_prime)
-from rotated_tcf.protocol_q import (CHUNK, PROVERS, BaselineProver,
-                                    HonestQuantumProver, run_single_trial,
-                                    verifier_round1)
+from rotated_tcf.protocol_q import (PROVERS, BaselineProver,
+                                    HonestQuantumProver, chunk_size,
+                                    run_single_trial, verifier_round1)
 from rotated_tcf.transcripts import transcript_to_json
 from rotated_tcf.wire import (MAX_FRAME_BYTES, MESSAGE_TYPES,
                               PROTOCOL_VERSION, SECRET_FIELDS,
@@ -136,8 +136,9 @@ def test_loopback_matches_in_process(stream, desk, sessions, prover,
 
 def test_every_served_session_is_one_verifier_session_call(
         stream, desk, monkeypatch):
-    """17 sessions, two chunks, are 17 calls of network.verifier_session,
-    looked up by name, and each gives the in-process transcript."""
+    """chunk_size(desk) + 1 sessions, two chunks, are as many calls of
+    network.verifier_session, looked up by name, and each gives the
+    in-process transcript."""
     calls = []
     session = network.verifier_session
 
@@ -147,12 +148,14 @@ def test_every_served_session_is_one_verifier_session_call(
 
     monkeypatch.setattr(network, "verifier_session", counting)
     net = stream.derive("net")
-    port, t, box = _serve_in_thread(desk, net, 17, False)
-    connect_prover("127.0.0.1", port, BaselineProver(), net, 17, timeout=10)
+    sessions = chunk_size(desk) + 1
+    port, t, box = _serve_in_thread(desk, net, sessions, False)
+    connect_prover("127.0.0.1", port, BaselineProver(), net, sessions,
+                   timeout=10)
     t.join(timeout=60)
-    assert calls == [net.derive("trial", i).seed for i in range(17)]
+    assert calls == [net.derive("trial", i).seed for i in range(sessions)]
     local = [run_single_trial(desk, BaselineProver(), net.derive("trial", i))
-             for i in range(17)]
+             for i in range(sessions)]
     assert [transcript_to_json(t) for t in box["result"][1]] == \
            [transcript_to_json(t) for t in local]
 
@@ -204,10 +207,12 @@ def test_serve_sessions_yields_each_session_as_it_ends(stream, desk):
 
 def test_serve_sets_up_each_chunk_once_after_its_first_accept(
         stream, desk, monkeypatch):
-    """33 sessions make three stacked key set-ups, over the verifier
-    streams of sessions 0-15, 16-31 and 32, each made once its chunk's
-    first connection is accepted."""
-    assert CHUNK == 16
+    """2 size + 1 sessions, size = chunk_size(desk), make three stacked
+    key set-ups, over the verifier streams of sessions [0, size),
+    [size, 2 size) and 2 size, each made once its chunk's first
+    connection is accepted."""
+    size = chunk_size(desk)
+    sessions = 2 * size + 1
     setups = []
     stacked = network.verifier_round1_stacked
 
@@ -223,54 +228,60 @@ def test_serve_sets_up_each_chunk_once_after_its_first_accept(
 
     def serve():
         try:
-            box["result"] = serve_verifier(listener, desk, net, 33)
+            box["result"] = serve_verifier(listener, desk, net, sessions)
         finally:
             srv.close()
 
     t = _Daemon(serve, srv)
     connect_prover("127.0.0.1", srv.getsockname()[1], BaselineProver(), net,
-                   33, timeout=10)
+                   sessions, timeout=10)
     t.join(timeout=60)
     assert not t.is_alive()
-    assert len(box["result"][1]) == 33
+    assert len(box["result"][1]) == sessions
 
-    def seeds(sessions):
+    def seeds(first, end):
         return [net.derive("trial", i).derive("verifier").seed
-                for i in sessions]
-    assert setups == [(1, seeds(range(16))), (17, seeds(range(16, 32))),
-                      (33, seeds([32]))]
+                for i in range(first, end)]
+    assert setups == [(1, seeds(0, size)), (size + 1, seeds(size, 2 * size)),
+                      (sessions, seeds(2 * size, sessions))]
 
 
 def test_bad_session_mid_serve_is_recorded_and_the_serve_goes_on(stream,
                                                                   desk):
-    """A bad frame in session 17 of 33, the first of the second chunk,
-    gets its error frame, and the session's slot holds its SessionError;
-    sessions 18-33 still play the next instances of the same chunk, each
-    equal to run_single_trial on its stream."""
+    """A bad frame in session size + 1 of 2 size + 1, size =
+    chunk_size(desk), the first of the second chunk, gets its error frame,
+    and the session's slot holds its SessionError; the sessions after it
+    still play the next instances of the same chunk, each equal to
+    run_single_trial on its stream."""
+    size = chunk_size(desk)
+    sessions = 2 * size + 1
     net = stream.derive("net")
-    port, t, box = _serve_in_thread(desk, net, 33, witness_channel=False)
-    connect_prover("127.0.0.1", port, BaselineProver(), net, 16, timeout=10)
+    port, t, box = _serve_in_thread(desk, net, sessions,
+                                    witness_channel=False)
+    connect_prover("127.0.0.1", port, BaselineProver(), net, size,
+                   timeout=10)
     sock, _ = _open_session(port)
     with sock:
         send_message(sock, make_message("response2", {"d_prime": 0}))
         reply = recv_message(sock, MAX_FRAME_BYTES, _soon())
     results = [prover_session("127.0.0.1", port, BaselineProver(),
                               net.derive("trial", i), timeout=10)
-               for i in range(17, 33)]
+               for i in range(size + 1, sessions)]
     t.join()
     assert reply["type"] == "error"
     assert reply["payload"]["code"] == "protocol-order"
     stats, transcripts = box["result"]
-    assert transcripts[16].code == "protocol-order"
+    assert transcripts[size].code == "protocol-order"
     local = [run_single_trial(desk, BaselineProver(), net.derive("trial", i))
-             for i in range(33)]
-    del local[16]
-    del transcripts[16]
+             for i in range(sessions)]
+    del local[size]
+    del transcripts[size]
     assert [transcript_to_json(t) for t in transcripts] == \
            [transcript_to_json(t) for t in local]
-    assert results == [{"success": t.success, "d": t.d} for t in local[16:]]
+    assert results == [{"success": t.success, "d": t.d}
+                       for t in local[size:]]
     assert (stats.successes, stats.trials) == \
-           (sum(t.success for t in local), 33)
+           (sum(t.success for t in local), sessions)
 
 
 def test_resetting_client_does_not_end_the_serve(stream, desk):
@@ -368,18 +379,19 @@ def test_trickled_frame_times_out_as_a_whole(stream, desk):
 
 @pytest.mark.parametrize("strategy", ["honest", "classical-baseline"])
 def test_network_demo_script(strategy):
-    """scripts/network_demo.py serves 17 sessions, one more than a chunk,
+    """scripts/network_demo.py serves one session more than a desk chunk,
     and finds every transcript equal to its in-process rerun."""
+    sessions = chunk_size(desk_preset()) + 1
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(
                filter(None, [str(Path(rotated_tcf.__file__).parents[1]),
                              os.environ.get("PYTHONPATH")]))}
     done = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "network_demo.py"),
-         "--sessions", "17", "--strategy", strategy],
+         "--sessions", str(sessions), "--strategy", strategy],
         env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
-    assert "in-process rerun: 17/17" in done.stdout
+    assert f"in-process rerun: {sessions}/{sessions}" in done.stdout
 
 
 def test_network_demo_refuses_sessions_below_one(monkeypatch, capsys):

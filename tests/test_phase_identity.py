@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rotated_tcf.params import desk_preset, next_prime, tiny_params
-from rotated_tcf.protocol_q import (chunks, decrypted_bit,
+from rotated_tcf.protocol_q import (chunk_size, chunks, decrypted_bit,
                                     honest_prover_round1_stacked,
                                     verifier_round1_stacked)
 from rotated_tcf.rsp import run_rsp_once, trace_distance
@@ -38,7 +38,7 @@ def _two_preimage_trials(params, stream, trials):
     trial's verifier/f stream."""
     q = params.q
     two_preimage = 0
-    for chunk in chunks(stream, "trial", trials):
+    for chunk in chunks(stream, "trial", trials, chunk_size(params)):
         vstate, (pk, ct) = verifier_round1_stacked(
             params, [t.derive("verifier") for t in chunk])
         kp = vstate.keypair

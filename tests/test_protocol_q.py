@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 from rotated_tcf import protocol_q, regev
+from rotated_tcf.params import MAX_N, next_prime, tiny_params
 from rotated_tcf.protocol_q import (CHUNK, PROVERS, BaselineProver,
                                     ClassicalProver, DeterministicProver,
                                     HonestQuantumProver, RandomProver,
-                                    SECOND_RESPONSE_RULES, chunks,
-                                    decrypted_bit,
+                                    SECOND_RESPONSE_RULES, chunk_size,
+                                    chunks, decrypted_bit,
                                     deterministic_family,
                                     exact_ct_independent_win_prob,
                                     honest_prover_round1,
@@ -21,7 +22,8 @@ from rotated_tcf.protocol_q import (CHUNK, PROVERS, BaselineProver,
 from rotated_tcf.regev import instance
 from rotated_tcf.sampling import (sample_box_stacked, sample_uniform,
                                   seed_streams)
-from rotated_tcf.zq import bit_dot, bits_le_vec, centered_abs, matmul_mod
+from rotated_tcf.zq import (MMAP_THRESHOLD, bit_dot, bits_le_vec,
+                            centered_abs, matmul_mod)
 
 
 def test_verifier_round1_encrypts_its_bit(stream, desk):
@@ -178,19 +180,37 @@ def test_transcript_sink_receives_every_trial(stream, desk):
     assert sum(t.success for t in seen) == stats.successes
 
 
-CHUNK_EDGES = (1, CHUNK - 1, CHUNK, CHUNK + 1, 2 * CHUNK + 1)
+def _edges(size):
+    """Counts on either side of each of the first two chunk boundaries."""
+    return (1, size - 1, size, size + 1, 2 * size + 1)
 
 
 @pytest.mark.parametrize("size", [CHUNK, 10, 1])
 def test_chunks_walk_the_labeled_streams_in_order(stream, size):
     """chunks gives stream.derive(label, i) for every i below the count,
     in order, `size` at a time with a shorter last list."""
-    for count in (0, *CHUNK_EDGES):
+    for count in (0, *_edges(CHUNK)):
         walked = list(chunks(stream, "x", count, size))
         assert all(len(chunk) == size for chunk in walked[:-1])
         assert 0 < len(walked[-1]) <= size if walked else count == 0
         assert [t.seed for chunk in walked for t in chunk] == [
             stream.derive("x", i).seed for i in range(count)]
+
+
+def test_chunk_size_keeps_the_n_stack_below_the_mmap_threshold(desk,
+                                                                mixed):
+    """CHUNK instances wherever their stacked N, Qn x (Q+1)n bytes each,
+    fits below zq.MMAP_THRESHOLD; 4 at n = 64, q = next_prime(2^43),
+    where one N is 8.1 MB; and at Params' bounds the most that fit, at
+    least 1.  Arithmetic on Params only: nothing is allocated."""
+    for params in (desk, mixed, tiny_params(1, 2**61 - 1)):
+        assert chunk_size(params) == CHUNK
+    assert chunk_size(tiny_params(64, next_prime(1 << 43))) == 4
+    bound = tiny_params(MAX_N, 2**61 - 1)
+    n_bytes = bound.nQ * (bound.nQ + bound.n)
+    assert 1 <= chunk_size(bound)
+    assert (chunk_size(bound) * n_bytes <= MMAP_THRESHOLD
+            < (chunk_size(bound) + 1) * n_bytes)
 
 
 def _single_trials(params, prover, stream, trials):
@@ -207,7 +227,7 @@ def test_run_experiment_equals_single_trial_loop(stream, request, preset,
     each chunk boundary; with the public key, each transcript carries its
     pk and, that cleared, is the loop's."""
     params = request.getfixturevalue(preset)
-    for trials in CHUNK_EDGES:
+    for trials in _edges(chunk_size(params)):
         for include_pk in (False, True):
             s = stream.derive(trials, include_pk)
             seen = []
@@ -253,7 +273,7 @@ def test_chunked_prover_sees_the_calls_of_the_loop(stream, desk):
     """Each trial's prover turns run on their own and in trial order: the
     prover is called with the same keys, ciphertexts, challenges and
     streams, in the same order, as by a loop of run_single_trial."""
-    trials = 2 * CHUNK + 1
+    trials = 2 * chunk_size(desk) + 1
     chunked, looped = _RecordingProver(), _RecordingProver()
     run_experiment(desk, chunked, trials, stream)
     _single_trials(desk, looped, stream, trials)
@@ -274,7 +294,7 @@ def test_prover_streams_are_batch_seeded_only_for_the_quantum_prover(
         seen.extend(s.seed for s in streams)
         return seed_streams(streams)
     monkeypatch.setattr(protocol_q, "seed_streams", spy)
-    trials = 2 * CHUNK + 1
+    trials = 2 * chunk_size(desk) + 1
     run_experiment(desk, prover(), trials, stream)
     wanted = {stream.derive("trial", i).derive("prover").seed
               for i in range(trials)}
@@ -301,12 +321,13 @@ def test_a_chunk_draws_e_and_g_stacked(stream, desk, monkeypatch):
             if hasattr(module, name):
                 monkeypatch.setattr(module, name,
                                     spy(name, getattr(module, name)))
-    run_experiment(desk, HonestQuantumProver(), CHUNK, stream)
+    size = chunk_size(desk)
+    run_experiment(desk, HonestQuantumProver(), size, stream)
     # e is the truncated Gaussian reduced mod q, drawn inside
     # sample_noise_stacked
-    assert sorted(calls) == [("sample_box_stacked", CHUNK),
-                             ("sample_noise_stacked", CHUNK),
-                             ("sample_truncated_gaussian_stacked", CHUNK)]
+    assert sorted(calls) == [("sample_box_stacked", size),
+                             ("sample_noise_stacked", size),
+                             ("sample_truncated_gaussian_stacked", size)]
 
 
 def test_deterministic_family_is_exhaustive():

@@ -1,10 +1,11 @@
 import pytest
 
+from rotated_tcf import protocol_q
 from rotated_tcf.params import tiny_params
 from rotated_tcf.protocol_q import (PROVERS, HonestQuantumProver,
-                                    RandomProver, prover_round1)
-from rotated_tcf.puzzle import (CHUNK, COMPLETENESS_TARGET, puzzle_G,
-                                puzzle_V, repetition_experiment, solve_one,
+                                    RandomProver, chunk_size, prover_round1)
+from rotated_tcf.puzzle import (COMPLETENESS_TARGET, puzzle_G, puzzle_V,
+                                repetition_experiment, solve_one,
                                 threshold_repetition, verified_count)
 from rotated_tcf.sampling import sample_bits
 
@@ -134,9 +135,11 @@ def _verified_one_by_one(params, ell, stream, solver):
 
 @pytest.mark.parametrize("solver", sorted(PROVERS))
 def test_chunked_count_equals_per_instance_loop(stream, desk, solver):
-    """Chunks of CHUNK instances, a partial last chunk, and a run of one
-    verify exactly the instances the one-by-one loop verifies."""
-    for ell in (1, CHUNK - 1, CHUNK, CHUNK + 1, 50):
+    """Chunks of chunk_size(desk) instances, a partial last chunk, and a
+    run of one verify exactly the instances the one-by-one loop
+    verifies."""
+    size = chunk_size(desk)
+    for ell in (1, size - 1, size, size + 1, 50):
         for seed in range(3 if ell < 50 else 1):
             t = stream.derive(ell, seed)
             assert (verified_count(desk, ell, t, solver)
@@ -144,8 +147,28 @@ def test_chunked_count_equals_per_instance_loop(stream, desk, solver):
     # n = 1 with the largest modulus, where N is multiplied in int64
     big = tiny_params(1, (1 << 61) - 1)
     t = stream.derive("q2^61-1")
-    assert (verified_count(big, CHUNK + 1, t, solver)
-            == _verified_one_by_one(big, CHUNK + 1, t, solver))
+    ell = chunk_size(big) + 1
+    assert (verified_count(big, ell, t, solver)
+            == _verified_one_by_one(big, ell, t, solver))
+
+
+def test_fifty_instances_make_two_stacked_set_ups(stream, desk,
+                                                 monkeypatch):
+    """A 50-instance count at desk is two chunks: one stacked key set-up
+    over the gen streams of instances 0-24, then one over 25-49."""
+    setups = []
+    stacked = protocol_q.verifier_round1_stacked
+
+    def spy(params, streams):
+        setups.append([s.seed for s in streams])
+        return stacked(params, streams)
+    monkeypatch.setattr(protocol_q, "verifier_round1_stacked", spy)
+    verified_count(desk, 50, stream, "classical-baseline")
+
+    def seeds(instances):
+        return [stream.derive("instance", i).derive("gen").seed
+                for i in instances]
+    assert setups == [seeds(range(25)), seeds(range(25, 50))]
 
 
 def test_chunked_solver_sees_the_calls_of_the_loop(stream, desk,
@@ -169,7 +192,7 @@ def test_chunked_solver_sees_the_calls_of_the_loop(stream, desk,
             return d_prime
 
     monkeypatch.setitem(PROVERS, "recording", Recording)
-    ell = CHUNK + 1
+    ell = chunk_size(desk) + 1
     verified_count(desk, ell, stream, "recording")
     chunked = calls[:]
     calls.clear()

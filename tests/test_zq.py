@@ -481,7 +481,8 @@ def test_honest_chunks_reuse_the_heap_of_the_chunk_before():
     """Once warm, 16 chunks of honest desk trials fault in fewer than 64
     pages: each chunk reuses the heap the one before it freed.  glibc's
     dynamic trim threshold handed it back after every chunk instead, about
-    16 faults per trial (4,161 over these 256)."""
+    20 faults per trial (8,165 over these 400 in chunks of 25; 3,986 over
+    256 in chunks of 16)."""
     code = textwrap.dedent("""
         import resource
         from rotated_tcf import protocol_q
@@ -489,11 +490,12 @@ def test_honest_chunks_reuse_the_heap_of_the_chunk_before():
         from rotated_tcf.sampling import master_stream
 
         params, prover = desk_preset(), protocol_q.HonestQuantumProver()
+        size = protocol_q.chunk_size(params)
         stream = master_stream("5e" * 32)
-        protocol_q.run_experiment(params, prover, 2 * protocol_q.CHUNK,
+        protocol_q.run_experiment(params, prover, 2 * size,
                                   stream.derive("warm-up"))
         before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-        protocol_q.run_experiment(params, prover, 16 * protocol_q.CHUNK,
+        protocol_q.run_experiment(params, prover, 16 * size,
                                   stream.derive("counted"))
         print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
         """)
