@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sampling import RngStream, fill_bits
-from .zq import bits_le_vec, gadget_multiples
+from .zq import bits_le_vec, canonical, gadget_multiples
 
 
 @dataclass
@@ -156,14 +156,16 @@ def predicted_phase_units(x_one, x_zero, r_units, u, params):
     row.  Exact for every q < 2**MAX_Q_BITS (params.py): a term
     (y_k - x_k)((r_k + q u_k) mod 2q) is below 2q in size, so
     2^63 // 2q >= 2 of them sum within int64, and runs of that many are
-    summed modulo 2q until one value is left (one run at desk)."""
+    summed modulo 2q until one value is left (one run at desk).  The
+    term's reduction is `canonical` mod 2q, since r_k mod 2q + q u_k is
+    below 3q."""
     q2 = 2 * params.q
     # the bits of x_zero, then those of x_one, from one call
     bits = bits_le_vec(np.concatenate([x_zero, x_one], axis=-1), params.Q)
     nQ = bits.shape[-1] // 2
     step = bits[..., :nQ] - bits[..., nQ:]
-    phase = step * ((np.asarray(r_units, dtype=np.int64) % q2
-                     + params.q * np.asarray(u, dtype=np.int64)) % q2)
+    phase = step * canonical(np.asarray(r_units, dtype=np.int64) % q2
+                             + params.q * np.asarray(u, dtype=np.int64), q2)
     span = (1 << 63) // q2
     while True:
         phase = np.add.reduceat(phase, np.arange(0, phase.shape[-1], span),

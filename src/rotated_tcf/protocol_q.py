@@ -28,7 +28,8 @@ from .sampling import (RngStream, sample_bits, sample_box_stacked,
 from .stats import Stats
 from .trapdoor import invert
 from .transcripts import Transcript, accepts, make_transcript
-from .zq import MMAP_THRESHOLD, bit_dot, bits_le_vec, matmul_mod, within
+from .zq import (MMAP_THRESHOLD, bit_dot, bits_le_vec, canonical, matmul_mod,
+                 within)
 
 
 @dataclass
@@ -134,17 +135,19 @@ def honest_prover_round1_stacked(params: Params, pk: PublicKey,
     checked because the simulation is meaningless against a mismatched
     key.  Each stream draws x, c and g, then u in the measurement, as a
     lone instance's does; g's reduction and box check, and the arithmetic,
-    run once for the stack."""
+    run once for the stack.  Every operand is canonical, so the witness
+    check's A s + e - v and y = A x - c v + g are in (-q, 2q) and are
+    reduced by `canonical`."""
     s, e = witness
     q, tau = params.q, params.tau_floor
     x, c, g = _prover_draws(params, streams)
     # A s for the witness check and A x, as one product
     Asx = matmul_mod(pk.A, np.concatenate([s[..., None], x[..., None]], -1),
                      q)
-    if ((Asx[..., 0] + e - pk.v) % q).any():
+    if canonical(Asx[..., 0] + e - pk.v, q).any():
         raise ValueError("witness inconsistent with public key")
     cbit = c[:, None]
-    y = (Asx[..., 1] - cbit * pk.v + g) % q
+    y = canonical(Asx[..., 1] - cbit * pk.v + g, q)
     # Two preimages when |g + e| (c = 0) or |g - e| (c = 1) is within tau
     two = within(g + (1 - 2 * cbit) * e, tau, q).all(axis=-1)
     x0 = (x - cbit * s) % q
@@ -183,11 +186,13 @@ def decrypted_bit(kp: KeypairJ, y: np.ndarray, u: np.ndarray) -> int:
     """The claw bit with x0 = invert(y) and x1 = invert(y + v), v = kp.pk.v,
     the claw preimages recovered through kp's trapdoor on both branches.
     A stacked key pair with stacked y and u gives one bit per instance,
-    from one inversion call."""
+    from one inversion call.  y is canonical, as every prover's is (and
+    a TCP prover's is checked to be), so y + v is in [0, 2q) and reduced
+    by `canonical`."""
     p = kp.pk.params
     y = np.asarray(y, dtype=np.int64)
     rows = np.concatenate(
-        [y[..., None, :], ((y + kp.pk.v) % p.q)[..., None, :]], axis=-2)
+        [y[..., None, :], canonical(y + kp.pk.v, p.q)[..., None, :]], axis=-2)
     return claw_bit(invert(kp.trapdoor, rows), u, p.Q)
 
 

@@ -17,7 +17,7 @@ from .sampling import (RngStream, sample_bits, sample_noise_stacked,
                        sample_uniform, seed_streams)
 from .stats import Stats
 from .trapdoor import TrapdoorPair, gen_trap, gen_trap_stacked
-from .zq import centered_abs, matmul_mod
+from .zq import canonical, centered_abs, matmul_mod
 
 
 @dataclass(frozen=True)
@@ -68,7 +68,8 @@ def _secrets(params: Params, s_streams, e_streams):
 
 
 def _public_key(params: Params, A, s, e) -> PublicKey:
-    v = (matmul_mod(A, s[..., None], params.q)[..., 0] + e) % params.q
+    As = matmul_mod(A, s[..., None], params.q)[..., 0]
+    v = canonical(As + e, params.q)     # two canonical terms: in [0, 2q)
     return PublicKey(params=params, A=A, v=v)
 
 

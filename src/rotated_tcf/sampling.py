@@ -12,6 +12,8 @@ from functools import lru_cache
 
 import numpy as np
 
+from .zq import STACKED_MIN, canonical
+
 
 class RngStream:
     """Deterministic random stream identified by a 32-byte seed."""
@@ -220,29 +222,67 @@ def _cdf(pmf):
     return cdf
 
 
-def _table_draw(support, cdf, u):
-    """The table entries that the uniforms `u` select by inverse CDF.  A
-    support is a run of consecutive integers, so entry i is i + support[0]."""
-    return np.searchsorted(cdf, u, side="right") + support[0]
+# Bins of a guide table (Chen and Asau, 1974): bin j holds the uniforms
+# in [j, j + 1) / GUIDE_BINS.  A power of two, so a uniform's bin is the
+# floor of an exact product.
+GUIDE_BINS = 4096
+
+
+def _guide(support, cdf):
+    """The guide table of a support and its CDF, one entry per bin: the
+    least table entry a uniform in the bin selects, support[0] + lo with
+    lo the number of CDF values at or below the bin's start; cdf[lo], the
+    one CDF value that can split the bin; and whether the bin is crowded,
+    two or more CDF values lying in it.  lo is a valid index, since the
+    last CDF value is 1, above every bin's start."""
+    edges = np.arange(GUIDE_BINS + 1) / GUIDE_BINS
+    lo = np.searchsorted(cdf, edges[:-1], side="right")
+    crowded = np.searchsorted(cdf, edges[1:], side="left") - lo > 1
+    return lo + support[0], cdf[lo], crowded
+
+
+def _table_draw(support, cdf, guide, u):
+    """The table entries that the uniforms `u` in [0, 1) select by inverse
+    CDF: entry i, where i CDF values are at most u.  A support is a run of
+    consecutive integers, so entry i is i + support[0].  Below STACKED_MIN
+    uniforms, one searchsorted; from there `guide` (see _guide) gives each
+    uniform its bin's least entry, and one compare with the bin's one
+    splitting value adds the step past it.  Only uniforms in a crowded
+    bin are searched, about 2 in 4,096 at sigma = 3."""
+    if u.size < STACKED_MIN:
+        return np.searchsorted(cdf, u, side="right") + support[0]
+    base, split, crowded = guide
+    j = (u * GUIDE_BINS).astype(np.intp)
+    out = base[j]
+    out += split[j] <= u
+    hard = np.flatnonzero(crowded[j])
+    if hard.size:
+        out.flat[hard] = np.searchsorted(cdf, u.flat[hard],
+                                         side="right") + support[0]
+    return out
 
 
 def sample_gaussian(sigma: float, stream: RngStream, size):
     """Draw from G(sigma) via inverse-CDF on the exact pmf table."""
     support, pmf = gaussian_table(sigma)
-    return _table_draw(support, _cdf(pmf), stream.gen.random(size))
+    cdf = _cdf(pmf)
+    return _table_draw(support, cdf, _guide(support, cdf),
+                       stream.gen.random(size))
 
 
 @lru_cache(maxsize=64)
 def _truncated_table(sigma: float, t: int):
-    """Support and CDF of G(sigma) conditioned on |x| <= t, built once per
-    (sigma, t); read-only, since every caller shares them."""
+    """Support, CDF and guide table (see _guide) of G(sigma) conditioned
+    on |x| <= t, built once per (sigma, t); read-only, since every caller
+    shares them."""
     support, pmf = gaussian_table(sigma)
     keep = np.abs(support) <= t
     support, pmf = support[keep], pmf[keep]
     cdf = _cdf(pmf / pmf.sum())
-    support.setflags(write=False)
-    cdf.setflags(write=False)
-    return support, cdf
+    guide = _guide(support, cdf)
+    for table in (support, cdf, *guide):
+        table.setflags(write=False)
+    return support, cdf, guide
 
 
 # Each sampler below is stacked, one row per stream: every stream makes
@@ -270,23 +310,25 @@ def sample_box_stacked(m: int, tau, q: int, streams) -> np.ndarray:
     """m coordinates, each uniform on {x in Z_q : |x| <= tau} (centered
     abs), on each of `streams`, one row each: each stream's bare integers
     draw, then one half-width check and one reduction mod q (a draw
-    within the half-width t < q/2 keeps its centered abs mod q)."""
+    within the half-width t < q/2 keeps its centered abs mod q).  The
+    check puts every draw in [-t, t], within [-q, 2q), so the reduction
+    is `zq.canonical`."""
     t = min(math.floor(tau), (q - 1) // 2)
     out = np.array([stream.gen.integers(-t, t + 1, size=m, dtype=np.int64)
                     for stream in streams])
     if int(np.abs(out).max(initial=0)) > t:
         raise AssertionError("box draw exceeds its half-width")
-    out %= q
-    return out
+    return canonical(out, q)
 
 
 def sample_noise_stacked(params, streams) -> np.ndarray:
     """The key-generation error vector e <- G(sigma, tau)^m mod q on each
-    of `streams`, one row each."""
+    of `streams`, one row each.  The sampler's bound check puts every
+    draw within tau_floor, below q / 4 (tau = q / 4mQ), so the reduction
+    is `zq.canonical`."""
     if params.tau_floor < 1:
         # tau < 1 forces e = 0 (tiny test instances only): no draw
         return np.zeros((len(streams), params.m), dtype=np.int64)
     e = sample_truncated_gaussian_stacked(params.sigma, params.tau_floor,
                                           streams, params.m)
-    e %= params.q
-    return e
+    return canonical(e, params.q)

@@ -15,8 +15,8 @@ import numpy as np
 
 from .params import Params
 from .sampling import RngStream, fill_bits
-from .zq import (bits_le_vec, centered_abs, gadget_matrix, gadget_multiples,
-                 matmul_mod, within)
+from .zq import (bits_le_vec, canonical, centered, centered_abs,
+                 gadget_matrix, gadget_multiples, matmul_mod, within)
 
 
 @dataclass(frozen=True)
@@ -48,8 +48,8 @@ def gen_trap_stacked(params: Params, streams) -> TrapdoorPair:
         A[i, Q * n:] = gen.integers(0, q, size=(k, n), dtype=np.int64)
         fill_bits(gen, N[i].reshape(-1))  # a view: N is C-contiguous
     NM = matmul_mod(N, A[:, Q * n:], q)
-    NM += gadget_matrix(n, Q, q)
-    np.remainder(NM, q, out=A[:, :Q * n])
+    NM += gadget_matrix(n, Q, q)        # two canonical terms: in [0, 2q)
+    A[:, :Q * n] = canonical(NM, q)
     return TrapdoorPair(params=params, A=A, N=N)
 
 
@@ -65,7 +65,12 @@ def invert(pair: TrapdoorPair, v: np.ndarray) -> np.ndarray:
     g = (1, 2, ..., 2^(Q-1)).  S g = 0 mod q for the gadget basis S
     (rows (2, -1) on the diagonal, last row the bits of q), so S blk lifted
     to the centered range is S e' exactly, and e'_0 is row 0 of S^-1 times
-    it; s_i = blk_0 - e'_0."""
+    it; s_i = blk_0 - e'_0.
+
+    v's entries are canonical, in [0, q), as every caller's are, so each
+    Q-block, v1 - N v2 in (-q, q), and S blk, each of whose entries is
+    2 blk_j - blk_(j+1) or a canonical product, are in [-q, 2q): they are
+    reduced by `canonical` and `centered`."""
     p = pair.params
     n, Q, q = p.n, p.Q, p.q
     v = np.asarray(v, dtype=np.int64)
@@ -77,15 +82,13 @@ def invert(pair: TrapdoorPair, v: np.ndarray) -> np.ndarray:
     # N v2 for every row as one product per pair: N @ (rows of v2)^T
     v2 = v[..., Q * n:].reshape(lead + (-1, (Q + 1) * n))
     Nv2 = matmul_mod(pair.N, v2.swapaxes(-1, -2), q).swapaxes(-1, -2)
-    blk = (v[..., :Q * n] - Nv2.reshape(v.shape[:-1] + (Q * n,))) % q
+    blk = canonical(v[..., :Q * n] - Nv2.reshape(v.shape[:-1] + (Q * n,)), q)
     blk = blk.reshape(v.shape[:-1] + (n, Q))
     q_bits, h, q_inverse = _decoder(q, Q)
     w_last = matmul_mod(q_bits, blk.swapaxes(-1, -2), q)
     w = np.concatenate([2 * blk[..., :-1] - blk[..., 1:], w_last[..., None]],
                        axis=-1)
-    # S blk mod q lifted to the centered range, ((z + half) mod q) - half
-    half = q // 2
-    w = (w + half) % q - half
+    w = centered(w, q)                  # S blk mod q, centered
     # e'_0 = (h . w) / q, computed mod 2^64, where q is invertible: exact
     # whenever the integer sum is q e'_0 with |e'_0| < 2^63, i.e. whenever
     # a decoding exists.

@@ -12,15 +12,15 @@ fold's acc 2^c (below), and two in the quotient (converting q, dividing).
 So |F / q - P / q| <= r 2^-53 V / (q (1 - r 2^-53)) for any bound V on P,
 which is below 1 while r V < (2**53 - r) q.  The estimate is then off by at
 most one, the residue lies in [-q, 2q), where its wrapped value read as
-int64 is exact, and one `% q` makes it canonical.  Where V = k max(A) (q-1)
-breaks that bound, B is split into c-bit limbs and folded back by Horner's
-rule, each step's acc 2^c + A @ limb reduced by the same estimate.
-Supported moduli: odd primes q < 2**MAX_Q_BITS (params.py).
+int64 is exact, and `canonical` makes it canonical without a division.
+Where V = k max(A) (q-1) breaks that bound, B is split into c-bit limbs
+and folded back by Horner's rule, each step's acc 2^c + A @ limb reduced
+by the same estimate.  Supported moduli: odd primes q < 2**MAX_Q_BITS
+(params.py).
 """
 from __future__ import annotations
 
 import ctypes
-import threading
 from functools import lru_cache
 
 import numpy as np
@@ -42,12 +42,59 @@ def centered_lift(x, q: int):
     return np.where(x > half, x - q, x)
 
 
+# Entries from which `canonical`, `centered` and `within` reduce without a
+# division, and from which sampling's guide table looks Gaussian draws
+# up.  Below it numpy's cost per call outweighs its cost per entry, and
+# the lone forms (one `% q` each, one searchsorted) make fewer calls.
+# Timed on a shared 2-vCPU Xeon guest, for a (25, 348) desk stack: `% q`,
+# a hardware division per int64 entry, 45-55 us against 12-19 us for
+# `canonical`; searchsorted on the 61-entry desk CDF 230-320 us against
+# about 50 us for the guide table.  Both pairs cross between about 750
+# and 2,000 entries, where timings vary from run to run by more than they
+# differ.  At 750 every lone desk path (at most 696 entries) keeps its
+# lone form, and a desk chunk of 25 takes the stacked one everywhere.
+STACKED_MIN = 750
+
+
+def canonical(x, q: int):
+    """x mod q for an int64 array x with entries in [-q, 2q).  Read as
+    uint64, one of x - q, x and x + q is the residue, in [0, q); each
+    other is at least q, or wraps to at least 2^64 - 2q, which is at
+    least q while 3q <= 2^64.  So their least is the residue: four
+    elementwise calls and no division.  Below STACKED_MIN entries it is
+    x % q."""
+    if x.size < STACKED_MIN:
+        return x % q
+    u = x.view(np.uint64)
+    r = u + q
+    np.minimum(r, u, out=r)
+    np.minimum(r, u - q, out=r)
+    return r.view(np.int64)
+
+
+def centered(x, q: int):
+    """x's residue in (-q/2, q/2], for an int64 array x with entries in
+    [-q, 2q): below STACKED_MIN entries ((x + q // 2) mod q) - q // 2,
+    three elementwise calls; from there centered_lift(canonical(x, q)),
+    with no division."""
+    if x.size < STACKED_MIN:
+        half = q // 2
+        return (x + half) % q - half
+    return centered_lift(canonical(x, q), q)
+
+
 def within(z, t: int, q: int):
-    """Whether z's residue r in (-q/2, q/2] has |r| <= t, elementwise:
-    (z + t) mod q <= 2t.  Exact for 0 <= t < q/2, where |r| <= t puts
-    r + t in [0, 2t] and any other r puts it in (2t, q) mod q.  For z in
-    (-q, 2q), z + t stays below 2.5 q, so an int64 z cannot overflow."""
-    return (z + t) % q <= 2 * t
+    """Whether z's residue r in (-q/2, q/2] has |r| <= t, elementwise, for
+    an int64 array z with entries in [-q, 2q) and 0 <= t < q/2.  Below
+    STACKED_MIN entries, (z + t) mod q <= 2t, three elementwise calls:
+    |r| <= t puts r + t in [0, 2t] and any other r puts it in (2t, q) mod
+    q, and z + t stays below 2.5q, within int64.  From there, with
+    c = canonical(z) in [0, q), r is c or c - q, so |r| <= t exactly when
+    c <= t or c >= q - t."""
+    if z.size < STACKED_MIN:
+        return (z + t) % q <= 2 * t
+    c = canonical(z, q)
+    return (c <= t) | (c >= q - t)
 
 
 def bits_le_vec(x: np.ndarray, Q: int) -> np.ndarray:
@@ -150,12 +197,13 @@ def matmul_mod(A, B, q: int):
 def _estimate(P, F, q: int):
     """The sum whose value is P mod 2^64 and about F, reduced mod q: P less
     q floor(F / q), wrapping, which is exact in [-q, 2q) when the estimate
-    is off by at most one (see the module docstring).  Every operand is
-    at least 0, and so is F, so the cast's truncation is the floor.
-    Explicit ufuncs, since numpy warns of wrap-around in operators on a
-    0-d result."""
+    is off by at most one (see the module docstring), so `canonical`
+    reduces it.  Every operand is at least 0, and so is F, so the cast's
+    truncation is the floor.  Explicit ufuncs, since numpy warns of
+    wrap-around in operators on a 0-d result."""
     t = (F / q).astype(np.uint64)
-    return np.subtract(P, np.multiply(t, np.uint64(q))).view(np.int64) % q
+    return canonical(
+        np.subtract(P, np.multiply(t, np.uint64(q))).view(np.int64), q)
 
 
 # The mmap threshold _pin_heap_thresholds sets: a block below it comes from
@@ -188,32 +236,15 @@ def _pin_heap_thresholds(cdll) -> None:
 
 _pin_heap_thresholds(ctypes.CDLL)
 
-# Each thread's work buffer for _matmul_mod_bytes, kept from call to call
-# until a product of another shape or dtype replaces it.  With the heap
-# thresholds pinned, a fresh buffer per call (242 KB for a desk trapdoor)
-# stays mapped too, so keeping it no longer saves page faults.  On
-# perfbench's poq-honest a fresh buffer has read about 3 % slower in one
-# series of pairs and 0.6 % faster in another, so it stays until a
-# benchmark tells the two apart.
-_WORK = threading.local()
-
-
-def _work_buffer(shape, dtype) -> np.ndarray:
-    work = getattr(_WORK, "buffer", None)
-    if work is None or work.shape != shape or work.dtype != dtype:
-        work = _WORK.buffer = np.empty(shape, dtype=dtype)
-    return work
-
-
 def _matmul_mod_bytes(A: np.ndarray, B: np.ndarray, q: int):
     """matmul_mod for a uint8 A: one matrix, or a stack L + (r, k) with B
-    of shape L + (k, c).  Each matrix of A is copied in turn into the
-    thread's work buffer, in its product_dtype, and multiplied from there:
-    numpy's `@` on a narrow operand would widen the whole stack at once.
-    In float64, where every sum is exact, each product goes straight into
-    the stack of sums, which is reduced once; in int64 each takes
-    matmul_mod's int64 paths."""
-    work = _work_buffer(A.shape[-2:], product_dtype(
+    of shape L + (k, c).  Each matrix of A is copied in turn into one work
+    buffer, in its product_dtype, and multiplied from there: numpy's `@`
+    on a narrow operand would widen the whole stack at once.  In float64,
+    where every sum is exact, each product goes straight into the stack
+    of sums, which is reduced once; in int64 each takes matmul_mod's int64
+    paths."""
+    work = np.empty(A.shape[-2:], dtype=product_dtype(
         A.shape, int(A.max(initial=0)), q))
     if A.ndim == 2:
         np.copyto(work, A)

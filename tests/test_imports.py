@@ -103,7 +103,6 @@ UNREAD_PUBLIC = {
     "regev.distinguishing_game": "pinned by tests/test_digests.py",
     "rsp.blindness_sampler": "pinned by tests/test_digests.py",
     "sampling.sample_gaussian": "criterion 8's subject",
-    "zq.centered_lift": "the reference lift that tests compare against",
     "transcripts.load_transcripts": "awaits the audit command (item 10)",
     "regev.decrypt_bit": "awaits the audit command (item 10)",
     "protocol_q.deterministic_family": "awaits the games command (item 11)",
@@ -234,6 +233,18 @@ def test_chunk_count_is_set_once():
               if name == "CHUNK"}
     assert owners == {"protocol_q"}
 
+
+
+def test_stacked_min_is_set_once():
+    """zq.canonical and sampling's guide-table lookup leave their lone
+    forms at one size, so STACKED_MIN is assigned at top level in zq.py
+    and in no other module."""
+    owners = {p.stem
+              for p in SRC.glob("*.py")
+              for name, _ in _top_level_definitions(
+                  ast.parse(p.read_text(), filename=str(p)))
+              if name == "STACKED_MIN"}
+    assert owners == {"zq"}
 
 def _names(owners) -> list:
     return [dict(vars(owner)) for owner in owners]

@@ -13,12 +13,15 @@ from hypothesis import given, settings, strategies as st
 import rotated_tcf
 from rotated_tcf import sampling
 from rotated_tcf.params import desk_preset, tiny_params
-from rotated_tcf.sampling import (SEED_BATCH_MIN, RngStream, _seed_words,
-                                  gaussian_table, master_stream, sample_bits,
+from rotated_tcf.sampling import (GUIDE_BINS, SEED_BATCH_MIN, RngStream,
+                                  _cdf, _guide, _seed_words, _table_draw,
+                                  _truncated_table, gaussian_table,
+                                  master_stream, sample_bits,
                                   sample_box_stacked, sample_gaussian,
                                   sample_noise_stacked,
                                   sample_truncated_gaussian_stacked,
                                   sample_uniform, seed_streams)
+from rotated_tcf.zq import STACKED_MIN
 
 
 def test_stream_seed_validation():
@@ -154,7 +157,8 @@ def test_truncated_draws_are_checked_at_floor_tau(monkeypatch, stream, tau):
     whatever the type of tau."""
     for value, ok in ((5, True), (-5, True), (6, False), (-6, False)):
         monkeypatch.setattr(sampling, "_table_draw",
-                            lambda support, cdf, u: np.full(u.shape, value))
+                            lambda support, cdf, guide, u:
+                            np.full(u.shape, value))
         if ok:
             (draws,) = sample_truncated_gaussian_stacked(3.0, tau, [stream],
                                                          4)
@@ -163,6 +167,46 @@ def test_truncated_draws_are_checked_at_floor_tau(monkeypatch, stream, tau):
             with pytest.raises(AssertionError, match="exceeds tau"):
                 sample_truncated_gaussian_stacked(3.0, tau, [stream], 4)
 
+
+
+@pytest.mark.parametrize("sigma", [1.0, 2.0, 3.0, 100.0])
+@pytest.mark.parametrize("cut", [True, False], ids=["cut", "whole"])
+def test_guide_draw_is_the_searchsorted(sigma, cut):
+    """_table_draw through the guide table selects the entry that
+    searchsorted does, on truncated tables whose t cuts the support
+    (t = 2 sigma) or keeps it whole, and on sample_gaussian's table:
+    at u = 0 and u = 1 - 2^-53, at every CDF value below 1 and the float
+    just below it, at every bin's start, and at uniforms in every crowded
+    bin.  Below STACKED_MIN uniforms it is the searchsorted itself."""
+    B = math.ceil(10 * sigma)
+    t = int(2 * sigma) if cut else B + 1
+    support, cdf, guide = _truncated_table(sigma, t)
+    assert (len(support) < 2 * B + 1) == cut
+    whole_support, pmf = gaussian_table(sigma)
+    whole_cdf = _cdf(pmf)
+    tables = [(support, cdf, guide),
+              (whole_support, whole_cdf, _guide(whole_support, whole_cdf))]
+    gen = np.random.default_rng(int(sigma) * 2 + cut)
+    for support, cdf, guide in tables:
+        crowded = np.flatnonzero(guide[2])
+        inner = cdf[cdf < 1]
+        u = np.concatenate([
+            [0.0, 1 - 2.0 ** -53], inner, np.nextafter(inner, 0),
+            np.arange(GUIDE_BINS) / GUIDE_BINS,
+            ((crowded[:, None] + gen.random((len(crowded), 8)))
+             / GUIDE_BINS).ravel(),
+            gen.random(STACKED_MIN)])
+        want = np.searchsorted(cdf, u, side="right") + support[0]
+        assert np.array_equal(_table_draw(support, cdf, guide, u), want)
+        two = u[:u.size // 2 * 2].reshape(2, -1)
+        assert np.array_equal(_table_draw(support, cdf, guide, two),
+                              want[:two.size].reshape(2, -1))
+        for lone in (u[:STACKED_MIN - 1], u[-(STACKED_MIN - 1):]):
+            assert np.array_equal(
+                _table_draw(support, cdf, guide, lone),
+                np.searchsorted(cdf, lone, side="right") + support[0])
+    # a whole table's tails crowd its end bins; a cut at 2 sigma leaves none
+    assert [guide[2].any() for _, _, guide in tables] == [not cut, True]
 
 class _FixedDraws:
     """A stream whose generator's integers draw is `value` everywhere."""
@@ -194,7 +238,7 @@ def test_truncation_check_survives_optimize():
     the truncated support)."""
     _prints_raised_under_optimize(
         "import numpy as np, rotated_tcf.sampling as s\n"
-        "s._table_draw = lambda support, cdf, u: np.full(u.shape, 99)\n"
+        "s._table_draw = lambda support, cdf, guide, u: np.full(u.shape, 99)\n"
         "try:\n"
         "    s.sample_truncated_gaussian_stacked(\n"
         "        3.0, 5, [s.RngStream(bytes(32))], 4)\n"

@@ -16,10 +16,10 @@ from pathlib import Path
 import rotated_tcf
 from rotated_tcf.params import desk_preset, next_prime
 from rotated_tcf.trapdoor import _decoder
-from rotated_tcf.zq import (_pin_heap_thresholds, bit_dot, bits_le_vec,
-                            centered_abs, centered_lift, gadget_matrix,
-                            gadget_multiples, matmul_mod, product_dtype,
-                            within)
+from rotated_tcf.zq import (STACKED_MIN, _pin_heap_thresholds, bit_dot,
+                            bits_le_vec, canonical, centered, centered_abs,
+                            centered_lift, gadget_matrix, gadget_multiples,
+                            matmul_mod, product_dtype, within)
 
 BIG_Q = (1 << 61) - 1  # Mersenne prime, the largest supported modulus
 
@@ -213,7 +213,7 @@ def test_thin_key_products_exact_at_the_estimate_bound(q):
 
 
 def test_byte_products_in_threads_stay_exact():
-    """Each thread widens into a work buffer of its own: stacked uint8
+    """Each call widens into a work buffer of its own: stacked uint8
     products running at once, in more threads than cores and with a short
     switch interval, all equal their Python-integer references."""
     q = desk_preset().q
@@ -367,6 +367,71 @@ def test_cached_tables_are_read_only():
         with pytest.raises(ValueError):
             table[0, ...] = 0
 
+
+
+# canonical's moduli: desk, MIXED and the largest supported q, and twice
+# that, the modulus of predicted_phase_units' outer reduction.
+REDUCTION_MODULI = [desk_preset().q, 1048583, BIG_Q, 2 * BIG_Q]
+REDUCTION_IDS = ["desk", "mixed", "q2^61-1", "2q"]
+
+
+def _around_the_crossover(q, gen, edges=()):
+    """Arrays of STACKED_MIN - 1 and STACKED_MIN entries in [-q, 2q), the
+    sizes on each side of canonical's switch: the edges -q, -1, 0, q - 1,
+    q and 2q - 1, then `edges`, then random entries."""
+    head = [-q, -1, 0, q - 1, q, 2 * q - 1, *edges]
+    for size in (STACKED_MIN - 1, STACKED_MIN):
+        yield np.concatenate([
+            np.array(head, dtype=np.int64),
+            gen.integers(-q, 2 * q, size=size - len(head), dtype=np.int64)])
+
+
+@pytest.mark.parametrize("q", REDUCTION_MODULI, ids=REDUCTION_IDS)
+def test_canonical_is_the_remainder(q):
+    """canonical(x, q) is x % q for x in [-q, 2q), on each side of
+    STACKED_MIN, on a stack of rows and a strided view, and on a 0-d
+    input, as a scalar product's residue is."""
+    gen = np.random.default_rng(q % 10007)
+    for x in _around_the_crossover(q, gen):
+        for view in (x, x[::-1], x[:x.size // 2 * 2].reshape(2, -1)):
+            got = canonical(view, q)
+            assert got.dtype == np.int64 and got.shape == view.shape
+            assert np.array_equal(got, view % q)
+    for z in (-q, -1, 0, q - 1, q, 2 * q - 1):
+        assert int(canonical(np.int64(z), q)) == z % q
+        assert int(canonical(np.array(z, dtype=np.int64), q)) == z % q
+
+
+@pytest.mark.parametrize("q", REDUCTION_MODULI[:3], ids=REDUCTION_IDS[:3])
+def test_scalar_product_residue_stays_0d(q):
+    """A vector's product with a vector, as decrypt_bit's a . s, is one
+    sum; past int64 its residue is a 0-d value that _estimate passes to
+    canonical, which takes it as it took x % q."""
+    gen = np.random.default_rng(q % 10037)
+    for a in (np.full(4, q - 1, dtype=np.int64),
+              gen.integers(0, q, size=4, dtype=np.int64)):
+        got = matmul_mod(a, a[::-1], q)
+        assert np.ndim(got) == 0
+        assert int(got) == int(a.astype(object) @ a[::-1]) % q
+
+
+@pytest.mark.parametrize("q", REDUCTION_MODULI[:3], ids=REDUCTION_IDS[:3])
+def test_within_and_centered_match_their_old_formulas(q):
+    """within(z, t, q) is (z + t) % q <= 2t, and centered(w, q), invert's
+    lift, is (w + q // 2) % q - q // 2, the forms they had before
+    canonical, on each side of STACKED_MIN, for z and w in [-q, 2q), with
+    the half-widths 0, 1, invert's (q - 1) // 2Q and (q - 1) // 2, and
+    with the lift's edges among the entries."""
+    Q = (q - 1).bit_length()
+    half = q // 2
+    gen = np.random.default_rng(q % 10009)
+    edges = [half, half + 1, -half, -half - 1, q + half, q + half + 1]
+    for z in _around_the_crossover(q, gen, edges):
+        for t in (0, 1, (q - 1) // (2 * Q), (q - 1) // 2):
+            edge = np.array([t, -t, t + 1, -t - 1, q - t, q + t, q + t + 1])
+            zt = np.concatenate([z, edge])[:z.size]
+            assert np.array_equal(within(zt, t, q), (zt + t) % q <= 2 * t)
+        assert np.array_equal(centered(z, q), (z + half) % q - half)
 
 def test_matmul_mod_shape_check():
     with pytest.raises(ValueError):
